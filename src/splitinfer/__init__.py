@@ -12,6 +12,7 @@ from .learners import (
     builtin,
     train_all,
 )
+from .evaluation import Block, Evaluations, evaluate, pool
 from .moments import EmpiricalMoment, MomentFunction, builtin_moment, empirical
 from .zestim import ZEstimate, per_split_estimates, solve, solve_fullsample
 from .inference import (

@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
 from .errors import GridTooNarrow, ZeroVariance
+from .evaluation import Evaluations, pool
 from .inference import identity_reduction, norm_cdf, normal_ci
 from .moments import AverageMoment, MomentFunction
-from .splits import SplitPlan
-from .zestim import ZEstimate, _splits_of
+from .zestim import ZEstimate
 
 
 @dataclass
@@ -69,11 +68,11 @@ class AdaptiveCI:
         }
 
 
-def _pooled_moment_fn(mf: MomentFunction, models, plan: SplitPlan, d: Dataset):
+def _pooled_moment_fn(mf: MomentFunction, ev: Evaluations):
     """Returns tau -> pooled empirical moment vector, vectorizable over a grid."""
-    splits = _splits_of(plan, models)
     if isinstance(mf, AverageMoment):
-        pooled_f = np.mean([np.mean(mf.f_values(s.model, d, s.rows)) for s in splits])
+        # psi = f - tau, so each block's mean psi at tau = 0 is its mean f
+        pooled_f = pool(mf, ev.blocks, np.zeros(1)).split_psi.mean()
 
         def fn(tau_grid):
             tau_grid = np.atleast_1d(np.asarray(tau_grid, dtype=np.float64))
@@ -83,52 +82,43 @@ def _pooled_moment_fn(mf: MomentFunction, models, plan: SplitPlan, d: Dataset):
 
     def fn(tau_grid):
         tau_grid = np.atleast_1d(np.asarray(tau_grid, dtype=np.float64))
-        out = np.zeros((tau_grid.size, mf.dim))
-        for i, tau in enumerate(tau_grid):
-            acc = np.zeros(mf.dim)
-            for s in splits:
-                acc += mf.psi(np.array([tau]), s.model, d, s.rows).mean(axis=0)
-            out[i] = acc / len(splits)
-        return out
+        return np.array([pool(mf, ev.blocks, [tau]).psi for tau in tau_grid])
 
     return fn
 
 
-def gate(mf: MomentFunction, models, plan: SplitPlan, d: Dataset, tau: float,
-         gamma_n: float):
+def gate(mf: MomentFunction, ev: Evaluations, tau: float, gamma_n: float):
     """(Psi_min, Psi, a_n) at tau: a_n = 1{Psi_min * Psi > gamma_n}."""
-    pooled = _pooled_moment_fn(mf, models, plan, d)(np.array([tau]))[0]
+    pooled = _pooled_moment_fn(mf, ev)(np.array([tau]))[0]
     psi_min = float(np.abs(pooled).min())
     psi_norm = float(np.linalg.norm(pooled))
     return psi_min, psi_norm, int(psi_min * psi_norm > gamma_n)
 
 
-def adaptive_ci(mf: MomentFunction, models, plan: SplitPlan, d: Dataset,
-                estimate: ZEstimate, cfg: AdaptiveConfig | None = None,
-                alpha: float | None = None) -> AdaptiveCI:
+def adaptive_ci(mf: MomentFunction, ev: Evaluations, estimate: ZEstimate,
+                cfg: AdaptiveConfig | None = None, alpha: float | None = None) -> AdaptiveCI:
     """Grid inversion of the gated test for a one-dimensional moment."""
     if mf.dim != 1:
         raise ValueError("adaptive_ci needs a one-dimensional moment (reduce first)")
     cfg = cfg or AdaptiveConfig()
     if alpha is None:
         alpha = cfg.alpha
-    n = plan.n
+    n = ev.plan.n
     theta = float(estimate.theta_hat[0])
 
     # the p_e branch: normal approximation scale
     flags = {}
     try:
-        report = normal_ci(mf, models, plan, d, estimate, identity_reduction(), alpha)
+        report = normal_ci(mf, ev, estimate, identity_reduction(), alpha)
         se = report.se
         normal_iv = report.ci
         flags.update(report.flags)
     except ZeroVariance:
         se = 0.0
-        data_range = float(d.y.max() - d.y.min()) or 1.0
         normal_iv = (theta, theta)
         flags["zero_variance"] = True
 
-    scale = se if se > 0.0 else (float(d.y.max() - d.y.min()) or 1.0) / np.sqrt(n)
+    scale = se if se > 0.0 else (float(np.ptp(ev.d.y)) or 1.0) / np.sqrt(n)
     if cfg.gamma_n is not None:
         gamma_n = float(cfg.gamma_n)
     else:
@@ -137,10 +127,10 @@ def adaptive_ci(mf: MomentFunction, models, plan: SplitPlan, d: Dataset,
     flags["gamma_n"] = gamma_n
 
     p_c = cfg.p_c or (lambda tau: 1.0)
-    pooled_fn = _pooled_moment_fn(mf, models, plan, d)
+    pooled_fn = _pooled_moment_fn(mf, ev)
 
-    def scan(lo, hi):
-        grid = np.linspace(lo, hi, cfg.grid_points)
+    def blend(grid):
+        """Gated p-values at each tau of the grid: (p, a_n, psi_min, psi_norm)."""
         pooled = pooled_fn(grid)
         psi_min = np.abs(pooled).min(axis=1)
         psi_norm = np.linalg.norm(pooled, axis=1)
@@ -150,14 +140,14 @@ def adaptive_ci(mf: MomentFunction, models, plan: SplitPlan, d: Dataset,
         else:
             p_e = (grid == theta).astype(np.float64)
         p_cons = np.array([p_c(t) for t in grid])
-        p = a_n * p_e + (1 - a_n) * p_cons
-        return grid, p, a_n, psi_min, psi_norm
+        return a_n * p_e + (1 - a_n) * p_cons, a_n, psi_min, psi_norm
 
     lo = cfg.grid_lo if cfg.grid_lo is not None else theta - 10.0 * scale
     hi = cfg.grid_hi if cfg.grid_hi is not None else theta + 10.0 * scale
     widened = False
     while True:
-        grid, p, a_n, psi_min, psi_norm = scan(lo, hi)
+        grid = np.linspace(lo, hi, cfg.grid_points)
+        p, a_n, psi_min, psi_norm = blend(grid)
         kept = p > alpha
         if not kept.any():
             # keep at least the estimate itself
@@ -184,16 +174,8 @@ def adaptive_ci(mf: MomentFunction, models, plan: SplitPlan, d: Dataset,
     runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
 
     def keep_at(tau):
-        pooled = pooled_fn(np.array([tau]))[0]
-        pm = float(np.abs(pooled).min())
-        pn = float(np.linalg.norm(pooled))
-        if pm * pn > gamma_n:
-            pv = 2.0 * float(norm_cdf(-abs((theta - tau) / se))) if se > 0 else float(tau == theta)
-        else:
-            pv = float(p_c(tau))
-        return pv > alpha
+        return bool(blend(np.array([tau]))[0][0] > alpha)
 
-    step = grid[1] - grid[0]
     tol = 1e-4 * scale
     for run in runs:
         left = float(grid[run[0]])

@@ -25,6 +25,7 @@ from . import repro as repro_mod
 from . import sim
 from .data import Roles, ingest_csv
 from .errors import ConfigInvalid, DataError, SplitInferError
+from .evaluation import evaluate
 from .inference import named_reduction, normal_ci
 from .learners import builtin, train_all
 from .moments import builtin_moment
@@ -76,7 +77,28 @@ def resolve_config(config: dict, args) -> dict:
     if getattr(args, "emit_sigma", False):
         output["emit_sigma"] = True
     resolved["threads"] = args.threads
+    _resolve_names(resolved)
     return resolved
+
+
+def _resolve_names(config: dict) -> None:
+    """Resolve every moment, reduction and learner name now, so that a bad one
+    is a config error with its JSON pointer, not a failure mid-run."""
+    mf = _resolved("/moment", builtin_moment, config["moment"])
+    _resolved("/h", named_reduction, config["h"], mf.dim)
+    learners = {"/learner": config["learner"]}
+    learners.update((f"/learners/{i}", name) for i, name in enumerate(config.get("learners", ())))
+    learners.update((f"/compare/{key}", name) for key, name in config.get("compare", {}).items()
+                    if key in ("baseline", "against_learner"))
+    for pointer, name in learners.items():
+        _resolved(pointer, builtin, name)
+
+
+def _resolved(pointer: str, resolve, *args):
+    try:
+        return resolve(*args)
+    except (SplitInferError, ValueError, OverflowError) as exc:
+        raise ConfigInvalid(pointer, str(exc)) from None
 
 
 def build_dataset(config: dict):
@@ -118,9 +140,10 @@ def run_estimate(config: dict) -> dict:
     mf = builtin_moment(config["moment"])
     models = train_all(plan, d, learner, seed=derived_seed(plan_cfg["seed"], 1),
                        threads=config.get("threads", 1))
-    est = solve(config["variant"], mf, models, plan, d)
+    ev = evaluate(models, plan, d)
+    est = solve(config["variant"], mf, ev)
     h = named_reduction(config["h"], mf.dim)
-    report = normal_ci(mf, models, plan, d, est, h, config["alpha"])
+    report = normal_ci(mf, ev, est, h, config["alpha"])
     results = {"estimate": est.to_jsonable(), "inference": report.to_jsonable()}
     est_cfg = config.get("estimate", {})
     if est_cfg.get("adaptive"):
@@ -129,7 +152,7 @@ def run_estimate(config: dict) -> dict:
             grid_points=est_cfg.get("grid_points", 2001),
             alpha=config["alpha"],
         )
-        ci = adaptive_mod.adaptive_ci(mf, models, plan, d, est, cfg)
+        ci = adaptive_mod.adaptive_ci(mf, ev, est, cfg)
         results["adaptive"] = ci.to_jsonable()
     return {"results": results, "plan": plan}
 
@@ -164,7 +187,7 @@ def run_compare(config: dict) -> dict:
     models = train_all(plan, d, learner, seed=derived_seed(plan_cfg["seed"], 1),
                        threads=config.get("threads", 1))
     baseline = builtin(cmp_cfg.get("baseline", "mean")).train(d, derived_seed(plan_cfg["seed"], 3))
-    res = compare_mod.compare_models(mf, models, plan, d, baseline, h=h,
+    res = compare_mod.compare_models(mf, evaluate(models, plan, d, baseline), h=h,
                                      alpha=config["alpha"], mc_draws=mc_draws,
                                      seed=seed, slack=slack)
     emit_sigma = config.get("output", {}).get("emit_sigma", False)
@@ -206,10 +229,11 @@ def run_repro(config: dict) -> dict:
     learner = builtin(config["learner"])
     models = train_all(plan, d, learner, seed=derived_seed(plan_cfg["seed"], 1),
                        threads=config.get("threads", 1))
-    est = solve(2, mf, models, plan, d)
+    ev = evaluate(models, plan, d)
+    est = solve(2, mf, ev)
     rep_cfg = config.get("repro", {})
     tau = rep_cfg.get("tau", 0.0)
-    comps = repro_mod.sigma_D_hat(mf, models, plan, d, est.theta_hat, h, tau)
+    comps = repro_mod.sigma_D_hat(mf, ev, est.theta_hat, h, tau)
     measure = repro_mod.repro_measure(comps, rep_cfg.get("beta", 0.2),
                                       rep_cfg.get("test_type", "two_sided"))
     return {
@@ -282,8 +306,9 @@ def _grid_estimate(grid, n, K, cell_index, iteration):
     learner = builtin(grid.extra.get("learner", "ols"))
     mf = builtin_moment(grid.extra.get("moment", "mse"))
     models = train_all(plan, d, learner, seed=derived_seed(seed, 2))
-    est = solve(2, mf, models, plan, d)
-    report = normal_ci(mf, models, plan, d, est, alpha=grid.extra.get("alpha", 0.05))
+    ev = evaluate(models, plan, d)
+    est = solve(2, mf, ev)
+    report = normal_ci(mf, ev, est, alpha=grid.extra.get("alpha", 0.05))
     fresh = sampler(grid.extra.get("oracle_rows", 50_000), derived_seed(seed, 3))
     oracle = float(sim.estimand_oracle(mf, models, plan, fresh)[0])
     lo, hi = report.ci
@@ -304,7 +329,7 @@ def _grid_compare(grid, n, K, cell_index, iteration):
     mf = builtin_moment(grid.extra.get("moment", "mse"))
     models = train_all(plan, d, learner, seed=derived_seed(seed, 2))
     baseline = builtin("mean").train(d)
-    res = compare_mod.compare_models(mf, models, plan, d, baseline,
+    res = compare_mod.compare_models(mf, evaluate(models, plan, d, baseline),
                                      alpha=grid.extra.get("alpha", 0.05),
                                      mc_draws=20_000, seed=derived_seed(seed, 4))
     return {

@@ -9,6 +9,10 @@ moments the per-row values are the f evaluations themselves; general scalar
 moments go through the asymptotically linear (influence) representation
 -J^{-1} psi per row. Intersections with fewer than two rows contribute zero
 and are counted.
+
+Everything is computed from one ``Evaluations`` (see
+``evaluation.evaluate``): the out-of-fold predictions of every split and the
+baseline's predictions on all rows, each made once.
 """
 
 from __future__ import annotations
@@ -19,30 +23,30 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ZeroDiagonal
+from .evaluation import Block, Evaluations, evaluate, pool
 from .inference import (
     DeltaSpec,
     identity_reduction,
-    jacobian_hat,
-    meat_hat,
     norm_ppf,
     sandwich,
     variance_inflation,
 )
-from .learners import Model, train_all
+from .learners import train_all
 from .moments import AverageMoment, MomentFunction
 from .rng import derived_seed, substream
 from .splits import SplitPlan
-from .zestim import per_split_estimates, solve, solve_fullsample, _splits_of
+from .zestim import per_split_estimates, solve, solve_blocks
 
 
 @dataclass
 class DeltaVector:
-    """Per-split gaps h(theta_s) - h(theta_b) plus the baseline estimate."""
+    """Per-split gaps h(theta_s) - h(theta_b) plus the estimates behind them."""
 
     deltas: np.ndarray
     theta_b: np.ndarray
     h_split: np.ndarray
     h_baseline: float
+    per_split_thetas: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -109,28 +113,21 @@ class ComparisonResult:
 # per-row value construction
 
 
-def _influence_rows(mf, model, d, rows, theta, grad) -> np.ndarray:
-    """Scalar influence contribution grad . (-J^{-1} psi_i) per row."""
+def _influence_rows(mf, b: Block, theta, grad) -> np.ndarray:
+    """Scalar influence contribution grad . (-J^{-1} psi_i) per row of a block."""
     if isinstance(mf, AverageMoment):
-        return mf.f_values(model, d, rows)
-    jac = mf.jacobian_estimate(theta, model, d, rows)
-    psi = mf.psi(theta, model, d, rows)
+        return mf.f_eta(b.eta, b.y, b.g)
+    jac = mf.jacobian_eta(theta, b.eta, b.y, b.g)
+    psi = mf.psi_eta(theta, b.eta, b.y, b.g)
     return -(psi @ np.linalg.solve(jac, grad))
 
 
-def split_values(mf: MomentFunction, models, plan: SplitPlan, d: Dataset,
-                 per_split_thetas, h: DeltaSpec):
-    """Per-split influence values on each split's own evaluation rows."""
-    out = []
-    for s in _splits_of(plan, models):
-        theta = per_split_thetas[(s.m, s.k)]
-        out.append(_influence_rows(mf, s.model, d, s.rows, theta, h.gradient(theta)))
-    return out
-
-
-def baseline_values(mf: MomentFunction, baseline: Model, d: Dataset, theta_b,
-                    h: DeltaSpec) -> np.ndarray:
-    return _influence_rows(mf, baseline, d, np.arange(d.n), theta_b, h.gradient(theta_b))
+def _split_values(mf, ev: Evaluations, per_split_thetas, h: DeltaSpec):
+    """Per-split influence values on each split's own evaluation rows, made
+    one split at a time as ``sigma_from_values`` consumes them."""
+    for b in ev.blocks:
+        theta = per_split_thetas[(b.m, b.k)]
+        yield _influence_rows(mf, b, theta, h.gradient(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +156,17 @@ def _cross_blocks(mask1, vals1, mask2, vals2):
 def sigma_from_values(eval_sets, n: int, vals_split, vals_base) -> SigmaHat:
     """Covariance of sqrt(n) * (per-split mean - full-sample baseline mean).
 
-    ``vals_split[j]`` holds the j-th split's values on its own evaluation rows
-    (in row order); ``vals_base`` holds the baseline values for all n rows.
+    ``vals_split`` yields the j-th split's values on its own evaluation rows
+    (in row order), j in plan order; it may be a generator, so the values of
+    all splits need not be held at once. ``vals_base`` holds the baseline
+    values for all n rows.
     """
     n_splits = len(eval_sets)
     emask = np.zeros((n_splits, n))
     tilde = np.zeros((n_splits, n))
-    for j, rows in enumerate(eval_sets):
+    for j, (rows, vals) in enumerate(zip(eval_sets, vals_split, strict=True)):
         emask[j, rows] = 1.0
-        tilde[j, rows] = vals_base[rows] - (n / rows.size) * np.asarray(vals_split[j])
+        tilde[j, rows] = vals_base[rows] - (n / rows.size) * np.asarray(vals)
     cmask = 1.0 - emask
     base = np.broadcast_to(vals_base, (n_splits, n))
 
@@ -189,30 +188,36 @@ def sigma_from_values(eval_sets, n: int, vals_split, vals_base) -> SigmaHat:
     return SigmaHat(matrix=total, psd_projected=projected, degenerate_blocks=degenerate)
 
 
-def delta_vector(mf: MomentFunction, models, plan: SplitPlan, d: Dataset,
-                 baseline: Model, h: DeltaSpec | None = None, tol=1e-10) -> "DeltaVector":
+def delta_vector(mf: MomentFunction, ev: Evaluations, h: DeltaSpec | None = None,
+                 tol=1e-10) -> DeltaVector:
     """Per-split estimates minus the whole-sample baseline estimate."""
+    if ev.baseline is None:
+        raise ValueError("the comparison needs evaluations with a baseline model")
     if h is None:
         h = identity_reduction()
-    per_split = per_split_estimates(mf, models, plan, d, tol=tol)
-    theta_b = solve_fullsample(mf, baseline, d, tol=tol)
-    h_split = np.array(
-        [h.h(per_split[(s.m, s.k)]) for s in _splits_of(plan, models)]
-    )
+    return _gaps(h, per_split_estimates(mf, ev, tol=tol), solve_blocks(mf, [ev.baseline], tol)[0])
+
+
+def _gaps(h: DeltaSpec, per_split_thetas, theta_b) -> DeltaVector:
+    h_split = np.array([h.h(theta) for theta in per_split_thetas.values()])
     h_b = float(h.h(theta_b))
-    return DeltaVector(deltas=h_split - h_b, theta_b=theta_b, h_split=h_split, h_baseline=h_b)
+    return DeltaVector(deltas=h_split - h_b, theta_b=theta_b, h_split=h_split,
+                       h_baseline=h_b, per_split_thetas=per_split_thetas)
 
 
-def sigma_hat(mf: MomentFunction, models, plan: SplitPlan, d: Dataset,
-              baseline: Model, h: DeltaSpec | None = None, tol=1e-10) -> SigmaHat:
-    """Block estimate of the covariance of the sqrt(n)-scaled gap vector."""
+def sigma_hat(mf: MomentFunction, ev: Evaluations, h: DeltaSpec | None = None,
+              tol=1e-10, delta: DeltaVector | None = None) -> SigmaHat:
+    """Block estimate of the covariance of the sqrt(n)-scaled gap vector.
+
+    ``delta`` reuses the estimates of an earlier :func:`delta_vector` call.
+    """
     if h is None:
         h = identity_reduction()
-    per_split = per_split_estimates(mf, models, plan, d, tol=tol)
-    theta_b = solve_fullsample(mf, baseline, d, tol=tol)
-    vals_split = split_values(mf, models, plan, d, per_split, h)
-    vals_base = baseline_values(mf, baseline, d, theta_b, h)
-    return sigma_from_values(plan.eval_sets(), plan.n, vals_split, vals_base)
+    if delta is None:
+        delta = delta_vector(mf, ev, h, tol)
+    vals_base = _influence_rows(mf, ev.baseline, delta.theta_b, h.gradient(delta.theta_b))
+    return sigma_from_values(ev.plan.eval_sets(), ev.plan.n,
+                             _split_values(mf, ev, delta.per_split_thetas, h), vals_base)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +285,7 @@ def comparison_ci(point: float, sigma_delta: float, n: int, rejected: bool,
     return ci_normal, ci_ext, ci_final
 
 
-def sigma_delta_hat(mf: MomentFunction, models, plan: SplitPlan, d: Dataset,
-                    baseline: Model, theta_pooled, theta_b,
+def sigma_delta_hat(mf: MomentFunction, ev: Evaluations, theta_pooled, theta_b,
                     h: DeltaSpec | None = None):
     """Standard error for the pooled gap: sigma_eta^2 + sigma_b^2 - 2 cov.
 
@@ -290,46 +294,47 @@ def sigma_delta_hat(mf: MomentFunction, models, plan: SplitPlan, d: Dataset,
     """
     if h is None:
         h = identity_reduction()
-    jac = jacobian_hat(mf, models, plan, d, theta_pooled)
-    meat = meat_hat(mf, models, plan, d, theta_pooled)
+    plan = ev.plan
+    pooled = pool(mf, ev.blocks, theta_pooled, meat=True, jacobian=True)
+    jac, meat = pooled.jacobian, pooled.meat
     vmk = variance_inflation(plan.M, plan.K, plan.b, plan.n)
     v = sandwich(jac, meat, vmk)
     grad = h.gradient(theta_pooled)
     var_eta = float(grad @ v @ grad)
 
-    base_vals = baseline_values(mf, baseline, d, theta_b, h)
+    base_vals = _influence_rows(mf, ev.baseline, theta_b, h.gradient(theta_b))
     var_b = float(np.var(base_vals))
 
-    splits = _splits_of(plan, models)
     cov_acc = 0.0
-    grad_p = h.gradient(theta_pooled)
-    for s in splits:
-        a_s = _influence_rows(mf, s.model, d, s.rows, theta_pooled, grad_p)
-        a_b = base_vals[s.rows]
+    for b in ev.blocks:
+        a_s = _influence_rows(mf, b, theta_pooled, grad)
+        a_b = base_vals[b.rows]
         cov_acc += float(np.mean((a_s - a_s.mean()) * (a_b - a_b.mean())))
-    cov = cov_acc / len(splits)
+    cov = cov_acc / len(ev.blocks)
 
     var_delta = var_eta + var_b - 2.0 * cov
     clamped = var_delta < 0.0
     return float(np.sqrt(max(var_delta, 0.0))), bool(clamped)
 
 
-def compare_models(mf: MomentFunction, models, plan: SplitPlan, d: Dataset,
-                   baseline: Model, h: DeltaSpec | None = None, alpha: float = 0.05,
-                   mc_draws: int = 100_000, seed: int = 0, slack: float = 0.0,
-                   tol: float = 1e-10) -> ComparisonResult:
-    """Full comparison pipeline: gaps, covariance, test, pre-tested CI."""
+def compare_models(mf: MomentFunction, ev: Evaluations, h: DeltaSpec | None = None,
+                   alpha: float = 0.05, mc_draws: int = 100_000, seed: int = 0,
+                   slack: float = 0.0, tol: float = 1e-10) -> ComparisonResult:
+    """Full comparison pipeline: gaps, covariance, test, pre-tested CI.
+
+    ``ev`` must carry the baseline's predictions (``evaluate(..., baseline=)``).
+    """
     if h is None:
         h = identity_reduction()
-    delta = delta_vector(mf, models, plan, d, baseline, h, tol)
-    sigma = sigma_hat(mf, models, plan, d, baseline, h, tol)
-    test = one_sided_test(delta.deltas, sigma, plan.n, alpha, mc_draws, seed, slack)
+    n = ev.plan.n
+    delta = delta_vector(mf, ev, h, tol)
+    sigma = sigma_hat(mf, ev, h, tol, delta)
+    test = one_sided_test(delta.deltas, sigma, n, alpha, mc_draws, seed, slack)
 
-    pooled = solve(2, mf, models, plan, d, tol=tol)
+    pooled = solve(2, mf, ev, tol=tol)
     point = float(h.h(pooled.theta_hat)) - delta.h_baseline
-    sd, clamped = sigma_delta_hat(mf, models, plan, d, baseline,
-                                  pooled.theta_hat, delta.theta_b, h)
-    ci_normal, ci_ext, ci_final = comparison_ci(point, sd, plan.n, test.reject, alpha)
+    sd, clamped = sigma_delta_hat(mf, ev, pooled.theta_hat, delta.theta_b, h)
+    ci_normal, ci_ext, ci_final = comparison_ci(point, sd, n, test.reject, alpha)
     flags = {}
     if clamped:
         flags["sigma_delta_clamped"] = True
@@ -340,7 +345,7 @@ def compare_models(mf: MomentFunction, models, plan: SplitPlan, d: Dataset,
     return ComparisonResult(
         delta=delta, sigma=sigma, test=test, point=point, sigma_delta=sd,
         ci_normal=ci_normal, ci_extended=ci_ext, ci_final=ci_final,
-        alpha=alpha, n=plan.n, flags=flags,
+        alpha=alpha, n=n, flags=flags,
     )
 
 
@@ -358,25 +363,25 @@ class TwoLearnerComparison:
     theta_b: np.ndarray
 
 
-def _pooled_row_values(mf, models, plan, d, theta_pooled, h) -> np.ndarray:
+def _pooled_row_values(mf, ev: Evaluations, theta_pooled, h) -> np.ndarray:
     """Row-level influence values for a pooled split-sample estimator.
 
     Each row is averaged over the models that evaluate it out-of-fold; rows
     that no split evaluates (possible when K = 1) fall back to the average
-    over all models.
+    over all models, which predict on those rows for that.
     """
     grad = h.gradient(theta_pooled)
-    acc = np.zeros(d.n)
-    cnt = np.zeros(d.n)
-    splits = _splits_of(plan, models)
-    for s in splits:
-        acc[s.rows] += _influence_rows(mf, s.model, d, s.rows, theta_pooled, grad)
-        cnt[s.rows] += 1.0
+    acc = np.zeros(ev.plan.n)
+    cnt = np.zeros(ev.plan.n)
+    for b in ev.blocks:
+        acc[b.rows] += _influence_rows(mf, b, theta_pooled, grad)
+        cnt[b.rows] += 1.0
     uncovered = np.flatnonzero(cnt == 0)
     if uncovered.size:
-        for s in splits:
-            acc[uncovered] += _influence_rows(mf, s.model, d, uncovered, theta_pooled, grad)
-        cnt[uncovered] = len(splits)
+        for b in ev.blocks:
+            acc[uncovered] += _influence_rows(mf, Block.of(b.model, ev.d, uncovered),
+                                              theta_pooled, grad)
+        cnt[uncovered] = len(ev.blocks)
     return acc / cnt
 
 
@@ -388,36 +393,22 @@ def compare_two_learners(mf: MomentFunction, plan: SplitPlan, d: Dataset,
     """Directional comparisons of two learners trained on identical splits."""
     if h is None:
         h = identity_reduction()
-    models_a = train_all(plan, d, learner_a, derived_seed(seed, 0))
-    models_b = train_all(plan, d, learner_b, derived_seed(seed, 1))
+    evs = [evaluate(train_all(plan, d, learner, derived_seed(seed, i)), plan, d)
+           for i, learner in enumerate((learner_a, learner_b))]
+    thetas = [solve(2, mf, ev, tol=tol).theta_hat for ev in evs]
 
     results = []
-    for direction, (mods_split, mods_other) in enumerate(
-        [(models_a, models_b), (models_b, models_a)]
-    ):
-        per_split = per_split_estimates(mf, mods_split, plan, d, tol=tol)
-        pooled_other = solve(2, mf, mods_other, plan, d, tol=tol)
-        h_split = np.array(
-            [h.h(per_split[(s.m, s.k)]) for s in _splits_of(plan, mods_split)]
-        )
-        h_other = float(h.h(pooled_other.theta_hat))
-        delta = DeltaVector(
-            deltas=h_split - h_other,
-            theta_b=pooled_other.theta_hat,
-            h_split=h_split,
-            h_baseline=h_other,
-        )
-        vals_split = split_values(mf, mods_split, plan, d, per_split, h)
-        vals_base = _pooled_row_values(mf, mods_other, plan, d, pooled_other.theta_hat, h)
-        sigma = sigma_from_values(plan.eval_sets(), plan.n, vals_split, vals_base)
+    for direction in (0, 1):  # a against pooled b, then b against pooled a
+        ev_split, ev_other, theta_other = evs[direction], evs[1 - direction], thetas[1 - direction]
+        delta = _gaps(h, per_split_estimates(mf, ev_split, tol=tol), theta_other)
+        vals_base = _pooled_row_values(mf, ev_other, theta_other, h)
+        sigma = sigma_from_values(plan.eval_sets(), plan.n,
+                                  _split_values(mf, ev_split, delta.per_split_thetas, h),
+                                  vals_base)
         test = one_sided_test(delta.deltas, sigma, plan.n, alpha, mc_draws,
                               derived_seed(seed, 2 + direction), slack)
         results.append((delta, test))
 
-    pooled_a = solve(2, mf, models_a, plan, d, tol=tol)
-    pooled_b = solve(2, mf, models_b, plan, d, tol=tol)
-    return TwoLearnerComparison(
-        delta_ab=results[0][0], delta_ba=results[1][0],
-        test_ab=results[0][1], test_ba=results[1][1],
-        theta_a=pooled_a.theta_hat, theta_b=pooled_b.theta_hat,
-    )
+    (delta_ab, test_ab), (delta_ba, test_ba) = results
+    return TwoLearnerComparison(delta_ab=delta_ab, delta_ba=delta_ba, test_ab=test_ab,
+                                test_ba=test_ba, theta_a=thetas[0], theta_b=thetas[1])

@@ -105,7 +105,3 @@ class ConfigInvalid(SplitInferError):
     def __init__(self, pointer, message):
         super().__init__(f"invalid config at {pointer or '/'}: {message}")
         self.pointer = pointer
-
-
-class RuntimeFailure(SplitInferError):
-    pass

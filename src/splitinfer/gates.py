@@ -24,7 +24,6 @@ from .inference import norm_cdf
 from .learners import Learner, Model
 from .rng import derived_seed
 from .splits import generate_plan
-from .zestim import DEFAULT_TOL  # noqa: F401  (re-exported convenience)
 
 RIDGE_FALLBACK = 1e-8
 

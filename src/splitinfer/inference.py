@@ -8,16 +8,16 @@ h(theta) +/- z_{1-alpha/2} * sigma / sqrt(n).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
 
-from .data import Dataset
-from .errors import NonFiniteJacobian, SingularJacobian, ZeroVariance
+from .errors import SingularJacobian, ZeroVariance
+from .evaluation import Evaluations, pool
 from .moments import MomentFunction
-from .splits import SplitPlan
-from .zestim import ZEstimate, _splits_of
+from .zestim import ZEstimate
 
 
 def norm_ppf(q):
@@ -74,16 +74,23 @@ def difference_reduction(i: int, j: int) -> DeltaSpec:
     return DeltaSpec(f"diff:{i}-{j}", lambda t: float(t[i] - t[j]), grad)
 
 
+_REDUCTION_RE = re.compile(r"identity|coordinate:(\d+)|diff:(\d+)-(\d+)")
+
+
 def named_reduction(spec: str, dim: int) -> DeltaSpec:
-    """Parse "identity", "coordinate:j", or "diff:i-j"."""
-    if spec == "identity":
+    """Parse "identity", "coordinate:j", or "diff:i-j" for a dim-dimensional theta.
+
+    Raises ValueError for an unknown spec or an index outside [0, dim).
+    """
+    match = _REDUCTION_RE.fullmatch(spec)
+    if match is None:
+        raise ValueError(f"unknown reduction {spec!r}")
+    indices = [int(i) for i in match.groups() if i is not None]
+    if not all(i < dim for i in indices):
+        raise ValueError(f"reduction {spec!r} needs indices in [0, {dim})")
+    if not indices:
         return identity_reduction()
-    if spec.startswith("coordinate:"):
-        return coordinate_reduction(int(spec.split(":")[1]))
-    if spec.startswith("diff:"):
-        i, j = spec.split(":")[1].split("-")
-        return difference_reduction(int(i), int(j))
-    raise ValueError(f"unknown reduction {spec!r}")
+    return coordinate_reduction(*indices) if len(indices) == 1 else difference_reduction(*indices)
 
 
 def variance_inflation(M: int, K: int, b: int, n: int) -> float:
@@ -93,29 +100,14 @@ def variance_inflation(M: int, K: int, b: int, n: int) -> float:
     return (n / b + M - 1.0) / M
 
 
-def jacobian_hat(mf: MomentFunction, models, plan: SplitPlan, d: Dataset, theta) -> np.ndarray:
+def jacobian_hat(mf: MomentFunction, ev: Evaluations, theta) -> np.ndarray:
     """Plug-in Jacobian: per-split estimates averaged with weight 1/(MK)."""
-    theta = np.asarray(theta, dtype=np.float64)
-    acc = np.zeros((mf.dim, mf.dim))
-    splits = _splits_of(plan, models)
-    for s in splits:
-        acc += mf.jacobian_estimate(theta, s.model, d, s.rows)
-    out = acc / len(splits)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteJacobian("plug-in Jacobian has non-finite entries")
-    return out
+    return pool(mf, ev.blocks, theta, psi=False, jacobian=True).jacobian
 
 
-def meat_hat(mf: MomentFunction, models, plan: SplitPlan, d: Dataset, theta) -> np.ndarray:
+def meat_hat(mf: MomentFunction, ev: Evaluations, theta) -> np.ndarray:
     """Mean outer product of psi at theta over all splits and their rows."""
-    theta = np.asarray(theta, dtype=np.float64)
-    acc = np.zeros((mf.dim, mf.dim))
-    splits = _splits_of(plan, models)
-    for s in splits:
-        values = mf.psi(theta, s.model, d, s.rows)
-        acc += values.T @ values / values.shape[0]
-    out = acc / len(splits)
-    return 0.5 * (out + out.T)
+    return pool(mf, ev.blocks, theta, meat=True).meat
 
 
 def sandwich(jac: np.ndarray, meat: np.ndarray, inflation: float) -> np.ndarray:
@@ -159,9 +151,8 @@ class InferenceReport:
         }
 
 
-def normal_ci(mf: MomentFunction, models, plan: SplitPlan, d: Dataset,
-              estimate: ZEstimate, h: DeltaSpec | None = None,
-              alpha: float = 0.05) -> InferenceReport:
+def normal_ci(mf: MomentFunction, ev: Evaluations, estimate: ZEstimate,
+              h: DeltaSpec | None = None, alpha: float = 0.05) -> InferenceReport:
     """Sandwich-variance normal CI for h(theta_hat).
 
     Flags ``fast_convergence_risk`` when the meat is numerically degenerate,
@@ -171,8 +162,9 @@ def normal_ci(mf: MomentFunction, models, plan: SplitPlan, d: Dataset,
     if h is None:
         h = identity_reduction()
     theta = estimate.theta_hat
-    jac = jacobian_hat(mf, models, plan, d, theta)
-    meat = meat_hat(mf, models, plan, d, theta)
+    plan = ev.plan
+    pooled = pool(mf, ev.blocks, theta, meat=True, jacobian=True)
+    jac, meat = pooled.jacobian, pooled.meat
     vmk = variance_inflation(plan.M, plan.K, plan.b, plan.n)
     flags = {}
     eigs = np.linalg.eigvalsh(meat)

@@ -80,10 +80,24 @@ class KnnModel(Model):
 
     def predict(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        # squared euclidean distances; stable argsort keeps ties deterministic
+        # squared euclidean distances
         d2 = ((x[:, None, :] - self.train_x[None, :, :]) ** 2).sum(axis=2)
-        order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-        return self.train_y[order].mean(axis=1)
+        return self.train_y[self._nearest(d2)].mean(axis=1)
+
+    def _nearest(self, d2):
+        """Indices of the k nearest training rows per row of d2, ordered by
+        (distance, index): what a stable argsort of each row would give."""
+        k = self.k
+        near = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
+        near_d2 = np.take_along_axis(d2, near, axis=1)
+        near = np.take_along_axis(near, np.argsort(near_d2, axis=1, kind="stable"), axis=1)
+        # where more than k rows lie within the k-th distance, the partition
+        # picked among the ties at it arbitrarily: sort those rows in full
+        kth = near_d2.max(axis=1, keepdims=True)
+        tied = np.flatnonzero((d2 <= kth).sum(axis=1) > k)
+        if tied.size:
+            near[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+        return near
 
 
 class TreeModel(Model):

@@ -1,14 +1,19 @@
-"""Moment functions psi(theta, model, row) and their empirical means.
+"""Moment functions psi(theta; eta, y, g) and their empirical means.
 
 Built-ins cover the standard model-property estimands: mean squared error,
 probabilistic and exact classification rates, outcome/prediction covariance,
 OLS of the outcome on the model prediction, the between-group MSE gap, and the
 tercile-fraction system (three group fractions plus two quantile conditions).
 
-All built-ins evaluate vectorized over a row index set. Smooth built-ins carry
-analytic Jacobians; the tercile system is piecewise constant in theta and is
-handled by closed-form solving plus a dedicated Jacobian construction (see
-``TercileFractions.jacobian_estimate``).
+Moments are evaluated on the arrays of one evaluation split: the predictions
+``eta``, the outcome ``y`` and the group codes ``g`` (``evaluation.group_codes``).
+This array form (``psi_eta``, ``f_eta``, ...) never calls ``predict``; custom
+moments implement it. ``psi(theta, model, d, rows)`` and ``jac_rows`` predict
+on ``rows`` and call it, for direct evaluation.
+
+Smooth built-ins carry analytic Jacobians; the tercile system is piecewise
+constant in theta and is handled by closed-form solving plus a dedicated
+Jacobian construction (see ``TercileFractions.jacobian_eta``).
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 
 from .data import Dataset, as_row_index_set
 from .errors import EmptySubset, IncompatibleRoles, NonFiniteJacobian, UnknownMoment
+from .evaluation import Block
 from .learners import Model
 
 
@@ -31,25 +37,20 @@ class EmpiricalMoment:
     size: int
 
 
-def _take(arr, rows):
-    return arr if rows is None else arr[rows]
-
-
-def _count(d, rows):
-    return d.n if rows is None else len(rows)
+def _arrays(model: Model, d: Dataset, rows):
+    """(eta, y, g) on ``rows`` (all rows when None), predicting once."""
+    b = Block.of(model, d, rows)
+    return b.eta, b.y, b.g
 
 
 class MomentFunction:
-    """Vector-valued moment abstraction; subclasses implement ``psi``.
-
-    ``rows=None`` in the evaluation methods means "all rows" and avoids the
-    index-copy on large inputs (used by the fresh-draw oracles).
+    """Vector-valued moment abstraction; subclasses implement ``psi_eta``.
 
     Attributes
     ----------
     dim : parameter/moment dimension d.
     smooth : whether psi is differentiable in theta.
-    average_type : True when psi has the form f(w, model) - theta, in which
+    average_type : True when psi has the form f(w, eta) - theta, in which
         case Z-estimation reduces to averaging f.
     """
 
@@ -61,21 +62,21 @@ class MomentFunction:
     def validate(self, d: Dataset) -> None:
         """Raise IncompatibleRoles when the dataset lacks required roles."""
 
-    def psi(self, theta, model: Model, d: Dataset, rows=None) -> np.ndarray:
-        """Per-row moment values, shape (len(rows), dim)."""
+    def psi_eta(self, theta, eta, y, g=None) -> np.ndarray:
+        """Per-row moment values, shape (len(eta), dim)."""
         raise NotImplementedError
 
-    def jac_rows(self, theta, model: Model, d: Dataset, rows):
-        """Per-row Jacobians d psi / d theta, shape (len(rows), dim, dim), or None."""
+    def jac_rows_eta(self, theta, eta, y, g=None):
+        """Per-row Jacobians d psi / d theta, shape (len(eta), dim, dim), or None."""
         return None
 
-    def jacobian_estimate(self, theta, model: Model, d: Dataset, rows) -> np.ndarray:
+    def jacobian_eta(self, theta, eta, y, g=None) -> np.ndarray:
         """Estimated Jacobian of the subsample-mean moment at theta."""
-        jr = self.jac_rows(theta, model, d, rows)
+        jr = self.jac_rows_eta(theta, eta, y, g)
         if jr is not None:
             out = jr.mean(axis=0)
         elif self.smooth:
-            out = _fd_jacobian(self, theta, model, d, rows)
+            out = _fd_jacobian(self, theta, eta, y, g)
         else:
             raise NonFiniteJacobian(
                 f"moment {self.name!r} is non-smooth and provides no Jacobian construction"
@@ -84,11 +85,19 @@ class MomentFunction:
             raise NonFiniteJacobian(f"non-finite Jacobian for moment {self.name!r}")
         return out
 
-    def initial_guess(self, model: Model, d: Dataset, rows) -> np.ndarray:
+    def initial_guess_eta(self, eta, y, g=None) -> np.ndarray:
         return np.zeros(self.dim)
 
+    def psi(self, theta, model: Model, d: Dataset, rows=None) -> np.ndarray:
+        """``psi_eta`` with the model's predictions on ``rows``."""
+        return self.psi_eta(theta, *_arrays(model, d, rows))
 
-def _fd_jacobian(mf: MomentFunction, theta, model, d, rows) -> np.ndarray:
+    def jac_rows(self, theta, model: Model, d: Dataset, rows=None):
+        """``jac_rows_eta`` with the model's predictions on ``rows``."""
+        return self.jac_rows_eta(theta, *_arrays(model, d, rows))
+
+
+def _fd_jacobian(mf: MomentFunction, theta, eta, y, g) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     out = np.empty((mf.dim, mf.dim))
     for j in range(mf.dim):
@@ -98,39 +107,36 @@ def _fd_jacobian(mf: MomentFunction, theta, model, d, rows) -> np.ndarray:
         hi[j] += step
         lo[j] -= step
         out[:, j] = (
-            mf.psi(hi, model, d, rows).mean(axis=0) - mf.psi(lo, model, d, rows).mean(axis=0)
+            mf.psi_eta(hi, eta, y, g).mean(axis=0) - mf.psi_eta(lo, eta, y, g).mean(axis=0)
         ) / (2.0 * step)
     return out
 
 
 class AverageMoment(MomentFunction):
-    """psi = f(w, model) - theta for a scalar f; Jacobian is -1."""
+    """psi = f(eta, y) - theta for a scalar f; Jacobian is -1."""
 
     average_type = True
     dim = 1
 
-    def f_values(self, model: Model, d: Dataset, rows) -> np.ndarray:
+    def f_eta(self, eta, y, g=None) -> np.ndarray:
         raise NotImplementedError
 
-    def psi(self, theta, model, d, rows):
+    def psi_eta(self, theta, eta, y, g=None):
         theta = np.asarray(theta, dtype=np.float64)
-        return (self.f_values(model, d, rows) - theta[0])[:, None]
+        return (self.f_eta(eta, y, g) - theta[0])[:, None]
 
-    def jac_rows(self, theta, model, d, rows):
-        return np.broadcast_to(-np.eye(1), (_count(d, rows), 1, 1))
+    def jac_rows_eta(self, theta, eta, y, g=None):
+        return np.broadcast_to(-np.eye(1), (eta.shape[0], 1, 1))
 
-    def jacobian_estimate(self, theta, model, d, rows):
+    def jacobian_eta(self, theta, eta, y, g=None):
         return -np.eye(1)
-
-    def initial_guess(self, model, d, rows):
-        return np.array([float(np.mean(self.f_values(model, d, rows)))])
 
 
 class Mse(AverageMoment):
     name = "mse"
 
-    def f_values(self, model, d, rows):
-        return (_take(d.y, rows) - model.predict(_take(d.x, rows))) ** 2
+    def f_eta(self, eta, y, g=None):
+        return (y - eta) ** 2
 
 
 class ClassifyProb(AverageMoment):
@@ -138,10 +144,8 @@ class ClassifyProb(AverageMoment):
 
     name = "classify_prob"
 
-    def f_values(self, model, d, rows):
-        y = _take(d.y, rows)
-        p = model.predict(_take(d.x, rows))
-        return p * (y == 1.0) + (1.0 - p) * (y == 0.0)
+    def f_eta(self, eta, y, g=None):
+        return eta * (y == 1.0) + (1.0 - eta) * (y == 0.0)
 
     def validate(self, d):
         y = d.y
@@ -154,8 +158,8 @@ class ClassifyBinary(AverageMoment):
 
     name = "classify_binary"
 
-    def f_values(self, model, d, rows):
-        return (_take(d.y, rows) == model.predict(_take(d.x, rows))).astype(np.float64)
+    def f_eta(self, eta, y, g=None):
+        return (y == eta).astype(np.float64)
 
 
 class Covariance(AverageMoment):
@@ -163,8 +167,8 @@ class Covariance(AverageMoment):
 
     name = "covariance"
 
-    def f_values(self, model, d, rows):
-        return _take(d.y, rows) * model.predict(_take(d.x, rows))
+    def f_eta(self, eta, y, g=None):
+        return y * eta
 
 
 class LinregOnEta(MomentFunction):
@@ -173,14 +177,12 @@ class LinregOnEta(MomentFunction):
     name = "linreg_on_eta"
     dim = 2
 
-    def psi(self, theta, model, d, rows):
+    def psi_eta(self, theta, eta, y, g=None):
         theta = np.asarray(theta, dtype=np.float64)
-        eta = model.predict(d.x[rows])
-        r = d.y[rows] - theta[0] - theta[1] * eta
+        r = y - theta[0] - theta[1] * eta
         return np.column_stack([r, r * eta])
 
-    def jac_rows(self, theta, model, d, rows):
-        eta = model.predict(d.x[rows])
+    def jac_rows_eta(self, theta, eta, y, g=None):
         out = np.empty((eta.shape[0], 2, 2))
         out[:, 0, 0] = -1.0
         out[:, 0, 1] = -eta
@@ -188,10 +190,9 @@ class LinregOnEta(MomentFunction):
         out[:, 1, 1] = -(eta**2)
         return out
 
-    def initial_guess(self, model, d, rows):
-        eta = model.predict(d.x[rows])
+    def initial_guess_eta(self, eta, y, g=None):
         z = np.column_stack([np.ones(eta.shape[0]), eta])
-        beta, *_ = np.linalg.lstsq(z, d.y[rows], rcond=None)
+        beta, *_ = np.linalg.lstsq(z, y, rcond=None)
         return beta
 
 
@@ -211,27 +212,21 @@ class GroupMseGap(MomentFunction):
         if np.unique(d.g).size != 2:
             raise IncompatibleRoles("group_mse_gap needs exactly two group labels")
 
-    def _masks(self, d, rows):
-        labels = np.unique(d.g)
-        g = d.g[rows]
-        return g == labels[0], g == labels[1]
-
-    def psi(self, theta, model, d, rows):
+    def psi_eta(self, theta, eta, y, g=None):
         theta = np.asarray(theta, dtype=np.float64)
-        in_a, in_b = self._masks(d, rows)
-        sq = (d.y[rows] - model.predict(d.x[rows])) ** 2
+        in_a, in_b = g == 0, g == 1
+        sq = (y - eta) ** 2
         return np.column_stack([(sq - theta[0]) * in_a, (sq - theta[1]) * in_b])
 
-    def jac_rows(self, theta, model, d, rows):
-        in_a, in_b = self._masks(d, rows)
-        out = np.zeros((in_a.shape[0], 2, 2))
-        out[:, 0, 0] = -in_a.astype(np.float64)
-        out[:, 1, 1] = -in_b.astype(np.float64)
+    def jac_rows_eta(self, theta, eta, y, g=None):
+        out = np.zeros((eta.shape[0], 2, 2))
+        out[:, 0, 0] = -(g == 0).astype(np.float64)
+        out[:, 1, 1] = -(g == 1).astype(np.float64)
         return out
 
-    def initial_guess(self, model, d, rows):
-        in_a, in_b = self._masks(d, rows)
-        sq = (d.y[rows] - model.predict(d.x[rows])) ** 2
+    def initial_guess_eta(self, eta, y, g=None):
+        in_a, in_b = g == 0, g == 1
+        sq = (y - eta) ** 2
         a = float(sq[in_a].mean()) if in_a.any() else 0.0
         b = float(sq[in_b].mean()) if in_b.any() else 0.0
         return np.array([a, b])
@@ -260,21 +255,15 @@ class TercileFractions(MomentFunction):
     name = "tercile_fractions"
     dim = 5
     smooth = False
-    J = 3
 
-    def group_masks(self, theta, model, d, rows):
-        theta = np.asarray(theta, dtype=np.float64)
-        eta = model.predict(d.x[rows])
-        t1, t2 = theta[3], theta[4]
-        g1 = eta <= t1
-        g2 = (eta > t1) & (eta <= t2)
-        g3 = eta > t2
-        return g1, g2, g3, eta
+    @staticmethod
+    def group_masks(eta, t1, t2):
+        """Membership of each prediction in the groups (-inf, t1], (t1, t2], (t2, inf)."""
+        return eta <= t1, (eta > t1) & (eta <= t2), eta > t2
 
-    def psi(self, theta, model, d, rows):
+    def psi_eta(self, theta, eta, y, g=None):
         theta = np.asarray(theta, dtype=np.float64)
-        g1, g2, g3, eta = self.group_masks(theta, model, d, rows)
-        y = d.y[rows]
+        g1, g2, g3 = self.group_masks(eta, theta[3], theta[4])
         return np.column_stack(
             [
                 (y - theta[0]) * g1,
@@ -285,16 +274,12 @@ class TercileFractions(MomentFunction):
             ]
         )
 
-    def solve_closed_form(self, model, d, rows) -> np.ndarray:
+    def solve_closed_form(self, eta, y) -> np.ndarray:
         """Order statistics for the thresholds, then group means of y."""
-        eta = model.predict(d.x[rows])
-        y = d.y[rows]
         t1 = left_inverse_quantile(eta, 1.0 / 3.0)
         t2 = left_inverse_quantile(eta, 2.0 / 3.0)
-        g1 = eta <= t1
-        g2 = (eta > t1) & (eta <= t2)
-        g3 = eta > t2
-        means = [float(y[g].mean()) if g.any() else 0.0 for g in (g1, g2, g3)]
+        groups = self.group_masks(eta, t1, t2)
+        means = [float(y[g].mean()) if g.any() else 0.0 for g in groups]
         return np.array([*means, t1, t2])
 
     def solve_pooled(self, split_items) -> np.ndarray:
@@ -303,17 +288,11 @@ class TercileFractions(MomentFunction):
         ``split_items`` is a list of (eta_values, y_values) pairs; each split
         contributes weight 1/(n_splits * |s|) per row.
         """
-        etas = []
-        ys = []
-        weights = []
         n_splits = len(split_items)
-        for eta, y in split_items:
-            etas.append(eta)
-            ys.append(y)
-            weights.append(np.full(eta.shape[0], 1.0 / (n_splits * eta.shape[0])))
-        eta = np.concatenate(etas)
-        y = np.concatenate(ys)
-        w = np.concatenate(weights)
+        eta = np.concatenate([e for e, _ in split_items])
+        y = np.concatenate([v for _, v in split_items])
+        w = np.concatenate([np.full(e.shape[0], 1.0 / (n_splits * e.shape[0]))
+                            for e, _ in split_items])
         order = np.argsort(eta, kind="stable")
         cum = np.cumsum(w[order])
         total = cum[-1]
@@ -323,18 +302,13 @@ class TercileFractions(MomentFunction):
             pos = int(np.searchsorted(cum, target - 1e-12, side="left"))
             thresholds.append(float(eta[order][min(pos, eta.size - 1)]))
         t1, t2 = thresholds
-        g1 = eta <= t1
-        g2 = (eta > t1) & (eta <= t2)
-        g3 = eta > t2
-        means = []
-        for g in (g1, g2, g3):
-            means.append(float((w[g] * y[g]).sum() / w[g].sum()) if g.any() else 0.0)
+        means = [float((w[g] * y[g]).sum() / w[g].sum()) if g.any() else 0.0
+                 for g in self.group_masks(eta, t1, t2)]
         return np.array([*means, t1, t2])
 
-    def jacobian_estimate(self, theta, model, d, rows):
+    def jacobian_eta(self, theta, eta, y, g=None):
         theta = np.asarray(theta, dtype=np.float64)
-        g1, g2, g3, eta = self.group_masks(theta, model, d, rows)
-        y = d.y[rows]
+        g1, g2, g3 = self.group_masks(eta, theta[3], theta[4])
         n = eta.shape[0]
         p = np.array([g1.mean(), g2.mean(), g3.mean()])
         p = np.maximum(p, 1.0 / n)

@@ -17,19 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .inference import (
-    DeltaSpec,
-    identity_reduction,
-    jacobian_hat,
-    norm_cdf,
-    norm_ppf,
-    variance_inflation,
-)
+from .evaluation import Evaluations, evaluate, pool
+from .inference import DeltaSpec, identity_reduction, norm_cdf, norm_ppf, variance_inflation
 from .learners import Learner, train_all
 from .moments import MomentFunction
 from .rng import derived_seed
-from .splits import SplitPlan, generate_plan
-from .zestim import solve, _splits_of
+from .splits import generate_plan
+from .zestim import solve
 
 
 @dataclass
@@ -89,8 +83,8 @@ class ReproMeasure:
         }
 
 
-def sigma_D_hat(mf: MomentFunction, models, plan: SplitPlan, d: Dataset,
-                theta_hat, h: DeltaSpec | None = None, tau: float = 0.0) -> ReproComponents:
+def sigma_D_hat(mf: MomentFunction, ev: Evaluations, theta_hat,
+                h: DeltaSpec | None = None, tau: float = 0.0) -> ReproComponents:
     """All sigma_D components from one plan's variant-2 estimate.
 
     The zeta and rho terms carry the factor (h(theta) - tau), so the stack is
@@ -99,30 +93,23 @@ def sigma_D_hat(mf: MomentFunction, models, plan: SplitPlan, d: Dataset,
     if h is None:
         h = identity_reduction()
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    splits = _splits_of(plan, models)
-    n_splits = len(splits)
-    dim = mf.dim
+    plan = ev.plan
     vmk = variance_inflation(plan.M, plan.K, plan.b, plan.n)
 
-    psi_split = np.zeros((n_splits, dim))         # per-split moment at theta_hat
-    meat_split = np.zeros((n_splits, dim, dim))   # per-split psi psi^T mean
-    for j, s in enumerate(splits):
-        values = mf.psi(theta_hat, s.model, d, s.rows)
-        psi_split[j] = values.mean(axis=0)
-        meat_split[j] = values.T @ values / values.shape[0]
-
+    pooled = pool(mf, ev.blocks, theta_hat, meat=True, jacobian=True)
+    psi_split = pooled.split_psi      # per-split moment at theta_hat
+    meat_split = pooled.split_meat    # per-split psi psi^T mean
     pooled_psi = psi_split.mean(axis=0)
     meat = meat_split.mean(axis=0)
 
-    jac = jacobian_hat(mf, models, plan, d, theta_hat)
     grad = h.gradient(theta_hat)
-    a_hat = np.linalg.solve(jac.T, grad)          # row vector grad . J^{-1}
+    a_hat = np.linalg.solve(pooled.jacobian.T, grad)   # row vector grad . J^{-1}
     sigma2_eta = float(vmk * a_hat @ meat @ a_hat)
     sigma_eta = float(np.sqrt(max(sigma2_eta, 0.0)))
 
     # V_G: spread of per-repetition pooled moments (they average to ~0 at the
     # variant-2 solution, so the uncentered outer product is the variance)
-    g_reps = psi_split.reshape(plan.M, plan.K, dim).mean(axis=1)
+    g_reps = psi_split.reshape(plan.M, plan.K, mf.dim).mean(axis=1)
     v_g = g_reps.T @ g_reps / plan.M
     v_hat_D2 = float(a_hat @ v_g @ a_hat) / sigma2_eta
 
@@ -201,7 +188,7 @@ def conditional_variance_curve(variant: int, mf: MomentFunction, d: Dataset,
         for r in range(reps):
             plan = generate_plan(d.n, M=M, K=K, b=b, seed=derived_seed(seed, j, r, 0))
             models = train_all(plan, d, learner, seed=derived_seed(seed, j, r, 1))
-            est = solve(variant, mf, models, plan, d)
+            est = solve(variant, mf, evaluate(models, plan, d))
             values[r] = h.h(est.theta_hat)
         v = float(np.var(values, ddof=1))
         out[M] = {

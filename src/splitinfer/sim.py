@@ -25,15 +25,14 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from scipy import stats
 
 from .data import Dataset, Roles
 from .errors import NotPositiveDefinite
-from .inference import norm_cdf
-from .learners import Model
+from .evaluation import Block, group_codes, pool
 from .moments import AverageMoment, MomentFunction
 from .rng import substream
 from .splits import SplitPlan
+from .zestim import newton_solve
 
 
 # ---------------------------------------------------------------------------
@@ -42,10 +41,14 @@ from .splits import SplitPlan
 
 def rank_uniforms(column: np.ndarray) -> np.ndarray:
     """rank / (n + 1), average ranks for ties."""
+    from scipy import stats
+
     return stats.rankdata(column, method="average") / (column.size + 1.0)
 
 
 def latent_correlation(columns: list[np.ndarray]) -> np.ndarray:
+    from scipy import stats
+
     z = np.column_stack([stats.norm.ppf(rank_uniforms(c)) for c in columns])
     sigma = np.corrcoef(z.T)
     return np.atleast_2d(sigma)
@@ -109,6 +112,8 @@ class CopulaDGP:
 
 def copula_sample(dgp: CopulaDGP, n: int, seed: int = 0) -> Dataset:
     """Draw n rows: correlated normals -> uniforms -> per-column margins."""
+    from scipy import stats
+
     names = list(dgp.base.column_names)
     for name in names:
         if np.unique(dgp.base.column(name)).size < 2:
@@ -144,6 +149,8 @@ _BASE_SIGMA_SEED = 20240211
 
 def synthetic_base(n: int = 400, seed: int = _BASE_SIGMA_SEED) -> Dataset:
     """8 mixed-margin covariates plus a binary outcome with a fixed dependence."""
+    from scipy import stats
+
     rng = substream(seed, 1)
     corr = np.full((8, 8), 0.25)
     np.fill_diagonal(corr, 1.0)
@@ -200,6 +207,8 @@ def hte_sample(dgp: HteDGP, n: int, seed: int = 0) -> Dataset:
     oracle columns ``_true_te`` (realized Y(1) - Y(0)), ``_y0`` and ``_y1``,
     which simulations may read but estimators must not.
     """
+    from scipy import stats
+
     rng = substream(seed, 2)
     p = dgp.n_covariates
     corr = np.full((p, p), 0.2)
@@ -272,30 +281,27 @@ def estimand_oracle(mf: MomentFunction, models, plan: SplitPlan, fresh: Dataset,
 
     Solves the same aggregation as the estimator, but substituting the fresh
     sample for every evaluation split (population analog of the moment).
+    Each pass over the models predicts on the fresh sample one model at a
+    time, so the predictions of all models are never held at once.
     """
-    items = [models[key] for key in sorted(models)]
+    codes = group_codes(fresh)
+
+    def blocks():
+        for key in sorted(models):
+            yield Block.of(models[key], fresh, codes=codes)
+
     if isinstance(mf, AverageMoment):
-        means = np.array([float(np.mean(mf.f_values(model, fresh, None))) for model in items])
+        # psi = f - theta, so the per-model mean psi at theta = 0 is the mean f
+        means = pool(mf, blocks(), np.zeros(1)).split_psi[:, 0]
         if variant in (1, 2):
             return np.array([means.mean()])
         return np.array([means.reshape(plan.M, plan.K).mean(axis=1).mean()])
     # general moments: Newton on the pooled fresh moment
-    from .zestim import newton_solve
-
-    def fun(theta):
-        acc = np.zeros(mf.dim)
-        for model in items:
-            acc += mf.psi(theta, model, fresh, None).mean(axis=0)
-        return acc / len(items)
-
-    def jac(theta):
-        acc = np.zeros((mf.dim, mf.dim))
-        for model in items:
-            acc += mf.jacobian_estimate(theta, model, fresh, None)
-        return acc / len(items)
-
-    theta0 = mf.initial_guess(items[0], fresh, None)
-    theta, _, _ = newton_solve(fun, jac, theta0, 1e-9)
+    theta0 = next(mf.initial_guess_eta(b.eta, b.y, b.g) for b in blocks())
+    theta, _, _ = newton_solve(
+        lambda theta: pool(mf, blocks(), theta).psi,
+        lambda theta: pool(mf, blocks(), theta, psi=False, jacobian=True).jacobian,
+        theta0, 1e-9)
     return theta
 
 

@@ -8,19 +8,22 @@ repetition and averages the per-repetition solutions. For average-type moments
 tercile-fraction system is likewise solved in closed form because its moment
 is piecewise constant in the thresholds. Everything else goes through a damped
 Newton iteration with a Nelder-Mead fallback.
+
+The solvers read the out-of-fold predictions in an ``Evaluations`` (see
+``evaluation.evaluate``) and evaluate the moment in its array form through
+``evaluation.pool``; they never call ``predict``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .data import Dataset
 from .errors import NoConvergence, SingularJacobian
+from .evaluation import Block, Evaluations, pool
 from .moments import AverageMoment, MomentFunction, TercileFractions
-from .splits import SplitPlan
 
 DEFAULT_TOL = 1e-10
 
@@ -51,22 +54,6 @@ class ZEstimate:
                 str(m): v.tolist() for m, v in self.per_repetition_thetas.items()
             }
         return out
-
-
-@dataclass
-class _Split:
-    m: int
-    k: int
-    rows: np.ndarray
-    model: object
-
-
-def _splits_of(plan: SplitPlan, models) -> list[_Split]:
-    out = []
-    for m, rep in enumerate(plan.repetitions):
-        for k, rows in enumerate(rep):
-            out.append(_Split(m, k, rows, models[(m, k)]))
-    return out
 
 
 def _tolerance(tol_base: float, theta: np.ndarray) -> float:
@@ -118,6 +105,8 @@ def newton_solve(fun, jac, theta0, tol_base=DEFAULT_TOL, max_iter=80):
 
 
 def _nelder_mead(fun, theta0):
+    from scipy import optimize  # imported here: only this fallback needs it
+
     res = optimize.minimize(
         lambda t: float(np.linalg.norm(fun(t)) ** 2),
         theta0,
@@ -127,97 +116,65 @@ def _nelder_mead(fun, theta0):
     return np.asarray(res.x, dtype=np.float64), float(np.linalg.norm(fun(res.x)))
 
 
-def _solve_group(mf: MomentFunction, group: list[_Split], d: Dataset,
-                 tol_base: float, theta_init) -> tuple[np.ndarray, int, float]:
-    """Solve the averaged moment over one group of splits (size >= 1)."""
+def solve_blocks(mf: MomentFunction, group, tol_base: float = DEFAULT_TOL,
+                 theta_init=None) -> tuple[np.ndarray, int, float]:
+    """Solve the averaged moment over one group of blocks (size >= 1).
+
+    Returns (theta, iterations, residual_norm).
+    """
     if isinstance(mf, AverageMoment):
-        theta = np.array(
-            [float(np.mean([np.mean(mf.f_values(s.model, d, s.rows)) for s in group]))]
-        )
-        res = _group_residual(mf, group, d, theta)
-        return theta, 0, res
+        # psi = f - theta, so each block's mean psi at theta = 0 is its mean f
+        theta = pool(mf, group, np.zeros(1)).split_psi.mean(axis=0)
+        return theta, 0, _residual(mf, group, theta)
     if isinstance(mf, TercileFractions):
         if len(group) == 1:
-            s = group[0]
-            theta = mf.solve_closed_form(s.model, d, s.rows)
+            theta = mf.solve_closed_form(group[0].eta, group[0].y)
         else:
-            theta = mf.solve_pooled(
-                [(s.model.predict(d.x[s.rows]), d.y[s.rows]) for s in group]
-            )
-        return theta, 0, _group_residual(mf, group, d, theta)
-
-    def fun(theta):
-        acc = np.zeros(mf.dim)
-        for s in group:
-            acc += mf.psi(theta, s.model, d, s.rows).mean(axis=0)
-        return acc / len(group)
-
-    def jac(theta):
-        acc = np.zeros((mf.dim, mf.dim))
-        for s in group:
-            acc += mf.jacobian_estimate(theta, s.model, d, s.rows)
-        return acc / len(group)
-
+            theta = mf.solve_pooled([(b.eta, b.y) for b in group])
+        return theta, 0, _residual(mf, group, theta)
     if theta_init is None:
-        s0 = group[0]
-        theta_init = mf.initial_guess(s0.model, d, s0.rows)
-    return newton_solve(fun, jac, theta_init, tol_base)
+        b0 = group[0]
+        theta_init = mf.initial_guess_eta(b0.eta, b0.y, b0.g)
+    return newton_solve(lambda theta: pool(mf, group, theta).psi,
+                        lambda theta: pool(mf, group, theta, psi=False, jacobian=True).jacobian,
+                        theta_init, tol_base)
 
 
-def _group_residual(mf, group, d, theta) -> float:
-    acc = np.zeros(mf.dim)
-    for s in group:
-        acc += mf.psi(theta, s.model, d, s.rows).mean(axis=0)
-    return float(np.linalg.norm(acc / len(group)))
+def _residual(mf, group, theta) -> float:
+    return float(np.linalg.norm(pool(mf, group, theta).psi))
 
 
-def per_split_estimates(mf: MomentFunction, models, plan: SplitPlan, d: Dataset,
+def per_split_estimates(mf: MomentFunction, ev: Evaluations,
                         tol: float = DEFAULT_TOL, theta_init=None):
     """Variant-1 ingredients: one solved theta per (m, k)."""
-    mf.validate(d)
-    out = {}
-    for s in _splits_of(plan, models):
-        theta, _, _ = _solve_group(mf, [s], d, tol, theta_init)
-        out[(s.m, s.k)] = theta
-    return out
+    mf.validate(ev.d)
+    return {(b.m, b.k): solve_blocks(mf, [b], tol, theta_init)[0] for b in ev.blocks}
 
 
-def solve(variant: int, mf: MomentFunction, models, plan: SplitPlan, d: Dataset,
+def solve(variant: int, mf: MomentFunction, ev: Evaluations,
           tol: float = DEFAULT_TOL, theta_init=None) -> ZEstimate:
     """Solve the split-sample Z-estimator for the requested variant."""
     if variant not in (1, 2, 3):
         raise ValueError(f"variant must be 1, 2 or 3, got {variant}")
-    mf.validate(d)
-    splits = _splits_of(plan, models)
-
-    if variant == 1:
-        per_split = {}
-        worst = 0.0
-        iters = 0
-        for s in splits:
-            theta, it, res = _solve_group(mf, [s], d, tol, theta_init)
-            per_split[(s.m, s.k)] = theta
-            worst = max(worst, res)
-            iters = max(iters, it)
-        theta_hat = np.mean(list(per_split.values()), axis=0)
-        return ZEstimate(1, theta_hat, per_split_thetas=per_split,
-                         iterations=iters, residual_norm=worst, tol=tol)
+    mf.validate(ev.d)
 
     if variant == 2:
-        theta_hat, iters, res = _solve_group(mf, splits, d, tol, theta_init)
+        theta_hat, iters, res = solve_blocks(mf, ev.blocks, tol, theta_init)
         return ZEstimate(2, theta_hat, iterations=iters, residual_norm=res, tol=tol)
 
-    per_rep = {}
-    worst = 0.0
-    iters = 0
-    for m in range(plan.M):
-        group = [s for s in splits if s.m == m]
-        theta, it, res = _solve_group(mf, group, d, tol, theta_init)
-        per_rep[m] = theta
-        worst = max(worst, res)
-        iters = max(iters, it)
-    theta_hat = np.mean(list(per_rep.values()), axis=0)
-    return ZEstimate(3, theta_hat, per_repetition_thetas=per_rep,
+    if variant == 1:
+        groups = {(b.m, b.k): [b] for b in ev.blocks}
+    else:
+        groups = {m: [b for b in ev.blocks if b.m == m] for m in range(ev.plan.M)}
+    solved = {key: solve_blocks(mf, group, tol, theta_init) for key, group in groups.items()}
+    thetas = {key: theta for key, (theta, _, _) in solved.items()}
+    theta_hat = np.mean(list(thetas.values()), axis=0)
+    iters = max(it for _, it, _ in solved.values())
+    worst = max(res for _, _, res in solved.values())
+    if variant == 1:
+        return ZEstimate(1, theta_hat, per_split_thetas=thetas,
+                         iterations=iters, residual_norm=worst, tol=tol)
+    return ZEstimate(3, theta_hat, per_repetition_thetas=thetas,
                      iterations=iters, residual_norm=worst, tol=tol)
 
 
@@ -225,7 +182,4 @@ def solve_fullsample(mf: MomentFunction, model_b, d: Dataset,
                      tol: float = DEFAULT_TOL, theta_init=None) -> np.ndarray:
     """Whole-sample baseline estimate: solve the moment on all rows with one model."""
     mf.validate(d)
-    rows = np.arange(d.n)
-    group = [_Split(-1, -1, rows, model_b)]
-    theta, _, _ = _solve_group(mf, group, d, tol, theta_init)
-    return theta
+    return solve_blocks(mf, [Block.of(model_b, d)], tol, theta_init)[0]

@@ -3,6 +3,7 @@ import pytest
 
 from splitinfer.adaptive import AdaptiveConfig, adaptive_ci, gate
 from splitinfer.data import Dataset, Roles
+from splitinfer.evaluation import evaluate
 from splitinfer.learners import ConstantModel, builtin, train_all
 from splitinfer.moments import builtin_moment
 from splitinfer.rng import substream
@@ -18,7 +19,7 @@ def signal_setup(n=200, seed=0):
     plan = generate_plan(n, M=2, K=3, seed=seed)
     models = train_all(plan, d, builtin("ols"), seed=seed)
     mf = builtin_moment("covariance")
-    est = solve(2, mf, models, plan, d)
+    est = solve(2, mf, evaluate(models, plan, d))
     return mf, models, plan, d, est
 
 
@@ -26,11 +27,11 @@ def test_gate_thresholding():
     mf, models, plan, d, est = signal_setup()
     theta = float(est.theta_hat[0])
     # exactly at the solution the pooled moment is ~0: gate off
-    psi_min, psi_norm, a_n = gate(mf, models, plan, d, theta, gamma_n=1e-12)
+    psi_min, psi_norm, a_n = gate(mf, evaluate(models, plan, d), theta, gamma_n=1e-12)
     assert a_n == 0
     assert psi_min <= 1e-10
     # far away the product is large: gate on
-    _, _, a_far = gate(mf, models, plan, d, theta + 5.0, gamma_n=1e-12)
+    _, _, a_far = gate(mf, evaluate(models, plan, d), theta + 5.0, gamma_n=1e-12)
     assert a_far == 1
 
 
@@ -41,10 +42,10 @@ def test_gate_example_values():
     models = {(0, 0): ConstantModel(1.0), (0, 1): ConstantModel(1.0)}
     mf = builtin_moment("covariance")
     # pooled moment at tau: f == 1, so psi = 1 - tau
-    pm, pn, on = gate(mf, models, plan, d, 1.0 - np.sqrt(0.002), 0.001)
+    pm, pn, on = gate(mf, evaluate(models, plan, d), 1.0 - np.sqrt(0.002), 0.001)
     assert pm * pn == pytest.approx(0.002, rel=1e-9)
     assert on == 1
-    _, _, off = gate(mf, models, plan, d, 1.0 - np.sqrt(0.002), 0.01)
+    _, _, off = gate(mf, evaluate(models, plan, d), 1.0 - np.sqrt(0.002), 0.01)
     assert off == 0
 
 
@@ -54,14 +55,14 @@ def test_gate_monotone_in_gamma():
     for tau in taus:
         previous = 1
         for gamma in (1e-8, 1e-4, 1e-2, 1.0):
-            _, _, a_n = gate(mf, models, plan, d, tau, gamma)
+            _, _, a_n = gate(mf, evaluate(models, plan, d), tau, gamma)
             assert a_n <= previous
             previous = a_n
 
 
 def test_adaptive_matches_normal_when_gate_always_on():
     mf, models, plan, d, est = signal_setup(seed=5)
-    ci = adaptive_ci(mf, models, plan, d, est, AdaptiveConfig(gamma_n=0.0))
+    ci = adaptive_ci(mf, evaluate(models, plan, d), est, AdaptiveConfig(gamma_n=0.0))
     assert not ci.unbounded
     (lo, hi), (nlo, nhi) = ci.intervals[0], ci.normal_interval
     se = (nhi - nlo) / 2
@@ -71,7 +72,7 @@ def test_adaptive_matches_normal_when_gate_always_on():
 
 def test_adaptive_all_conservative_unbounded():
     mf, models, plan, d, est = signal_setup(seed=7)
-    ci = adaptive_ci(mf, models, plan, d, est, AdaptiveConfig(gamma_n=1e12))
+    ci = adaptive_ci(mf, evaluate(models, plan, d), est, AdaptiveConfig(gamma_n=1e12))
     assert ci.unbounded
     assert len(ci.intervals) == 1
     assert ci.intervals[0] == (float(ci.grid[0]), float(ci.grid[-1]))
@@ -81,7 +82,7 @@ def test_adaptive_signal_width_close_to_normal():
     widths = []
     for seed in range(10):
         mf, models, plan, d, est = signal_setup(n=400, seed=seed)
-        ci = adaptive_ci(mf, models, plan, d, est)
+        ci = adaptive_ci(mf, evaluate(models, plan, d), est)
         lo, hi = ci.intervals[0]
         nlo, nhi = ci.normal_interval
         widths.append((hi - lo) / (nhi - nlo))
@@ -96,7 +97,7 @@ def test_adaptive_requires_scalar_moment():
     from splitinfer.zestim import ZEstimate
 
     with pytest.raises(ValueError):
-        adaptive_ci(mf, models, plan, d, ZEstimate(2, np.zeros(2)))
+        adaptive_ci(mf, evaluate(models, plan, d), ZEstimate(2, np.zeros(2)))
 
 
 def test_adaptive_degenerate_keeps_estimand():
@@ -112,8 +113,8 @@ def test_adaptive_degenerate_keeps_estimand():
         plan = generate_plan(n, M=2, K=3, seed=seed)
         models = train_all(plan, d, builtin("ols"), seed=seed)
         mf = builtin_moment("covariance")
-        est = solve(2, mf, models, plan, d)
-        ci = adaptive_ci(mf, models, plan, d, est)
+        est = solve(2, mf, evaluate(models, plan, d))
+        ci = adaptive_ci(mf, evaluate(models, plan, d), est)
         inside = any(lo <= 0.0 <= hi for lo, hi in ci.intervals)
         covered += int(inside)
     assert covered >= 18

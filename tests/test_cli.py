@@ -1,16 +1,26 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 
+import splitinfer
 from splitinfer.cli import load_schema, run
 from splitinfer.report import dumps, report_schema_version, sanitize, write_report
 
 
 def invoke(args):
     return run([str(a) for a in args])
+
+
+def python_env():
+    """Environment for a child interpreter that imports this checkout's package."""
+    src = str(Path(splitinfer.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -67,6 +77,36 @@ def test_malformed_json_exits_one(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     assert invoke(["estimate", "--config", path]) == 1
+
+
+@pytest.mark.parametrize("method, overrides, pointer", [
+    ("estimate", {"h": "foo"}, "/h"),
+    ("estimate", {"h": "diff:0-x"}, "/h"),
+    ("estimate", {"h": "coordinate:"}, "/h"),
+    ("estimate", {"h": "coordinate:7"}, "/h"),  # mse is one-dimensional
+    ("estimate", {"moment": "linreg_on_eta", "h": "diff:0-2"}, "/h"),
+    ("estimate", {"learner": "knn(0)"}, "/learner"),
+    ("estimate", {"learner": "xgboost"}, "/learner"),
+    ("compare", {"compare": {"baseline": "ridge(-1)"}}, "/compare/baseline"),
+    ("compare", {"compare": {"against_learner": "forest"}}, "/compare/against_learner"),
+    ("gates", {"learners": ["ols", "bogus"]}, "/learners/1"),
+])
+def test_bad_names_are_config_errors(tmp_path, capsys, method, overrides, pointer):
+    cfg = estimate_config(tmp_path, tmp_path / "r.json", method=method, **overrides)
+    assert invoke([method, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"invalid config at {pointer}:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_import_leaves_scipy_optimize_and_stats_unloaded():
+    code = ("import sys, splitinfer.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=python_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_method_mismatch_exits_one(tmp_path):
@@ -185,7 +225,7 @@ def test_console_entrypoint_runs(tmp_path):
     cfg = estimate_config(tmp_path, out)
     proc = subprocess.run(
         [sys.executable, "-m", "splitinfer", "estimate", "--config", str(cfg)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=python_env(),
     )
     assert proc.returncode == 0
     assert out.exists()

@@ -15,6 +15,7 @@ from splitinfer.compare import (
 )
 from splitinfer.data import Dataset, Roles
 from splitinfer.errors import ZeroDiagonal
+from splitinfer.evaluation import evaluate
 from splitinfer.learners import ConstantModel, builtin, train_all
 from splitinfer.moments import builtin_moment
 from splitinfer.rng import substream
@@ -32,7 +33,7 @@ def test_delta_zero_for_constant_outcome():
     d = Dataset({"y": np.full(12, 2.0), "x": np.zeros(12)}, Roles("y", ("x",)))
     plan = generate_plan(12, M=2, K=2, seed=0)
     models = {key: ConstantModel(2.0) for key in [(m, k) for m in range(2) for k in range(2)]}
-    dv = delta_vector(builtin_moment("mse"), models, plan, d, ConstantModel(2.0))
+    dv = delta_vector(builtin_moment("mse"), evaluate(models, plan, d, ConstantModel(2.0)))
     np.testing.assert_allclose(dv.deltas, 0.0, atol=1e-15)
 
 
@@ -41,7 +42,7 @@ def test_delta_same_function_is_sampling_noise():
     plan = generate_plan(50, M=1, K=2, seed=1)
     zero = ConstantModel(0.0)
     models = {(0, 0): zero, (0, 1): zero}
-    dv = delta_vector(builtin_moment("mse"), models, plan, d, zero)
+    dv = delta_vector(builtin_moment("mse"), evaluate(models, plan, d, zero))
     # identical prediction functions: gap is eval-mean minus full-mean of y^2
     for (m, k, pair), delta in zip(enumerate_pairs(plan), dv.deltas):
         expected = np.mean(d.y[pair.eval_rows] ** 2) - np.mean(d.y**2)
@@ -53,7 +54,7 @@ def test_delta_negative_when_learner_dominates():
     plan = generate_plan(80, M=2, K=2, seed=2)
     models = train_all(plan, d, builtin("ols"), seed=0)
     base = builtin("mean").train(d)
-    dv = delta_vector(builtin_moment("mse"), models, plan, d, base)
+    dv = delta_vector(builtin_moment("mse"), evaluate(models, plan, d, base))
     assert np.all(dv.deltas < 0)
 
 
@@ -90,12 +91,12 @@ def test_sigma_oracle_m1_k2():
         plan = generate_plan(n, M=1, K=2, seed=it)
         models = train_all(plan, d, mean_lr, seed=it)
         base = mean_lr.train(d)
-        dv = delta_vector(mf, models, plan, d, base)
+        dv = delta_vector(mf, evaluate(models, plan, d, base))
         ybar = y.mean()
         truth = [(1 + y[p.train_rows].mean() ** 2) - (1 + ybar**2)
                  for (_, _, p) in enumerate_pairs(plan)]
         dev[it] = np.sqrt(n) * (dv.deltas - np.array(truth))
-        sig += sigma_hat(mf, models, plan, d, base).matrix
+        sig += sigma_hat(mf, evaluate(models, plan, d, base)).matrix
     empirical = np.cov(dev.T)
     estimated = sig / draws
     np.testing.assert_allclose(estimated, empirical, atol=0.12)
@@ -168,7 +169,7 @@ def test_compare_models_end_to_end_flags_and_containment():
     plan = generate_plan(90, M=2, K=3, seed=3)
     models = train_all(plan, d, builtin("ols"), seed=1)
     base = builtin("mean").train(d)
-    res = compare_models(builtin_moment("mse"), models, plan, d, base,
+    res = compare_models(builtin_moment("mse"), evaluate(models, plan, d, base),
                          mc_draws=5000, seed=9)
     lo_e, hi_e = res.ci_extended
     assert lo_e <= 0.0 <= hi_e

@@ -1,0 +1,178 @@
+import json
+import weakref
+
+import numpy as np
+import pytest
+
+from splitinfer import cli
+from splitinfer.adaptive import AdaptiveConfig, adaptive_ci
+from splitinfer.data import Dataset, Roles
+from splitinfer.evaluation import evaluate, group_codes, pool
+from splitinfer.inference import normal_ci
+from splitinfer.learners import (
+    ConstantModel,
+    FixedFunctionModel,
+    Learner,
+    Model,
+    builtin,
+    train_all,
+)
+from splitinfer.moments import builtin_moment
+from splitinfer.repro import repro_measure, sigma_D_hat
+from splitinfer.rng import substream
+from splitinfer.sim import estimand_oracle
+from splitinfer.splits import generate_plan
+from splitinfer.zestim import solve
+
+
+class CountingModel(Model):
+    """Wraps a model and counts its predict calls in a shared list."""
+
+    def __init__(self, inner, calls):
+        self.inner = inner
+        self.calls = calls
+
+    def predict(self, x):
+        self.calls.append(len(x))
+        return self.inner.predict(x)
+
+
+@pytest.fixture
+def predict_calls(monkeypatch):
+    """Every model the CLI trains counts its predicts into the returned list."""
+    calls = []
+
+    def counting_builtin(name):
+        base = builtin(name)
+        return Learner(name, lambda d, seed: CountingModel(base.train(d, seed), calls))
+
+    monkeypatch.setattr(cli, "builtin", counting_builtin)
+    return calls
+
+
+def run_cli(tmp_path, method, flags=(), **config):
+    payload = {
+        "method": method,
+        "data": {"synthetic": {"kind": "linear_cate", "n": 90, "seed": 1}},
+        "plan": {"M": 3, "K": 3, "seed": 2},
+        "learner": "ols",
+        "output": {"path": str(tmp_path / "report.json")},
+        **config,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert cli.run([method, "--config", str(path), *flags]) == 0
+
+
+@pytest.mark.parametrize("variant", [1, 2, 3])
+@pytest.mark.parametrize("moment, h", [("mse", "identity"), ("linreg_on_eta", "coordinate:1"),
+                                       ("tercile_fractions", "diff:2-0")])
+def test_estimate_predicts_once_per_split(tmp_path, predict_calls, variant, moment, h):
+    run_cli(tmp_path, "estimate", variant=variant, moment=moment, h=h)
+    assert len(predict_calls) == 9
+
+
+@pytest.mark.parametrize("variant", [1, 2, 3])
+def test_adaptive_estimate_predicts_once_per_split(tmp_path, predict_calls, variant):
+    run_cli(tmp_path, "estimate", ["--adaptive"], variant=variant, moment="covariance")
+    assert len(predict_calls) == 9
+
+
+@pytest.mark.parametrize("moment, h", [("mse", "identity"), ("linreg_on_eta", "coordinate:1")])
+def test_repro_predicts_once_per_split(tmp_path, predict_calls, moment, h):
+    run_cli(tmp_path, "repro", moment=moment, h=h)
+    assert len(predict_calls) == 9
+
+
+@pytest.mark.parametrize("moment, h, baseline", [("mse", "identity", "mean"),
+                                                 ("linreg_on_eta", "coordinate:1", "ridge(5.0)")])
+def test_compare_predicts_once_per_split_and_once_for_baseline(tmp_path, predict_calls,
+                                                               moment, h, baseline):
+    run_cli(tmp_path, "compare", moment=moment, h=h,
+            compare={"baseline": baseline, "mc_draws": 500})
+    assert len(predict_calls) == 9 + 1
+    assert sorted(predict_calls)[-1] == 90  # the baseline predicts on all rows
+
+
+def test_evaluate_blocks_follow_plan_order():
+    rng = substream(3)
+    d = Dataset({"y": rng.standard_normal(20), "x": rng.standard_normal(20),
+                 "g": (rng.random(20) < 0.5) * 5.0},
+                Roles("y", ("x",), group="g"))
+    plan = generate_plan(20, M=2, K=2, seed=1)
+    models = {(m, k): FixedFunctionModel(lambda z, c=m + k: z[:, 0] + c)
+              for m in range(2) for k in range(2)}
+    ev = evaluate(models, plan, d, baseline=ConstantModel(1.0))
+    assert [(b.m, b.k) for b in ev.blocks] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for b, rows in zip(ev.blocks, plan.eval_sets()):
+        np.testing.assert_array_equal(b.rows, rows)
+        np.testing.assert_array_equal(b.eta, d.x[rows, 0] + b.m + b.k)
+        np.testing.assert_array_equal(b.y, d.y[rows])
+        np.testing.assert_array_equal(b.g, (d.g[rows] == 5.0).astype(int))
+    np.testing.assert_array_equal(ev.baseline.eta, np.ones(20))
+    np.testing.assert_array_equal(group_codes(d), (d.g == 5.0).astype(int))
+
+
+def test_pool_matches_per_split_model_forms():
+    rng = substream(4)
+    x = rng.standard_normal(30)
+    d = Dataset({"y": 2.0 * x + rng.standard_normal(30), "x": x}, Roles("y", ("x",)))
+    plan = generate_plan(30, M=2, K=3, seed=0)
+    models = {(m, k): FixedFunctionModel(lambda z, c=m - k: (1.0 + 0.1 * c) * z[:, 0])
+              for m in range(2) for k in range(3)}
+    mf = builtin_moment("linreg_on_eta")
+    theta = np.array([0.1, 1.5])
+    pooled = pool(mf, evaluate(models, plan, d).blocks, theta, meat=True, jacobian=True)
+    psis = [mf.psi(theta, models[(m, k)], d, rows)
+            for m, rep in enumerate(plan.repetitions) for k, rows in enumerate(rep)]
+    jacs = [mf.jac_rows(theta, models[(m, k)], d, rows).mean(axis=0)
+            for m, rep in enumerate(plan.repetitions) for k, rows in enumerate(rep)]
+    np.testing.assert_allclose(pooled.split_psi, [v.mean(axis=0) for v in psis])
+    np.testing.assert_allclose(pooled.psi, np.mean([v.mean(axis=0) for v in psis], axis=0))
+    np.testing.assert_allclose(pooled.meat, np.mean([v.T @ v / len(v) for v in psis], axis=0))
+    np.testing.assert_allclose(pooled.jacobian, np.mean(jacs, axis=0))
+    jac_only = pool(mf, evaluate(models, plan, d).blocks, theta, psi=False, jacobian=True)
+    assert jac_only.psi is None and jac_only.split_psi is None and jac_only.meat is None
+    np.testing.assert_array_equal(jac_only.jacobian, pooled.jacobian)
+
+
+def test_library_reports_are_plain_json():
+    # to_jsonable hands back lists and Python scalars, so json.dumps takes it
+    rng = substream(6)
+    x = rng.standard_normal(60)
+    d = Dataset({"y": x + rng.standard_normal(60), "x": x}, Roles("y", ("x",)))
+    plan = generate_plan(60, M=2, K=3, seed=0)
+    ev = evaluate(train_all(plan, d, builtin("ols"), seed=0), plan, d)
+    mf = builtin_moment("mse")
+    reports = [solve(variant, mf, ev) for variant in (1, 2, 3)]
+    reports.append(normal_ci(mf, ev, reports[1]))
+    reports.append(adaptive_ci(mf, ev, reports[1], AdaptiveConfig(grid_points=51)))
+    comps = sigma_D_hat(mf, ev, reports[1].theta_hat)
+    reports += [comps, repro_measure(comps, 0.2)]
+    for report in reports:
+        payload = report.to_jsonable()
+        assert json.loads(json.dumps(payload)) == payload
+
+
+def test_oracle_holds_one_model_predictions_at_a_time():
+    # a general moment runs Newton on the fresh sample: each pass predicts with
+    # every model again, and a model's predictions are dropped before the next
+    # model predicts
+    rng = substream(5)
+    x = rng.standard_normal(400)
+    fresh = Dataset({"y": 3.0 * x + 0.5, "x": x}, Roles("y", ("x",)))
+    plan = generate_plan(40, M=2, K=2, seed=0)
+    handed_out, held = [], []
+
+    class Tracked(Model):
+        def predict(self, z):
+            held.append(sum(ref() is not None for ref in handed_out))
+            eta = z[:, 0].copy()
+            handed_out.append(weakref.ref(eta))
+            return eta
+
+    models = {(m, k): Tracked() for m in range(2) for k in range(2)}
+    theta = estimand_oracle(builtin_moment("linreg_on_eta"), models, plan, fresh)
+    np.testing.assert_allclose(theta, [0.5, 3.0], atol=1e-9)
+    assert len(held) > len(models)
+    assert max(held) <= 1

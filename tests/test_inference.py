@@ -3,6 +3,7 @@ import pytest
 
 from splitinfer.data import Dataset, Roles
 from splitinfer.errors import SingularJacobian, ZeroVariance
+from splitinfer.evaluation import evaluate
 from splitinfer.inference import (
     DeltaSpec,
     difference_reduction,
@@ -35,7 +36,7 @@ def test_jacobian_average_type_is_minus_identity():
     d = Dataset({"y": np.arange(6.0), "x": np.zeros(6)}, Roles("y", ("x",)))
     plan = generate_plan(6, M=1, K=2, seed=0)
     models = {(0, 0): ConstantModel(0.0), (0, 1): ConstantModel(0.0)}
-    jac = jacobian_hat(builtin_moment("mse"), models, plan, d, np.array([1.0]))
+    jac = jacobian_hat(builtin_moment("mse"), evaluate(models, plan, d), np.array([1.0]))
     np.testing.assert_allclose(jac, [[-1.0]])
 
 
@@ -46,7 +47,7 @@ def test_jacobian_linreg_is_minus_gram():
     plan = generate_plan(4, M=1, K=2, seed=1)
     eta = FixedFunctionModel(lambda z: z[:, 0])
     models = {(0, 0): eta, (0, 1): eta}
-    jac = jacobian_hat(builtin_moment("linreg_on_eta"), models, plan, d, np.zeros(2))
+    jac = jacobian_hat(builtin_moment("linreg_on_eta"), evaluate(models, plan, d), np.zeros(2))
     s1, s2 = plan.repetitions[0]
     gram = np.zeros((2, 2))
     for rows in (s1, s2):
@@ -76,11 +77,11 @@ def test_degenerate_meat_flags_fast_convergence():
     plan = generate_plan(4, M=1, K=2, seed=0)
     models = {(0, 0): ConstantModel(0.0), (0, 1): ConstantModel(0.0)}
     mf = builtin_moment("covariance")
-    meat = meat_hat(mf, models, plan, d, np.array([0.0]))
+    meat = meat_hat(mf, evaluate(models, plan, d), np.array([0.0]))
     np.testing.assert_allclose(meat, 0.0, atol=1e-30)
     est = ZEstimate(2, np.array([0.0]))
     with pytest.raises(ZeroVariance):
-        normal_ci(mf, models, plan, d, est)
+        normal_ci(mf, evaluate(models, plan, d), est)
 
 
 def test_normal_ci_frozen_interval():
@@ -121,8 +122,8 @@ def test_full_report_fields_and_ci_contains_estimate():
     plan = generate_plan(90, M=3, K=3, seed=5)
     models = train_all(plan, d, builtin("ols"), seed=0)
     mf = builtin_moment("mse")
-    est = solve(2, mf, models, plan, d)
-    report = normal_ci(mf, models, plan, d, est, alpha=0.1)
+    est = solve(2, mf, evaluate(models, plan, d))
+    report = normal_ci(mf, evaluate(models, plan, d), est, alpha=0.1)
     assert report.ci[0] < report.h_hat < report.ci[1]
     assert report.se > 0
     assert report.variance_inflation == 1.0
@@ -146,8 +147,8 @@ def test_ci_halfwidth_scales_root_n():
             d = Dataset({"y": x + rng.standard_normal(n), "x": x}, Roles("y", ("x",)))
             plan = generate_plan(n, M=2, K=3, seed=r)
             models = train_all(plan, d, builtin("ols"), seed=r)
-            est = solve(2, mf, models, plan, d)
-            report = normal_ci(mf, models, plan, d, est)
+            est = solve(2, mf, evaluate(models, plan, d))
+            report = normal_ci(mf, evaluate(models, plan, d), est)
             acc += report.ci[1] - report.ci[0]
         widths.append(acc / reps)
     slope = np.polyfit(np.log(sizes), np.log(widths), 1)[0]

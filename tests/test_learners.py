@@ -7,6 +7,7 @@ from splitinfer.data import Dataset, Roles
 from splitinfer.errors import EmptyModelList, UnknownLearner
 from splitinfer.learners import (
     ConstantModel,
+    KnnModel,
     SubprocessLearner,
     average_model,
     builtin,
@@ -66,6 +67,23 @@ def test_knn1_interpolates_training_points():
     d = linear_dataset(n=15)
     model = builtin("knn(1)").train(d)
     np.testing.assert_allclose(model.predict(d.x), d.y)
+
+
+@pytest.mark.parametrize("data", ["continuous", "discrete"])
+@pytest.mark.parametrize("k", [1, 4, 10])
+def test_knn_matches_full_stable_sort(data, k):
+    # the reference: every distance row sorted in full, ties to the lowest index
+    rng = substream(21)
+    if data == "continuous":
+        train_x, x = rng.standard_normal((300, 5)), rng.standard_normal((150, 5))
+    else:  # few distinct points, so nearly every k-th distance is tied
+        train_x = rng.integers(0, 3, (300, 2)).astype(float)
+        x = rng.integers(0, 3, (150, 2)).astype(float)
+    model = KnnModel(train_x, rng.standard_normal(300), k)
+    d2 = ((x[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    expected = model.train_y[order].mean(axis=1)
+    np.testing.assert_array_equal(model.predict(x), expected)
 
 
 def test_tree_fits_step_function():

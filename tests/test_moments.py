@@ -120,8 +120,8 @@ def test_tercile_solution_balances_groups():
     d = dataset_from(y, x)
     mf = builtin_moment("tercile_fractions")
     model = FixedFunctionModel(lambda z: z[:, 0])
-    theta = mf.solve_closed_form(model, d, ALL_ROWS(d))
-    g1, g2, g3, _ = mf.group_masks(theta, model, d, ALL_ROWS(d))
+    theta = mf.solve_closed_form(model.predict(d.x), d.y)
+    g1, g2, g3 = mf.group_masks(model.predict(d.x), theta[3], theta[4])
     lo, hi = n // 3, -(-n // 3)
     for g in (g1, g2, g3):
         assert lo <= g.sum() <= hi
@@ -136,5 +136,5 @@ def test_tercile_constant_outcome():
     x = rng.standard_normal(30)
     d = dataset_from(np.ones(30), x)
     mf = builtin_moment("tercile_fractions")
-    theta = mf.solve_closed_form(FixedFunctionModel(lambda z: z[:, 0]), d, ALL_ROWS(d))
+    theta = mf.solve_closed_form(FixedFunctionModel(lambda z: z[:, 0]).predict(d.x), d.y)
     np.testing.assert_allclose(theta[:3], 1.0)

@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import norm
 
 from splitinfer.data import Dataset, Roles
+from splitinfer.evaluation import evaluate
 from splitinfer.inference import identity_reduction
 from splitinfer.learners import builtin, train_all
 from splitinfer.moments import builtin_moment
@@ -14,7 +15,7 @@ from splitinfer.repro import (
 )
 from splitinfer.rng import substream
 from splitinfer.splits import generate_plan
-from splitinfer.zestim import solve, _splits_of
+from splitinfer.zestim import solve
 
 
 def fitted(n=120, M=4, K=3, seed=0, learner="mean"):
@@ -25,18 +26,18 @@ def fitted(n=120, M=4, K=3, seed=0, learner="mean"):
     plan = generate_plan(n, M=M, K=K, seed=seed)
     models = train_all(plan, d, builtin(learner), seed=seed)
     mf = builtin_moment("mse")
-    est = solve(2, mf, models, plan, d)
+    est = solve(2, mf, evaluate(models, plan, d))
     return mf, models, plan, d, est
 
 
 def components_at(tau, **kwargs):
     mf, models, plan, d, est = fitted(**kwargs)
-    return sigma_D_hat(mf, models, plan, d, est.theta_hat, tau=tau), est
+    return sigma_D_hat(mf, evaluate(models, plan, d), est.theta_hat, tau=tau), est
 
 
 def test_tau_at_estimate_kills_zeta_and_rho():
     mf, models, plan, d, est = fitted()
-    comps = sigma_D_hat(mf, models, plan, d, est.theta_hat,
+    comps = sigma_D_hat(mf, evaluate(models, plan, d), est.theta_hat,
                         tau=float(est.theta_hat[0]))
     assert comps.zeta_hat_D2 == pytest.approx(0.0, abs=1e-25)
     assert comps.rho_hat == pytest.approx(0.0, abs=1e-25)
@@ -47,11 +48,12 @@ def test_d1_reduction_matches_direct_formula():
     # d = 1, psi = f - theta: v2 = sigma^-2 * mean over repetitions of
     # (per-repetition pooled moment)^2
     mf, models, plan, d, est = fitted(M=5)
-    comps = sigma_D_hat(mf, models, plan, d, est.theta_hat, tau=0.0)
+    comps = sigma_D_hat(mf, evaluate(models, plan, d), est.theta_hat, tau=0.0)
     theta = est.theta_hat
     g = []
     for m in range(plan.M):
-        acc = [mf.psi(theta, s.model, d, s.rows).mean() for s in _splits_of(plan, models) if s.m == m]
+        acc = [mf.psi(theta, models[(m, k)], d, rows).mean()
+               for k, rows in enumerate(plan.repetitions[m])]
         g.append(np.mean(acc))
     direct = np.mean(np.square(g)) / comps.sigma_hat_eta**2
     assert comps.v_hat_D2 == pytest.approx(direct, rel=1e-10)
@@ -72,14 +74,14 @@ def test_identical_splits_zero_spread():
     models = train_all(plan, d, builtin("mean"), seed=0)
     # force identical models too (same training rows, deterministic learner)
     mf = builtin_moment("mse")
-    est = solve(2, mf, models, plan, d)
-    comps = sigma_D_hat(mf, models, plan, d, est.theta_hat, tau=0.0)
+    est = solve(2, mf, evaluate(models, plan, d))
+    comps = sigma_D_hat(mf, evaluate(models, plan, d), est.theta_hat, tau=0.0)
     assert comps.v_hat_D2 == pytest.approx(0.0, abs=1e-20)
 
 
 def test_sigma_d_invariant_to_split_order():
     mf, models, plan, d, est = fitted(M=4, seed=3)
-    comps = sigma_D_hat(mf, models, plan, d, est.theta_hat, tau=0.1)
+    comps = sigma_D_hat(mf, evaluate(models, plan, d), est.theta_hat, tau=0.1)
     # permute repetitions
     from splitinfer.splits import SplitPlan
 
@@ -90,7 +92,7 @@ def test_sigma_d_invariant_to_split_order():
     for new_m, old_m in enumerate(order):
         for k in range(plan.K):
             models_p[(new_m, k)] = models[(old_m, k)]
-    comps_p = sigma_D_hat(mf, models_p, plan_p, d, est.theta_hat, tau=0.1)
+    comps_p = sigma_D_hat(mf, evaluate(models_p, plan_p, d), est.theta_hat, tau=0.1)
     assert comps.sigma_hat_D2 == pytest.approx(comps_p.sigma_hat_D2, rel=1e-12)
 
 

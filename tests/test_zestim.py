@@ -3,6 +3,7 @@ import pytest
 
 from splitinfer.data import Dataset, Roles
 from splitinfer.errors import NoConvergence
+from splitinfer.evaluation import evaluate
 from splitinfer.learners import ConstantModel, FixedFunctionModel, builtin, train_all
 from splitinfer.moments import MomentFunction, builtin_moment
 from splitinfer.rng import substream
@@ -21,7 +22,7 @@ def test_constant_moment_all_variants_equal_constant():
     models = {key: ConstantModel(0.0) for key in identity_models(plan)}
     mf = builtin_moment("mse")
     for variant in (1, 2, 3):
-        est = solve(variant, mf, models, plan, d)
+        est = solve(variant, mf, evaluate(models, plan, d))
         np.testing.assert_allclose(est.theta_hat, [9.0], atol=1e-12)
 
 
@@ -35,17 +36,17 @@ def test_cross_fitting_mean_recovers_full_sample_mean():
         dim = 1
         average_type = True
 
-        def psi(self, theta, model, dd, rows):
-            return (dd.y[rows] - theta[0])[:, None]
+        def psi_eta(self, theta, eta, y, g=None):
+            return (y - theta[0])[:, None]
 
     from splitinfer.moments import AverageMoment
 
     class RawAvg(AverageMoment):
-        def f_values(self, model, dd, rows):
-            return dd.y[rows]
+        def f_eta(self, eta, y, g=None):
+            return y
 
     models = {key: ConstantModel(0.0) for key in identity_models(plan)}
-    est = solve(2, RawAvg(), models, plan, d)
+    est = solve(2, RawAvg(), evaluate(models, plan, d))
     np.testing.assert_allclose(est.theta_hat, [2.5])
 
 
@@ -56,11 +57,11 @@ def test_sample_splitting_mean_matches_selected_rows():
     from splitinfer.moments import AverageMoment
 
     class RawAvg(AverageMoment):
-        def f_values(self, model, dd, rows):
-            return dd.y[rows]
+        def f_eta(self, eta, y, g=None):
+            return y
 
     models = {(0, 0): ConstantModel(0.0)}
-    est = solve(1, RawAvg(), models, plan, d)
+    est = solve(1, RawAvg(), evaluate(models, plan, d))
     selected = plan.repetitions[0][0]
     np.testing.assert_allclose(est.theta_hat, [values[selected].mean()])
 
@@ -75,7 +76,7 @@ def test_variant_equality_linear_moments():
         d = Dataset({"y": y, "x": x}, Roles("y", ("x",)))
         plan = generate_plan(n, M=M, K=K, b=b, seed=i)
         models = train_all(plan, d, builtin("mean"), seed=i)
-        thetas = [solve(v, mf, models, plan, d).theta_hat for v in (1, 2, 3)]
+        thetas = [solve(v, mf, evaluate(models, plan, d)).theta_hat for v in (1, 2, 3)]
         for a in thetas:
             for c in thetas:
                 assert np.max(np.abs(a - c)) <= 1e-10
@@ -93,14 +94,14 @@ def test_degenerate_variant_equalities_nonlinear():
 
     plan_k1 = generate_plan(n, M=3, K=1, b=20, seed=4)
     models = identity_models(plan_k1)
-    est1 = solve(1, mf, models, plan_k1, d)
-    est3 = solve(3, mf, models, plan_k1, d)
+    est1 = solve(1, mf, evaluate(models, plan_k1, d))
+    est3 = solve(3, mf, evaluate(models, plan_k1, d))
     np.testing.assert_allclose(est1.theta_hat, est3.theta_hat, atol=1e-12)
 
     plan_m1 = generate_plan(n, M=1, K=3, seed=5)
     models = identity_models(plan_m1)
-    est2 = solve(2, mf, models, plan_m1, d)
-    est3 = solve(3, mf, models, plan_m1, d)
+    est2 = solve(2, mf, evaluate(models, plan_m1, d))
+    est3 = solve(3, mf, evaluate(models, plan_m1, d))
     np.testing.assert_allclose(est2.theta_hat, est3.theta_hat, atol=1e-12)
 
 
@@ -108,7 +109,7 @@ def test_per_split_estimates_constant():
     d = Dataset({"y": np.full(8, 2.0), "x": np.zeros(8)}, Roles("y", ("x",)))
     plan = generate_plan(8, M=2, K=2, seed=0)
     models = {key: ConstantModel(0.0) for key in identity_models(plan)}
-    per_split = per_split_estimates(builtin_moment("mse"), models, plan, d)
+    per_split = per_split_estimates(builtin_moment("mse"), evaluate(models, plan, d))
     for theta in per_split.values():
         np.testing.assert_allclose(theta, [4.0])
 
@@ -119,7 +120,7 @@ def test_per_split_linreg_noiseless():
     d = Dataset({"y": 2.0 * x + 1.0, "x": x}, Roles("y", ("x",)))
     plan = generate_plan(30, M=2, K=3, seed=1)
     models = identity_models(plan)
-    per_split = per_split_estimates(builtin_moment("linreg_on_eta"), models, plan, d)
+    per_split = per_split_estimates(builtin_moment("linreg_on_eta"), evaluate(models, plan, d))
     for theta in per_split.values():
         np.testing.assert_allclose(theta, [1.0, 2.0], atol=1e-8)
 
@@ -130,7 +131,7 @@ def test_per_split_tercile_constant_outcome():
     d = Dataset({"y": np.ones(27), "x": x}, Roles("y", ("x",)))
     plan = generate_plan(27, M=1, K=3, seed=2)
     per_split = per_split_estimates(builtin_moment("tercile_fractions"),
-                                    identity_models(plan), plan, d)
+                                    evaluate(identity_models(plan), plan, d))
     for theta in per_split.values():
         np.testing.assert_allclose(theta[:3], 1.0)
 
@@ -184,5 +185,5 @@ def test_solver_residual_within_tolerance():
     plan = generate_plan(60, M=2, K=3, seed=3)
     models = train_all(plan, d, builtin("ols"), seed=0)
     mf = builtin_moment("linreg_on_eta")
-    est = solve(2, mf, models, plan, d)
+    est = solve(2, mf, evaluate(models, plan, d))
     assert est.residual_norm <= 1e-10 * (1 + np.linalg.norm(est.theta_hat))
