@@ -13,15 +13,13 @@ from .learners import (
     train_all,
 )
 from .evaluation import Block, Evaluations, evaluate, pool
-from .moments import EmpiricalMoment, MomentFunction, builtin_moment, empirical
-from .zestim import ZEstimate, per_split_estimates, solve, solve_fullsample
+from .moments import MomentFunction, builtin_moment
+from .zestim import ZEstimate, per_split_estimates, solve
 from .inference import (
     DeltaSpec,
     InferenceReport,
     difference_reduction,
     identity_reduction,
-    jacobian_hat,
-    meat_hat,
     named_reduction,
     normal_ci,
     sandwich,

@@ -5,8 +5,8 @@ outcome/prediction covariance when the predictor degenerates to a constant),
 the normal CI may undercover. The gate a_n(tau) = 1{Psi_min(tau) * Psi(tau) >
 gamma_n} detects whether the pooled empirical moment at tau is away from zero
 at the sqrt(n) scale; where it is, the exact normal p-value is used, otherwise
-a conservative p-value (constant 1 by default). The CI collects the grid
-points whose blended p-value exceeds alpha, with bisection-refined endpoints.
+the conservative p-value 1. The CI collects the grid points whose blended
+p-value exceeds alpha, with bisection-refined endpoints.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GridTooNarrow, ZeroVariance
 from .evaluation import Evaluations, pool
-from .inference import identity_reduction, norm_cdf, normal_ci
+from .inference import IDENTITY, norm_cdf, normal_ci
 from .moments import AverageMoment, MomentFunction
 from .zestim import ZEstimate
 
@@ -35,9 +35,6 @@ class AdaptiveConfig:
 
     c_gamma: float | None = None
     gamma_n: float | None = None
-    p_c: "callable | None" = None  # tau -> p-value; None means constant 1
-    grid_lo: float | None = None
-    grid_hi: float | None = None
     grid_points: int = 2001
     alpha: float = 0.05
 
@@ -109,7 +106,7 @@ def adaptive_ci(mf: MomentFunction, ev: Evaluations, estimate: ZEstimate,
     # the p_e branch: normal approximation scale
     flags = {}
     try:
-        report = normal_ci(mf, ev, estimate, identity_reduction(), alpha)
+        report = normal_ci(mf, ev, estimate, IDENTITY, alpha)
         se = report.se
         normal_iv = report.ci
         flags.update(report.flags)
@@ -126,7 +123,6 @@ def adaptive_ci(mf: MomentFunction, ev: Evaluations, estimate: ZEstimate,
         gamma_n = c_gamma / n
     flags["gamma_n"] = gamma_n
 
-    p_c = cfg.p_c or (lambda tau: 1.0)
     pooled_fn = _pooled_moment_fn(mf, ev)
 
     def blend(grid):
@@ -139,11 +135,9 @@ def adaptive_ci(mf: MomentFunction, ev: Evaluations, estimate: ZEstimate,
             p_e = 2.0 * norm_cdf(-np.abs((theta - grid) / se))
         else:
             p_e = (grid == theta).astype(np.float64)
-        p_cons = np.array([p_c(t) for t in grid])
-        return a_n * p_e + (1 - a_n) * p_cons, a_n, psi_min, psi_norm
+        return a_n * p_e + (1 - a_n), a_n, psi_min, psi_norm
 
-    lo = cfg.grid_lo if cfg.grid_lo is not None else theta - 10.0 * scale
-    hi = cfg.grid_hi if cfg.grid_hi is not None else theta + 10.0 * scale
+    lo, hi = theta - 10.0 * scale, theta + 10.0 * scale
     widened = False
     while True:
         grid = np.linspace(lo, hi, cfg.grid_points)

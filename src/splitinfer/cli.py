@@ -15,7 +15,6 @@ import os
 import sys
 from importlib import resources
 
-import numpy as np
 from jsonschema import Draft202012Validator
 
 from . import adaptive as adaptive_mod
@@ -29,8 +28,8 @@ from .evaluation import evaluate
 from .inference import named_reduction, normal_ci
 from .learners import builtin, train_all
 from .moments import builtin_moment
-from .report import SCHEMA_VERSION, report_schema_version, write_report
-from .rng import derived_seed, substream
+from .report import SCHEMA_VERSION, write_report
+from .rng import derived_seed
 from .splits import generate_plan
 from .zestim import solve
 
@@ -82,8 +81,9 @@ def resolve_config(config: dict, args) -> dict:
 
 
 def _resolve_names(config: dict) -> None:
-    """Resolve every moment, reduction and learner name now, so that a bad one
-    is a config error with its JSON pointer, not a failure mid-run."""
+    """Resolve every moment, reduction, learner, grid method and DGP name now,
+    so that a bad one is a config error with its JSON pointer, not a failure
+    mid-run."""
     mf = _resolved("/moment", builtin_moment, config["moment"])
     _resolved("/h", named_reduction, config["h"], mf.dim)
     learners = {"/learner": config["learner"]}
@@ -92,12 +92,20 @@ def _resolve_names(config: dict) -> None:
                     if key in ("baseline", "against_learner"))
     for pointer, name in learners.items():
         _resolved(pointer, builtin, name)
+    sim_cfg = config.get("simulate")
+    if sim_cfg is not None:
+        for i, method in enumerate(sim_cfg["methods"]):
+            if method not in sim.METHOD_RUNNERS:
+                raise ConfigInvalid(f"/simulate/methods/{i}", f"unknown grid method {method!r}")
+        _resolved("/simulate/dgp", sim.grid_sampler, sim_cfg.get("dgp", {}))
 
 
 def _resolved(pointer: str, resolve, *args):
     try:
         return resolve(*args)
-    except (SplitInferError, ValueError, OverflowError) as exc:
+    except ConfigInvalid:
+        raise
+    except (SplitInferError, ValueError, TypeError) as exc:
         raise ConfigInvalid(pointer, str(exc)) from None
 
 
@@ -200,12 +208,16 @@ def run_gates(config: dict) -> dict:
     gates_cfg = config.get("gates", {})
     learner_names = config.get("learners") or [config["learner"]]
     learners = tuple(gates_mod.CateLearner(builtin(name)) for name in learner_names)
+    controls = tuple(gates_cfg.get("controls", ("const", "propensity")))
+    for i, name in enumerate(controls):
+        if name not in ("const", "propensity"):
+            _resolved(f"/gates/controls/{i}", d.column, name)
     cfg = gates_mod.GatesConfig(
         learners=learners,
         M=plan_cfg["M"], K=plan_cfg["K"],
         L=gates_cfg.get("L", 2), J=gates_cfg.get("J", 3),
         alpha=config["alpha"],
-        controls=tuple(gates_cfg.get("controls", ("const", "propensity"))),
+        controls=controls,
     )
     result, het, _ = gates_mod.run_gates(
         cfg, d, seed=plan_cfg["seed"],
@@ -254,7 +266,6 @@ def run_simulate(config: dict) -> dict:
         iterations=sim_cfg["iterations"],
         seed=config["plan"]["seed"],
         out_csv=csv_path,
-        out_json=None,
         extra={"learner": config.get("learner", "ols"),
                "moment": config.get("moment", "mse"),
                "alpha": config.get("alpha", 0.05),
@@ -266,96 +277,6 @@ def run_simulate(config: dict) -> dict:
                     "summary": sim.summarize_grid(csv_path)},
         "plan": None,
     }
-
-
-# ---------------------------------------------------------------------------
-# grid method runners (shared with sim.run_grid)
-
-
-def _grid_sampler(spec: dict):
-    kind = spec.get("kind", "gauss_linear")
-    if kind == "gauss_linear":
-        slope = float(spec.get("slope", 1.0))
-        noise = float(spec.get("noise", 1.0))
-
-        def sample(n, seed):
-            rng = substream(seed, 7)
-            x = rng.standard_normal(n)
-            y = slope * x + noise * rng.standard_normal(n)
-            from .data import Dataset
-            return Dataset({"y": y, "x1": x}, Roles("y", ("x1",)))
-
-        return sample
-    if kind == "copula":
-        base = sim.synthetic_base(n=int(spec.get("base_n", 300)), seed=int(spec.get("base_seed", 0)))
-        dgp = sim.CopulaDGP(base, mode=spec.get("mode", "asis"),
-                            outcome_p=float(spec.get("outcome_p", 0.07)))
-        return lambda n, seed: sim.copula_sample(dgp, n, seed)
-    if kind == "hte":
-        dgp = sim.HteDGP(hte_mode=spec.get("mode", "predictable"))
-        return lambda n, seed: sim.hte_sample(dgp, n, seed)
-    raise ConfigInvalid("/simulate/dgp/kind", f"unknown DGP kind {kind!r}")
-
-
-def _grid_estimate(grid, n, K, cell_index, iteration):
-    sampler = _grid_sampler(grid.dgp)
-    seed = derived_seed(grid.seed, cell_index, iteration)
-    d = sampler(n, derived_seed(seed, 0))
-    plan = generate_plan(n, grid.M, K, b=(n // 2 if K == 1 else None),
-                         seed=derived_seed(seed, 1))
-    learner = builtin(grid.extra.get("learner", "ols"))
-    mf = builtin_moment(grid.extra.get("moment", "mse"))
-    models = train_all(plan, d, learner, seed=derived_seed(seed, 2))
-    ev = evaluate(models, plan, d)
-    est = solve(2, mf, ev)
-    report = normal_ci(mf, ev, est, alpha=grid.extra.get("alpha", 0.05))
-    fresh = sampler(grid.extra.get("oracle_rows", 50_000), derived_seed(seed, 3))
-    oracle = float(sim.estimand_oracle(mf, models, plan, fresh)[0])
-    lo, hi = report.ci
-    return {
-        "estimate": float(est.theta_hat[0]), "se": report.se,
-        "ci_lo": float(lo), "ci_hi": float(hi),
-        "covered": int(lo <= oracle <= hi),
-    }
-
-
-def _grid_compare(grid, n, K, cell_index, iteration):
-    sampler = _grid_sampler(grid.dgp)
-    seed = derived_seed(grid.seed, cell_index, iteration)
-    d = sampler(n, derived_seed(seed, 0))
-    plan = generate_plan(n, grid.M, K, b=(n // 2 if K == 1 else None),
-                         seed=derived_seed(seed, 1))
-    learner = builtin(grid.extra.get("learner", "ols"))
-    mf = builtin_moment(grid.extra.get("moment", "mse"))
-    models = train_all(plan, d, learner, seed=derived_seed(seed, 2))
-    baseline = builtin("mean").train(d)
-    res = compare_mod.compare_models(mf, evaluate(models, plan, d, baseline),
-                                     alpha=grid.extra.get("alpha", 0.05),
-                                     mc_draws=20_000, seed=derived_seed(seed, 4))
-    return {
-        "estimate": res.point, "se": res.sigma_delta / np.sqrt(n),
-        "ci_lo": res.ci_final[0], "ci_hi": res.ci_final[1],
-        "p_value": float(res.test.reject),
-    }
-
-
-def _grid_gates(grid, n, K, cell_index, iteration):
-    seed = derived_seed(grid.seed, cell_index, iteration)
-    dgp = sim.HteDGP(hte_mode=grid.dgp.get("mode", "predictable"))
-    d = sim.hte_sample(dgp, n, derived_seed(seed, 0))
-    learners = tuple(gates_mod.CateLearner(builtin(name))
-                     for name in grid.extra.get("gates_learners", ("ols", "ridge(1.0)")))
-    cfg = gates_mod.GatesConfig(learners=learners, M=grid.M, K=K)
-    result, _, _ = gates_mod.run_gates(cfg, d, seed=derived_seed(seed, 1))
-    return {"estimate": result.delta_hat, "se": result.delta_se,
-            "p_value": result.p_one_sided}
-
-
-METHOD_RUNNERS = {
-    "estimate": _grid_estimate,
-    "compare": _grid_compare,
-    "gates": _grid_gates,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from .data import Dataset
 from .errors import ZeroDiagonal
 from .evaluation import Block, Evaluations, evaluate, pool
 from .inference import (
+    IDENTITY,
     DeltaSpec,
-    identity_reduction,
     norm_ppf,
     sandwich,
     variance_inflation,
@@ -188,13 +188,11 @@ def sigma_from_values(eval_sets, n: int, vals_split, vals_base) -> SigmaHat:
     return SigmaHat(matrix=total, psd_projected=projected, degenerate_blocks=degenerate)
 
 
-def delta_vector(mf: MomentFunction, ev: Evaluations, h: DeltaSpec | None = None,
+def delta_vector(mf: MomentFunction, ev: Evaluations, h: DeltaSpec = IDENTITY,
                  tol=1e-10) -> DeltaVector:
     """Per-split estimates minus the whole-sample baseline estimate."""
     if ev.baseline is None:
         raise ValueError("the comparison needs evaluations with a baseline model")
-    if h is None:
-        h = identity_reduction()
     return _gaps(h, per_split_estimates(mf, ev, tol=tol), solve_blocks(mf, [ev.baseline], tol)[0])
 
 
@@ -205,14 +203,12 @@ def _gaps(h: DeltaSpec, per_split_thetas, theta_b) -> DeltaVector:
                        h_baseline=h_b, per_split_thetas=per_split_thetas)
 
 
-def sigma_hat(mf: MomentFunction, ev: Evaluations, h: DeltaSpec | None = None,
+def sigma_hat(mf: MomentFunction, ev: Evaluations, h: DeltaSpec = IDENTITY,
               tol=1e-10, delta: DeltaVector | None = None) -> SigmaHat:
     """Block estimate of the covariance of the sqrt(n)-scaled gap vector.
 
     ``delta`` reuses the estimates of an earlier :func:`delta_vector` call.
     """
-    if h is None:
-        h = identity_reduction()
     if delta is None:
         delta = delta_vector(mf, ev, h, tol)
     vals_base = _influence_rows(mf, ev.baseline, delta.theta_b, h.gradient(delta.theta_b))
@@ -286,14 +282,12 @@ def comparison_ci(point: float, sigma_delta: float, n: int, rejected: bool,
 
 
 def sigma_delta_hat(mf: MomentFunction, ev: Evaluations, theta_pooled, theta_b,
-                    h: DeltaSpec | None = None):
+                    h: DeltaSpec = IDENTITY):
     """Standard error for the pooled gap: sigma_eta^2 + sigma_b^2 - 2 cov.
 
     Returns (sigma_delta, clamped_flag); a tiny negative variance from the
     covariance subtraction is clamped to zero and flagged.
     """
-    if h is None:
-        h = identity_reduction()
     plan = ev.plan
     pooled = pool(mf, ev.blocks, theta_pooled, meat=True, jacobian=True)
     jac, meat = pooled.jacobian, pooled.meat
@@ -317,15 +311,13 @@ def sigma_delta_hat(mf: MomentFunction, ev: Evaluations, theta_pooled, theta_b,
     return float(np.sqrt(max(var_delta, 0.0))), bool(clamped)
 
 
-def compare_models(mf: MomentFunction, ev: Evaluations, h: DeltaSpec | None = None,
+def compare_models(mf: MomentFunction, ev: Evaluations, h: DeltaSpec = IDENTITY,
                    alpha: float = 0.05, mc_draws: int = 100_000, seed: int = 0,
                    slack: float = 0.0, tol: float = 1e-10) -> ComparisonResult:
     """Full comparison pipeline: gaps, covariance, test, pre-tested CI.
 
     ``ev`` must carry the baseline's predictions (``evaluate(..., baseline=)``).
     """
-    if h is None:
-        h = identity_reduction()
     n = ev.plan.n
     delta = delta_vector(mf, ev, h, tol)
     sigma = sigma_hat(mf, ev, h, tol, delta)
@@ -387,12 +379,10 @@ def _pooled_row_values(mf, ev: Evaluations, theta_pooled, h) -> np.ndarray:
 
 def compare_two_learners(mf: MomentFunction, plan: SplitPlan, d: Dataset,
                          learner_a, learner_b, seed: int = 0,
-                         h: DeltaSpec | None = None, alpha: float = 0.05,
+                         h: DeltaSpec = IDENTITY, alpha: float = 0.05,
                          mc_draws: int = 100_000, slack: float = 0.0,
                          tol: float = 1e-10) -> TwoLearnerComparison:
     """Directional comparisons of two learners trained on identical splits."""
-    if h is None:
-        h = identity_reduction()
     evs = [evaluate(train_all(plan, d, learner, derived_seed(seed, i)), plan, d)
            for i, learner in enumerate((learner_a, learner_b))]
     thetas = [solve(2, mf, ev, tol=tol).theta_hat for ev in evs]

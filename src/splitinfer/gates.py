@@ -23,7 +23,7 @@ from .errors import EmptyGroup, IncompatibleRoles, ZeroDiagonal
 from .inference import norm_cdf
 from .learners import Learner, Model
 from .rng import derived_seed
-from .splits import generate_plan
+from .splits import enumerate_pairs, generate_plan
 
 RIDGE_FALLBACK = 1e-8
 
@@ -113,12 +113,36 @@ def _controls_matrix(cfg: GatesConfig, d: Dataset, p: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _calibration_fit(controls, d: Dataset, p, w, tau_mat: np.ndarray, rows: np.ndarray):
+    """WLS of y on the controls plus the centred predictions x (t - p), on
+    ``rows``; returns what :func:`wls_fit` returns."""
+    tau_bar = tau_mat[rows].mean(axis=0)
+    inter = (tau_mat[rows] - tau_bar) * (d.t[rows] - p[rows])[:, None]
+    return wls_fit(np.column_stack([controls[rows], inter]), d.y[rows], w[rows])
+
+
+def _group_regression(controls, y, w, centered_t, labels, J: int):
+    """WLS of y on the controls plus (t - p) x 1{group j} for each group j.
+
+    Returns (gamma-hat, its HC0 covariance, the variance of the
+    top-minus-bottom gap gamma_J - gamma_1).
+    """
+    inter = np.zeros((centered_t.size, J))
+    for j in range(J):
+        inter[:, j] = centered_t * (labels == j)
+    beta, cov, _, _ = wls_fit(np.column_stack([controls, inter]), y, w)
+    n_ctrl = controls.shape[1]
+    cov_g = cov[n_ctrl:, n_ctrl:]
+    contrast = np.zeros(J)
+    contrast[-1], contrast[0] = 1.0, -1.0
+    return beta[n_ctrl:], cov_g, float(contrast @ cov_g @ contrast)
+
+
 @dataclass
 class EnsembleFit:
     """Per-repetition ingredients of the ensemble GATES pipeline."""
 
     train_folds: list          # per m: list of K eval row arrays
-    calib_folds: list          # per m: list of L row arrays
     tau_by_alg: list           # per m: (n, A) out-of-fold predictions
     betas: list                # per m: (L, A) calibration weights
     tau: list                  # per m: (n,) combined predictions
@@ -177,41 +201,29 @@ def ensemble_predict(cfg: GatesConfig, d: Dataset, seed: int = 0) -> EnsembleFit
     n_alg = len(cfg.learners)
     ridge_any = False
 
-    train_folds, calib_folds, tau_by_alg, betas_all, tau_all = [], [], [], [], []
+    train_folds, tau_by_alg, betas_all, tau_all = [], [], [], []
     for m in range(cfg.M):
         plan = generate_plan(d.n, M=1, K=cfg.K, seed=derived_seed(seed, m, 0))
-        folds = list(plan.repetitions[0])
         tau_mat = np.empty((d.n, n_alg))
-        for k, rows in enumerate(folds):
-            mask = np.ones(d.n, dtype=bool)
-            mask[rows] = False
-            train_rows = np.flatnonzero(mask)
+        for _, k, (rows, train_rows) in enumerate_pairs(plan):
             train_d = d.subset(train_rows)
             for a, learner in enumerate(cfg.learners):
                 model = learner.train(train_d, derived_seed(seed, m, 1, k, a))
                 tau_mat[rows, a] = model.predict(d.x[rows])
 
         calib_plan = generate_plan(d.n, M=1, K=cfg.L, seed=derived_seed(seed, m, 2))
-        cfolds = list(calib_plan.repetitions[0])
         beta_mat = np.empty((cfg.L, n_alg))
         tau_hat = np.empty(d.n)
-        for ell, rows in enumerate(cfolds):
-            mask = np.ones(d.n, dtype=bool)
-            mask[rows] = False
-            fit_rows = np.flatnonzero(mask)
-            tau_bar = tau_mat[fit_rows].mean(axis=0)
-            inter = (tau_mat[fit_rows] - tau_bar) * (d.t[fit_rows] - p[fit_rows])[:, None]
-            design = np.column_stack([controls[fit_rows], inter])
-            beta, _, _, ridge_used = wls_fit(design, d.y[fit_rows], w[fit_rows])
+        for _, ell, (rows, fit_rows) in enumerate_pairs(calib_plan):
+            beta, _, _, ridge_used = _calibration_fit(controls, d, p, w, tau_mat, fit_rows)
             ridge_any = ridge_any or ridge_used
             beta_mat[ell] = beta[controls.shape[1]:]
             tau_hat[rows] = tau_mat[rows] @ beta_mat[ell]
-        train_folds.append(folds)
-        calib_folds.append(cfolds)
+        train_folds.append(list(plan.repetitions[0]))
         tau_by_alg.append(tau_mat)
         betas_all.append(beta_mat)
         tau_all.append(tau_hat)
-    return EnsembleFit(train_folds, calib_folds, tau_by_alg, betas_all, tau_all,
+    return EnsembleFit(train_folds, tau_by_alg, betas_all, tau_all,
                        propensity=p, ridge_fallback=ridge_any)
 
 
@@ -237,7 +249,6 @@ def gates_estimate(cfg: GatesConfig, d: Dataset, fit: EnsembleFit) -> GatesResul
     p = fit.propensity
     w = 1.0 / (p * (1.0 - p))
     controls = _controls_matrix(cfg, d, p)
-    n_ctrl = controls.shape[1]
     gammas = np.empty((cfg.M, cfg.J))
     sigmas = np.empty((cfg.M, cfg.J))
     deltas = np.empty(cfg.M)
@@ -261,20 +272,11 @@ def gates_estimate(cfg: GatesConfig, d: Dataset, fit: EnsembleFit) -> GatesResul
             labels, cuts = _fold_groups(tau, rows, cfg.J)
             group[rows] = labels
             cutpoints.append(cuts)
-        inter = np.zeros((d.n, cfg.J))
-        centered_t = d.t - p
-        for j in range(cfg.J):
-            inter[:, j] = centered_t * (group == j)
-        design = np.column_stack([controls, inter])
-        beta, cov, _, _ = wls_fit(design, d.y, w)
-        gam = beta[n_ctrl:]
-        cov_g = cov[n_ctrl:, n_ctrl:]
+        gam, cov_g, gap_var = _group_regression(controls, d.y, w, d.t - p, group, cfg.J)
         gammas[m] = gam
         sigmas[m] = np.sqrt(np.maximum(np.diag(cov_g), 0.0))
-        contrast = np.zeros(cfg.J)
-        contrast[-1], contrast[0] = 1.0, -1.0
-        deltas[m] = contrast @ gam
-        delta_ses[m] = float(np.sqrt(max(contrast @ cov_g @ contrast, 0.0)))
+        deltas[m] = gam[-1] - gam[0]
+        delta_ses[m] = float(np.sqrt(max(gap_var, 0.0)))
         records.append(
             {
                 "gamma": gam.tolist(),
@@ -323,12 +325,8 @@ def het_test(cfg: GatesConfig, d: Dataset, fit: EnsembleFit, alpha: float | None
     split_sq = []
     msr_splits = []
     for m in range(cfg.M):
-        tau_mat = fit.tau_by_alg[m]
         for rows in fit.train_folds[m]:
-            tau_bar = tau_mat[rows].mean(axis=0)
-            inter = (tau_mat[rows] - tau_bar) * (d.t[rows] - p[rows])[:, None]
-            design = np.column_stack([controls[rows], inter])
-            _, _, resid, _ = wls_fit(design, d.y[rows], w[rows])
+            _, _, resid, _ = _calibration_fit(controls, d, p, w, fit.tau_by_alg[m], rows)
             sq = resid**2
             eval_sets.append(rows)
             split_sq.append(sq)
@@ -359,18 +357,9 @@ def _fold_level_gates(cfg: GatesConfig, d: Dataset, rows: np.ndarray,
                       tau_values: np.ndarray, p, w, controls):
     """One-sided p-value for the top-minus-bottom gap within a single fold."""
     labels, _ = _fold_groups(tau_values, rows, cfg.J)
-    inter = np.zeros((rows.size, cfg.J))
-    centered_t = d.t[rows] - p[rows]
-    for j in range(cfg.J):
-        inter[:, j] = centered_t * (labels == j)
-    design = np.column_stack([controls[rows], inter])
-    beta, cov, _, _ = wls_fit(design, d.y[rows], w[rows])
-    n_ctrl = controls.shape[1]
-    contrast = np.zeros(design.shape[1])
-    contrast[n_ctrl + cfg.J - 1], contrast[n_ctrl] = 1.0, -1.0
-    delta = float(contrast @ beta)
-    se = float(np.sqrt(max(contrast @ cov @ contrast, 1e-300)))
-    return delta / se
+    gam, _, gap_var = _group_regression(controls[rows], d.y[rows], w[rows],
+                                        d.t[rows] - p[rows], labels, cfg.J)
+    return float(gam[-1] - gam[0]) / float(np.sqrt(max(gap_var, 1e-300)))
 
 
 def baselines(cfg: GatesConfig, d: Dataset, seed: int = 0) -> dict:
@@ -391,13 +380,11 @@ def baselines(cfg: GatesConfig, d: Dataset, seed: int = 0) -> dict:
     seq_pvalues = []
     for m in range(cfg.M):
         plan = generate_plan(d.n, M=1, K=cfg.K, seed=derived_seed(seed, m, 0))
-        folds = list(plan.repetitions[0])
+        folds = plan.repetitions[0]
 
         # TTM: model trained on the complement, evaluated within the fold
-        for k, rows in enumerate(folds):
-            mask = np.ones(d.n, dtype=bool)
-            mask[rows] = False
-            model = learner.train(d.subset(np.flatnonzero(mask)), derived_seed(seed, m, 1, k))
+        for _, k, (rows, train_rows) in enumerate_pairs(plan):
+            model = learner.train(d.subset(train_rows), derived_seed(seed, m, 1, k))
             tau = np.zeros(d.n)
             tau[rows] = model.predict(d.x[rows])
             t_stat = _fold_level_gates(cfg, d, rows, tau, p, w, controls)

@@ -55,6 +55,9 @@ def identity_reduction() -> DeltaSpec:
                      lambda t: np.eye(np.asarray(t).size)[0])
 
 
+IDENTITY = identity_reduction()
+
+
 def coordinate_reduction(j: int) -> DeltaSpec:
     def grad(t):
         g = np.zeros(np.asarray(t).size)
@@ -89,7 +92,7 @@ def named_reduction(spec: str, dim: int) -> DeltaSpec:
     if not all(i < dim for i in indices):
         raise ValueError(f"reduction {spec!r} needs indices in [0, {dim})")
     if not indices:
-        return identity_reduction()
+        return IDENTITY
     return coordinate_reduction(*indices) if len(indices) == 1 else difference_reduction(*indices)
 
 
@@ -98,16 +101,6 @@ def variance_inflation(M: int, K: int, b: int, n: int) -> float:
     if K > 1:
         return 1.0
     return (n / b + M - 1.0) / M
-
-
-def jacobian_hat(mf: MomentFunction, ev: Evaluations, theta) -> np.ndarray:
-    """Plug-in Jacobian: per-split estimates averaged with weight 1/(MK)."""
-    return pool(mf, ev.blocks, theta, psi=False, jacobian=True).jacobian
-
-
-def meat_hat(mf: MomentFunction, ev: Evaluations, theta) -> np.ndarray:
-    """Mean outer product of psi at theta over all splits and their rows."""
-    return pool(mf, ev.blocks, theta, meat=True).meat
 
 
 def sandwich(jac: np.ndarray, meat: np.ndarray, inflation: float) -> np.ndarray:
@@ -152,15 +145,13 @@ class InferenceReport:
 
 
 def normal_ci(mf: MomentFunction, ev: Evaluations, estimate: ZEstimate,
-              h: DeltaSpec | None = None, alpha: float = 0.05) -> InferenceReport:
+              h: DeltaSpec = IDENTITY, alpha: float = 0.05) -> InferenceReport:
     """Sandwich-variance normal CI for h(theta_hat).
 
     Flags ``fast_convergence_risk`` when the meat is numerically degenerate,
     which is the signature of a fast-converging moment (hand the problem to
     the adaptive CI in that case).
     """
-    if h is None:
-        h = identity_reduction()
     theta = estimate.theta_hat
     plan = ev.plan
     pooled = pool(mf, ev.blocks, theta, meat=True, jacobian=True)

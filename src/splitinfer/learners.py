@@ -8,12 +8,13 @@ framework is agnostic to: constant mean, OLS, ridge, k-NN, a greedy
 variance-reduction tree, and a damped-Newton logistic regression.
 
 External ML backends can be attached through :class:`SubprocessLearner`,
-which speaks a line-delimited JSON protocol (see README).
+which speaks a line-delimited JSON protocol (described in its docstring).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
@@ -298,23 +299,24 @@ def builtin(name: str) -> Learner:
     if name in plain:
         return Learner(name, plain[name])
     match = _PARAM_RE.match(name.strip())
-    if match:
+    if match and match.group(1) in ("ridge", "knn", "tree"):
         kind, raw = match.groups()
+        value = float(raw)
+        if not math.isfinite(value):
+            raise UnknownLearner(f"{kind} needs a finite parameter, got {raw}")
         if kind == "ridge":
-            lam = float(raw)
-            if lam < 0:
-                raise UnknownLearner(f"ridge penalty must be >= 0, got {lam}")
-            return Learner(name, _make_fit_ridge(lam))
+            if value < 0:
+                raise UnknownLearner(f"ridge penalty must be >= 0, got {value}")
+            return Learner(name, _make_fit_ridge(value))
         if kind == "knn":
-            k = int(float(raw))
+            k = int(value)
             if k < 1:
                 raise UnknownLearner(f"knn needs k >= 1, got {k}")
             return Learner(name, _make_fit_knn(k))
-        if kind == "tree":
-            depth = int(float(raw))
-            if depth < 1:
-                raise UnknownLearner(f"tree needs depth >= 1, got {depth}")
-            return Learner(name, _make_fit_tree(depth))
+        depth = int(value)  # kind == "tree"
+        if depth < 1:
+            raise UnknownLearner(f"tree needs depth >= 1, got {depth}")
+        return Learner(name, _make_fit_tree(depth))
     raise UnknownLearner(f"no built-in learner named {name!r}")
 
 

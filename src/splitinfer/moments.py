@@ -1,4 +1,4 @@
-"""Moment functions psi(theta; eta, y, g) and their empirical means.
+"""Moment functions psi(theta; eta, y, g).
 
 Built-ins cover the standard model-property estimands: mean squared error,
 probabilistic and exact classification rates, outcome/prediction covariance,
@@ -8,8 +8,7 @@ tercile-fraction system (three group fractions plus two quantile conditions).
 Moments are evaluated on the arrays of one evaluation split: the predictions
 ``eta``, the outcome ``y`` and the group codes ``g`` (``evaluation.group_codes``).
 This array form (``psi_eta``, ``f_eta``, ...) never calls ``predict``; custom
-moments implement it. ``psi(theta, model, d, rows)`` and ``jac_rows`` predict
-on ``rows`` and call it, for direct evaluation.
+moments implement it.
 
 Smooth built-ins carry analytic Jacobians; the tercile system is piecewise
 constant in theta and is handled by closed-form solving plus a dedicated
@@ -19,28 +18,11 @@ Jacobian construction (see ``TercileFractions.jacobian_eta``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, as_row_index_set
-from .errors import EmptySubset, IncompatibleRoles, NonFiniteJacobian, UnknownMoment
-from .evaluation import Block
-from .learners import Model
-
-
-@dataclass(frozen=True)
-class EmpiricalMoment:
-    """Subsample mean of psi at a fixed theta."""
-
-    value: np.ndarray
-    size: int
-
-
-def _arrays(model: Model, d: Dataset, rows):
-    """(eta, y, g) on ``rows`` (all rows when None), predicting once."""
-    b = Block.of(model, d, rows)
-    return b.eta, b.y, b.g
+from .data import Dataset
+from .errors import IncompatibleRoles, NonFiniteJacobian, UnknownMoment
 
 
 class MomentFunction:
@@ -87,14 +69,6 @@ class MomentFunction:
 
     def initial_guess_eta(self, eta, y, g=None) -> np.ndarray:
         return np.zeros(self.dim)
-
-    def psi(self, theta, model: Model, d: Dataset, rows=None) -> np.ndarray:
-        """``psi_eta`` with the model's predictions on ``rows``."""
-        return self.psi_eta(theta, *_arrays(model, d, rows))
-
-    def jac_rows(self, theta, model: Model, d: Dataset, rows=None):
-        """``jac_rows_eta`` with the model's predictions on ``rows``."""
-        return self.jac_rows_eta(theta, *_arrays(model, d, rows))
 
 
 def _fd_jacobian(mf: MomentFunction, theta, eta, y, g) -> np.ndarray:
@@ -345,12 +319,3 @@ def builtin_moment(name: str) -> MomentFunction:
     except KeyError:
         raise UnknownMoment(f"no built-in moment named {name!r}") from None
 
-
-def empirical(mf: MomentFunction, theta, model: Model, d: Dataset, rows) -> EmpiricalMoment:
-    """Exact subsample mean of psi, order-independent by compensated summation."""
-    rows = as_row_index_set(rows, d.n)
-    if rows.size == 0:
-        raise EmptySubset("empirical moment needs a nonempty subsample")
-    values = mf.psi(np.asarray(theta, dtype=np.float64), model, d, rows)
-    mean = np.array([math.fsum(values[:, j]) / values.shape[0] for j in range(values.shape[1])])
-    return EmpiricalMoment(value=mean, size=int(rows.size))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset
 from .evaluation import Evaluations, evaluate, pool
-from .inference import DeltaSpec, identity_reduction, norm_cdf, norm_ppf, variance_inflation
+from .inference import IDENTITY, DeltaSpec, norm_cdf, norm_ppf, variance_inflation
 from .learners import Learner, train_all
 from .moments import MomentFunction
 from .rng import derived_seed
@@ -84,14 +84,12 @@ class ReproMeasure:
 
 
 def sigma_D_hat(mf: MomentFunction, ev: Evaluations, theta_hat,
-                h: DeltaSpec | None = None, tau: float = 0.0) -> ReproComponents:
+                h: DeltaSpec = IDENTITY, tau: float = 0.0) -> ReproComponents:
     """All sigma_D components from one plan's variant-2 estimate.
 
     The zeta and rho terms carry the factor (h(theta) - tau), so the stack is
     specific to the hypothesis value tau being tested.
     """
-    if h is None:
-        h = identity_reduction()
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
     plan = ev.plan
     vmk = variance_inflation(plan.M, plan.K, plan.b, plan.n)
@@ -174,14 +172,12 @@ def repro_measure(components: ReproComponents, beta: float,
 def conditional_variance_curve(variant: int, mf: MomentFunction, d: Dataset,
                                learner: Learner, K: int, b: int | None,
                                M_list, seed: int = 0, reps: int = 500,
-                               h: DeltaSpec | None = None) -> dict:
+                               h: DeltaSpec = IDENTITY) -> dict:
     """Empirical Var(theta_hat | data) per M, over independent plan draws.
 
     Returns {M: {"variance": v, "se": standard error of v, "mean": m}}.
     The dataset stays fixed; only the plans (and per-model seeds) vary.
     """
-    if h is None:
-        h = identity_reduction()
     out = {}
     for j, M in enumerate(M_list):
         values = np.empty(reps)

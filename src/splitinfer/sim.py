@@ -19,20 +19,23 @@ are kept in a ``_true_te`` oracle column.
 from __future__ import annotations
 
 import csv
-import json
 import os
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
+from . import compare as compare_mod
+from . import gates as gates_mod
 from .data import Dataset, Roles
-from .errors import NotPositiveDefinite
-from .evaluation import Block, group_codes, pool
-from .moments import AverageMoment, MomentFunction
-from .rng import substream
-from .splits import SplitPlan
-from .zestim import newton_solve
+from .errors import ConfigInvalid, NotPositiveDefinite
+from .evaluation import Block, evaluate, group_codes, pool
+from .inference import normal_ci
+from .learners import builtin, train_all
+from .moments import AverageMoment, MomentFunction, builtin_moment
+from .rng import derived_seed, substream
+from .splits import SplitPlan, generate_plan
+from .zestim import newton_solve, solve
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +312,92 @@ def estimand_oracle(mf: MomentFunction, models, plan: SplitPlan, fresh: Dataset,
 # experiment grid
 
 
+def grid_sampler(spec: dict):
+    """``(n, seed) -> Dataset`` for a grid's DGP spec (``kind`` and its options)."""
+    kind = spec.get("kind", "gauss_linear")
+    if kind == "gauss_linear":
+        slope = float(spec.get("slope", 1.0))
+        noise = float(spec.get("noise", 1.0))
+
+        def sample(n, seed):
+            rng = substream(seed, 7)
+            x = rng.standard_normal(n)
+            y = slope * x + noise * rng.standard_normal(n)
+            return Dataset({"y": y, "x1": x}, Roles("y", ("x1",)))
+
+        return sample
+    if kind == "copula":
+        base = synthetic_base(n=int(spec.get("base_n", 300)), seed=int(spec.get("base_seed", 0)))
+        dgp = CopulaDGP(base, mode=spec.get("mode", "asis"),
+                        outcome_p=float(spec.get("outcome_p", 0.07)))
+        return lambda n, seed: copula_sample(dgp, n, seed)
+    if kind == "hte":
+        dgp = HteDGP(hte_mode=spec.get("mode", "predictable"))
+        return lambda n, seed: hte_sample(dgp, n, seed)
+    raise ConfigInvalid("/simulate/dgp/kind", f"unknown DGP kind {kind!r}")
+
+
+def _grid_fit(grid, n, K, cell_index, iteration):
+    """The start of an estimate or compare row: its seed, sampler, data, plan,
+    moment and trained models."""
+    sampler = grid_sampler(grid.dgp)
+    seed = derived_seed(grid.seed, cell_index, iteration)
+    d = sampler(n, derived_seed(seed, 0))
+    plan = generate_plan(n, grid.M, K, b=(n // 2 if K == 1 else None),
+                         seed=derived_seed(seed, 1))
+    learner = builtin(grid.extra.get("learner", "ols"))
+    mf = builtin_moment(grid.extra.get("moment", "mse"))
+    models = train_all(plan, d, learner, seed=derived_seed(seed, 2))
+    return seed, sampler, d, plan, mf, models
+
+
+def _grid_estimate(grid, n, K, cell_index, iteration):
+    seed, sampler, d, plan, mf, models = _grid_fit(grid, n, K, cell_index, iteration)
+    ev = evaluate(models, plan, d)
+    est = solve(2, mf, ev)
+    report = normal_ci(mf, ev, est, alpha=grid.extra.get("alpha", 0.05))
+    fresh = sampler(grid.extra.get("oracle_rows", 50_000), derived_seed(seed, 3))
+    oracle = float(estimand_oracle(mf, models, plan, fresh)[0])
+    lo, hi = report.ci
+    return {
+        "estimate": float(est.theta_hat[0]), "se": report.se,
+        "ci_lo": float(lo), "ci_hi": float(hi),
+        "covered": int(lo <= oracle <= hi),
+    }
+
+
+def _grid_compare(grid, n, K, cell_index, iteration):
+    seed, _, d, plan, mf, models = _grid_fit(grid, n, K, cell_index, iteration)
+    baseline = builtin("mean").train(d)
+    res = compare_mod.compare_models(mf, evaluate(models, plan, d, baseline),
+                                     alpha=grid.extra.get("alpha", 0.05),
+                                     mc_draws=20_000, seed=derived_seed(seed, 4))
+    return {
+        "estimate": res.point, "se": res.sigma_delta / np.sqrt(n),
+        "ci_lo": res.ci_final[0], "ci_hi": res.ci_final[1],
+        "p_value": float(res.test.reject),
+    }
+
+
+def _grid_gates(grid, n, K, cell_index, iteration):
+    seed = derived_seed(grid.seed, cell_index, iteration)
+    dgp = HteDGP(hte_mode=grid.dgp.get("mode", "predictable"))
+    d = hte_sample(dgp, n, derived_seed(seed, 0))
+    learners = tuple(gates_mod.CateLearner(builtin(name))
+                     for name in grid.extra.get("gates_learners", ("ols", "ridge(1.0)")))
+    cfg = gates_mod.GatesConfig(learners=learners, M=grid.M, K=K)
+    result, _, _ = gates_mod.run_gates(cfg, d, seed=derived_seed(seed, 1))
+    return {"estimate": result.delta_hat, "se": result.delta_se,
+            "p_value": result.p_one_sided}
+
+
+METHOD_RUNNERS = {
+    "estimate": _grid_estimate,
+    "compare": _grid_compare,
+    "gates": _grid_gates,
+}
+
+
 @dataclass
 class ExperimentGrid:
     """Seeded cross of DGP x n x K x method, one row per (cell, iteration)."""
@@ -321,7 +410,6 @@ class ExperimentGrid:
     iterations: int
     seed: int
     out_csv: str
-    out_json: str | None = None
     extra: dict = field(default_factory=dict)
 
 
@@ -336,8 +424,6 @@ def run_grid(grid: ExperimentGrid, methods_registry=None, resume: bool = True) -
     With ``resume`` the rows already present in the sink are skipped, keyed by
     (cell_id, iteration).
     """
-    from .cli import METHOD_RUNNERS  # late import; the registry lives with the CLI
-
     registry = methods_registry or METHOD_RUNNERS
     cells = []
     for i, (n, K, method) in enumerate(product(grid.n_list, grid.K_list, grid.methods)):
@@ -375,12 +461,6 @@ def run_grid(grid: ExperimentGrid, methods_registry=None, resume: bool = True) -
                     row["error"] = f"{type(exc).__name__}: {exc}"
                 writer.writerow(row)
                 rows.append(row)
-
-    if grid.out_json:
-        summary = summarize_grid(grid.out_csv)
-        from .report import write_report
-        write_report(grid.out_json, {"schema_version": "1.0.0", "method": "simulate",
-                                     "summary": summary})
     return rows
 
 

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
 from .errors import NoConvergence, SingularJacobian
-from .evaluation import Block, Evaluations, pool
+from .evaluation import Evaluations, pool
 from .moments import AverageMoment, MomentFunction, TercileFractions
 
 DEFAULT_TOL = 1e-10
@@ -177,9 +176,3 @@ def solve(variant: int, mf: MomentFunction, ev: Evaluations,
     return ZEstimate(3, theta_hat, per_repetition_thetas=thetas,
                      iterations=iters, residual_norm=worst, tol=tol)
 
-
-def solve_fullsample(mf: MomentFunction, model_b, d: Dataset,
-                     tol: float = DEFAULT_TOL, theta_init=None) -> np.ndarray:
-    """Whole-sample baseline estimate: solve the moment on all rows with one model."""
-    mf.validate(d)
-    return solve_blocks(mf, [Block.of(model_b, d)], tol, theta_init)[0]

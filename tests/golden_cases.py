@@ -10,11 +10,13 @@ remake in CHANGES.md with its reason.
 
 Each case is one CLI run with ``--threads 1`` on small data (n <= 400,
 M <= 10). A golden keeps the exit code and the whole report except
-``config``, which embeds the run's own file paths.
+``config`` and a grid's ``results.csv_path``, which embed the run's own file
+paths; a ``simulate`` case also keeps the rows of its grid CSV.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import sys
 from pathlib import Path
@@ -128,12 +130,37 @@ def cases(workdir: Path) -> dict[str, tuple[str, dict, list[str]]]:
         "learner": "ols", "moment": "linreg_on_eta", "h": "coordinate:1",
         "repro": {"beta": 0.1, "tau": 0.5, "test_type": "right"},
     }, [])
+    for kind, dgp in (("gauss_linear", {"kind": "gauss_linear", "slope": 0.5}),
+                      ("copula", {"kind": "copula", "base_n": 200}),
+                      ("hte", {"kind": "hte", "mode": "shuffled"})):
+        out[f"simulate_{kind}"] = ("simulate", {
+            "plan": {"M": 3, "seed": 9}, "learner": "ols", "moment": "mse",
+            "simulate": {"dgp": dgp, "n_list": [120], "K_list": [1, 3],
+                         "methods": ["estimate", "compare", "gates"],
+                         "iterations": 2, "oracle_rows": 1000,
+                         "csv_path": str(workdir / f"simulate_{kind}.csv")},
+        }, [])
     return out
 
 
+def _csv_rows(path: Path) -> list[dict]:
+    """The grid CSV's rows, numbers parsed so that the golden test compares
+    them at its float tolerance."""
+    def value(cell: str):
+        for parse in (int, float):
+            try:
+                return parse(cell)
+            except ValueError:
+                pass
+        return cell
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [{k: value(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+
+
 def run_case(name: str, workdir: Path) -> dict:
-    """Run one case through ``cli.run``; its report without ``config``, plus
-    the exit code."""
+    """Run one case through ``cli.run``; its report without ``config`` (and
+    ``results.csv_path``), plus the exit code and a grid's CSV rows."""
     from splitinfer import cli
 
     command, config, flags = cases(workdir)[name]
@@ -144,12 +171,19 @@ def run_case(name: str, workdir: Path) -> dict:
     config_path.write_text(json.dumps({"method": command, **config,
                                        "output": {"path": str(report_path)}}),
                            encoding="utf-8")
+    grid_csv = Path(config["simulate"]["csv_path"]) if command == "simulate" else None
+    if grid_csv is not None:
+        grid_csv.unlink(missing_ok=True)  # run_grid would resume from an old sink
     code = cli.run([command, "--config", str(config_path), "--threads", "1", *flags])
     report = {}
     if report_path.exists():
         report = json.loads(report_path.read_text(encoding="utf-8"))
         report.pop("config", None)
-    return {"exit_code": code, "report": report}
+        report.get("results", {}).pop("csv_path", None)
+    golden = {"exit_code": code, "report": report}
+    if grid_csv is not None:
+        golden["csv"] = _csv_rows(grid_csv)
+    return golden
 
 
 def main() -> int:

@@ -90,6 +90,18 @@ def test_malformed_json_exits_one(tmp_path, capsys):
     ("compare", {"compare": {"baseline": "ridge(-1)"}}, "/compare/baseline"),
     ("compare", {"compare": {"against_learner": "forest"}}, "/compare/against_learner"),
     ("gates", {"learners": ["ols", "bogus"]}, "/learners/1"),
+    ("estimate", {"learner": "knn(1e400)"}, "/learner"),
+    ("estimate", {"learner": "tree(1e400)"}, "/learner"),
+    ("estimate", {"learner": "ridge(1e400)"}, "/learner"),
+    ("gates", {"gates": {"controls": ["const", "nope"]}}, "/gates/controls/1"),
+    ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
+                               "methods": ["estimate", "bogus"]}}, "/simulate/methods/1"),
+    ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
+                               "methods": ["estimate"], "dgp": {"kind": "weird"}}},
+     "/simulate/dgp/kind"),
+    ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
+                               "methods": ["estimate"], "dgp": {"slope": None}}},
+     "/simulate/dgp"),
 ])
 def test_bad_names_are_config_errors(tmp_path, capsys, method, overrides, pointer):
     cfg = estimate_config(tmp_path, tmp_path / "r.json", method=method, **overrides)

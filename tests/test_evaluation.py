@@ -123,10 +123,10 @@ def test_pool_matches_per_split_model_forms():
     mf = builtin_moment("linreg_on_eta")
     theta = np.array([0.1, 1.5])
     pooled = pool(mf, evaluate(models, plan, d).blocks, theta, meat=True, jacobian=True)
-    psis = [mf.psi(theta, models[(m, k)], d, rows)
+    etas = [(models[(m, k)].predict(d.x[rows]), d.y[rows])
             for m, rep in enumerate(plan.repetitions) for k, rows in enumerate(rep)]
-    jacs = [mf.jac_rows(theta, models[(m, k)], d, rows).mean(axis=0)
-            for m, rep in enumerate(plan.repetitions) for k, rows in enumerate(rep)]
+    psis = [mf.psi_eta(theta, eta, y) for eta, y in etas]
+    jacs = [mf.jac_rows_eta(theta, eta, y).mean(axis=0) for eta, y in etas]
     np.testing.assert_allclose(pooled.split_psi, [v.mean(axis=0) for v in psis])
     np.testing.assert_allclose(pooled.psi, np.mean([v.mean(axis=0) for v in psis], axis=0))
     np.testing.assert_allclose(pooled.meat, np.mean([v.T @ v / len(v) for v in psis], axis=0))

@@ -3,13 +3,11 @@ import pytest
 
 from splitinfer.data import Dataset, Roles
 from splitinfer.errors import SingularJacobian, ZeroVariance
-from splitinfer.evaluation import evaluate
+from splitinfer.evaluation import evaluate, pool
 from splitinfer.inference import (
     DeltaSpec,
     difference_reduction,
     identity_reduction,
-    jacobian_hat,
-    meat_hat,
     named_reduction,
     normal_ci,
     sandwich,
@@ -36,7 +34,8 @@ def test_jacobian_average_type_is_minus_identity():
     d = Dataset({"y": np.arange(6.0), "x": np.zeros(6)}, Roles("y", ("x",)))
     plan = generate_plan(6, M=1, K=2, seed=0)
     models = {(0, 0): ConstantModel(0.0), (0, 1): ConstantModel(0.0)}
-    jac = jacobian_hat(builtin_moment("mse"), evaluate(models, plan, d), np.array([1.0]))
+    jac = pool(builtin_moment("mse"), evaluate(models, plan, d).blocks, np.array([1.0]),
+               psi=False, jacobian=True).jacobian
     np.testing.assert_allclose(jac, [[-1.0]])
 
 
@@ -47,7 +46,8 @@ def test_jacobian_linreg_is_minus_gram():
     plan = generate_plan(4, M=1, K=2, seed=1)
     eta = FixedFunctionModel(lambda z: z[:, 0])
     models = {(0, 0): eta, (0, 1): eta}
-    jac = jacobian_hat(builtin_moment("linreg_on_eta"), evaluate(models, plan, d), np.zeros(2))
+    jac = pool(builtin_moment("linreg_on_eta"), evaluate(models, plan, d).blocks, np.zeros(2),
+               psi=False, jacobian=True).jacobian
     s1, s2 = plan.repetitions[0]
     gram = np.zeros((2, 2))
     for rows in (s1, s2):
@@ -77,7 +77,7 @@ def test_degenerate_meat_flags_fast_convergence():
     plan = generate_plan(4, M=1, K=2, seed=0)
     models = {(0, 0): ConstantModel(0.0), (0, 1): ConstantModel(0.0)}
     mf = builtin_moment("covariance")
-    meat = meat_hat(mf, evaluate(models, plan, d), np.array([0.0]))
+    meat = pool(mf, evaluate(models, plan, d).blocks, np.array([0.0]), meat=True).meat
     np.testing.assert_allclose(meat, 0.0, atol=1e-30)
     est = ZEstimate(2, np.array([0.0]))
     with pytest.raises(ZeroVariance):

@@ -107,10 +107,9 @@ def test_logistic_learner_probabilities():
 
 
 def test_unknown_learner():
-    with pytest.raises(UnknownLearner):
-        builtin("forest")
-    with pytest.raises(UnknownLearner):
-        builtin("knn(0)")
+    for name in ("forest", "knn(0)", "knn(1e400)", "tree(1e400)", "ridge(1e400)"):
+        with pytest.raises(UnknownLearner):
+            builtin(name)
 
 
 def test_average_model_basic():

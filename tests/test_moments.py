@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from splitinfer.data import Dataset, Roles
-from splitinfer.errors import EmptySubset, IncompatibleRoles, UnknownMoment
+from splitinfer.errors import IncompatibleRoles, UnknownMoment
+from splitinfer.evaluation import Block
 from splitinfer.learners import ConstantModel, FixedFunctionModel
-from splitinfer.moments import builtin_moment, empirical, left_inverse_quantile
+from splitinfer.moments import builtin_moment, left_inverse_quantile
 from splitinfer.rng import substream
 
 ALL_ROWS = lambda d: np.arange(d.n)  # noqa: E731
@@ -22,42 +23,32 @@ def dataset_from(y, x=None, **extra):
     return Dataset(cols, Roles("y", ("x",), **roles_kwargs))
 
 
+def psi(mf, theta, model, d, rows):
+    """Per-row psi at theta on ``rows``, with the model's predictions there."""
+    b = Block.of(model, d, rows)
+    return mf.psi_eta(theta, b.eta, b.y, b.g)
+
+
 def test_mse_single_row_value():
     d = dataset_from([2.0, 2.0])
     mf = builtin_moment("mse")
-    psi = mf.psi(np.array([1.0]), ConstantModel(0.0), d, np.array([0]))
-    assert psi[0, 0] == 3.0  # (2-0)^2 - 1
+    values = psi(mf, np.array([1.0]), ConstantModel(0.0), d, np.array([0]))
+    assert values[0, 0] == 3.0  # (2-0)^2 - 1
 
 
 def test_classify_prob_zero_at_rate():
     d = dataset_from([1.0, 0.0])
     mf = builtin_moment("classify_prob")
-    psi = mf.psi(np.array([0.7]), ConstantModel(0.7), d, np.array([0]))
-    np.testing.assert_allclose(psi[0, 0], 0.0, atol=1e-15)
+    values = psi(mf, np.array([0.7]), ConstantModel(0.7), d, np.array([0]))
+    np.testing.assert_allclose(values[0, 0], 0.0, atol=1e-15)
 
 
 def test_covariance_zero_predictor_degenerate():
     # eta == 0 makes every psi value equal to -theta: zero variance trigger
     d = dataset_from([1.0, -1.0, 2.0])
     mf = builtin_moment("covariance")
-    values = mf.psi(np.array([0.0]), ConstantModel(0.0), d, ALL_ROWS(d))
+    values = psi(mf, np.array([0.0]), ConstantModel(0.0), d, ALL_ROWS(d))
     assert np.all(values == 0.0)
-
-
-def test_empirical_mean_and_linearity():
-    d = dataset_from([1.0, 1.0])
-    mf = builtin_moment("mse")
-    em0 = empirical(mf, np.array([0.0]), ConstantModel(0.0), d, ALL_ROWS(d))
-    np.testing.assert_allclose(em0.value, [1.0])
-    # average-type linearity: empirical(theta) = empirical(0) - theta
-    em2 = empirical(mf, np.array([0.4]), ConstantModel(0.0), d, ALL_ROWS(d))
-    np.testing.assert_allclose(em2.value, em0.value - 0.4)
-
-
-def test_empirical_empty_subset():
-    d = dataset_from([1.0, 2.0])
-    with pytest.raises(EmptySubset):
-        empirical(builtin_moment("mse"), np.array([0.0]), ConstantModel(0.0), d, [])
 
 
 def test_linreg_moment_exact_fit():
@@ -66,8 +57,8 @@ def test_linreg_moment_exact_fit():
     d = dataset_from(2.0 * x + 1.0, x)
     mf = builtin_moment("linreg_on_eta")
     eta = FixedFunctionModel(lambda z: z[:, 0])
-    em = empirical(mf, np.array([1.0, 2.0]), eta, d, ALL_ROWS(d))
-    np.testing.assert_allclose(em.value, [0.0, 0.0], atol=1e-12)
+    mean = psi(mf, np.array([1.0, 2.0]), eta, d, ALL_ROWS(d)).mean(axis=0)
+    np.testing.assert_allclose(mean, [0.0, 0.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["mse", "classify_prob", "covariance", "linreg_on_eta", "group_mse_gap"])
@@ -82,7 +73,8 @@ def test_jacobian_matches_finite_differences(name):
     model = FixedFunctionModel(lambda z: 0.3 + 0.5 * z[:, 0])
     theta = 0.1 + 0.2 * np.arange(1, mf.dim + 1)
     rows = ALL_ROWS(d)
-    analytic = mf.jac_rows(theta, model, d, rows).mean(axis=0)
+    b = Block.of(model, d, rows)
+    analytic = mf.jac_rows_eta(theta, b.eta, b.y, b.g).mean(axis=0)
     # central finite differences of the mean psi
     fd = np.empty((mf.dim, mf.dim))
     for j in range(mf.dim):
@@ -90,7 +82,7 @@ def test_jacobian_matches_finite_differences(name):
         hi, lo = theta.copy(), theta.copy()
         hi[j] += step
         lo[j] -= step
-        fd[:, j] = (mf.psi(hi, model, d, rows).mean(0) - mf.psi(lo, model, d, rows).mean(0)) / (2 * step)
+        fd[:, j] = (psi(mf, hi, model, d, rows).mean(0) - psi(mf, lo, model, d, rows).mean(0)) / (2 * step)
     np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-6)
 
 

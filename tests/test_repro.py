@@ -52,7 +52,7 @@ def test_d1_reduction_matches_direct_formula():
     theta = est.theta_hat
     g = []
     for m in range(plan.M):
-        acc = [mf.psi(theta, models[(m, k)], d, rows).mean()
+        acc = [mf.psi_eta(theta, models[(m, k)].predict(d.x[rows]), d.y[rows]).mean()
                for k, rows in enumerate(plan.repetitions[m])]
         g.append(np.mean(acc))
     direct = np.mean(np.square(g)) / comps.sigma_hat_eta**2

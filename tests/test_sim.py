@@ -1,5 +1,7 @@
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from splitinfer.sim import (
 )
 from splitinfer.splits import generate_plan
 from splitinfer.zestim import solve
+from test_cli import python_env
 
 
 def test_nearest_pd_idempotent_and_identity_on_pd():
@@ -188,3 +191,23 @@ def test_run_grid_records_failures(tmp_path):
     rows = run_grid(grid, methods_registry={"boom": boom}, resume=False)
     assert len(rows) == 2
     assert all("synthetic failure" in r["error"] for r in rows)
+
+
+LAYERING_SCRIPT = """
+import sys
+from splitinfer.sim import ExperimentGrid, run_grid
+grid = ExperimentGrid(dgp={"kind": "gauss_linear"}, n_list=(40,), K_list=(2,), M=1,
+                      methods=("estimate", "compare"), iterations=1, seed=3,
+                      out_csv=sys.argv[1], extra={"oracle_rows": 200})
+rows = run_grid(grid)
+assert [row["error"] for row in rows] == ["", ""], rows
+print("splitinfer.cli" in sys.modules)
+"""
+
+
+def test_run_grid_does_not_import_the_cli(tmp_path):
+    """The grid's method runners live in ``sim``; running a grid needs no CLI."""
+    proc = subprocess.run([sys.executable, "-c", LAYERING_SCRIPT, str(tmp_path / "grid.csv")],
+                          capture_output=True, text=True, env=python_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -3,12 +3,12 @@ import pytest
 
 from splitinfer.data import Dataset, Roles
 from splitinfer.errors import NoConvergence
-from splitinfer.evaluation import evaluate
+from splitinfer.evaluation import Block, evaluate
 from splitinfer.learners import ConstantModel, FixedFunctionModel, builtin, train_all
 from splitinfer.moments import MomentFunction, builtin_moment
 from splitinfer.rng import substream
 from splitinfer.splits import enumerate_pairs, generate_plan
-from splitinfer.zestim import newton_solve, per_split_estimates, solve, solve_fullsample
+from splitinfer.zestim import newton_solve, per_split_estimates, solve, solve_blocks
 
 
 def identity_models(plan):
@@ -140,14 +140,14 @@ def test_fullsample_mse_of_mean_is_biased_variance():
     values = np.array([1.0, 4.0, 2.0, 8.0, 5.0])
     d = Dataset({"y": values, "x": np.zeros(5)}, Roles("y", ("x",)))
     base = builtin("mean").train(d)
-    theta = solve_fullsample(builtin_moment("mse"), base, d)
+    theta = solve_blocks(builtin_moment("mse"), [Block.of(base, d)])[0]
     np.testing.assert_allclose(theta, [np.mean((values - values.mean()) ** 2)])
 
 
 def test_fullsample_constant_outcome_zero_mse():
     d = Dataset({"y": np.full(5, 2.0), "x": np.zeros(5)}, Roles("y", ("x",)))
     base = builtin("mean").train(d)
-    theta = solve_fullsample(builtin_moment("mse"), base, d)
+    theta = solve_blocks(builtin_moment("mse"), [Block.of(base, d)])[0]
     np.testing.assert_allclose(theta, [0.0], atol=1e-15)
 
 
@@ -155,7 +155,7 @@ def test_fullsample_classify_prob_brute_force():
     y = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
     d = Dataset({"y": y, "x": np.zeros(6)}, Roles("y", ("x",)))
     base = builtin("mean").train(d)
-    theta = solve_fullsample(builtin_moment("classify_prob"), base, d)
+    theta = solve_blocks(builtin_moment("classify_prob"), [Block.of(base, d)])[0]
     ybar = y.mean()
     brute = np.mean([ybar if yi == 1 else 1 - ybar for yi in y])
     np.testing.assert_allclose(theta, [brute])
