@@ -8,7 +8,11 @@ eval/train, eval/eval), each centered at its own block mean. For average-type
 moments the per-row values are the f evaluations themselves; general scalar
 moments go through the asymptotically linear (influence) representation
 -J^{-1} psi per row. Intersections with fewer than two rows contribute zero
-and are counted.
+and are counted. The block sums are S x S matrix products accumulated over
+chunks of rows, so no (splits x n) array is ever held: each chunk fills one
+(4S x rows) buffer of complement-weighted base values, complement and eval
+indicators and split values, whose products give every cross sum, row sum
+and intersection count (see ``sigma_from_values``).
 
 Everything is computed from one ``Evaluations`` (see
 ``evaluation.evaluate``): the out-of-fold predictions of every split and the
@@ -134,45 +138,86 @@ def _split_values(mf, ev: Evaluations, per_split_thetas, h: DeltaSpec):
 # covariance assembly
 
 
-def _cross_blocks(mask1, vals1, mask2, vals2):
-    """Blockwise centered cross sums over pairwise row intersections.
+# rows per chunk times splits: a chunk's four (S x rows) operand blocks hold
+# 4 * _CHUNK_TERMS float64 values (4 MiB), whatever the plan. Keep it small:
+# at 1 << 19 the gates benchmark's peak RSS rose from 90 to 103 MB.
+_CHUNK_TERMS = 1 << 17
 
-    Returns (centered_sums, counts), both (S, S). Entry (j, l) is
-    sum_{i in I} (a_i - mean_I a)(b_i - mean_I b) with I the intersection of
-    mask1 row j and mask2 row l; entries with |I| < 2 are zero.
-    """
-    a = mask1 * vals1
-    b = mask2 * vals2
-    s_ab = a @ b.T
-    s_a = a @ mask2.T
-    s_b = mask1 @ b.T
-    cnt = mask1 @ mask2.T
+
+def _centered(s_ab, s_a, s_b, cnt):
+    """Centered cross sums s_ab - s_a s_b / cnt; zero where cnt < 2."""
     ok = cnt >= 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        centered = np.where(ok, s_ab - s_a * s_b / np.where(ok, cnt, 1.0), 0.0)
-    return centered, cnt
+        return np.where(ok, s_ab - s_a * s_b / np.where(ok, cnt, 1.0), 0.0)
+
+
+def _sorted_split_values(eval_sets, n, vals_split, vals_base):
+    """Each split's rows in increasing order with its values
+    tilde_j = v[rows] - (n / |rows|) vals_j on them."""
+    out = []
+    for rows, vals in zip(eval_sets, vals_split, strict=True):
+        tilde = vals_base[rows] - (n / rows.size) * np.asarray(vals)
+        if np.any(rows[1:] < rows[:-1]):
+            order = np.argsort(rows, kind="stable")
+            rows, tilde = rows[order], tilde[order]
+        out.append((rows, tilde))
+    return out
 
 
 def sigma_from_values(eval_sets, n: int, vals_split, vals_base) -> SigmaHat:
     """Covariance of sqrt(n) * (per-split mean - full-sample baseline mean).
 
     ``vals_split`` yields the j-th split's values on its own evaluation rows
-    (in row order), j in plan order; it may be a generator, so the values of
-    all splits need not be held at once. ``vals_base`` holds the baseline
-    values for all n rows.
-    """
-    n_splits = len(eval_sets)
-    emask = np.zeros((n_splits, n))
-    tilde = np.zeros((n_splits, n))
-    for j, (rows, vals) in enumerate(zip(eval_sets, vals_split, strict=True)):
-        emask[j, rows] = 1.0
-        tilde[j, rows] = vals_base[rows] - (n / rows.size) * np.asarray(vals)
-    cmask = 1.0 - emask
-    base = np.broadcast_to(vals_base, (n_splits, n))
+    (in the order of ``eval_sets[j]``), j in plan order; it may be a
+    generator, so the values of all splits need not be held at once.
+    ``vals_base`` holds the baseline values for all n rows.
 
-    t1, c1 = _cross_blocks(cmask, base, cmask, base)
-    t2, c2 = _cross_blocks(cmask, base, emask, tilde)
-    t4, c4 = _cross_blocks(emask, tilde, emask, tilde)
+    With E the (S x n) eval-row indicator, C = 1 - E its complement, T the
+    split values (zero off each split's eval rows) and a = C * v, the sums are
+    taken over row chunks of one (4S x rows) buffer [a; C; T; E]:
+    a [a; C; T; E]^T gives the complement/complement and complement/eval
+    cross sums and row sums, T [T; E]^T the eval/eval ones, C T^T the
+    complement/eval column sums and E E^T the intersection counts, from which
+    the other counts follow exactly.
+    """
+    splits = _sorted_split_values(eval_sets, n, vals_split, vals_base)
+    s = len(splits)
+    width = max(1, min(n, _CHUNK_TERMS // max(s, 1)))
+    buf = np.empty((4 * s, width))
+    acc_a = np.zeros((s, 4 * s))   # a [a; C; T; E]^T
+    acc_t = np.zeros((s, 2 * s))   # T [T; E]^T
+    acc_ct = np.zeros((s, s))      # C T^T
+    acc_ee = np.zeros((s, s))      # E E^T
+    t_flat, e_flat = buf[2 * s:3 * s].reshape(-1), buf[3 * s:].reshape(-1)
+    starts = np.arange(0, n, width)
+    # bounds[j, c]: where chunk c starts in split j's sorted rows
+    bounds = np.array([np.searchsorted(rows, np.append(starts, n)) for rows, _ in splits])
+    for c, r0 in enumerate(starts):
+        w = min(width, n - r0)
+        chunk = buf[:, :w]
+        a, cm, t, e = (chunk[i * s:(i + 1) * s] for i in range(4))
+        chunk[2 * s:].fill(0.0)
+        lo, hi = bounds[:, c].tolist(), bounds[:, c + 1].tolist()
+        pos = np.concatenate([rows[i:k] for (rows, _), i, k in zip(splits, lo, hi)])
+        pos += np.repeat(np.arange(s) * width - r0, bounds[:, c + 1] - bounds[:, c])
+        t_flat[pos] = np.concatenate([tilde[i:k] for (_, tilde), i, k in zip(splits, lo, hi)])
+        e_flat[pos] = 1.0
+        np.subtract(1.0, e, out=cm)
+        np.multiply(cm, vals_base[r0:r0 + w], out=a)
+        acc_a += a @ chunk.T
+        acc_t += t @ chunk[2 * s:].T
+        acc_ct += cm @ t.T
+        acc_ee += e @ e.T
+
+    size = np.diag(acc_ee)
+    c4 = acc_ee
+    c2 = size[None, :] - acc_ee                          # |C_j & E_l|
+    c1 = n - size[:, None] - size[None, :] + acc_ee      # |C_j & C_l|
+    s_a1, s_a2 = acc_a[:, s:2 * s], acc_a[:, 3 * s:]
+    s_a4 = acc_t[:, s:]
+    t1 = _centered(acc_a[:, :s], s_a1, s_a1.T, c1)
+    t2 = _centered(acc_a[:, 2 * s:3 * s], s_a2, acc_ct, c2)
+    t4 = _centered(acc_t[:, :s], s_a4, s_a4.T, c4)
     total = (t1 + t2 + t2.T + t4) / n
 
     degenerate = int(((c1 < 2) & (c1 > 0)).sum() + ((c2 < 2) & (c2 > 0)).sum()

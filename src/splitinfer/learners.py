@@ -113,16 +113,15 @@ class TreeModel(Model):
 
     def predict(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = np.empty(x.shape[0])
-        for i, row in enumerate(x):
-            node = 0
-            while self.feature[node] >= 0:
-                if row[self.feature[node]] <= self.threshold[node]:
-                    node = self.left[node]
-                else:
-                    node = self.right[node]
-            out[i] = self.value[node]
-        return out
+        # all rows descend one level per pass; a row at a leaf drops out
+        node = np.zeros(x.shape[0], dtype=np.intp)
+        active = np.flatnonzero(self.feature[node] >= 0)
+        while active.size:
+            at = node[active]
+            go_left = x[active, self.feature[at]] <= self.threshold[at]
+            node[active] = np.where(go_left, self.left[at], self.right[at])
+            active = active[self.feature[node[active]] >= 0]
+        return self.value[node]
 
 
 class AveragedModel(Model):

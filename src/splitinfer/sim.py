@@ -383,8 +383,7 @@ def _grid_gates(grid, n, K, cell_index, iteration):
     seed = derived_seed(grid.seed, cell_index, iteration)
     dgp = HteDGP(hte_mode=grid.dgp.get("mode", "predictable"))
     d = hte_sample(dgp, n, derived_seed(seed, 0))
-    learners = tuple(gates_mod.CateLearner(builtin(name))
-                     for name in grid.extra.get("gates_learners", ("ols", "ridge(1.0)")))
+    learners = tuple(gates_mod.CateLearner(builtin(name)) for name in ("ols", "ridge(1.0)"))
     cfg = gates_mod.GatesConfig(learners=learners, M=grid.M, K=K)
     result, _, _ = gates_mod.run_gates(cfg, d, seed=derived_seed(seed, 1))
     return {"estimate": result.delta_hat, "se": result.delta_se,

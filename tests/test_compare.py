@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from splitinfer import compare as compare_mod
 from splitinfer.compare import (
     SigmaHat,
     compare_models,
@@ -74,6 +77,104 @@ def test_sigma_constant_values_zero():
     base = np.ones(10)
     sig = sigma_from_values(eval_sets, 10, vals, base)
     np.testing.assert_allclose(sig.matrix, 0.0, atol=1e-12)
+
+
+def sigma_reference(eval_sets, n, vals, base):
+    """Sigma by explicit row intersections: for every pair of splits, the four
+    centered cross sums over complement/eval row intersections, then the same
+    symmetrization and PSD projection as ``sigma_from_values``."""
+    s = len(eval_sets)
+    masks, tildes = [], []
+    for rows, v in zip(eval_sets, vals):
+        mask = np.zeros(n, dtype=bool)
+        mask[rows] = True
+        tilde = np.zeros(n)
+        tilde[rows] = base[rows] - (n / len(rows)) * np.asarray(v)
+        masks.append(mask)
+        tildes.append(tilde)
+
+    def centered(rows, x, y):
+        if rows.size < 2:
+            return 0.0
+        return float(((x[rows] - x[rows].mean()) * (y[rows] - y[rows].mean())).sum())
+
+    total = np.zeros((s, s))
+    degenerate = 0
+    for j in range(s):
+        for l in range(s):
+            cc = np.flatnonzero(~masks[j] & ~masks[l])
+            ce = np.flatnonzero(~masks[j] & masks[l])
+            ec = np.flatnonzero(masks[j] & ~masks[l])
+            ee = np.flatnonzero(masks[j] & masks[l])
+            total[j, l] = (centered(cc, base, base) + centered(ce, base, tildes[l])
+                           + centered(ec, tildes[j], base)
+                           + centered(ee, tildes[j], tildes[l])) / n
+            degenerate += sum(rows.size == 1 for rows in (cc, ce, ee))
+    total = 0.5 * (total + total.T)
+    eigval, eigvec = np.linalg.eigh(total)
+    projected = bool(eigval.min() < -1e-14 * max(eigval.max(), 1.0))
+    if projected:
+        total = (eigvec * np.maximum(eigval, 0.0)) @ eigvec.T
+        total = 0.5 * (total + total.T)
+    return SigmaHat(total, projected, degenerate)
+
+
+def sigma_cases():
+    rng = substream(99)
+    n = 37
+    base = rng.standard_normal(n) ** 2
+    k3 = generate_plan(n, M=2, K=3, seed=1).eval_sets()
+    k1 = generate_plan(n, M=4, K=1, b=20, seed=2).eval_sets()
+    shuffled = list(k3)
+    shuffled[1] = rng.permutation(shuffled[1])
+    tiny = [np.array([0, 1, 2]), np.array([2, 3]), np.arange(3, n - 1), np.arange(1, n)]
+    cases = {"k3": k3, "k1_subsample": k1, "duplicates": [k3[0], k3[0], k3[1]],
+             "shuffled": shuffled, "singletons": tiny}
+    return {name: (sets, [base[rows] + 0.3 * rng.standard_normal(len(rows)) for rows in sets],
+                   base) for name, sets in cases.items()}
+
+
+@pytest.mark.parametrize("name", sorted(sigma_cases()))
+def test_sigma_matches_intersection_reference(name):
+    eval_sets, vals, base = sigma_cases()[name]
+    got = sigma_from_values(eval_sets, base.size, iter(vals), base)
+    want = sigma_reference(eval_sets, base.size, vals, base)
+    np.testing.assert_allclose(got.matrix, want.matrix, rtol=1e-12,
+                               atol=1e-12 * np.abs(want.matrix).max())
+    assert got.psd_projected == want.psd_projected
+    assert got.degenerate_blocks == want.degenerate_blocks
+    if name == "singletons":
+        assert got.degenerate_blocks > 0
+
+
+@pytest.mark.parametrize("name", sorted(sigma_cases()))
+def test_sigma_does_not_depend_on_chunk_size(name, monkeypatch):
+    eval_sets, vals, base = sigma_cases()[name]
+    s = len(eval_sets)
+    results = []
+    for terms in (s, 7 * s, compare_mod._CHUNK_TERMS):
+        monkeypatch.setattr(compare_mod, "_CHUNK_TERMS", terms)
+        results.append(sigma_from_values(eval_sets, base.size, vals, base))
+    for sig in results[1:]:
+        np.testing.assert_allclose(sig.matrix, results[0].matrix, rtol=1e-12,
+                                   atol=1e-12 * np.abs(results[0].matrix).max())
+        assert sig.psd_projected == results[0].psd_projected
+        assert sig.degenerate_blocks == results[0].degenerate_blocks
+
+
+def test_sigma_memory_stays_below_one_splits_by_rows_array():
+    n = 40_000
+    eval_sets = generate_plan(n, M=20, K=3, seed=3).eval_sets()
+    rng = substream(8)
+    base = rng.standard_normal(n)
+    vals = [rng.standard_normal(len(rows)) for rows in eval_sets]
+    tracemalloc.start()
+    try:
+        sigma_from_values(eval_sets, n, vals, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(eval_sets) * n * 8
 
 
 def test_sigma_oracle_m1_k2():

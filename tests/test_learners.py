@@ -94,6 +94,39 @@ def test_tree_fits_step_function():
     np.testing.assert_allclose(model.predict(d.x), y)
 
 
+def tree_walk(model, x):
+    """One row at a time from the root: left when x <= threshold (so NaN goes
+    right), until a leaf."""
+    out = np.empty(x.shape[0])
+    for i, row in enumerate(x):
+        node = 0
+        while model.feature[node] >= 0:
+            if row[model.feature[node]] <= model.threshold[node]:
+                node = model.left[node]
+            else:
+                node = model.right[node]
+        out[i] = model.value[node]
+    return out
+
+
+@pytest.mark.parametrize("depth", [1, 3, 6])
+def test_tree_predict_matches_row_walk(depth):
+    rng = substream(40 + depth)
+    x = rng.integers(0, 5, (200, 3)) + 0.5 * rng.integers(0, 2, (200, 3))
+    d = Dataset({"y": rng.standard_normal(200), "a": x[:, 0], "b": x[:, 1], "c": x[:, 2]},
+                Roles("y", ("a", "b", "c")))
+    model = builtin(f"tree({depth})").train(d)
+    assert np.any(model.feature >= 0)
+    # rows that sit exactly on the thresholds, grid rows, and NaN entries
+    split = model.feature >= 0
+    on_thr = np.tile(rng.choice(x.ravel(), (1, 3)), (split.sum(), 1))
+    on_thr[np.arange(split.sum()), model.feature[split]] = model.threshold[split]
+    query = np.vstack([x, on_thr, rng.integers(0, 5, (50, 3)).astype(float)])
+    query[rng.random(query.shape) < 0.1] = np.nan
+    np.testing.assert_array_equal(model.predict(query), tree_walk(model, query))
+    assert model.predict(np.empty((0, 3))).shape == (0,)
+
+
 def test_logistic_learner_probabilities():
     rng = substream(7)
     x = rng.standard_normal(300)
