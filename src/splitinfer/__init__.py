@@ -46,7 +46,6 @@ from .gates import CateLearner, GatesConfig, baselines, ensemble_predict, gates_
 from .sim import (
     CopulaDGP,
     ExperimentGrid,
-    HteDGP,
     copula_sample,
     estimand_oracle,
     hte_sample,

@@ -26,15 +26,14 @@ from .zestim import ZEstimate
 class AdaptiveConfig:
     """Tuning for the adaptive CI.
 
-    gamma_n defaults to c_gamma / n. The default scale constant c_gamma is
-    data-driven (a quarter of the squared delta-method standard deviation on
-    the h scale), which makes the gate switch on about half a standard error
-    away from the estimate; for strict prespecification supply c_gamma
-    explicitly before looking at the data.
+    The gate threshold is gamma_n = c_gamma / n. The default scale constant
+    c_gamma is data-driven (a quarter of the squared delta-method standard
+    deviation on the h scale), which makes the gate switch on about half a
+    standard error away from the estimate; for strict prespecification supply
+    c_gamma explicitly before looking at the data.
     """
 
     c_gamma: float | None = None
-    gamma_n: float | None = None
     grid_points: int = 2001
     alpha: float = 0.05
 
@@ -93,13 +92,12 @@ def gate(mf: MomentFunction, ev: Evaluations, tau: float, gamma_n: float):
 
 
 def adaptive_ci(mf: MomentFunction, ev: Evaluations, estimate: ZEstimate,
-                cfg: AdaptiveConfig | None = None, alpha: float | None = None) -> AdaptiveCI:
+                cfg: AdaptiveConfig | None = None) -> AdaptiveCI:
     """Grid inversion of the gated test for a one-dimensional moment."""
     if mf.dim != 1:
         raise ValueError("adaptive_ci needs a one-dimensional moment (reduce first)")
     cfg = cfg or AdaptiveConfig()
-    if alpha is None:
-        alpha = cfg.alpha
+    alpha = cfg.alpha
     n = ev.plan.n
     theta = float(estimate.theta_hat[0])
 
@@ -116,11 +114,8 @@ def adaptive_ci(mf: MomentFunction, ev: Evaluations, estimate: ZEstimate,
         flags["zero_variance"] = True
 
     scale = se if se > 0.0 else (float(np.ptp(ev.d.y)) or 1.0) / np.sqrt(n)
-    if cfg.gamma_n is not None:
-        gamma_n = float(cfg.gamma_n)
-    else:
-        c_gamma = cfg.c_gamma if cfg.c_gamma is not None else 0.25 * (scale * np.sqrt(n)) ** 2
-        gamma_n = c_gamma / n
+    c_gamma = cfg.c_gamma if cfg.c_gamma is not None else 0.25 * (scale * np.sqrt(n)) ** 2
+    gamma_n = c_gamma / n
     flags["gamma_n"] = gamma_n
 
     pooled_fn = _pooled_moment_fn(mf, ev)

@@ -5,6 +5,11 @@ run is driven by a JSON config (schema-validated, unknown keys rejected) plus
 a handful of overriding flags; every report embeds the resolved config and the
 master seed, is schema-versioned, and is written atomically. Exit codes:
 0 success, 1 usage/config error, 2 runtime failure.
+
+Data come from a CSV (``data.path``) or from a synthetic generator
+(``data.synthetic``: any kind of ``sim.dgp_sampler``, i.e. "base",
+"linear_cate", "gauss_linear", "copula" or "hte", plus ``n`` and ``seed``;
+default: 400 rows of "base" with seed 0).
 """
 
 from __future__ import annotations
@@ -81,9 +86,9 @@ def resolve_config(config: dict, args) -> dict:
 
 
 def _resolve_names(config: dict) -> None:
-    """Resolve every moment, reduction, learner, grid method and DGP name now,
-    so that a bad one is a config error with its JSON pointer, not a failure
-    mid-run."""
+    """Resolve every moment, reduction, learner, grid method and data
+    generator now, so that a bad one is a config error with its JSON pointer,
+    not a failure mid-run."""
     mf = _resolved("/moment", builtin_moment, config["moment"])
     _resolved("/h", named_reduction, config["h"], mf.dim)
     learners = {"/learner": config["learner"]}
@@ -92,12 +97,14 @@ def _resolve_names(config: dict) -> None:
                     if key in ("baseline", "against_learner"))
     for pointer, name in learners.items():
         _resolved(pointer, builtin, name)
+    _resolved("/data/synthetic", sim.dgp_sampler,
+              (config.get("data") or {}).get("synthetic", {}), "base")
     sim_cfg = config.get("simulate")
     if sim_cfg is not None:
         for i, method in enumerate(sim_cfg["methods"]):
             if method not in sim.METHOD_RUNNERS:
                 raise ConfigInvalid(f"/simulate/methods/{i}", f"unknown grid method {method!r}")
-        _resolved("/simulate/dgp", sim.grid_sampler, sim_cfg.get("dgp", {}))
+        _resolved("/simulate/dgp", sim.dgp_sampler, sim_cfg.get("dgp", {}))
 
 
 def _resolved(pointer: str, resolve, *args):
@@ -105,7 +112,7 @@ def _resolved(pointer: str, resolve, *args):
         return resolve(*args)
     except ConfigInvalid:
         raise
-    except (SplitInferError, ValueError, TypeError) as exc:
+    except (SplitInferError, ValueError) as exc:
         raise ConfigInvalid(pointer, str(exc)) from None
 
 
@@ -118,22 +125,8 @@ def build_dataset(config: dict):
             missing_policy=data_cfg.get("missing_policy", "strict"),
             missing_values=tuple(data_cfg.get("missing_values", ("", "NA"))),
         )
-    synth = data_cfg.get("synthetic", {"kind": "base", "n": 400, "seed": 0})
-    kind = synth.get("kind", "base")
-    n = int(synth.get("n", 400))
-    seed = int(synth.get("seed", 0))
-    if kind == "base":
-        return sim.synthetic_base(n=n, seed=seed)
-    if kind == "copula":
-        base = sim.synthetic_base(n=max(n, 200), seed=derived_seed(seed, 10))
-        dgp = sim.CopulaDGP(base, mode=synth.get("mode", "asis"),
-                            outcome_p=float(synth.get("outcome_p", 0.07)))
-        return sim.copula_sample(dgp, n, seed)
-    if kind == "hte":
-        return sim.hte_sample(sim.HteDGP(hte_mode=synth.get("mode", "predictable")), n, seed)
-    if kind == "linear_cate":
-        return sim.linear_cate_sample(n, seed)
-    raise ConfigInvalid("/data/synthetic/kind", f"unknown synthetic kind {kind!r}")
+    synth = data_cfg.get("synthetic", {})
+    return sim.dgp_sampler(synth, "base")(int(synth.get("n", 400)), int(synth.get("seed", 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +251,7 @@ def run_simulate(config: dict) -> dict:
     sim_cfg = config["simulate"]
     csv_path = sim_cfg.get("csv_path") or (config.get("output", {}).get("path", "grid") + ".csv")
     grid = sim.ExperimentGrid(
-        dgp=sim_cfg.get("dgp", {"kind": "gauss_linear"}),
+        dgp=sim_cfg.get("dgp", {}),
         n_list=tuple(sim_cfg["n_list"]),
         K_list=tuple(sim_cfg["K_list"]),
         M=config["plan"]["M"],
@@ -266,10 +259,10 @@ def run_simulate(config: dict) -> dict:
         iterations=sim_cfg["iterations"],
         seed=config["plan"]["seed"],
         out_csv=csv_path,
-        extra={"learner": config.get("learner", "ols"),
-               "moment": config.get("moment", "mse"),
-               "alpha": config.get("alpha", 0.05),
-               "oracle_rows": sim_cfg.get("oracle_rows", 50_000)},
+        learner=config["learner"],
+        moment=config["moment"],
+        alpha=config["alpha"],
+        **({"oracle_rows": sim_cfg["oracle_rows"]} if "oracle_rows" in sim_cfg else {}),
     )
     rows = sim.run_grid(grid)
     return {

@@ -233,12 +233,11 @@ def sigma_from_values(eval_sets, n: int, vals_split, vals_base) -> SigmaHat:
     return SigmaHat(matrix=total, psd_projected=projected, degenerate_blocks=degenerate)
 
 
-def delta_vector(mf: MomentFunction, ev: Evaluations, h: DeltaSpec = IDENTITY,
-                 tol=1e-10) -> DeltaVector:
+def delta_vector(mf: MomentFunction, ev: Evaluations, h: DeltaSpec = IDENTITY) -> DeltaVector:
     """Per-split estimates minus the whole-sample baseline estimate."""
     if ev.baseline is None:
         raise ValueError("the comparison needs evaluations with a baseline model")
-    return _gaps(h, per_split_estimates(mf, ev, tol=tol), solve_blocks(mf, [ev.baseline], tol)[0])
+    return _gaps(h, per_split_estimates(mf, ev), solve_blocks(mf, [ev.baseline])[0])
 
 
 def _gaps(h: DeltaSpec, per_split_thetas, theta_b) -> DeltaVector:
@@ -249,13 +248,13 @@ def _gaps(h: DeltaSpec, per_split_thetas, theta_b) -> DeltaVector:
 
 
 def sigma_hat(mf: MomentFunction, ev: Evaluations, h: DeltaSpec = IDENTITY,
-              tol=1e-10, delta: DeltaVector | None = None) -> SigmaHat:
+              delta: DeltaVector | None = None) -> SigmaHat:
     """Block estimate of the covariance of the sqrt(n)-scaled gap vector.
 
     ``delta`` reuses the estimates of an earlier :func:`delta_vector` call.
     """
     if delta is None:
-        delta = delta_vector(mf, ev, h, tol)
+        delta = delta_vector(mf, ev, h)
     vals_base = _influence_rows(mf, ev.baseline, delta.theta_b, h.gradient(delta.theta_b))
     return sigma_from_values(ev.plan.eval_sets(), ev.plan.n,
                              _split_values(mf, ev, delta.per_split_thetas, h), vals_base)
@@ -358,17 +357,17 @@ def sigma_delta_hat(mf: MomentFunction, ev: Evaluations, theta_pooled, theta_b,
 
 def compare_models(mf: MomentFunction, ev: Evaluations, h: DeltaSpec = IDENTITY,
                    alpha: float = 0.05, mc_draws: int = 100_000, seed: int = 0,
-                   slack: float = 0.0, tol: float = 1e-10) -> ComparisonResult:
+                   slack: float = 0.0) -> ComparisonResult:
     """Full comparison pipeline: gaps, covariance, test, pre-tested CI.
 
     ``ev`` must carry the baseline's predictions (``evaluate(..., baseline=)``).
     """
     n = ev.plan.n
-    delta = delta_vector(mf, ev, h, tol)
-    sigma = sigma_hat(mf, ev, h, tol, delta)
+    delta = delta_vector(mf, ev, h)
+    sigma = sigma_hat(mf, ev, h, delta)
     test = one_sided_test(delta.deltas, sigma, n, alpha, mc_draws, seed, slack)
 
-    pooled = solve(2, mf, ev, tol=tol)
+    pooled = solve(2, mf, ev)
     point = float(h.h(pooled.theta_hat)) - delta.h_baseline
     sd, clamped = sigma_delta_hat(mf, ev, pooled.theta_hat, delta.theta_b, h)
     ci_normal, ci_ext, ci_final = comparison_ci(point, sd, n, test.reject, alpha)
@@ -425,17 +424,16 @@ def _pooled_row_values(mf, ev: Evaluations, theta_pooled, h) -> np.ndarray:
 def compare_two_learners(mf: MomentFunction, plan: SplitPlan, d: Dataset,
                          learner_a, learner_b, seed: int = 0,
                          h: DeltaSpec = IDENTITY, alpha: float = 0.05,
-                         mc_draws: int = 100_000, slack: float = 0.0,
-                         tol: float = 1e-10) -> TwoLearnerComparison:
+                         mc_draws: int = 100_000, slack: float = 0.0) -> TwoLearnerComparison:
     """Directional comparisons of two learners trained on identical splits."""
     evs = [evaluate(train_all(plan, d, learner, derived_seed(seed, i)), plan, d)
            for i, learner in enumerate((learner_a, learner_b))]
-    thetas = [solve(2, mf, ev, tol=tol).theta_hat for ev in evs]
+    thetas = [solve(2, mf, ev).theta_hat for ev in evs]
 
     results = []
     for direction in (0, 1):  # a against pooled b, then b against pooled a
         ev_split, ev_other, theta_other = evs[direction], evs[1 - direction], thetas[1 - direction]
-        delta = _gaps(h, per_split_estimates(mf, ev_split, tol=tol), theta_other)
+        delta = _gaps(h, per_split_estimates(mf, ev_split), theta_other)
         vals_base = _pooled_row_values(mf, ev_other, theta_other, h)
         sigma = sigma_from_values(plan.eval_sets(), plan.n,
                                   _split_values(mf, ev_split, delta.per_split_thetas, h),

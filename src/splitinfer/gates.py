@@ -303,7 +303,7 @@ def gates_estimate(cfg: GatesConfig, d: Dataset, fit: EnsembleFit) -> GatesResul
     )
 
 
-def het_test(cfg: GatesConfig, d: Dataset, fit: EnsembleFit, alpha: float | None = None,
+def het_test(cfg: GatesConfig, d: Dataset, fit: EnsembleFit,
              mc_draws: int = 20_000, seed: int = 0) -> HetTestResult:
     """One-sided test comparing fold-level calibration fit against no-signal.
 
@@ -312,7 +312,6 @@ def het_test(cfg: GatesConfig, d: Dataset, fit: EnsembleFit, alpha: float | None
     beating the baseline by more than sampling noise indicates detectable
     heterogeneity.
     """
-    alpha = cfg.alpha if alpha is None else alpha
     p = fit.propensity
     w = 1.0 / (p * (1.0 - p))
     controls = _controls_matrix(cfg, d, p)
@@ -336,7 +335,7 @@ def het_test(cfg: GatesConfig, d: Dataset, fit: EnsembleFit, alpha: float | None
     if float(base_sq.var()) == 0.0:
         raise ZeroDiagonal("outcome is deterministic given controls; MSR variance is zero")
     sigma = sigma_from_values(eval_sets, d.n, split_sq, base_sq)
-    test = one_sided_test(msr_splits - msr_base, sigma, d.n, alpha, mc_draws, seed)
+    test = one_sided_test(msr_splits - msr_base, sigma, d.n, cfg.alpha, mc_draws, seed)
     return HetTestResult(msr_splits=msr_splits, msr_baseline=msr_base, test=test)
 
 

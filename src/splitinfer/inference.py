@@ -8,24 +8,22 @@ h(theta) +/- z_{1-alpha/2} * sigma / sqrt(n).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 from .errors import SingularJacobian, ZeroVariance
 from .evaluation import Evaluations, pool
 from .moments import MomentFunction
 from .zestim import ZEstimate
 
-
-def norm_ppf(q):
-    return special.ndtri(q)
-
-
-def norm_cdf(x):
-    return special.ndtr(x)
+# the standard normal quantile and CDF (elementwise), from the standard library
+# so that importing the CLI does not load scipy
+norm_ppf = NormalDist().inv_cdf
+norm_cdf = np.vectorize(lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)), otypes=[np.float64])
 
 
 @dataclass(frozen=True)

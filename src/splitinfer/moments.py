@@ -32,14 +32,14 @@ class MomentFunction:
     ----------
     dim : parameter/moment dimension d.
     smooth : whether psi is differentiable in theta.
-    average_type : True when psi has the form f(w, eta) - theta, in which
-        case Z-estimation reduces to averaging f.
+
+    A moment of the form psi = f(eta, y) - theta subclasses ``AverageMoment``;
+    the solvers dispatch on that class and reduce Z-estimation to averaging f.
     """
 
     name = "custom"
     dim = 1
     smooth = True
-    average_type = False
 
     def validate(self, d: Dataset) -> None:
         """Raise IncompatibleRoles when the dataset lacks required roles."""
@@ -89,7 +89,6 @@ def _fd_jacobian(mf: MomentFunction, theta, eta, y, g) -> np.ndarray:
 class AverageMoment(MomentFunction):
     """psi = f(eta, y) - theta for a scalar f; Jacobian is -1."""
 
-    average_type = True
     dim = 1
 
     def f_eta(self, eta, y, g=None) -> np.ndarray:

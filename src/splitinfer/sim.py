@@ -1,5 +1,11 @@
 """Monte-Carlo data generators and the seeded experiment grid runner.
 
+``dgp_sampler`` is the one table from a data-generator spec (``kind`` and its
+options, typed in ``config.schema.json``) to data: the CLI's
+``data.synthetic`` and the grid's ``simulate.dgp`` both draw through it. The
+kinds are "base" (``synthetic_base``), "linear_cate", "gauss_linear", "copula"
+(over a fixed synthetic base) and "hte".
+
 The Gaussian-copula generator preserves the empirical margins and latent
 normal rank correlation of a base dataset: ranks are mapped to uniforms,
 Gaussianized, correlated draws are mapped back through each column's empirical
@@ -10,17 +16,18 @@ draws the outcome independently as Bernoulli.
 
 The treatment-effect generator is a parameterized synthetic analog of a
 zero-inflated count outcome: a logit decides zero donation, a truncated
-Poisson draws positive amounts, and the treatment shifts both pieces. The
-"shuffled" mode permutes treatment after outcomes are generated so effect
-heterogeneity exists but is unrelated to covariates. Both potential outcomes
-are kept in a ``_true_te`` oracle column.
+Poisson draws positive amounts, and the treatment shifts both pieces. Its
+design constants are fixed in ``hte_sample``. The "shuffled" mode permutes
+treatment after outcomes are generated so effect heterogeneity exists but is
+unrelated to covariates. Both potential outcomes are kept in a ``_true_te``
+oracle column.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -28,13 +35,13 @@ import numpy as np
 from . import compare as compare_mod
 from . import gates as gates_mod
 from .data import Dataset, Roles
-from .errors import ConfigInvalid, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 from .evaluation import Block, evaluate, group_codes, pool
 from .inference import normal_ci
 from .learners import builtin, train_all
 from .moments import AverageMoment, MomentFunction, builtin_moment
 from .rng import derived_seed, substream
-from .splits import SplitPlan, generate_plan
+from .splits import generate_plan
 from .zestim import newton_solve, solve
 
 
@@ -57,8 +64,9 @@ def latent_correlation(columns: list[np.ndarray]) -> np.ndarray:
     return np.atleast_2d(sigma)
 
 
-def nearest_positive_definite(sigma: np.ndarray, eps: float = 1e-10) -> np.ndarray:
-    """Eigenvalue clip plus unit-diagonal rescale; PD inputs pass through."""
+def nearest_positive_definite(sigma: np.ndarray) -> np.ndarray:
+    """Eigenvalue clip at 1e-10 plus unit-diagonal rescale; PD inputs pass through."""
+    eps = 1e-10
     sigma = 0.5 * (sigma + sigma.T)
     eigval, eigvec = np.linalg.eigh(sigma)
     if eigval.min() > eps and np.allclose(np.diag(sigma), 1.0):
@@ -86,13 +94,13 @@ class CopulaDGP:
     """Synthetic sampler that mimics a base dataset's margins and rank structure.
 
     ``sigma`` overrides the latent correlation estimated from the base
-    (ordered as the base's columns).
+    (ordered as the base's columns). The "correlated" mode triples the
+    outcome's latent correlations.
     """
 
     base: Dataset
     mode: str = "asis"  # asis | correlated | uncorrelated
     outcome_p: float = 0.07
-    correlation_boost: float = 3.0
     sigma: np.ndarray | None = None
 
     def sigma_star(self) -> np.ndarray:
@@ -104,8 +112,8 @@ class CopulaDGP:
         if self.mode == "correlated":
             out_idx = names.index(self.base.roles.outcome)
             boosted = sigma.copy()
-            boosted[out_idx, :] *= self.correlation_boost
-            boosted[:, out_idx] *= self.correlation_boost
+            boosted[out_idx, :] *= 3.0
+            boosted[:, out_idx] *= 3.0
             np.fill_diagonal(boosted, 1.0)
             sigma = nearest_positive_definite(boosted)
         else:
@@ -147,10 +155,7 @@ def copula_sample(dgp: CopulaDGP, n: int, seed: int = 0) -> Dataset:
 # ---------------------------------------------------------------------------
 # bundled synthetic base (for users without data)
 
-_BASE_SIGMA_SEED = 20240211
-
-
-def synthetic_base(n: int = 400, seed: int = _BASE_SIGMA_SEED) -> Dataset:
+def synthetic_base(n: int, seed: int) -> Dataset:
     """8 mixed-margin covariates plus a binary outcome with a fixed dependence."""
     from scipy import stats
 
@@ -179,32 +184,18 @@ def synthetic_base(n: int = 400, seed: int = _BASE_SIGMA_SEED) -> Dataset:
 # heterogeneous treatment effects
 
 
-@dataclass(frozen=True)
-class HteDGP:
-    """Zero-inflated count outcome with a covariate-driven treatment effect.
-
-    ``effect_scale`` multiplies the treatment coefficients in the
-    zero-inflation logit and ``poisson_scale`` the count intensity used in the
-    effect-probability computation (analog of the source design's 4 and 0.05).
-    ``hte_mode`` "predictable" keeps the covariate link; "shuffled" permutes
-    the treatment indicator after outcomes are drawn. Probabilities produced
-    by the effect construction are clamped to [0, 1].
-    """
-
-    n_covariates: int = 6
-    effect_scale: float = 4.0
-    poisson_scale: float = 0.05
-    hte_mode: str = "predictable"
-    zero_coef: tuple = (0.9, -0.6, 0.4, 0.0, 0.0, -0.3)
-    count_coef: tuple = (0.5, 0.4, -0.3, 0.2, 0.0, 0.0)
-    zero_intercept: float = -0.3
-    count_intercept: float = 0.6
-    treat_zero_shift: float = -0.5
-    treat_count_shift: float = 0.35
-
-
-def hte_sample(dgp: HteDGP, n: int, seed: int = 0) -> Dataset:
+def hte_sample(n: int, seed: int, mode: str = "predictable") -> Dataset:
     """Draw a randomized-trial dataset with oracle potential outcomes.
+
+    Six equicorrelated (0.2) normal covariates enter a zero-inflation logit
+    (intercept -0.3, coefficients (0.9, -0.6, 0.4, 0, 0, -0.3)) and a count
+    intensity (intercept 0.6, coefficients (0.5, 0.4, -0.3, 0.2, 0, 0)).
+    Treatment shifts the logit by -0.5 and the log intensity by 0.35, with
+    the logit's treatment terms amplified by 4 and the count intensity scaled
+    by 0.05 in the effect-probability computation (the source design's 4 and
+    0.05). Probabilities produced by the effect construction are clamped to
+    [0, 1]. ``mode`` "predictable" keeps the covariate link; "shuffled"
+    permutes the treatment indicator after outcomes are drawn.
 
     The returned dataset has roles (outcome y, treatment t, covariates) plus
     oracle columns ``_true_te`` (realized Y(1) - Y(0)), ``_y0`` and ``_y1``,
@@ -213,27 +204,25 @@ def hte_sample(dgp: HteDGP, n: int, seed: int = 0) -> Dataset:
     from scipy import stats
 
     rng = substream(seed, 2)
-    p = dgp.n_covariates
+    p = 6
     corr = np.full((p, p), 0.2)
     np.fill_diagonal(corr, 1.0)
     x = rng.multivariate_normal(np.zeros(p), corr, size=n, method="cholesky")
-    w0 = np.asarray(dgp.zero_coef[:p])
-    w1 = np.asarray(dgp.count_coef[:p])
-    g0 = x @ w0
-    g1 = x @ w1
+    g0 = x @ np.array([0.9, -0.6, 0.4, 0.0, 0.0, -0.3])
+    g1 = x @ np.array([0.5, 0.4, -0.3, 0.2, 0.0, 0.0])
 
     # potential outcome under control: zero-inflated shifted Poisson
-    p_zero0 = _sigmoid(dgp.zero_intercept + g0)
-    mu0 = np.exp(np.clip(dgp.count_intercept + 0.5 * g1, -10.0, 5.0))
+    p_zero0 = _sigmoid(-0.3 + g0)
+    mu0 = np.exp(np.clip(0.6 + 0.5 * g1, -10.0, 5.0))
     is_zero = rng.random(n) < p_zero0
     y0 = np.where(is_zero, 0.0, 1.0 + rng.poisson(mu0))
 
-    # treatment arm pieces, coefficients amplified by effect_scale
-    p_zero1 = _sigmoid(dgp.zero_intercept + g0 + dgp.effect_scale * (dgp.treat_zero_shift + 0.2 * g1))
-    mu1 = np.exp(np.clip(dgp.count_intercept + 0.5 * g1 + dgp.treat_count_shift + 0.3 * g1, -10.0, 5.0))
+    # treatment arm pieces, treatment terms of the logit amplified by 4
+    p_zero1 = _sigmoid(-0.3 + g0 + 4.0 * (-0.5 + 0.2 * g1))
+    mu1 = np.exp(np.clip(0.6 + 0.5 * g1 + 0.35 + 0.3 * g1, -10.0, 5.0))
 
-    q0 = (1.0 - p_zero0) * stats.poisson.sf(y0, mu0 * dgp.poisson_scale + 1e-12)
-    q1 = (1.0 - p_zero1) * stats.poisson.sf(y0, mu1 * dgp.poisson_scale + 1e-12)
+    q0 = (1.0 - p_zero0) * stats.poisson.sf(y0, mu0 * 0.05 + 1e-12)
+    q1 = (1.0 - p_zero1) * stats.poisson.sf(y0, mu1 * 0.05 + 1e-12)
     p_no_effect = np.clip(q0 - q1, 0.0, 1.0)
 
     effect = rng.random(n) >= p_no_effect
@@ -244,7 +233,7 @@ def hte_sample(dgp: HteDGP, n: int, seed: int = 0) -> Dataset:
     y1 = np.where(effect, np.maximum(y1_draw, y0), y0)
 
     t = (rng.random(n) < 0.5).astype(np.float64)
-    if dgp.hte_mode == "shuffled":
+    if mode == "shuffled":
         t = t[rng.permutation(n)]
     y = np.where(t == 1.0, y1, y0)
 
@@ -259,18 +248,17 @@ def _sigmoid(z):
 
 
 def linear_cate_sample(n: int, seed: int = 0, base_effect: float = 1.0,
-                       hte_coef: float = 1.0, noise: float = 1.0,
-                       n_covariates: int = 3) -> Dataset:
-    """Simple randomized trial with a linear CATE, for calibration checks."""
+                       hte_coef: float = 1.0) -> Dataset:
+    """Simple randomized trial with a linear CATE, for calibration checks:
+    three standard normal covariates and unit-variance normal noise."""
     rng = substream(seed, 3)
-    x = rng.standard_normal((n, n_covariates))
+    x = rng.standard_normal((n, 3))
     t = (rng.random(n) < 0.5).astype(np.float64)
     cate = base_effect + hte_coef * x[:, 0]
-    y = x @ np.linspace(1.0, 0.5, n_covariates) + t * cate + noise * rng.standard_normal(n)
-    columns = {f"x{i+1}": x[:, i] for i in range(n_covariates)}
+    y = x @ np.linspace(1.0, 0.5, 3) + t * cate + rng.standard_normal(n)
+    columns = {f"x{i+1}": x[:, i] for i in range(3)}
     columns.update({"y": y, "t": t, "_true_te": cate})
-    roles = Roles("y", tuple(f"x{i+1}" for i in range(n_covariates)),
-                  treatment="t", propensity=0.5)
+    roles = Roles("y", ("x1", "x2", "x3"), treatment="t", propensity=0.5)
     return Dataset(columns, roles)
 
 
@@ -278,12 +266,11 @@ def linear_cate_sample(n: int, seed: int = 0, base_effect: float = 1.0,
 # fresh-draw oracle for the data-dependent estimand
 
 
-def estimand_oracle(mf: MomentFunction, models, plan: SplitPlan, fresh: Dataset,
-                    variant: int = 2) -> np.ndarray:
+def estimand_oracle(mf: MomentFunction, models, fresh: Dataset) -> np.ndarray:
     """theta_{eta-hat} approximated on a large fresh sample.
 
-    Solves the same aggregation as the estimator, but substituting the fresh
-    sample for every evaluation split (population analog of the moment).
+    Solves the variant-2 aggregation of the estimator, but substituting the
+    fresh sample for every evaluation split (population analog of the moment).
     Each pass over the models predicts on the fresh sample one model at a
     time, so the predictions of all models are never held at once.
     """
@@ -295,10 +282,7 @@ def estimand_oracle(mf: MomentFunction, models, plan: SplitPlan, fresh: Dataset,
 
     if isinstance(mf, AverageMoment):
         # psi = f - theta, so the per-model mean psi at theta = 0 is the mean f
-        means = pool(mf, blocks(), np.zeros(1)).split_psi[:, 0]
-        if variant in (1, 2):
-            return np.array([means.mean()])
-        return np.array([means.reshape(plan.M, plan.K).mean(axis=1).mean()])
+        return np.array([pool(mf, blocks(), np.zeros(1)).split_psi[:, 0].mean()])
     # general moments: Newton on the pooled fresh moment
     theta0 = next(mf.initial_guess_eta(b.eta, b.y, b.g) for b in blocks())
     theta, _, _ = newton_solve(
@@ -312,9 +296,17 @@ def estimand_oracle(mf: MomentFunction, models, plan: SplitPlan, fresh: Dataset,
 # experiment grid
 
 
-def grid_sampler(spec: dict):
-    """``(n, seed) -> Dataset`` for a grid's DGP spec (``kind`` and its options)."""
-    kind = spec.get("kind", "gauss_linear")
+def dgp_sampler(spec: dict, default_kind: str = "gauss_linear"):
+    """``(n, seed) -> Dataset`` for a data-generator spec (``kind`` and its options).
+
+    A spec without a ``kind`` gets ``default_kind``: "gauss_linear" for the
+    grid's ``simulate.dgp``, "base" for the CLI's ``data.synthetic``.
+    """
+    kind = spec.get("kind", default_kind)
+    if kind == "base":
+        return synthetic_base
+    if kind == "linear_cate":
+        return linear_cate_sample
     if kind == "gauss_linear":
         slope = float(spec.get("slope", 1.0))
         noise = float(spec.get("noise", 1.0))
@@ -332,21 +324,21 @@ def grid_sampler(spec: dict):
                         outcome_p=float(spec.get("outcome_p", 0.07)))
         return lambda n, seed: copula_sample(dgp, n, seed)
     if kind == "hte":
-        dgp = HteDGP(hte_mode=spec.get("mode", "predictable"))
-        return lambda n, seed: hte_sample(dgp, n, seed)
-    raise ConfigInvalid("/simulate/dgp/kind", f"unknown DGP kind {kind!r}")
+        mode = spec.get("mode", "predictable")
+        return lambda n, seed: hte_sample(n, seed, mode)
+    raise ValueError(f"unknown DGP kind {kind!r}")
 
 
 def _grid_fit(grid, n, K, cell_index, iteration):
     """The start of an estimate or compare row: its seed, sampler, data, plan,
     moment and trained models."""
-    sampler = grid_sampler(grid.dgp)
+    sampler = dgp_sampler(grid.dgp)
     seed = derived_seed(grid.seed, cell_index, iteration)
     d = sampler(n, derived_seed(seed, 0))
     plan = generate_plan(n, grid.M, K, b=(n // 2 if K == 1 else None),
                          seed=derived_seed(seed, 1))
-    learner = builtin(grid.extra.get("learner", "ols"))
-    mf = builtin_moment(grid.extra.get("moment", "mse"))
+    learner = builtin(grid.learner)
+    mf = builtin_moment(grid.moment)
     models = train_all(plan, d, learner, seed=derived_seed(seed, 2))
     return seed, sampler, d, plan, mf, models
 
@@ -355,9 +347,9 @@ def _grid_estimate(grid, n, K, cell_index, iteration):
     seed, sampler, d, plan, mf, models = _grid_fit(grid, n, K, cell_index, iteration)
     ev = evaluate(models, plan, d)
     est = solve(2, mf, ev)
-    report = normal_ci(mf, ev, est, alpha=grid.extra.get("alpha", 0.05))
-    fresh = sampler(grid.extra.get("oracle_rows", 50_000), derived_seed(seed, 3))
-    oracle = float(estimand_oracle(mf, models, plan, fresh)[0])
+    report = normal_ci(mf, ev, est, alpha=grid.alpha)
+    fresh = sampler(grid.oracle_rows, derived_seed(seed, 3))
+    oracle = float(estimand_oracle(mf, models, fresh)[0])
     lo, hi = report.ci
     return {
         "estimate": float(est.theta_hat[0]), "se": report.se,
@@ -370,7 +362,7 @@ def _grid_compare(grid, n, K, cell_index, iteration):
     seed, _, d, plan, mf, models = _grid_fit(grid, n, K, cell_index, iteration)
     baseline = builtin("mean").train(d)
     res = compare_mod.compare_models(mf, evaluate(models, plan, d, baseline),
-                                     alpha=grid.extra.get("alpha", 0.05),
+                                     alpha=grid.alpha,
                                      mc_draws=20_000, seed=derived_seed(seed, 4))
     return {
         "estimate": res.point, "se": res.sigma_delta / np.sqrt(n),
@@ -381,8 +373,7 @@ def _grid_compare(grid, n, K, cell_index, iteration):
 
 def _grid_gates(grid, n, K, cell_index, iteration):
     seed = derived_seed(grid.seed, cell_index, iteration)
-    dgp = HteDGP(hte_mode=grid.dgp.get("mode", "predictable"))
-    d = hte_sample(dgp, n, derived_seed(seed, 0))
+    d = dgp_sampler(grid.dgp)(n, derived_seed(seed, 0))
     learners = tuple(gates_mod.CateLearner(builtin(name)) for name in ("ols", "ridge(1.0)"))
     cfg = gates_mod.GatesConfig(learners=learners, M=grid.M, K=K)
     result, _, _ = gates_mod.run_gates(cfg, d, seed=derived_seed(seed, 1))
@@ -399,7 +390,12 @@ METHOD_RUNNERS = {
 
 @dataclass
 class ExperimentGrid:
-    """Seeded cross of DGP x n x K x method, one row per (cell, iteration)."""
+    """Seeded cross of DGP x n x K x method, one row per (cell, iteration).
+
+    ``dgp`` is a :func:`dgp_sampler` spec. The estimate and compare rows fit
+    ``learner`` for ``moment`` at level ``alpha``; the estimate rows' oracle
+    draws ``oracle_rows`` fresh rows.
+    """
 
     dgp: dict
     n_list: tuple
@@ -409,7 +405,10 @@ class ExperimentGrid:
     iterations: int
     seed: int
     out_csv: str
-    extra: dict = field(default_factory=dict)
+    learner: str = "ols"
+    moment: str = "mse"
+    alpha: float = 0.05
+    oracle_rows: int = 50_000
 
 
 GRID_COLUMNS = ("cell_id", "iteration", "method", "n", "K", "M",

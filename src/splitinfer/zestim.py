@@ -35,7 +35,6 @@ class ZEstimate:
     per_repetition_thetas: dict[int, np.ndarray] | None = None
     iterations: int = 0
     residual_norm: float = 0.0
-    tol: float = DEFAULT_TOL
 
     def to_jsonable(self) -> dict:
         out = {
@@ -115,8 +114,7 @@ def _nelder_mead(fun, theta0):
     return np.asarray(res.x, dtype=np.float64), float(np.linalg.norm(fun(res.x)))
 
 
-def solve_blocks(mf: MomentFunction, group, tol_base: float = DEFAULT_TOL,
-                 theta_init=None) -> tuple[np.ndarray, int, float]:
+def solve_blocks(mf: MomentFunction, group) -> tuple[np.ndarray, int, float]:
     """Solve the averaged moment over one group of blocks (size >= 1).
 
     Returns (theta, iterations, residual_norm).
@@ -131,48 +129,44 @@ def solve_blocks(mf: MomentFunction, group, tol_base: float = DEFAULT_TOL,
         else:
             theta = mf.solve_pooled([(b.eta, b.y) for b in group])
         return theta, 0, _residual(mf, group, theta)
-    if theta_init is None:
-        b0 = group[0]
-        theta_init = mf.initial_guess_eta(b0.eta, b0.y, b0.g)
+    b0 = group[0]
     return newton_solve(lambda theta: pool(mf, group, theta).psi,
                         lambda theta: pool(mf, group, theta, psi=False, jacobian=True).jacobian,
-                        theta_init, tol_base)
+                        mf.initial_guess_eta(b0.eta, b0.y, b0.g))
 
 
 def _residual(mf, group, theta) -> float:
     return float(np.linalg.norm(pool(mf, group, theta).psi))
 
 
-def per_split_estimates(mf: MomentFunction, ev: Evaluations,
-                        tol: float = DEFAULT_TOL, theta_init=None):
+def per_split_estimates(mf: MomentFunction, ev: Evaluations):
     """Variant-1 ingredients: one solved theta per (m, k)."""
     mf.validate(ev.d)
-    return {(b.m, b.k): solve_blocks(mf, [b], tol, theta_init)[0] for b in ev.blocks}
+    return {(b.m, b.k): solve_blocks(mf, [b])[0] for b in ev.blocks}
 
 
-def solve(variant: int, mf: MomentFunction, ev: Evaluations,
-          tol: float = DEFAULT_TOL, theta_init=None) -> ZEstimate:
+def solve(variant: int, mf: MomentFunction, ev: Evaluations) -> ZEstimate:
     """Solve the split-sample Z-estimator for the requested variant."""
     if variant not in (1, 2, 3):
         raise ValueError(f"variant must be 1, 2 or 3, got {variant}")
     mf.validate(ev.d)
 
     if variant == 2:
-        theta_hat, iters, res = solve_blocks(mf, ev.blocks, tol, theta_init)
-        return ZEstimate(2, theta_hat, iterations=iters, residual_norm=res, tol=tol)
+        theta_hat, iters, res = solve_blocks(mf, ev.blocks)
+        return ZEstimate(2, theta_hat, iterations=iters, residual_norm=res)
 
     if variant == 1:
         groups = {(b.m, b.k): [b] for b in ev.blocks}
     else:
         groups = {m: [b for b in ev.blocks if b.m == m] for m in range(ev.plan.M)}
-    solved = {key: solve_blocks(mf, group, tol, theta_init) for key, group in groups.items()}
+    solved = {key: solve_blocks(mf, group) for key, group in groups.items()}
     thetas = {key: theta for key, (theta, _, _) in solved.items()}
     theta_hat = np.mean(list(thetas.values()), axis=0)
     iters = max(it for _, it, _ in solved.values())
     worst = max(res for _, _, res in solved.values())
     if variant == 1:
         return ZEstimate(1, theta_hat, per_split_thetas=thetas,
-                         iterations=iters, residual_norm=worst, tol=tol)
+                         iterations=iters, residual_norm=worst)
     return ZEstimate(3, theta_hat, per_repetition_thetas=thetas,
-                     iterations=iters, residual_norm=worst, tol=tol)
+                     iterations=iters, residual_norm=worst)
 

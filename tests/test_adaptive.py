@@ -62,7 +62,7 @@ def test_gate_monotone_in_gamma():
 
 def test_adaptive_matches_normal_when_gate_always_on():
     mf, models, plan, d, est = signal_setup(seed=5)
-    ci = adaptive_ci(mf, evaluate(models, plan, d), est, AdaptiveConfig(gamma_n=0.0))
+    ci = adaptive_ci(mf, evaluate(models, plan, d), est, AdaptiveConfig(c_gamma=0.0))
     assert not ci.unbounded
     (lo, hi), (nlo, nhi) = ci.intervals[0], ci.normal_interval
     se = (nhi - nlo) / 2
@@ -72,7 +72,8 @@ def test_adaptive_matches_normal_when_gate_always_on():
 
 def test_adaptive_all_conservative_unbounded():
     mf, models, plan, d, est = signal_setup(seed=7)
-    ci = adaptive_ci(mf, evaluate(models, plan, d), est, AdaptiveConfig(gamma_n=1e12))
+    ci = adaptive_ci(mf, evaluate(models, plan, d), est,
+                     AdaptiveConfig(c_gamma=1e12 * plan.n))
     assert ci.unbounded
     assert len(ci.intervals) == 1
     assert ci.intervals[0] == (float(ci.grid[0]), float(ci.grid[-1]))

@@ -4,12 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
 import splitinfer
-from splitinfer.cli import load_schema, run
+from splitinfer.cli import build_dataset, load_schema, run
 from splitinfer.report import dumps, report_schema_version, sanitize, write_report
+from splitinfer.rng import derived_seed
+from splitinfer.sim import ExperimentGrid, _grid_fit
 
 
 def invoke(args):
@@ -101,7 +104,8 @@ def test_malformed_json_exits_one(tmp_path, capsys):
      "/simulate/dgp/kind"),
     ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
                                "methods": ["estimate"], "dgp": {"slope": None}}},
-     "/simulate/dgp"),
+     "/simulate/dgp/slope"),
+    ("estimate", {"data": {"synthetic": {"kind": "weird"}}}, "/data/synthetic/kind"),
 ])
 def test_bad_names_are_config_errors(tmp_path, capsys, method, overrides, pointer):
     cfg = estimate_config(tmp_path, tmp_path / "r.json", method=method, **overrides)
@@ -112,9 +116,40 @@ def test_bad_names_are_config_errors(tmp_path, capsys, method, overrides, pointe
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "base"},
+    {"kind": "linear_cate"},
+    {"kind": "gauss_linear", "slope": 0.5, "noise": 2.0},
+    {"kind": "copula", "mode": "correlated", "base_n": 200, "base_seed": 3, "outcome_p": 0.2},
+    {"kind": "hte", "mode": "shuffled"},
+])
+def test_cli_data_and_grid_rows_draw_from_one_table(tmp_path, spec):
+    grid = ExperimentGrid(dgp=spec, n_list=(60,), K_list=(2,), M=1, methods=("estimate",),
+                          iterations=1, seed=4, out_csv=str(tmp_path / "grid.csv"))
+    _, _, from_grid, *_ = _grid_fit(grid, 60, 2, 0, 0)
+    seed = derived_seed(derived_seed(grid.seed, 0, 0), 0)  # the row's data seed
+    from_cli = build_dataset({"data": {"synthetic": {**spec, "n": 60, "seed": seed}}})
+    assert from_cli.roles == from_grid.roles
+    assert from_cli.column_names == from_grid.column_names
+    for name in from_grid.column_names:
+        np.testing.assert_array_equal(from_cli.column(name), from_grid.column(name))
+
+
+def test_estimate_runs_on_gauss_linear_data(tmp_path):
+    out = tmp_path / "r.json"
+    cfg = estimate_config(tmp_path, out, data={"synthetic": {
+        "kind": "gauss_linear", "slope": 2.0, "noise": 1.0, "n": 300, "seed": 8}})
+    assert invoke(["estimate", "--config", cfg]) == 0
+    report = json.loads(out.read_text())
+    Draft202012Validator(load_schema("report.schema.json")).validate(report)
+    # ols recovers the line, so the out-of-fold MSE estimates the noise variance 1
+    assert report["results"]["inference"]["theta_hat"][0] == pytest.approx(1.0, abs=0.3)
+
+
 def test_cli_import_leaves_scipy_optimize_and_stats_unloaded():
     code = ("import sys, splitinfer.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.stats', 'scipy.special') "
+            "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=python_env())
     assert proc.returncode == 0, proc.stderr

@@ -161,7 +161,6 @@ def test_oracle_holds_one_model_predictions_at_a_time():
     rng = substream(5)
     x = rng.standard_normal(400)
     fresh = Dataset({"y": 3.0 * x + 0.5, "x": x}, Roles("y", ("x",)))
-    plan = generate_plan(40, M=2, K=2, seed=0)
     handed_out, held = [], []
 
     class Tracked(Model):
@@ -172,7 +171,7 @@ def test_oracle_holds_one_model_predictions_at_a_time():
             return eta
 
     models = {(m, k): Tracked() for m in range(2) for k in range(2)}
-    theta = estimand_oracle(builtin_moment("linreg_on_eta"), models, plan, fresh)
+    theta = estimand_oracle(builtin_moment("linreg_on_eta"), models, fresh)
     np.testing.assert_allclose(theta, [0.5, 3.0], atol=1e-9)
     assert len(held) > len(models)
     assert max(held) <= 1

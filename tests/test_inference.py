@@ -9,6 +9,8 @@ from splitinfer.inference import (
     difference_reduction,
     identity_reduction,
     named_reduction,
+    norm_cdf,
+    norm_ppf,
     normal_ci,
     sandwich,
     variance_inflation,
@@ -93,6 +95,19 @@ def test_normal_ci_frozen_interval():
     assert z == pytest.approx(1.959964, abs=5e-7)
     half = z * 1.0 / np.sqrt(100)
     assert half == pytest.approx(0.1959964, abs=5e-7)
+
+
+def test_normal_cdf_and_quantile_match_scipy_into_the_tails():
+    from scipy import special
+
+    # erfc's argument -x/sqrt(2) carries one rounding, which the tail
+    # amplifies by about x^2: 37^2 * 1.1e-16 = 1.5e-13 at the far end
+    x = np.linspace(-37.0, 37.0, 20001)
+    np.testing.assert_allclose(norm_cdf(x), special.ndtr(x), rtol=1e-12, atol=0)
+    assert float(norm_cdf(0.3)) == pytest.approx(special.ndtr(0.3), rel=1e-15)
+    q = np.concatenate([np.logspace(-300, -1, 300), np.linspace(0.01, 0.99, 99),
+                        1.0 - np.logspace(-16, -1, 100)])
+    np.testing.assert_allclose([norm_ppf(v) for v in q], special.ndtri(q), rtol=1e-14, atol=0)
 
 
 def test_difference_reduction_algebra():

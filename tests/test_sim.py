@@ -14,7 +14,6 @@ from splitinfer.rng import substream
 from splitinfer.sim import (
     CopulaDGP,
     ExperimentGrid,
-    HteDGP,
     copula_sample,
     empirical_inverse,
     estimand_oracle,
@@ -25,7 +24,6 @@ from splitinfer.sim import (
     summarize_grid,
     synthetic_base,
 )
-from splitinfer.splits import generate_plan
 from splitinfer.zestim import solve
 from test_cli import python_env
 
@@ -88,14 +86,14 @@ def test_copula_correlated_mode_boosts_outcome_dependence():
 
 
 def test_hte_shuffled_breaks_covariate_link():
-    d = hte_sample(HteDGP(hte_mode="shuffled"), 10_000, seed=9)
+    d = hte_sample(10_000, seed=9, mode="shuffled")
     te = d.column("_true_te")
     r = np.corrcoef(d.t, te)[0, 1]
     assert abs(r) < 0.03
 
 
 def test_hte_outcome_consistency():
-    d = hte_sample(HteDGP(), 5000, seed=10)
+    d = hte_sample(5000, seed=10)
     y0 = d.column("_y0")
     y1 = d.column("_y1")
     np.testing.assert_array_equal(d.y, np.where(d.t == 1.0, y1, y0))
@@ -104,7 +102,7 @@ def test_hte_outcome_consistency():
 
 def test_hte_strong_design_has_predictable_gap():
     # oracle tercile gap of the conditional effect is positive
-    d = hte_sample(HteDGP(), 200_000, seed=11)
+    d = hte_sample(200_000, seed=11)
     te = d.column("_true_te")
     score = d.x @ np.ones(d.x.shape[1])
     cuts = np.quantile(score, [1 / 3, 2 / 3])
@@ -122,11 +120,10 @@ def test_linear_cate_sample_roles():
 
 def test_estimand_oracle_average_type():
     d = linear_cate_sample(100, seed=13)
-    plan = generate_plan(100, M=2, K=2, seed=0)
     models = {(m, k): ConstantModel(float(m + k)) for m in range(2) for k in range(2)}
     fresh = linear_cate_sample(1000, seed=14)
     mf = builtin_moment("mse")
-    oracle = estimand_oracle(mf, models, plan, fresh)
+    oracle = estimand_oracle(mf, models, fresh)
     expected = np.mean(
         [np.mean((fresh.y - c) ** 2) for c in (0.0, 1.0, 1.0, 2.0)]
     )
@@ -140,7 +137,7 @@ def test_run_grid_smoke_rows_and_determinism(tmp_path):
         n_list=(60,), K_list=(2, 3), M=2, methods=("estimate",),
         iterations=5, seed=77,
         out_csv=str(tmp_path / "grid.csv"),
-        extra={"learner": "ols", "moment": "mse", "oracle_rows": 2000},
+        learner="ols", moment="mse", oracle_rows=2000,
     )
     rows = run_grid(grid)
     assert len(rows) == 2 * 5
@@ -166,7 +163,7 @@ def test_run_grid_resume_skips_done(tmp_path):
     grid = ExperimentGrid(
         dgp={"kind": "gauss_linear"}, n_list=(50,), K_list=(2,), M=1,
         methods=("estimate",), iterations=3, seed=5, out_csv=path,
-        extra={"oracle_rows": 1000},
+        oracle_rows=1000,
     )
     run_grid(grid)
     with open(path) as fh:
@@ -198,7 +195,7 @@ import sys
 from splitinfer.sim import ExperimentGrid, run_grid
 grid = ExperimentGrid(dgp={"kind": "gauss_linear"}, n_list=(40,), K_list=(2,), M=1,
                       methods=("estimate", "compare"), iterations=1, seed=3,
-                      out_csv=sys.argv[1], extra={"oracle_rows": 200})
+                      out_csv=sys.argv[1], oracle_rows=200)
 rows = run_grid(grid)
 assert [row["error"] for row in rows] == ["", ""], rows
 print("splitinfer.cli" in sys.modules)

@@ -34,7 +34,6 @@ def test_cross_fitting_mean_recovers_full_sample_mean():
 
     class Raw(MomentFunction):
         dim = 1
-        average_type = True
 
         def psi_eta(self, theta, eta, y, g=None):
             return (y - theta[0])[:, None]
