@@ -2,11 +2,14 @@
 
 When the moment's limit variance can be zero (for example the
 outcome/prediction covariance when the predictor degenerates to a constant),
-the normal CI may undercover. The gate a_n(tau) = 1{Psi_min(tau) * Psi(tau) >
-gamma_n} detects whether the pooled empirical moment at tau is away from zero
-at the sqrt(n) scale; where it is, the exact normal p-value is used, otherwise
-the conservative p-value 1. The CI collects the grid points whose blended
-p-value exceeds alpha, with bisection-refined endpoints.
+the normal CI may undercover. The CI is defined for an average-type moment
+psi = f - tau (an ``AverageMoment``; every one-dimensional built-in is one),
+whose pooled empirical moment Psi(tau) = mean f - tau is a scalar, so the
+paper's gate a_n(tau) = 1{Psi_min(tau) * |Psi(tau)| > gamma_n} reads
+1{Psi(tau)^2 > gamma_n}. It detects whether Psi(tau) is away from zero at the
+sqrt(n) scale; where it is, the exact normal p-value is used, otherwise the
+conservative p-value 1. The CI collects the grid points whose blended p-value
+exceeds alpha, with bisection-refined endpoints.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from .errors import GridTooNarrow, ZeroVariance
 from .evaluation import Evaluations, pool
 from .inference import IDENTITY, norm_cdf, normal_ci
-from .moments import AverageMoment, MomentFunction
+from .moments import AverageMoment
 from .zestim import ZEstimate
 
 
@@ -44,8 +47,7 @@ class AdaptiveCI:
     grid: np.ndarray
     p_values: np.ndarray
     gate: np.ndarray
-    psi_min: np.ndarray
-    psi_norm: np.ndarray
+    psi: np.ndarray
     gamma_n: float
     unbounded: bool
     alpha: float
@@ -64,38 +66,25 @@ class AdaptiveCI:
         }
 
 
-def _pooled_moment_fn(mf: MomentFunction, ev: Evaluations):
-    """Returns tau -> pooled empirical moment vector, vectorizable over a grid."""
-    if isinstance(mf, AverageMoment):
-        # psi = f - tau, so each block's mean psi at tau = 0 is its mean f
-        pooled_f = pool(mf, ev.blocks, np.zeros(1)).split_psi.mean()
-
-        def fn(tau_grid):
-            tau_grid = np.atleast_1d(np.asarray(tau_grid, dtype=np.float64))
-            return (pooled_f - tau_grid)[:, None]
-
-        return fn
-
-    def fn(tau_grid):
-        tau_grid = np.atleast_1d(np.asarray(tau_grid, dtype=np.float64))
-        return np.array([pool(mf, ev.blocks, [tau]).psi for tau in tau_grid])
-
-    return fn
+def _pooled_f(mf: AverageMoment, ev: Evaluations) -> float:
+    """mean f pooled over the splits, so that Psi(tau) = mean f - tau."""
+    if not isinstance(mf, AverageMoment):
+        raise ValueError(f"the adaptive CI needs an average-type moment psi = f - theta, "
+                         f"not {mf.name!r}")
+    # psi = f - tau, so each block's mean psi at tau = 0 is its mean f
+    return pool(mf, ev.blocks, np.zeros(1)).split_psi.mean()
 
 
-def gate(mf: MomentFunction, ev: Evaluations, tau: float, gamma_n: float):
-    """(Psi_min, Psi, a_n) at tau: a_n = 1{Psi_min * Psi > gamma_n}."""
-    pooled = _pooled_moment_fn(mf, ev)(np.array([tau]))[0]
-    psi_min = float(np.abs(pooled).min())
-    psi_norm = float(np.linalg.norm(pooled))
-    return psi_min, psi_norm, int(psi_min * psi_norm > gamma_n)
+def gate(mf: AverageMoment, ev: Evaluations, tau: float, gamma_n: float):
+    """(Psi, a_n) at tau: a_n = 1{Psi^2 > gamma_n}."""
+    psi = float(_pooled_f(mf, ev) - tau)
+    return psi, int(psi * psi > gamma_n)
 
 
-def adaptive_ci(mf: MomentFunction, ev: Evaluations, estimate: ZEstimate,
+def adaptive_ci(mf: AverageMoment, ev: Evaluations, estimate: ZEstimate,
                 cfg: AdaptiveConfig | None = None) -> AdaptiveCI:
-    """Grid inversion of the gated test for a one-dimensional moment."""
-    if mf.dim != 1:
-        raise ValueError("adaptive_ci needs a one-dimensional moment (reduce first)")
+    """Grid inversion of the gated test for an average-type moment."""
+    pooled_f = _pooled_f(mf, ev)
     cfg = cfg or AdaptiveConfig()
     alpha = cfg.alpha
     n = ev.plan.n
@@ -118,36 +107,32 @@ def adaptive_ci(mf: MomentFunction, ev: Evaluations, estimate: ZEstimate,
     gamma_n = c_gamma / n
     flags["gamma_n"] = gamma_n
 
-    pooled_fn = _pooled_moment_fn(mf, ev)
-
     def blend(grid):
-        """Gated p-values at each tau of the grid: (p, a_n, psi_min, psi_norm)."""
-        pooled = pooled_fn(grid)
-        psi_min = np.abs(pooled).min(axis=1)
-        psi_norm = np.linalg.norm(pooled, axis=1)
-        a_n = (psi_min * psi_norm > gamma_n).astype(np.int64)
+        """Gated p-values at each tau of the grid: (p, a_n, Psi)."""
+        psi = pooled_f - grid
+        a_n = (psi * psi > gamma_n).astype(np.int64)
         if se > 0.0:
             p_e = 2.0 * norm_cdf(-np.abs((theta - grid) / se))
         else:
             p_e = (grid == theta).astype(np.float64)
-        return a_n * p_e + (1 - a_n), a_n, psi_min, psi_norm
+        return a_n * p_e + (1 - a_n), a_n, psi
 
     lo, hi = theta - 10.0 * scale, theta + 10.0 * scale
     widened = False
     while True:
         grid = np.linspace(lo, hi, cfg.grid_points)
-        p, a_n, psi_min, psi_norm = blend(grid)
+        p, a_n, psi = blend(grid)
         kept = p > alpha
         if not kept.any():
             # keep at least the estimate itself
             intervals = [(theta, theta)]
-            return AdaptiveCI(intervals, grid, p, a_n, psi_min, psi_norm, gamma_n,
+            return AdaptiveCI(intervals, grid, p, a_n, psi, gamma_n,
                               False, alpha, normal_iv, flags)
         touches = kept[0] or kept[-1]
         all_conservative = bool(kept.all() and (a_n == 0).all())
         if all_conservative:
             return AdaptiveCI([(float(grid[0]), float(grid[-1]))], grid, p, a_n,
-                              psi_min, psi_norm, gamma_n, True, alpha, normal_iv, flags)
+                              psi, gamma_n, True, alpha, normal_iv, flags)
         if touches and not widened:
             span = hi - lo
             lo, hi = lo - span / 2.0, hi + span / 2.0
@@ -174,7 +159,7 @@ def adaptive_ci(mf: MomentFunction, ev: Evaluations, estimate: ZEstimate,
         if run[-1] < grid.size - 1:
             right = _bisect_edge(keep_at, float(grid[run[-1] + 1]), right, tol)
         intervals.append((left, right))
-    return AdaptiveCI(intervals, grid, p, a_n, psi_min, psi_norm, gamma_n,
+    return AdaptiveCI(intervals, grid, p, a_n, psi, gamma_n,
                       False, alpha, normal_iv, flags)
 
 

@@ -32,7 +32,7 @@ from .errors import ConfigInvalid, DataError, SplitInferError
 from .evaluation import evaluate
 from .inference import named_reduction, normal_ci
 from .learners import builtin, train_all
-from .moments import builtin_moment
+from .moments import AverageMoment, builtin_moment
 from .report import SCHEMA_VERSION, write_report
 from .rng import derived_seed
 from .splits import generate_plan
@@ -87,10 +87,15 @@ def resolve_config(config: dict, args) -> dict:
 
 def _resolve_names(config: dict) -> None:
     """Resolve every moment, reduction, learner, grid method and data
-    generator now, so that a bad one is a config error with its JSON pointer,
-    not a failure mid-run."""
+    generator now, and check that an adaptive estimate has an average-type
+    moment, so that a bad one is a config error with its JSON pointer, not a
+    failure mid-run."""
     mf = _resolved("/moment", builtin_moment, config["moment"])
     _resolved("/h", named_reduction, config["h"], mf.dim)
+    if (config["method"] == "estimate" and config.get("estimate", {}).get("adaptive")
+            and not isinstance(mf, AverageMoment)):
+        raise ConfigInvalid("/estimate/adaptive", f"the adaptive CI needs an average-type "
+                                                  f"moment, not {config['moment']!r}")
     learners = {"/learner": config["learner"]}
     learners.update((f"/learners/{i}", name) for i, name in enumerate(config.get("learners", ())))
     learners.update((f"/compare/{key}", name) for key, name in config.get("compare", {}).items()
@@ -107,11 +112,9 @@ def _resolve_names(config: dict) -> None:
         _resolved("/simulate/dgp", sim.dgp_sampler, sim_cfg.get("dgp", {}))
 
 
-def _resolved(pointer: str, resolve, *args):
+def _resolved(pointer: str, resolve, *args, **kwargs):
     try:
-        return resolve(*args)
-    except ConfigInvalid:
-        raise
+        return resolve(*args, **kwargs)
     except (SplitInferError, ValueError) as exc:
         raise ConfigInvalid(pointer, str(exc)) from None
 
@@ -136,7 +139,8 @@ def build_dataset(config: dict):
 def run_estimate(config: dict) -> dict:
     d = build_dataset(config)
     plan_cfg = config["plan"]
-    plan = generate_plan(d.n, plan_cfg["M"], plan_cfg["K"], plan_cfg["b"], plan_cfg["seed"])
+    plan = _resolved("/plan", generate_plan, d.n, plan_cfg["M"], plan_cfg["K"], plan_cfg["b"],
+                     plan_cfg["seed"])
     learner = builtin(config["learner"])
     mf = builtin_moment(config["moment"])
     models = train_all(plan, d, learner, seed=derived_seed(plan_cfg["seed"], 1),
@@ -161,7 +165,8 @@ def run_estimate(config: dict) -> dict:
 def run_compare(config: dict) -> dict:
     d = build_dataset(config)
     plan_cfg = config["plan"]
-    plan = generate_plan(d.n, plan_cfg["M"], plan_cfg["K"], plan_cfg["b"], plan_cfg["seed"])
+    plan = _resolved("/plan", generate_plan, d.n, plan_cfg["M"], plan_cfg["K"], plan_cfg["b"],
+                     plan_cfg["seed"])
     mf = builtin_moment(config["moment"])
     h = named_reduction(config["h"], mf.dim)
     cmp_cfg = config.get("compare", {})
@@ -205,7 +210,8 @@ def run_gates(config: dict) -> dict:
     for i, name in enumerate(controls):
         if name not in ("const", "propensity"):
             _resolved(f"/gates/controls/{i}", d.column, name)
-    cfg = gates_mod.GatesConfig(
+    cfg = _resolved(
+        "/plan/K", gates_mod.GatesConfig,
         learners=learners,
         M=plan_cfg["M"], K=plan_cfg["K"],
         L=gates_cfg.get("L", 2), J=gates_cfg.get("J", 3),
@@ -228,7 +234,8 @@ def run_gates(config: dict) -> dict:
 def run_repro(config: dict) -> dict:
     d = build_dataset(config)
     plan_cfg = config["plan"]
-    plan = generate_plan(d.n, plan_cfg["M"], plan_cfg["K"], plan_cfg["b"], plan_cfg["seed"])
+    plan = _resolved("/plan", generate_plan, d.n, plan_cfg["M"], plan_cfg["K"], plan_cfg["b"],
+                     plan_cfg["seed"])
     mf = builtin_moment(config["moment"])
     h = named_reduction(config["h"], mf.dim)
     learner = builtin(config["learner"])

@@ -3,7 +3,8 @@
 Builds the plug-in Jacobian, the psi outer-product "meat", the
 variance-inflation factor, and the sandwich covariance, then applies the delta
 method for a scalar reduction h and forms the CI
-h(theta) +/- z_{1-alpha/2} * sigma / sqrt(n).
+h(theta) +/- z_{1-alpha/2} * sigma / sqrt(n). Both the moment's Jacobian and
+the reduction's gradient are analytic: a ``DeltaSpec`` carries ``grad_h``.
 """
 
 from __future__ import annotations
@@ -28,24 +29,14 @@ norm_cdf = np.vectorize(lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)), otypes=[
 
 @dataclass(frozen=True)
 class DeltaSpec:
-    """Scalar reduction h with gradient; gradient defaults to central differences."""
+    """Scalar reduction h with its analytic gradient grad_h."""
 
     name: str
     h: "callable"
-    grad_h: "callable | None" = None
+    grad_h: "callable"
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=np.float64)
-        if self.grad_h is not None:
-            return np.asarray(self.grad_h(theta), dtype=np.float64)
-        out = np.empty(theta.shape[0])
-        for j in range(theta.shape[0]):
-            step = 1e-6 * (1.0 + abs(theta[j]))
-            hi, lo = theta.copy(), theta.copy()
-            hi[j] += step
-            lo[j] -= step
-            out[j] = (self.h(hi) - self.h(lo)) / (2.0 * step)
-        return out
+        return np.asarray(self.grad_h(np.asarray(theta, dtype=np.float64)), dtype=np.float64)
 
 
 def identity_reduction() -> DeltaSpec:

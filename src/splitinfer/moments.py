@@ -8,9 +8,10 @@ tercile-fraction system (three group fractions plus two quantile conditions).
 Moments are evaluated on the arrays of one evaluation split: the predictions
 ``eta``, the outcome ``y`` and the group codes ``g`` (``evaluation.group_codes``).
 This array form (``psi_eta``, ``f_eta``, ...) never calls ``predict``; custom
-moments implement it.
+moments implement it, together with an analytic Jacobian (see
+``MomentFunction``).
 
-Smooth built-ins carry analytic Jacobians; the tercile system is piecewise
+Every built-in carries an analytic Jacobian; the tercile system is piecewise
 constant in theta and is handled by closed-form solving plus a dedicated
 Jacobian construction (see ``TercileFractions.jacobian_eta``).
 """
@@ -26,12 +27,17 @@ from .errors import IncompatibleRoles, NonFiniteJacobian, UnknownMoment
 
 
 class MomentFunction:
-    """Vector-valued moment abstraction; subclasses implement ``psi_eta``.
+    """Vector-valued moment abstraction.
+
+    A custom moment implements ``psi_eta`` and either ``jac_rows_eta`` (the
+    per-row Jacobians, averaged by the base ``jacobian_eta``) or
+    ``jacobian_eta`` itself; the package computes no Jacobian numerically.
+    Unless it subclasses ``AverageMoment`` it is solved by damped Newton from
+    ``initial_guess_eta``.
 
     Attributes
     ----------
     dim : parameter/moment dimension d.
-    smooth : whether psi is differentiable in theta.
 
     A moment of the form psi = f(eta, y) - theta subclasses ``AverageMoment``;
     the solvers dispatch on that class and reduce Z-estimation to averaging f.
@@ -39,7 +45,6 @@ class MomentFunction:
 
     name = "custom"
     dim = 1
-    smooth = True
 
     def validate(self, d: Dataset) -> None:
         """Raise IncompatibleRoles when the dataset lacks required roles."""
@@ -48,42 +53,19 @@ class MomentFunction:
         """Per-row moment values, shape (len(eta), dim)."""
         raise NotImplementedError
 
-    def jac_rows_eta(self, theta, eta, y, g=None):
-        """Per-row Jacobians d psi / d theta, shape (len(eta), dim, dim), or None."""
-        return None
+    def jac_rows_eta(self, theta, eta, y, g=None) -> np.ndarray:
+        """Per-row Jacobians d psi / d theta, shape (len(eta), dim, dim)."""
+        raise NotImplementedError
 
     def jacobian_eta(self, theta, eta, y, g=None) -> np.ndarray:
         """Estimated Jacobian of the subsample-mean moment at theta."""
-        jr = self.jac_rows_eta(theta, eta, y, g)
-        if jr is not None:
-            out = jr.mean(axis=0)
-        elif self.smooth:
-            out = _fd_jacobian(self, theta, eta, y, g)
-        else:
-            raise NonFiniteJacobian(
-                f"moment {self.name!r} is non-smooth and provides no Jacobian construction"
-            )
+        out = self.jac_rows_eta(theta, eta, y, g).mean(axis=0)
         if not np.all(np.isfinite(out)):
             raise NonFiniteJacobian(f"non-finite Jacobian for moment {self.name!r}")
         return out
 
     def initial_guess_eta(self, eta, y, g=None) -> np.ndarray:
         return np.zeros(self.dim)
-
-
-def _fd_jacobian(mf: MomentFunction, theta, eta, y, g) -> np.ndarray:
-    theta = np.asarray(theta, dtype=np.float64)
-    out = np.empty((mf.dim, mf.dim))
-    for j in range(mf.dim):
-        step = 1e-6 * (1.0 + abs(theta[j]))
-        hi = theta.copy()
-        lo = theta.copy()
-        hi[j] += step
-        lo[j] -= step
-        out[:, j] = (
-            mf.psi_eta(hi, eta, y, g).mean(axis=0) - mf.psi_eta(lo, eta, y, g).mean(axis=0)
-        ) / (2.0 * step)
-    return out
 
 
 class AverageMoment(MomentFunction):
@@ -227,7 +209,6 @@ class TercileFractions(MomentFunction):
 
     name = "tercile_fractions"
     dim = 5
-    smooth = False
 
     @staticmethod
     def group_masks(eta, t1, t2):

@@ -7,7 +7,9 @@ repetition and averages the per-repetition solutions. For average-type moments
 (psi = f - theta) all three coincide and are computed in closed form; the
 tercile-fraction system is likewise solved in closed form because its moment
 is piecewise constant in the thresholds. Everything else goes through a damped
-Newton iteration with a Nelder-Mead fallback.
+Newton iteration; a degenerate system (a singular Jacobian, or a line search
+that stalls) raises ``SingularJacobian`` or ``NoConvergence`` rather than
+switching to another algorithm.
 
 The solvers read the out-of-fold predictions in an ``Evaluations`` (see
 ``evaluation.evaluate``) and evaluate the moment in its array form through
@@ -59,59 +61,40 @@ def _tolerance(tol_base: float, theta: np.ndarray) -> float:
 
 
 def newton_solve(fun, jac, theta0, tol_base=DEFAULT_TOL, max_iter=80):
-    """Damped Newton root-finder on a vector system, Nelder-Mead fallback.
+    """Damped Newton root-finder on a vector system.
 
     ``fun(theta)`` returns the stacked moment, ``jac(theta)`` its Jacobian
-    estimate. Returns (theta, iterations, residual_norm).
+    estimate. Returns (theta, iterations, residual_norm). Raises
+    ``SingularJacobian`` when a Newton step cannot be solved or is not
+    finite, and ``NoConvergence`` when 40 step halvings give no sufficient
+    decrease or ``max_iter`` iterations miss the tolerance.
     """
     theta = np.asarray(theta0, dtype=np.float64).copy()
     value = fun(theta)
-    it = 0
     for it in range(1, max_iter + 1):
         norm = float(np.linalg.norm(value))
         if norm <= _tolerance(tol_base, theta):
             return theta, it - 1, norm
-        j = jac(theta)
         try:
-            step = np.linalg.solve(j, -value)
+            step = np.linalg.solve(jac(theta), -value)
         except np.linalg.LinAlgError:
-            step = None
-        if step is None or not np.all(np.isfinite(step)):
-            theta, norm = _nelder_mead(fun, theta)
-            if norm <= _tolerance(tol_base, theta):
-                return theta, it, norm
-            raise SingularJacobian("Newton step unsolvable and fallback did not reach tolerance")
+            raise SingularJacobian("Newton step is unsolvable: singular Jacobian") from None
+        if not np.all(np.isfinite(step)):
+            raise SingularJacobian("Newton step is not finite")
         alpha = 1.0
-        improved = False
         for _ in range(40):
             cand = theta + alpha * step
             cand_value = fun(cand)
             if np.linalg.norm(cand_value) <= (1.0 - 1e-4 * alpha) * norm:
                 theta, value = cand, cand_value
-                improved = True
                 break
             alpha *= 0.5
-        if not improved:
-            theta, final = _nelder_mead(fun, theta)
-            if final <= _tolerance(tol_base, theta):
-                return theta, it, final
-            raise NoConvergence(f"stalled at residual {final:.3e}")
-    norm = float(np.linalg.norm(fun(theta)))
+        else:
+            raise NoConvergence(f"line search stalled at residual {norm:.3e}")
+    norm = float(np.linalg.norm(value))
     if norm <= _tolerance(tol_base, theta):
         return theta, max_iter, norm
     raise NoConvergence(f"residual {norm:.3e} after {max_iter} iterations")
-
-
-def _nelder_mead(fun, theta0):
-    from scipy import optimize  # imported here: only this fallback needs it
-
-    res = optimize.minimize(
-        lambda t: float(np.linalg.norm(fun(t)) ** 2),
-        theta0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": 4000},
-    )
-    return np.asarray(res.x, dtype=np.float64), float(np.linalg.norm(fun(res.x)))
 
 
 def solve_blocks(mf: MomentFunction, group) -> tuple[np.ndarray, int, float]:

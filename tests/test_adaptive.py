@@ -5,7 +5,7 @@ from splitinfer.adaptive import AdaptiveConfig, adaptive_ci, gate
 from splitinfer.data import Dataset, Roles
 from splitinfer.evaluation import evaluate
 from splitinfer.learners import ConstantModel, builtin, train_all
-from splitinfer.moments import builtin_moment
+from splitinfer.moments import MomentFunction, builtin_moment
 from splitinfer.rng import substream
 from splitinfer.splits import generate_plan
 from splitinfer.zestim import solve
@@ -27,11 +27,11 @@ def test_gate_thresholding():
     mf, models, plan, d, est = signal_setup()
     theta = float(est.theta_hat[0])
     # exactly at the solution the pooled moment is ~0: gate off
-    psi_min, psi_norm, a_n = gate(mf, evaluate(models, plan, d), theta, gamma_n=1e-12)
+    psi, a_n = gate(mf, evaluate(models, plan, d), theta, gamma_n=1e-12)
     assert a_n == 0
-    assert psi_min <= 1e-10
+    assert abs(psi) <= 1e-10
     # far away the product is large: gate on
-    _, _, a_far = gate(mf, evaluate(models, plan, d), theta + 5.0, gamma_n=1e-12)
+    _, a_far = gate(mf, evaluate(models, plan, d), theta + 5.0, gamma_n=1e-12)
     assert a_far == 1
 
 
@@ -42,10 +42,10 @@ def test_gate_example_values():
     models = {(0, 0): ConstantModel(1.0), (0, 1): ConstantModel(1.0)}
     mf = builtin_moment("covariance")
     # pooled moment at tau: f == 1, so psi = 1 - tau
-    pm, pn, on = gate(mf, evaluate(models, plan, d), 1.0 - np.sqrt(0.002), 0.001)
-    assert pm * pn == pytest.approx(0.002, rel=1e-9)
+    psi, on = gate(mf, evaluate(models, plan, d), 1.0 - np.sqrt(0.002), 0.001)
+    assert psi * psi == pytest.approx(0.002, rel=1e-9)
     assert on == 1
-    _, _, off = gate(mf, evaluate(models, plan, d), 1.0 - np.sqrt(0.002), 0.01)
+    _, off = gate(mf, evaluate(models, plan, d), 1.0 - np.sqrt(0.002), 0.01)
     assert off == 0
 
 
@@ -55,7 +55,7 @@ def test_gate_monotone_in_gamma():
     for tau in taus:
         previous = 1
         for gamma in (1e-8, 1e-4, 1e-2, 1.0):
-            _, _, a_n = gate(mf, evaluate(models, plan, d), tau, gamma)
+            _, a_n = gate(mf, evaluate(models, plan, d), tau, gamma)
             assert a_n <= previous
             previous = a_n
 
@@ -99,6 +99,24 @@ def test_adaptive_requires_scalar_moment():
 
     with pytest.raises(ValueError):
         adaptive_ci(mf, evaluate(models, plan, d), ZEstimate(2, np.zeros(2)))
+
+
+def test_adaptive_and_gate_require_average_moment():
+    # a one-dimensional moment that is not an AverageMoment has no scalar
+    # pooled f to gate on
+    class Centered(MomentFunction):
+        def psi_eta(self, theta, eta, y, g=None):
+            return (y - theta[0])[:, None]
+
+        def jac_rows_eta(self, theta, eta, y, g=None):
+            return np.broadcast_to(-np.eye(1), (eta.shape[0], 1, 1))
+
+    mf, models, plan, d, est = signal_setup()
+    ev = evaluate(models, plan, d)
+    with pytest.raises(ValueError, match="average-type"):
+        adaptive_ci(Centered(), ev, est)
+    with pytest.raises(ValueError, match="average-type"):
+        gate(Centered(), ev, 0.0, 1e-12)
 
 
 def test_adaptive_degenerate_keeps_estimand():

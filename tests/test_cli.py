@@ -106,6 +106,17 @@ def test_malformed_json_exits_one(tmp_path, capsys):
                                "methods": ["estimate"], "dgp": {"slope": None}}},
      "/simulate/dgp/slope"),
     ("estimate", {"data": {"synthetic": {"kind": "weird"}}}, "/data/synthetic/kind"),
+    ("estimate", {"moment": "linreg_on_eta", "estimate": {"adaptive": True}},
+     "/estimate/adaptive"),
+    ("estimate", {"plan": {"M": 3, "K": 1, "seed": 5}}, "/plan"),  # K=1 needs b
+    ("compare", {"plan": {"M": 3, "K": 50, "seed": 5}}, "/plan"),  # n=90 < 2K
+    ("repro", {"plan": {"M": 3, "K": 50, "seed": 5}}, "/plan"),
+    ("gates", {"plan": {"M": 3, "K": 1, "seed": 5}}, "/plan/K"),
+    ("estimate", {"data": {"synthetic": {"kind": "copula", "mode": "shuffled"}}},
+     "/data/synthetic/mode"),
+    ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
+                               "methods": ["estimate"], "dgp": {"kind": "hte", "mode": "asis"}}},
+     "/simulate/dgp/mode"),
 ])
 def test_bad_names_are_config_errors(tmp_path, capsys, method, overrides, pointer):
     cfg = estimate_config(tmp_path, tmp_path / "r.json", method=method, **overrides)

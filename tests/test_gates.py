@@ -41,6 +41,28 @@ def test_wls_equal_weights_matches_ols():
     np.testing.assert_allclose(beta_w, beta_o, atol=1e-10)
 
 
+def test_row_propensity_and_covariate_controls_enter_the_gates_design():
+    # propensity varying by row is a control column of its own, and so is a
+    # named covariate: gamma-hat is the WLS of y on [1, p, x2, (t - p) 1{group j}]
+    n = 240
+    rng = substream(21)
+    x1, x2 = rng.standard_normal(n), rng.standard_normal(n)
+    p = 0.3 + 0.4 / (1.0 + np.exp(-x1))
+    t = (rng.random(n) < p).astype(np.float64)
+    y = x2 + t * (1.0 + x1) + rng.standard_normal(n)
+    d = Dataset({"y": y, "x1": x1, "x2": x2, "t": t, "p": p},
+                Roles("y", ("x1", "x2"), treatment="t", propensity="p"))
+    cfg = config(M=1, K=2, controls=("const", "propensity", "x2"))
+    result, _, fit = run_gates(cfg, d, seed=2)
+    group = np.empty(n, dtype=np.int64)
+    for rows in fit.train_folds[0]:
+        group[rows], _ = _fold_groups(fit.tau[0], rows, cfg.J)
+    design = np.column_stack([np.ones(n), p, x2,
+                              (t - p)[:, None] * (group[:, None] == np.arange(cfg.J))])
+    beta, *_ = wls_fit(design, y, 1.0 / (p * (1.0 - p)))
+    np.testing.assert_allclose(result.gamma_hat, beta[3:], rtol=1e-12, atol=0)
+
+
 def test_fold_groups_balance_and_ties():
     tau = np.array([3.0, 1.0, 2.0, 5.0, 4.0, 6.0])
     labels, cuts = _fold_groups(tau, np.arange(6), J=3)

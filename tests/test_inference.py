@@ -5,7 +5,6 @@ from splitinfer.data import Dataset, Roles
 from splitinfer.errors import SingularJacobian, ZeroVariance
 from splitinfer.evaluation import evaluate, pool
 from splitinfer.inference import (
-    DeltaSpec,
     difference_reduction,
     identity_reduction,
     named_reduction,
@@ -123,11 +122,6 @@ def test_named_reduction_parsing():
     assert named_reduction("diff:2-0", 3).h(np.array([1.0, 5.0, 4.0])) == 3.0
     with pytest.raises(ValueError):
         named_reduction("median", 2)
-
-
-def test_delta_spec_fd_gradient():
-    spec = DeltaSpec("square", lambda t: float(t[0] ** 2))
-    np.testing.assert_allclose(spec.gradient(np.array([3.0])), [6.0], rtol=1e-6)
 
 
 def test_full_report_fields_and_ci_contains_estimate():

@@ -1,5 +1,9 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from test_cli import python_env
 
 from splitinfer.data import Dataset, Roles
 from splitinfer.errors import NoConvergence
@@ -175,6 +179,24 @@ def test_newton_no_convergence():
         newton_solve(lambda t: np.array([np.cos(t[0]) + 2.0]),
                      lambda t: np.array([[-np.sin(t[0]) - 1e-3]]),
                      np.array([0.0]), max_iter=10)
+
+
+def test_newton_singular_step_raises_and_loads_no_other_solver():
+    # an exactly singular Jacobian leaves theta unidentified: a typed error,
+    # with no second algorithm (and no scipy.optimize) behind it
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from splitinfer.errors import SingularJacobian\n"
+            "from splitinfer.zestim import newton_solve\n"
+            "a = np.ones((2, 2))\n"
+            "try:\n"
+            "    newton_solve(lambda t: a @ t - np.array([1.0, -1.0]), lambda t: a, np.zeros(2))\n"
+            "except SingularJacobian:\n"
+            "    print('SingularJacobian', 'scipy.optimize' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=python_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "SingularJacobian False"
 
 
 def test_solver_residual_within_tolerance():
