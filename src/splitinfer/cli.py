@@ -71,6 +71,9 @@ def resolve_config(config: dict, args) -> dict:
     for key in ("learner", "moment", "variant", "h", "alpha"):
         resolved.setdefault(key, DEFAULTS[key])
     if getattr(args, "adaptive", False):
+        if config["method"] != "estimate":
+            raise ConfigInvalid("/estimate/adaptive", f"--adaptive applies to estimate only, "
+                                                      f"not {config['method']!r}")
         resolved.setdefault("estimate", {})
         resolved["estimate"]["adaptive"] = True
     output = resolved.setdefault("output", {})
@@ -218,6 +221,9 @@ def run_gates(config: dict) -> dict:
         alpha=config["alpha"],
         controls=controls,
     )
+    # each repetition draws a K-fold plan and an L-fold calibration plan
+    _resolved("/plan/K", generate_plan, d.n, 1, cfg.K)
+    _resolved("/gates/L", generate_plan, d.n, 1, cfg.L)
     result, het, _ = gates_mod.run_gates(
         cfg, d, seed=plan_cfg["seed"],
         run_het=gates_cfg.get("het_test", False),

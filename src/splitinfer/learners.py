@@ -7,6 +7,16 @@ The built-ins are desk-scale stand-ins for the heavy ML algorithms the
 framework is agnostic to: constant mean, OLS, ridge, k-NN, a greedy
 variance-reduction tree, and a damped-Newton logistic regression.
 
+The k-NN predict is the one whose cost grows with both the evaluation and the
+training rows. It sums squared differences one feature at a time, in the
+order numpy's pairwise ``add.reduce`` uses on a contiguous axis, so its
+distances are bitwise those of summing the (rows x train x p) cube without
+ever holding it. Evaluation rows go in chunks sized so that the work buffer
+holds at most ``_CHUNK_TERMS`` float64 values. The buffer is allocated once
+per predict and filled in place with ``out=``: a fresh array per feature and
+chunk, once it is larger than the allocator's mmap threshold, is returned to
+the operating system on free and faulted back in on the next allocation.
+
 External ML backends can be attached through :class:`SubprocessLearner`,
 which speaks a line-delimited JSON protocol (described in its docstring).
 """
@@ -74,16 +84,42 @@ class LogisticModel(Model):
 
 
 class KnnModel(Model):
+    """Mean outcome of the k nearest training rows by squared euclidean
+    distance, ties going to the lower training index.
+
+    The training covariates are stored feature-major, as a (p, n_train)
+    array. ``predict`` never forms the (rows x n_train x p) difference cube:
+    it takes the evaluation rows in chunks of at most
+    ``_CHUNK_TERMS // (slots * n_train)`` rows and sums each chunk's
+    distances one feature at a time into one work buffer of ``slots``
+    (chunk x n_train) planes, allocated once per call and reused with
+    ``out=`` across features and chunks, so that no memory is freed and
+    faulted back in between them. ``_sum_squares`` adds the feature
+    terms in the order numpy's ``add.reduce`` uses on a contiguous axis, so
+    the distances, and with them the neighbours chosen among ties, are
+    bitwise those of ``((x[:, None, :] - train_x[None]) ** 2).sum(axis=2)``.
+    """
+
     def __init__(self, train_x: np.ndarray, train_y: np.ndarray, k: int):
-        self.train_x = train_x
+        self.train_t = np.array(np.asarray(train_x, dtype=np.float64).T, order="C")
         self.train_y = train_y
         self.k = int(k)
 
     def predict(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        # squared euclidean distances
-        d2 = ((x[:, None, :] - self.train_x[None, :, :]) ** 2).sum(axis=2)
-        return self.train_y[self._nearest(d2)].mean(axis=1)
+        p, n_train = self.train_t.shape
+        if x.shape[1] != p:
+            raise ValueError(f"kNN model has {p} covariates, got {x.shape[1]}")
+        slots = _sum_squares_slots(p)
+        chunk = max(1, min(x.shape[0], _CHUNK_TERMS // (slots * n_train)))
+        buf = np.empty((slots, chunk, n_train))
+        xt = x.T[:, :, None]  # xt[f, r] broadcasts against train_t[f]
+        out = np.empty(x.shape[0])
+        for r0 in range(0, x.shape[0], chunk):
+            work = buf[:, :min(chunk, x.shape[0] - r0)]
+            _sum_squares(xt[:, r0:r0 + chunk], self.train_t, work)
+            out[r0:r0 + chunk] = self.train_y[self._nearest(work[0])].mean(axis=1)
+        return out
 
     def _nearest(self, d2):
         """Indices of the k nearest training rows per row of d2, ordered by
@@ -99,6 +135,62 @@ class KnnModel(Model):
         if tied.size:
             near[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
         return near
+
+
+# evaluation rows per chunk times training rows times buffer planes: a kNN
+# predict's work buffer holds at most _CHUNK_TERMS float64 values (1 MiB)
+# unless a single row needs more, whatever the fold size.
+_CHUNK_TERMS = 1 << 17
+
+
+def _sum_squares_slots(p: int) -> int:
+    """Planes ``_sum_squares`` needs for p features: the result and a term for
+    p < 8, eight partial sums and a term up to 128, and one more plane to hold
+    the first half at each split above 128."""
+    if p > 128:
+        half = p // 2 - (p // 2) % 8
+        return max(_sum_squares_slots(half), 1 + _sum_squares_slots(p - half))
+    return 2 if p < 8 else 9
+
+
+def _square_diff(a, b, out):
+    np.subtract(a, b, out=out)
+    return np.multiply(out, out, out=out)
+
+
+def _sum_squares(xt, tt, buf):
+    """buf[0] = sum over f of (xt[f] - tt[f]) ** 2; buf[1:] is scratch.
+
+    The terms are added in numpy's pairwise order for a contiguous reduction
+    axis: one after another for p < 8; for p <= 128, eight partial sums over
+    features j, j + 8, ..., combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the p % 8 leftover features in order; above 128, the same rule on
+    each side of p // 2 rounded down to a multiple of 8.
+    """
+    p = xt.shape[0]
+    if p > 128:
+        half = p // 2 - (p // 2) % 8
+        _sum_squares(xt[:half], tt[:half], buf)
+        _sum_squares(xt[half:], tt[half:], buf[1:])
+        np.add(buf[0], buf[1], out=buf[0])
+        return
+    if p < 8:
+        if p == 0:
+            buf[0].fill(0.0)
+        else:
+            _square_diff(xt[0], tt[0], buf[0])
+        for f in range(1, p):
+            np.add(buf[0], _square_diff(xt[f], tt[f], buf[1]), out=buf[0])
+        return
+    body = p - p % 8
+    for f in range(8):
+        _square_diff(xt[f], tt[f], buf[f])
+    for f in range(8, body):
+        np.add(buf[f % 8], _square_diff(xt[f], tt[f], buf[8]), out=buf[f % 8])
+    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        np.add(buf[a], buf[b], out=buf[a])
+    for f in range(body, p):
+        np.add(buf[0], _square_diff(xt[f], tt[f], buf[8]), out=buf[0])
 
 
 class TreeModel(Model):
@@ -187,7 +279,7 @@ def _make_fit_ridge(lam: float):
 def _make_fit_knn(k: int):
     def fit(d: Dataset, seed) -> Model:
         kk = min(int(k), d.n)
-        return KnnModel(d.x.copy(), d.y.copy(), kk)
+        return KnnModel(d.x, d.y.copy(), kk)
 
     return fit
 

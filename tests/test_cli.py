@@ -117,10 +117,17 @@ def test_malformed_json_exits_one(tmp_path, capsys):
     ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
                                "methods": ["estimate"], "dgp": {"kind": "hte", "mode": "asis"}}},
      "/simulate/dgp/mode"),
+    ("gates", {"data": {"synthetic": {"kind": "linear_cate", "n": 40, "seed": 1}},
+               "plan": {"M": 3, "K": 25, "seed": 5}}, "/plan/K"),  # n=40 < 2K
+    ("gates", {"data": {"synthetic": {"kind": "linear_cate", "n": 40, "seed": 1}},
+               "gates": {"L": 25}}, "/gates/L"),  # n=40 < 2L
+    ("compare --adaptive", {}, "/estimate/adaptive"),
+    ("gates --adaptive", {}, "/estimate/adaptive"),
 ])
 def test_bad_names_are_config_errors(tmp_path, capsys, method, overrides, pointer):
+    method, *flags = method.split()
     cfg = estimate_config(tmp_path, tmp_path / "r.json", method=method, **overrides)
-    assert invoke([method, "--config", cfg]) == 1
+    assert invoke([method, "--config", cfg, *flags]) == 1
     err = capsys.readouterr().err
     assert f"invalid config at {pointer}:" in err
     assert "Traceback" not in err

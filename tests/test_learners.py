@@ -1,8 +1,10 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from splitinfer import learners
 from splitinfer.data import Dataset, Roles
 from splitinfer.errors import EmptyModelList, UnknownLearner
 from splitinfer.learners import (
@@ -84,6 +86,58 @@ def test_knn_matches_full_stable_sort(data, k):
     order = np.argsort(d2, axis=1, kind="stable")[:, :k]
     expected = model.train_y[order].mean(axis=1)
     np.testing.assert_array_equal(model.predict(x), expected)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 5, None])  # None: the default budget
+@pytest.mark.parametrize("data", ["continuous", "discrete"])
+def test_knn_chunked_distances_equal_the_cube_bitwise(monkeypatch, data, chunk_rows):
+    # the reference sums the whole (rows x train x p) cube with numpy; the
+    # model's distances must equal it to the bit, so the neighbours chosen
+    # among ties are the same too
+    rng = substream(22)
+    n_train, rows, k = 60, 37, 5  # 37 rows: a chunk of 5 does not divide them
+    seen = []
+    nearest = KnnModel._nearest
+
+    def recording(self, d2):
+        seen.append(d2.copy())
+        return nearest(self, d2)
+
+    monkeypatch.setattr(KnnModel, "_nearest", recording)
+    for p in [*range(20), 130]:  # p = 0: every distance is 0
+        if data == "continuous":
+            scale = rng.lognormal(size=p)
+            train_x = rng.standard_normal((n_train, p)) * scale
+            x = rng.standard_normal((rows, p)) * scale
+        else:  # values 0.1 apart: many distances tie, and inexactly
+            train_x = rng.integers(-5, 6, (n_train, p)) * 0.1
+            x = rng.integers(-5, 6, (rows, p)) * 0.1
+        train_y = rng.standard_normal(n_train)
+        if chunk_rows is not None:
+            terms = chunk_rows * learners._sum_squares_slots(p) * n_train
+            monkeypatch.setattr(learners, "_CHUNK_TERMS", terms)
+        seen.clear()
+        pred = KnnModel(train_x, train_y, k).predict(x)
+        d2 = ((x[:, None, :] - train_x[None]) ** 2).sum(axis=2)
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        assert len(seen) == (-(-rows // chunk_rows) if chunk_rows else 1)
+        np.testing.assert_array_equal(np.concatenate(seen), d2)
+        np.testing.assert_array_equal(pred, train_y[order].mean(axis=1))
+
+
+def test_knn_predict_holds_no_rows_by_train_array():
+    # the cube of a 20 000 x 667 x 3 predict is 305 MB, and one
+    # (rows x train) float64 array 102 MB
+    rng = substream(23)
+    model = KnnModel(rng.standard_normal((667, 3)), rng.standard_normal(667), 10)
+    x = rng.standard_normal((20_000, 3))
+    tracemalloc.start()
+    try:
+        model.predict(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_tree_fits_step_function():
