@@ -3,8 +3,12 @@
 Subcommands: estimate, compare, gates, repro, simulate, validate-config. Every
 run is driven by a JSON config (schema-validated, unknown keys rejected) plus
 a handful of overriding flags; every report embeds the resolved config and the
-master seed, is schema-versioned, and is written atomically. Exit codes:
-0 success, 1 usage/config error, 2 runtime failure.
+master seed, is schema-versioned, and is written atomically. A key the config
+leaves out keeps the library's default. Exit codes: 0 success; 1 usage or
+config error, including an unreadable ``data.path``, a negative ``--seed``, a
+thread count (``--threads`` or ``SPLITINFER_THREADS``) that is not a positive
+integer, and a report that cannot be written to ``output.path``; 2 runtime
+failure, including a CSV cell that is not a number or a CSV that is not UTF-8.
 
 Data come from a CSV (``data.path``) or from a synthetic generator
 (``data.synthetic``: any kind of ``sim.dgp_sampler``, i.e. "base",
@@ -28,7 +32,7 @@ from . import gates as gates_mod
 from . import repro as repro_mod
 from . import sim
 from .data import Roles, ingest_csv
-from .errors import ConfigInvalid, DataError, SplitInferError
+from .errors import ConfigInvalid, SplitInferError
 from .evaluation import evaluate
 from .inference import named_reduction, normal_ci
 from .learners import builtin, train_all
@@ -66,6 +70,8 @@ def resolve_config(config: dict, args) -> dict:
     resolved = {**config}
     plan = {**DEFAULTS["plan"], **resolved.get("plan", {})}
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigInvalid("/plan/seed", f"--seed must be non-negative, got {args.seed}")
         plan["seed"] = args.seed
     resolved["plan"] = plan
     for key in ("learner", "moment", "variant", "h", "alpha"):
@@ -83,9 +89,28 @@ def resolve_config(config: dict, args) -> dict:
         output["emit_plan"] = True
     if getattr(args, "emit_sigma", False):
         output["emit_sigma"] = True
-    resolved["threads"] = args.threads
+    resolved["threads"] = _thread_count(args.threads)
     _resolve_names(resolved)
     return resolved
+
+
+def _thread_count(flag: int | None) -> int:
+    """``--threads``, else ``SPLITINFER_THREADS``, else 1."""
+    raw = os.environ.get("SPLITINFER_THREADS", "1") if flag is None else flag
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigInvalid("/threads", f"the thread count must be a positive integer, "
+                                        f"got {raw!r}")
+    return threads
+
+
+def _given(section: dict, *keys: str) -> dict:
+    """The entries of ``section`` under ``keys`` that the config sets, to be
+    forwarded as keyword arguments; a key left out keeps the library default."""
+    return {key: section[key] for key in keys if key in section}
 
 
 def _resolve_names(config: dict) -> None:
@@ -125,12 +150,11 @@ def _resolved(pointer: str, resolve, *args, **kwargs):
 def build_dataset(config: dict):
     data_cfg = config.get("data") or {}
     if "path" in data_cfg:
-        roles = Roles.from_mapping(data_cfg.get("schema", {}))
-        return ingest_csv(
-            data_cfg["path"], roles,
-            missing_policy=data_cfg.get("missing_policy", "strict"),
-            missing_values=tuple(data_cfg.get("missing_values", ("", "NA"))),
-        )
+        try:
+            return ingest_csv(data_cfg["path"], Roles.from_mapping(data_cfg["schema"]),
+                              **_given(data_cfg, "missing_policy", "missing_values"))
+        except OSError as exc:
+            raise ConfigInvalid("/data/path", f"cannot read the CSV: {exc}") from None
     synth = data_cfg.get("synthetic", {})
     return sim.dgp_sampler(synth, "base")(int(synth.get("n", 400)), int(synth.get("seed", 0)))
 
@@ -155,11 +179,8 @@ def run_estimate(config: dict) -> dict:
     results = {"estimate": est.to_jsonable(), "inference": report.to_jsonable()}
     est_cfg = config.get("estimate", {})
     if est_cfg.get("adaptive"):
-        cfg = adaptive_mod.AdaptiveConfig(
-            c_gamma=est_cfg.get("c_gamma"),
-            grid_points=est_cfg.get("grid_points", 2001),
-            alpha=config["alpha"],
-        )
+        cfg = adaptive_mod.AdaptiveConfig(alpha=config["alpha"],
+                                          **_given(est_cfg, "c_gamma", "grid_points"))
         ci = adaptive_mod.adaptive_ci(mf, ev, est, cfg)
         results["adaptive"] = ci.to_jsonable()
     return {"results": results, "plan": plan}
@@ -173,13 +194,12 @@ def run_compare(config: dict) -> dict:
     mf = builtin_moment(config["moment"])
     h = named_reduction(config["h"], mf.dim)
     cmp_cfg = config.get("compare", {})
-    mc_draws = cmp_cfg.get("mc_draws", 100_000)
-    slack = cmp_cfg.get("slack", 0.0)
+    mc = _given(cmp_cfg, "mc_draws", "slack")
     seed = derived_seed(plan_cfg["seed"], 2)
     if "against_learner" in cmp_cfg:
         res = compare_mod.compare_two_learners(
             mf, plan, d, builtin(config["learner"]), builtin(cmp_cfg["against_learner"]),
-            seed=seed, h=h, alpha=config["alpha"], mc_draws=mc_draws, slack=slack,
+            seed=seed, h=h, alpha=config["alpha"], **mc,
         )
         results = {
             "theta_a": res.theta_a.tolist(),
@@ -197,8 +217,7 @@ def run_compare(config: dict) -> dict:
                        threads=config.get("threads", 1))
     baseline = builtin(cmp_cfg.get("baseline", "mean")).train(d, derived_seed(plan_cfg["seed"], 3))
     res = compare_mod.compare_models(mf, evaluate(models, plan, d, baseline), h=h,
-                                     alpha=config["alpha"], mc_draws=mc_draws,
-                                     seed=seed, slack=slack)
+                                     alpha=config["alpha"], seed=seed, **mc)
     emit_sigma = config.get("output", {}).get("emit_sigma", False)
     return {"results": res.to_jsonable(emit_sigma=emit_sigma), "plan": plan}
 
@@ -209,25 +228,18 @@ def run_gates(config: dict) -> dict:
     gates_cfg = config.get("gates", {})
     learner_names = config.get("learners") or [config["learner"]]
     learners = tuple(gates_mod.CateLearner(builtin(name)) for name in learner_names)
-    controls = tuple(gates_cfg.get("controls", ("const", "propensity")))
-    for i, name in enumerate(controls):
+    cfg = _resolved("/plan/K", gates_mod.GatesConfig, learners=learners, M=plan_cfg["M"],
+                    K=plan_cfg["K"], alpha=config["alpha"],
+                    **_given(gates_cfg, "L", "J", "controls"))
+    for i, name in enumerate(cfg.controls):
         if name not in ("const", "propensity"):
             _resolved(f"/gates/controls/{i}", d.column, name)
-    cfg = _resolved(
-        "/plan/K", gates_mod.GatesConfig,
-        learners=learners,
-        M=plan_cfg["M"], K=plan_cfg["K"],
-        L=gates_cfg.get("L", 2), J=gates_cfg.get("J", 3),
-        alpha=config["alpha"],
-        controls=controls,
-    )
     # each repetition draws a K-fold plan and an L-fold calibration plan
     _resolved("/plan/K", generate_plan, d.n, 1, cfg.K)
     _resolved("/gates/L", generate_plan, d.n, 1, cfg.L)
     result, het, _ = gates_mod.run_gates(
-        cfg, d, seed=plan_cfg["seed"],
-        run_het=gates_cfg.get("het_test", False),
-        mc_draws=gates_cfg.get("mc_draws", 20_000),
+        cfg, d, seed=plan_cfg["seed"], run_het=gates_cfg.get("het_test", False),
+        **_given(gates_cfg, "mc_draws"),
     )
     results = {"gates": result.to_jsonable()}
     if het is not None:
@@ -250,10 +262,9 @@ def run_repro(config: dict) -> dict:
     ev = evaluate(models, plan, d)
     est = solve(2, mf, ev)
     rep_cfg = config.get("repro", {})
-    tau = rep_cfg.get("tau", 0.0)
-    comps = repro_mod.sigma_D_hat(mf, ev, est.theta_hat, h, tau)
+    comps = repro_mod.sigma_D_hat(mf, ev, est.theta_hat, h, **_given(rep_cfg, "tau"))
     measure = repro_mod.repro_measure(comps, rep_cfg.get("beta", 0.2),
-                                      rep_cfg.get("test_type", "two_sided"))
+                                      **_given(rep_cfg, "test_type"))
     return {
         "results": {"components": comps.to_jsonable(), "measure": measure.to_jsonable()},
         "plan": plan,
@@ -340,16 +351,13 @@ def run(argv) -> int:
         return 1
     config["method"] = args.command
 
-    if args.threads is None:
-        args.threads = int(os.environ.get("SPLITINFER_THREADS", "1"))
-
     try:
         resolved = resolve_config(config, args)
         outcome = RUNNERS[args.command](resolved)
     except ConfigInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SplitInferError, DataError) as exc:
+    except SplitInferError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 
@@ -363,7 +371,11 @@ def run(argv) -> int:
     if resolved.get("output", {}).get("emit_plan") and outcome.get("plan") is not None:
         payload["plan"] = outcome["plan"].to_jsonable()
     out_path = resolved.get("output", {}).get("path", f"{args.command}_report.json")
-    write_report(out_path, payload)
+    try:
+        write_report(out_path, payload)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 1
     print(out_path)
     return 0
 

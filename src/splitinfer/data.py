@@ -27,6 +27,7 @@ from .errors import (
     MissingColumn,
     NonBinaryTreatment,
     NonNumericCell,
+    NotUtf8,
 )
 
 DEFAULT_MISSING = ("", "NA")
@@ -201,7 +202,8 @@ def ingest_csv(path, schema, missing_policy: str = "strict",
     Only columns named by the schema are ingested. Under ``strict`` policy any
     cell that does not parse as a number raises; under ``drop`` rows whose
     declared cells match a missing sentinel are removed and counted, while
-    unparseable non-sentinel cells still raise :class:`NonNumericCell`.
+    unparseable non-sentinel cells still raise :class:`NonNumericCell`. A file
+    that is not UTF-8 raises :class:`NotUtf8`.
 
     Parameters
     ----------
@@ -216,47 +218,47 @@ def ingest_csv(path, schema, missing_policy: str = "strict",
     roles = schema if isinstance(schema, Roles) else Roles.from_mapping(schema)
     missing = frozenset(missing_values)
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("CSV file is empty") from None
-        header = [h.strip() for h in header]
-        positions = {}
-        for name in roles.columns():
-            if name not in header:
-                raise MissingColumn(f"column {name!r} not in CSV header {header}")
-            positions[name] = header.index(name)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError("CSV file is empty") from None
+            header = [h.strip() for h in header]
+            positions = {}
+            for name in roles.columns():
+                if name not in header:
+                    raise MissingColumn(f"column {name!r} not in CSV header {header}")
+                positions[name] = header.index(name)
 
-        kept: dict[str, list[float]] = {name: [] for name in positions}
-        n_dropped = 0
-        for line_no, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            parsed = {}
-            drop_row = False
-            for name, pos in positions.items():
-                if pos >= len(record):
-                    cell = ""
-                else:
-                    cell = record[pos].strip()
-                if cell in missing:
-                    if missing_policy == "drop":
-                        drop_row = True
-                        break
-                    raise NonNumericCell(f"line {line_no}, column {name!r}: missing value")
-                try:
-                    parsed[name] = float(cell)
-                except ValueError:
-                    raise NonNumericCell(
-                        f"line {line_no}, column {name!r}: cannot parse {cell!r}"
-                    ) from None
-            if drop_row:
-                n_dropped += 1
-                continue
-            for name, value in parsed.items():
-                kept[name].append(value)
+            kept: dict[str, list[float]] = {name: [] for name in positions}
+            n_dropped = 0
+            for line_no, record in enumerate(reader, start=2):
+                if not record:
+                    continue
+                parsed = {}
+                drop_row = False
+                for name, pos in positions.items():
+                    cell = record[pos].strip() if pos < len(record) else ""
+                    if cell in missing:
+                        if missing_policy == "drop":
+                            drop_row = True
+                            break
+                        raise NonNumericCell(f"line {line_no}, column {name!r}: missing value")
+                    try:
+                        parsed[name] = float(cell)
+                    except ValueError:
+                        raise NonNumericCell(
+                            f"line {line_no}, column {name!r}: cannot parse {cell!r}"
+                        ) from None
+                if drop_row:
+                    n_dropped += 1
+                    continue
+                for name, value in parsed.items():
+                    kept[name].append(value)
+    except UnicodeDecodeError as exc:
+        raise NotUtf8(f"CSV file is not UTF-8: {exc}") from None
 
     n_kept = len(next(iter(kept.values()))) if kept else 0
     if n_kept < 2:

@@ -17,6 +17,10 @@ class NonNumericCell(DataError):
     pass
 
 
+class NotUtf8(DataError):
+    pass
+
+
 class EmptyAfterDrop(DataError):
     pass
 

@@ -82,22 +82,23 @@ def wls_fit(design: np.ndarray, y: np.ndarray, w: np.ndarray):
     xs = design * sw[:, None]
     ys = y * sw
     beta, _, rank, _ = np.linalg.lstsq(xs, ys, rcond=None)
-    ridge_used = False
-    if rank < design.shape[1]:
-        gram = xs.T @ xs + RIDGE_FALLBACK * np.eye(design.shape[1])
-        beta = np.linalg.solve(gram, xs.T @ ys)
-        ridge_used = True
-    resid = y - design @ beta
     gram = xs.T @ xs
+    ridge_used = rank < design.shape[1]
     if ridge_used:
         gram = gram + RIDGE_FALLBACK * np.eye(design.shape[1])
+        beta = np.linalg.solve(gram, xs.T @ ys)
+    resid = y - design @ beta
     bread = np.linalg.inv(gram)
     score = design * (w * resid)[:, None]
     cov = bread @ (score.T @ score) @ bread
     return beta, cov, resid, ridge_used
 
 
-def _controls_matrix(cfg: GatesConfig, d: Dataset, p: np.ndarray) -> np.ndarray:
+def _design(cfg: GatesConfig, d: Dataset):
+    """The propensity p, the weights 1/(p(1-p)) and the control columns."""
+    if d.roles.treatment is None:
+        raise IncompatibleRoles("GATES needs a binary treatment column")
+    p = d.propensity_values()
     cols = []
     for name in cfg.controls:
         if name == "const":
@@ -108,9 +109,8 @@ def _controls_matrix(cfg: GatesConfig, d: Dataset, p: np.ndarray) -> np.ndarray:
             cols.append(p)
         else:
             cols.append(d.column(name))
-    if not cols:
-        return np.empty((d.n, 0))
-    return np.column_stack(cols)
+    controls = np.column_stack(cols) if cols else np.empty((d.n, 0))
+    return p, 1.0 / (p * (1.0 - p)), controls
 
 
 def _calibration_fit(controls, d: Dataset, p, w, tau_mat: np.ndarray, rows: np.ndarray):
@@ -146,7 +146,6 @@ class EnsembleFit:
     tau_by_alg: list           # per m: (n, A) out-of-fold predictions
     betas: list                # per m: (L, A) calibration weights
     tau: list                  # per m: (n,) combined predictions
-    propensity: np.ndarray
     ridge_fallback: bool
 
 
@@ -193,11 +192,7 @@ class HetTestResult:
 
 def ensemble_predict(cfg: GatesConfig, d: Dataset, seed: int = 0) -> EnsembleFit:
     """Out-of-fold ITE predictions per learner, calibrated into one per row."""
-    if d.roles.treatment is None:
-        raise IncompatibleRoles("GATES needs a binary treatment column")
-    p = d.propensity_values()
-    w = 1.0 / (p * (1.0 - p))
-    controls = _controls_matrix(cfg, d, p)
+    p, w, controls = _design(cfg, d)
     n_alg = len(cfg.learners)
     ridge_any = False
 
@@ -223,32 +218,27 @@ def ensemble_predict(cfg: GatesConfig, d: Dataset, seed: int = 0) -> EnsembleFit
         tau_by_alg.append(tau_mat)
         betas_all.append(beta_mat)
         tau_all.append(tau_hat)
-    return EnsembleFit(train_folds, tau_by_alg, betas_all, tau_all,
-                       propensity=p, ridge_fallback=ridge_any)
+    return EnsembleFit(train_folds, tau_by_alg, betas_all, tau_all, ridge_fallback=ridge_any)
 
 
-def _fold_groups(tau_values: np.ndarray, rows: np.ndarray, J: int):
-    """Rank-balanced J groups within one fold; ties go to the lower group.
+def _fold_groups(tau: np.ndarray, J: int):
+    """Rank-balanced J groups of one fold's predictions; ties go to the lower group.
 
-    Returns (group labels for ``rows``, cut points: max tau per group).
+    Returns (group label per prediction, cut points: max tau per group).
     """
-    if rows.size < J:
-        raise EmptyGroup(f"fold of size {rows.size} cannot hold {J} groups")
-    order = np.argsort(tau_values[rows], kind="stable")
-    labels = np.empty(rows.size, dtype=np.int64)
-    bounds = np.linspace(0, rows.size, J + 1).round().astype(int)
-    cuts = []
+    if tau.size < J:
+        raise EmptyGroup(f"fold of size {tau.size} cannot hold {J} groups")
+    order = np.argsort(tau, kind="stable")
+    labels = np.empty(tau.size, dtype=np.int64)
+    bounds = np.linspace(0, tau.size, J + 1).round().astype(int)
     for j in range(J):
         labels[order[bounds[j]:bounds[j + 1]]] = j
-        cuts.append(float(tau_values[rows][order[bounds[j + 1] - 1]]))
-    return labels, cuts
+    return labels, [float(tau[order[b - 1]]) for b in bounds[1:]]
 
 
 def gates_estimate(cfg: GatesConfig, d: Dataset, fit: EnsembleFit) -> GatesResult:
     """Whole-sample weighted GATES regression per repetition, then average."""
-    p = fit.propensity
-    w = 1.0 / (p * (1.0 - p))
-    controls = _controls_matrix(cfg, d, p)
+    p, w, controls = _design(cfg, d)
     gammas = np.empty((cfg.M, cfg.J))
     sigmas = np.empty((cfg.M, cfg.J))
     deltas = np.empty(cfg.M)
@@ -269,7 +259,7 @@ def gates_estimate(cfg: GatesConfig, d: Dataset, fit: EnsembleFit) -> GatesResul
                     "group quantiles are ill-defined",
                     stacklevel=2,
                 )
-            labels, cuts = _fold_groups(tau, rows, cfg.J)
+            labels, cuts = _fold_groups(tau[rows], cfg.J)
             group[rows] = labels
             cutpoints.append(cuts)
         gam, cov_g, gap_var = _group_regression(controls, d.y, w, d.t - p, group, cfg.J)
@@ -312,9 +302,7 @@ def het_test(cfg: GatesConfig, d: Dataset, fit: EnsembleFit,
     beating the baseline by more than sampling noise indicates detectable
     heterogeneity.
     """
-    p = fit.propensity
-    w = 1.0 / (p * (1.0 - p))
-    controls = _controls_matrix(cfg, d, p)
+    p, w, controls = _design(cfg, d)
 
     _, _, base_resid, _ = wls_fit(controls, d.y, w)
     base_sq = base_resid**2
@@ -353,9 +341,10 @@ def run_gates(cfg: GatesConfig, d: Dataset, seed: int = 0, run_het: bool = False
 
 
 def _fold_level_gates(cfg: GatesConfig, d: Dataset, rows: np.ndarray,
-                      tau_values: np.ndarray, p, w, controls):
-    """One-sided p-value for the top-minus-bottom gap within a single fold."""
-    labels, _ = _fold_groups(tau_values, rows, cfg.J)
+                      tau: np.ndarray, p, w, controls):
+    """t-statistic of the top-minus-bottom gap within the fold ``rows``, whose
+    predictions are ``tau``."""
+    labels, _ = _fold_groups(tau, cfg.J)
     gam, _, gap_var = _group_regression(controls[rows], d.y[rows], w[rows],
                                         d.t[rows] - p[rows], labels, cfg.J)
     return float(gam[-1] - gam[0]) / float(np.sqrt(max(gap_var, 1e-300)))
@@ -370,9 +359,7 @@ def baselines(cfg: GatesConfig, d: Dataset, seed: int = 0) -> dict:
     k, scales the average t by sqrt(K-1), and aggregates the per-repetition
     p-values by twice the median.
     """
-    p = d.propensity_values()
-    w = 1.0 / (p * (1.0 - p))
-    controls = _controls_matrix(cfg, d, p)
+    p, w, controls = _design(cfg, d)
     learner = cfg.learners[0]
 
     ttm_pvalues = []
@@ -384,9 +371,7 @@ def baselines(cfg: GatesConfig, d: Dataset, seed: int = 0) -> dict:
         # TTM: model trained on the complement, evaluated within the fold
         for _, k, (rows, train_rows) in enumerate_pairs(plan):
             model = learner.train(d.subset(train_rows), derived_seed(seed, m, 1, k))
-            tau = np.zeros(d.n)
-            tau[rows] = model.predict(d.x[rows])
-            t_stat = _fold_level_gates(cfg, d, rows, tau, p, w, controls)
+            t_stat = _fold_level_gates(cfg, d, rows, model.predict(d.x[rows]), p, w, controls)
             ttm_pvalues.append(float(1.0 - norm_cdf(t_stat)))
 
         # Seq: ordered training on folds 1..k-1, evaluation on fold k
@@ -395,9 +380,8 @@ def baselines(cfg: GatesConfig, d: Dataset, seed: int = 0) -> dict:
             train_rows = np.sort(np.concatenate(folds[:k]))
             model = learner.train(d.subset(train_rows), derived_seed(seed, m, 2, k))
             rows = folds[k]
-            tau = np.zeros(d.n)
-            tau[rows] = model.predict(d.x[rows])
-            t_stats.append(_fold_level_gates(cfg, d, rows, tau, p, w, controls))
+            t_stats.append(_fold_level_gates(cfg, d, rows, model.predict(d.x[rows]),
+                                             p, w, controls))
         t_final = float(np.sqrt(cfg.K - 1) * np.mean(t_stats))
         seq_pvalues.append(float(1.0 - norm_cdf(t_final)))
 

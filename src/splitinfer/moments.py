@@ -187,13 +187,6 @@ class GroupMseGap(MomentFunction):
         return np.array([a, b])
 
 
-def left_inverse_quantile(values: np.ndarray, prob: float) -> float:
-    """Left-continuous empirical inverse inf{t : Fhat(t) >= prob}."""
-    srt = np.sort(values)
-    idx = max(int(math.ceil(prob * srt.size)) - 1, 0)
-    return float(srt[min(idx, srt.size - 1)])
-
-
 class TercileFractions(MomentFunction):
     """Outcome fractions by tercile of the model prediction, J = 3.
 
@@ -229,9 +222,8 @@ class TercileFractions(MomentFunction):
         )
 
     def solve_closed_form(self, eta, y) -> np.ndarray:
-        """Order statistics for the thresholds, then group means of y."""
-        t1 = left_inverse_quantile(eta, 1.0 / 3.0)
-        t2 = left_inverse_quantile(eta, 2.0 / 3.0)
+        """Type-1 (left-inverse) quantiles for the thresholds, then group means of y."""
+        t1, t2 = np.quantile(eta, [1.0 / 3.0, 2.0 / 3.0], method="inverted_cdf")
         groups = self.group_masks(eta, t1, t2)
         means = [float(y[g].mean()) if g.any() else 0.0 for g in groups]
         return np.array([*means, t1, t2])

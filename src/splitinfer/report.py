@@ -1,8 +1,10 @@
-"""Report serialization: canonical JSON with 17-significant-digit floats,
-non-finite values nulled with reason codes, and atomic writes."""
+"""Report serialization: canonical JSON (sorted keys, no spaces, each float
+written as its shortest round-trip ``repr``), non-finite values nulled with
+reason codes, and atomic writes."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import tempfile
@@ -41,59 +43,9 @@ def _sanitize(value, path, nulls):
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON: sorted keys, LF, floats at 17 significant digits."""
-    pieces: list[str] = []
-    _encode(obj, pieces)
-    return "".join(pieces)
-
-
-def _encode(obj, out: list[str]):
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format(obj, ".17g"))
-    elif isinstance(obj, str):
-        out.append(_encode_str(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                out.append(",")
-            out.append(_encode_str(str(key)))
-            out.append(":")
-            _encode(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _encode(item, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
-def _encode_str(s: str) -> str:
-    chunks = ['"']
-    for ch in s:
-        if ch in _ESCAPES:
-            chunks.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            chunks.append(f"\\u{ord(ch):04x}")
-        else:
-            chunks.append(ch)
-    chunks.append('"')
-    return "".join(chunks)
+    """Deterministic JSON: sorted keys, no spaces, shortest round-trip floats."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                      allow_nan=False)
 
 
 def write_report(path: str, payload: dict) -> dict:

@@ -83,10 +83,8 @@ def nearest_positive_definite(sigma: np.ndarray) -> np.ndarray:
 
 
 def empirical_inverse(base_column: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Type-1 inverse of the empirical CDF on the sorted base values."""
-    srt = np.sort(base_column)
-    idx = np.ceil(u * srt.size).astype(np.int64) - 1
-    return srt[np.clip(idx, 0, srt.size - 1)]
+    """Type-1 inverse of the empirical CDF of the base values."""
+    return np.quantile(base_column, u, method="inverted_cdf")
 
 
 @dataclass(frozen=True)
@@ -133,22 +131,18 @@ def copula_sample(dgp: CopulaDGP, n: int, seed: int = 0) -> Dataset:
     sigma = dgp.sigma_star()
     out_name = dgp.base.roles.outcome
 
-    if dgp.mode == "uncorrelated":
-        cov_names = [c for c in names if c != out_name]
-        idx = [names.index(c) for c in cov_names]
-        sub = nearest_positive_definite(sigma[np.ix_(idx, idx)])
-        z = rng.multivariate_normal(np.zeros(len(cov_names)), sub, size=n,
-                                    method="cholesky")
-        u = stats.norm.cdf(z)
-        columns = {c: empirical_inverse(dgp.base.column(c), u[:, j])
-                   for j, c in enumerate(cov_names)}
+    # "uncorrelated" draws the covariates from their block of sigma (a
+    # principal submatrix of a positive definite matrix is positive definite)
+    # and the outcome apart, as a Bernoulli
+    independent = dgp.mode == "uncorrelated"
+    drawn = [j for j, c in enumerate(names) if not (independent and c == out_name)]
+    z = rng.multivariate_normal(np.zeros(len(drawn)), sigma[np.ix_(drawn, drawn)], size=n,
+                                method="cholesky")
+    u = stats.norm.cdf(z)
+    columns = {names[j]: empirical_inverse(dgp.base.column(names[j]), u[:, i])
+               for i, j in enumerate(drawn)}
+    if independent:
         columns[out_name] = (rng.random(n) < dgp.outcome_p).astype(np.float64)
-    else:
-        z = rng.multivariate_normal(np.zeros(len(names)), sigma, size=n,
-                                    method="cholesky")
-        u = stats.norm.cdf(z)
-        columns = {c: empirical_inverse(dgp.base.column(c), u[:, j])
-                   for j, c in enumerate(names)}
     return Dataset(columns, dgp.base.roles)
 
 

@@ -3,9 +3,9 @@
 A plan holds M independent repetitions. With K=1 each repetition is a single
 evaluation subsample of size b drawn without replacement; with K>1 it is a
 random partition of [0, n) into K folds whose sizes differ by at most one
-(the first n mod K folds get the extra row). Fold assembly is a Fisher-Yates
-shuffle on a per-repetition Philox substream, so a plan is a pure function of
-(n, M, K, b, seed), independent of platform.
+(``np.array_split``: the first n mod K folds get the extra row). Fold
+assembly is a Fisher-Yates shuffle on a per-repetition Philox substream, so a
+plan is a pure function of (n, M, K, b, seed), independent of platform.
 """
 
 from __future__ import annotations
@@ -81,20 +81,10 @@ def generate_plan(n: int, M: int, K: int, b: int | None = None, seed: int = 0) -
     reps = []
     for m in range(M):
         perm = substream(seed, m).permutation(n)
-        if K == 1:
-            sets = (np.sort(perm[:b]),)
-        else:
-            base, extra = divmod(n, K)
-            sets = []
-            start = 0
-            for k in range(K):
-                size = base + (1 if k < extra else 0)
-                sets.append(np.sort(perm[start:start + size]))
-                start += size
-            sets = tuple(sets)
+        sets = tuple(np.sort(s) for s in ([perm[:b]] if K == 1 else np.array_split(perm, K)))
         for s in sets:
             s.flags.writeable = False
-        reps.append(tuple(sets))
+        reps.append(sets)
     return SplitPlan(n=n, M=M, K=K, b=int(b), seed=int(seed), repetitions=tuple(reps))
 
 

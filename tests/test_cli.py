@@ -1,11 +1,14 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 from jsonschema import Draft202012Validator
 
 import splitinfer
@@ -123,6 +126,14 @@ def test_malformed_json_exits_one(tmp_path, capsys):
                "gates": {"L": 25}}, "/gates/L"),  # n=40 < 2L
     ("compare --adaptive", {}, "/estimate/adaptive"),
     ("gates --adaptive", {}, "/estimate/adaptive"),
+    ("estimate", {"data": {"path": "data.csv"}}, "/data"),  # a CSV needs data.schema
+    ("estimate", {"plan": {"M": 3, "K": 3, "seed": -1}}, "/plan/seed"),
+    ("estimate", {"data": {"synthetic": {"kind": "base", "n": 90, "seed": -1}}},
+     "/data/synthetic/seed"),
+    ("estimate", {"data": {"synthetic": {"kind": "copula", "base_seed": -1}}},
+     "/data/synthetic/base_seed"),
+    ("estimate --seed -1", {}, "/plan/seed"),
+    ("estimate --threads 0", {}, "/threads"),
 ])
 def test_bad_names_are_config_errors(tmp_path, capsys, method, overrides, pointer):
     method, *flags = method.split()
@@ -132,6 +143,39 @@ def test_bad_names_are_config_errors(tmp_path, capsys, method, overrides, pointe
     assert f"invalid config at {pointer}:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
+
+
+CSV_ROLES = {"outcome": "y", "covariates": ["x1"]}
+
+
+@pytest.mark.parametrize("overrides, env, code, message", [
+    ({"data": {"path": "absent.csv", "schema": CSV_ROLES}}, {}, 1,
+     "invalid config at /data/path:"),
+    ({"data": {"path": "a_directory", "schema": CSV_ROLES}}, {}, 1,
+     "invalid config at /data/path:"),
+    ({"data": {"path": "latin1.csv", "schema": CSV_ROLES}}, {}, 2,
+     "runtime failure: CSV file is not UTF-8"),
+    ({}, {"SPLITINFER_THREADS": "two"}, 1, "invalid config at /threads:"),
+    ({"output": {"path": "a_directory"}}, {}, 1, "error: cannot write report:"),
+    ({"output": {"path": "good.csv/r.json"}}, {}, 1, "error: cannot write report:"),
+], ids=["csv_missing", "csv_is_a_directory", "csv_not_utf8", "threads_env_not_an_integer",
+        "report_path_is_a_directory", "report_parent_is_a_file"])
+def test_bad_inputs_end_in_their_exit_code(tmp_path, capsys, monkeypatch, overrides, env,
+                                           code, message):
+    monkeypatch.chdir(tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "good.csv").write_text("y,x1\n1,2\n3,5\n4,4\n", encoding="utf-8")
+    (tmp_path / "latin1.csv").write_bytes("y,x1\n1,2\n3,5\n4,\u00e9\n".encode("latin-1"))
+    cfg = estimate_config(tmp_path, tmp_path / "r.json", **overrides)
+    assert invoke(["estimate", "--config", cfg]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert not list((tmp_path / "a_directory").iterdir())
 
 
 @pytest.mark.parametrize("spec", [
@@ -300,8 +344,23 @@ def test_console_entrypoint_runs(tmp_path):
 # report serialization
 
 
-def test_float_17_digits_and_sorted_keys():
-    assert dumps({"b": 0.1, "a": 1}) == '{"a":1,"b":0.10000000000000001}'
+def test_shortest_floats_and_sorted_keys():
+    assert dumps({"b": 0.1, "a": 1}) == '{"a":1,"b":0.1}'
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False)
+       | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e300, 3.0, -7.0, 2.0**53]))
+def test_floats_read_back_bitwise(x):
+    # subnormals, -0.0 and integral floats included: an integral float reads
+    # back as a float, and -0.0 keeps its sign
+    back = json.loads(dumps({"a": x}))["a"]
+    assert type(back) is float
+    assert struct.pack("<d", back) == struct.pack("<d", x)
+
+
+def test_dumps_rejects_nan():
+    with pytest.raises(ValueError):
+        dumps({"a": float("nan")})
 
 
 def test_nan_and_inf_nulled_with_reasons():

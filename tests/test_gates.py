@@ -56,7 +56,7 @@ def test_row_propensity_and_covariate_controls_enter_the_gates_design():
     result, _, fit = run_gates(cfg, d, seed=2)
     group = np.empty(n, dtype=np.int64)
     for rows in fit.train_folds[0]:
-        group[rows], _ = _fold_groups(fit.tau[0], rows, cfg.J)
+        group[rows], _ = _fold_groups(fit.tau[0][rows], cfg.J)
     design = np.column_stack([np.ones(n), p, x2,
                               (t - p)[:, None] * (group[:, None] == np.arange(cfg.J))])
     beta, *_ = wls_fit(design, y, 1.0 / (p * (1.0 - p)))
@@ -65,7 +65,7 @@ def test_row_propensity_and_covariate_controls_enter_the_gates_design():
 
 def test_fold_groups_balance_and_ties():
     tau = np.array([3.0, 1.0, 2.0, 5.0, 4.0, 6.0])
-    labels, cuts = _fold_groups(tau, np.arange(6), J=3)
+    labels, cuts = _fold_groups(tau, J=3)
     # sizes 2/2/2 ordered by tau rank
     assert [np.sum(labels == j) for j in range(3)] == [2, 2, 2]
     assert set(np.flatnonzero(labels == 0)) == {1, 2}
@@ -75,7 +75,7 @@ def test_fold_groups_balance_and_ties():
 
 def test_fold_groups_too_small():
     with pytest.raises(EmptyGroup):
-        _fold_groups(np.array([1.0, 2.0]), np.arange(2), J=3)
+        _fold_groups(np.array([1.0, 2.0]), J=3)
 
 
 def test_group_balance_invariant():
@@ -84,7 +84,7 @@ def test_group_balance_invariant():
     fit = ensemble_predict(cfg, d, seed=0)
     for m in range(cfg.M):
         for rows in fit.train_folds[m]:
-            labels, _ = _fold_groups(fit.tau[m], rows, cfg.J)
+            labels, _ = _fold_groups(fit.tau[m][rows], cfg.J)
             sizes = [np.sum(labels == j) for j in range(cfg.J)]
             assert max(sizes) - min(sizes) <= 1
 
@@ -144,12 +144,12 @@ def test_gamma_equals_per_group_ratio_without_controls():
     cfg = GatesConfig(learners=learners, M=1, K=2, L=2, J=3, controls=())
     fit = ensemble_predict(cfg, d, seed=3)
     result = gates_estimate(cfg, d, fit)
-    p = fit.propensity
+    p = d.propensity_values()
     w = 1.0 / (p * (1.0 - p))
     tau = fit.tau[0]
     group = np.empty(d.n, dtype=np.int64)
     for rows in fit.train_folds[0]:
-        labels, _ = _fold_groups(tau, rows, cfg.J)
+        labels, _ = _fold_groups(tau[rows], cfg.J)
         group[rows] = labels
     centered = d.t - p
     for j in range(cfg.J):

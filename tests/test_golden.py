@@ -30,7 +30,9 @@ def diff(got, want, path=""):
             return [f"{path}: length {len(got)} != {len(want)}"]
         return [line for i, (g, w) in enumerate(zip(got, want))
                 for line in diff(g, w, f"{path}/{i}")]
-    # an integral float is written without a fraction and reads back as an int
+    # reports write each float as its shortest round-trip repr, so an integral
+    # float reads back as a float; goldens written at 17 significant digits
+    # hold it as an int, so a float on either side compares as a float
     if (isinstance(got, float) or isinstance(want, float)) and all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in (got, want)):
         if math.isclose(got, want, rel_tol=RTOL, abs_tol=ATOL):

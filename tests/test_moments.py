@@ -5,7 +5,7 @@ from splitinfer.data import Dataset, Roles
 from splitinfer.errors import IncompatibleRoles, UnknownMoment
 from splitinfer.evaluation import Block
 from splitinfer.learners import ConstantModel, FixedFunctionModel
-from splitinfer.moments import builtin_moment, left_inverse_quantile
+from splitinfer.moments import builtin_moment
 from splitinfer.rng import substream
 
 ALL_ROWS = lambda d: np.arange(d.n)  # noqa: E731
@@ -97,11 +97,14 @@ def test_unknown_moment():
         builtin_moment("auc")
 
 
-def test_left_inverse_quantile_convention():
-    values = np.array([1.0, 2.0, 3.0])
-    assert left_inverse_quantile(values, 1 / 3) == 1.0
-    assert left_inverse_quantile(values, 2 / 3) == 2.0
-    assert left_inverse_quantile(values, 1.0) == 3.0
+def test_tercile_thresholds_are_left_inverse_quantiles():
+    # t_j = inf{t : Fhat(t) >= j/3}, the smallest prediction reaching the fraction
+    mf = builtin_moment("tercile_fractions")
+    for eta, thresholds in (([3.0, 1.0, 2.0], [1.0, 2.0]),
+                            ([1.0, 2.0, 3.0, 4.0], [2.0, 3.0]),
+                            ([2.0, 1.0, 2.0, 3.0, 2.0, 1.0], [1.0, 2.0])):  # ties
+        theta = mf.solve_closed_form(np.array(eta), np.zeros(len(eta)))
+        assert theta[3:].tolist() == thresholds
 
 
 def test_tercile_solution_balances_groups():
