@@ -32,7 +32,6 @@ from .compare import (
     comparison_ci,
     delta_vector,
     one_sided_test,
-    sigma_hat,
 )
 from .adaptive import AdaptiveCI, AdaptiveConfig, adaptive_ci, gate
 from .repro import (

@@ -5,10 +5,11 @@ run is driven by a JSON config (schema-validated, unknown keys rejected) plus
 a handful of overriding flags; every report embeds the resolved config and the
 master seed, is schema-versioned, and is written atomically. A key the config
 leaves out keeps the library's default. Exit codes: 0 success; 1 usage or
-config error, including an unreadable ``data.path``, a negative ``--seed``, a
-thread count (``--threads`` or ``SPLITINFER_THREADS``) that is not a positive
-integer, and a report that cannot be written to ``output.path``; 2 runtime
-failure, including a CSV cell that is not a number or a CSV that is not UTF-8.
+config error, including an unknown flag or a flag value of the wrong type, an
+unreadable ``data.path``, a negative ``--seed``, a thread count
+(``--threads`` or ``SPLITINFER_THREADS``) that is not a positive integer, and
+a report or grid CSV that cannot be written; 2 runtime failure, including a
+CSV cell that is not a number or a CSV that is not UTF-8.
 
 Data come from a CSV (``data.path``) or from a synthetic generator
 (``data.synthetic``: any kind of ``sim.dgp_sampler``, i.e. "base",
@@ -32,7 +33,7 @@ from . import gates as gates_mod
 from . import repro as repro_mod
 from . import sim
 from .data import Roles, ingest_csv
-from .errors import ConfigInvalid, SplitInferError
+from .errors import ConfigInvalid, SplitInferError, ZeroVariance
 from .evaluation import evaluate
 from .inference import named_reduction, normal_ci
 from .learners import builtin, train_all
@@ -175,9 +176,14 @@ def run_estimate(config: dict) -> dict:
     ev = evaluate(models, plan, d)
     est = solve(config["variant"], mf, ev)
     h = named_reduction(config["h"], mf.dim)
-    report = normal_ci(mf, ev, est, h, config["alpha"])
-    results = {"estimate": est.to_jsonable(), "inference": report.to_jsonable()}
+    results = {"estimate": est.to_jsonable()}
     est_cfg = config.get("estimate", {})
+    try:
+        results["inference"] = normal_ci(mf, ev, est, h, config["alpha"]).to_jsonable()
+    except ZeroVariance:
+        # the adaptive CI is built for a zero variance; without it, fail
+        if not est_cfg.get("adaptive"):
+            raise
     if est_cfg.get("adaptive"):
         cfg = adaptive_mod.AdaptiveConfig(alpha=config["alpha"],
                                           **_given(est_cfg, "c_gamma", "grid_points"))
@@ -288,10 +294,14 @@ def run_simulate(config: dict) -> dict:
         alpha=config["alpha"],
         **({"oracle_rows": sim_cfg["oracle_rows"]} if "oracle_rows" in sim_cfg else {}),
     )
-    rows = sim.run_grid(grid)
+    try:
+        rows = sim.run_grid(grid)
+    except OSError as exc:
+        pointer = "/simulate/csv_path" if sim_cfg.get("csv_path") else "/output/path"
+        raise ConfigInvalid(pointer, f"cannot write the grid CSV: {exc}") from None
     return {
         "results": {"csv_path": csv_path, "rows_written": len(rows),
-                    "summary": sim.summarize_grid(csv_path)},
+                    "summary": sim.summarize_grid(rows)},
         "plan": None,
     }
 
@@ -308,9 +318,16 @@ RUNNERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on a config error; subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="splitinfer",
-                                     description="Split-sample inference toolkit")
+    parser = _Parser(prog="splitinfer", description="Split-sample inference toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in (*RUNNERS, "validate-config"):
         p = sub.add_parser(name)

@@ -1,6 +1,12 @@
-"""Model-vs-baseline comparison: per-split performance gaps, their joint
-covariance across splits, the multivariate one-sided test with Monte-Carlo
-critical values, and the pre-tested confidence interval.
+"""Model comparison: per-split performance gaps, their joint covariance
+across splits, the multivariate one-sided test with Monte-Carlo critical
+values, and the pre-tested confidence interval.
+
+Both comparisons, a model against a whole-sample baseline
+(``compare_models``) and two cross-fit learners against each other
+(``compare_two_learners``), run one core, ``_one_sided``: it streams each
+split's influence values into ``sigma_from_values`` against the reference
+model's values on all n rows, then runs ``one_sided_test`` on the gaps.
 
 The covariance of the sqrt(n)-scaled gap vector is assembled from the four
 row-intersection blocks between any two splits (train/train, train/eval,
@@ -126,14 +132,6 @@ def _influence_rows(mf, b: Block, theta, grad) -> np.ndarray:
     return -(psi @ np.linalg.solve(jac, grad))
 
 
-def _split_values(mf, ev: Evaluations, per_split_thetas, h: DeltaSpec):
-    """Per-split influence values on each split's own evaluation rows, made
-    one split at a time as ``sigma_from_values`` consumes them."""
-    for b in ev.blocks:
-        theta = per_split_thetas[(b.m, b.k)]
-        yield _influence_rows(mf, b, theta, h.gradient(theta))
-
-
 # ---------------------------------------------------------------------------
 # covariance assembly
 
@@ -247,17 +245,18 @@ def _gaps(h: DeltaSpec, per_split_thetas, theta_b) -> DeltaVector:
                        h_baseline=h_b, per_split_thetas=per_split_thetas)
 
 
-def sigma_hat(mf: MomentFunction, ev: Evaluations, h: DeltaSpec = IDENTITY,
-              delta: DeltaVector | None = None) -> SigmaHat:
-    """Block estimate of the covariance of the sqrt(n)-scaled gap vector.
+def _one_sided(mf: MomentFunction, ev: Evaluations, delta: DeltaVector, vals_ref,
+               h: DeltaSpec, alpha: float, mc_draws: int, seed: int,
+               slack: float) -> tuple[SigmaHat, OneSidedTest]:
+    """Covariance of the gaps ``delta`` against the reference model's
+    influence values ``vals_ref`` on all n rows, and their one-sided test."""
+    def split_vals():
+        for b in ev.blocks:
+            theta = delta.per_split_thetas[(b.m, b.k)]
+            yield _influence_rows(mf, b, theta, h.gradient(theta))
 
-    ``delta`` reuses the estimates of an earlier :func:`delta_vector` call.
-    """
-    if delta is None:
-        delta = delta_vector(mf, ev, h)
-    vals_base = _influence_rows(mf, ev.baseline, delta.theta_b, h.gradient(delta.theta_b))
-    return sigma_from_values(ev.plan.eval_sets(), ev.plan.n,
-                             _split_values(mf, ev, delta.per_split_thetas, h), vals_base)
+    sigma = sigma_from_values(ev.plan.eval_sets(), ev.plan.n, split_vals(), vals_ref)
+    return sigma, one_sided_test(delta.deltas, sigma, ev.plan.n, alpha, mc_draws, seed, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +324,11 @@ def comparison_ci(point: float, sigma_delta: float, n: int, rejected: bool,
     return ci_normal, ci_ext, ci_final
 
 
-def sigma_delta_hat(mf: MomentFunction, ev: Evaluations, theta_pooled, theta_b,
+def sigma_delta_hat(mf: MomentFunction, ev: Evaluations, theta_pooled, base_vals,
                     h: DeltaSpec = IDENTITY):
     """Standard error for the pooled gap: sigma_eta^2 + sigma_b^2 - 2 cov.
 
+    ``base_vals`` holds the baseline's influence values on all n rows.
     Returns (sigma_delta, clamped_flag); a tiny negative variance from the
     covariance subtraction is clamped to zero and flagged.
     """
@@ -340,7 +340,6 @@ def sigma_delta_hat(mf: MomentFunction, ev: Evaluations, theta_pooled, theta_b,
     grad = h.gradient(theta_pooled)
     var_eta = float(grad @ v @ grad)
 
-    base_vals = _influence_rows(mf, ev.baseline, theta_b, h.gradient(theta_b))
     var_b = float(np.var(base_vals))
 
     cov_acc = 0.0
@@ -364,12 +363,12 @@ def compare_models(mf: MomentFunction, ev: Evaluations, h: DeltaSpec = IDENTITY,
     """
     n = ev.plan.n
     delta = delta_vector(mf, ev, h)
-    sigma = sigma_hat(mf, ev, h, delta)
-    test = one_sided_test(delta.deltas, sigma, n, alpha, mc_draws, seed, slack)
+    base_vals = _influence_rows(mf, ev.baseline, delta.theta_b, h.gradient(delta.theta_b))
+    sigma, test = _one_sided(mf, ev, delta, base_vals, h, alpha, mc_draws, seed, slack)
 
     pooled = solve(2, mf, ev)
     point = float(h.h(pooled.theta_hat)) - delta.h_baseline
-    sd, clamped = sigma_delta_hat(mf, ev, pooled.theta_hat, delta.theta_b, h)
+    sd, clamped = sigma_delta_hat(mf, ev, pooled.theta_hat, base_vals, h)
     ci_normal, ci_ext, ci_final = comparison_ci(point, sd, n, test.reject, alpha)
     flags = {}
     if clamped:
@@ -434,12 +433,8 @@ def compare_two_learners(mf: MomentFunction, plan: SplitPlan, d: Dataset,
     for direction in (0, 1):  # a against pooled b, then b against pooled a
         ev_split, ev_other, theta_other = evs[direction], evs[1 - direction], thetas[1 - direction]
         delta = _gaps(h, per_split_estimates(mf, ev_split), theta_other)
-        vals_base = _pooled_row_values(mf, ev_other, theta_other, h)
-        sigma = sigma_from_values(plan.eval_sets(), plan.n,
-                                  _split_values(mf, ev_split, delta.per_split_thetas, h),
-                                  vals_base)
-        test = one_sided_test(delta.deltas, sigma, plan.n, alpha, mc_draws,
-                              derived_seed(seed, 2 + direction), slack)
+        _, test = _one_sided(mf, ev_split, delta, _pooled_row_values(mf, ev_other, theta_other, h),
+                             h, alpha, mc_draws, derived_seed(seed, 2 + direction), slack)
         results.append((delta, test))
 
     (delta_ab, test_ab), (delta_ba, test_ba) = results

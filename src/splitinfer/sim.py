@@ -26,7 +26,6 @@ oracle column.
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass
 from itertools import product
 
@@ -409,43 +408,22 @@ GRID_COLUMNS = ("cell_id", "iteration", "method", "n", "K", "M",
                 "estimate", "se", "ci_lo", "ci_hi", "p_value", "covered", "error")
 
 
-def run_grid(grid: ExperimentGrid, methods_registry=None, resume: bool = True) -> list[dict]:
-    """Execute every (cell, iteration), appending rows to the CSV sink.
+def run_grid(grid: ExperimentGrid) -> list[dict]:
+    """Execute every (cell, iteration) and write its rows to a fresh CSV.
 
-    Failures are recorded in the ``error`` column and the grid continues.
-    With ``resume`` the rows already present in the sink are skipped, keyed by
-    (cell_id, iteration).
+    The CSV at ``grid.out_csv`` is always rewritten, never resumed. Failures
+    are recorded in the ``error`` column and the grid continues.
     """
-    registry = methods_registry or METHOD_RUNNERS
-    cells = []
-    for i, (n, K, method) in enumerate(product(grid.n_list, grid.K_list, grid.methods)):
-        cells.append((f"cell{i:03d}", n, K, method))
-
-    done = set()
-    if resume and os.path.exists(grid.out_csv):
-        with open(grid.out_csv, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                done.add((row["cell_id"], int(row["iteration"])))
-        mode = "a"
-    else:
-        mode = "w"
-
     rows = []
-    with open(grid.out_csv, mode, newline="", encoding="utf-8") as fh:
+    with open(grid.out_csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=GRID_COLUMNS)
-        if mode == "w":
-            writer.writeheader()
-        for cell_index, (cell_id, n, K, method) in enumerate(cells):
-            runner = registry[method]
+        writer.writeheader()
+        cells = product(grid.n_list, grid.K_list, grid.methods)
+        for cell_index, (n, K, method) in enumerate(cells):
+            runner = METHOD_RUNNERS[method]
             for it in range(grid.iterations):
-                if (cell_id, it) in done:
-                    continue
-                row = {
-                    "cell_id": cell_id, "iteration": it, "method": method,
-                    "n": n, "K": K, "M": grid.M,
-                    "estimate": "", "se": "", "ci_lo": "", "ci_hi": "",
-                    "p_value": "", "covered": "", "error": "",
-                }
+                row = {**dict.fromkeys(GRID_COLUMNS, ""), "cell_id": f"cell{cell_index:03d}",
+                       "iteration": it, "method": method, "n": n, "K": K, "M": grid.M}
                 try:
                     result = runner(grid, n, K, cell_index, it)
                     row.update({k: v for k, v in result.items() if k in GRID_COLUMNS})
@@ -456,25 +434,25 @@ def run_grid(grid: ExperimentGrid, methods_registry=None, resume: bool = True) -
     return rows
 
 
-def summarize_grid(csv_path: str) -> dict:
-    """Per-cell means of the numeric grid columns."""
+def summarize_grid(rows: list[dict]) -> dict:
+    """Per-cell means of the numeric columns of the rows one :func:`run_grid`
+    call returns (a grid always writes a fresh CSV, so these are its rows)."""
     agg: dict[str, dict] = {}
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            cell = agg.setdefault(row["cell_id"], {
-                "method": row["method"], "n": int(row["n"]), "K": int(row["K"]),
-                "count": 0, "failures": 0,
-                "estimate_sum": 0.0, "covered_sum": 0.0, "p_sum": 0.0,
-            })
-            cell["count"] += 1
-            if row["error"]:
-                cell["failures"] += 1
-                continue
-            for key, target in (("estimate", "estimate_sum"),
-                                ("covered", "covered_sum"),
-                                ("p_value", "p_sum")):
-                if row[key] != "":
-                    cell[target] += float(row[key])
+    for row in rows:
+        cell = agg.setdefault(row["cell_id"], {
+            "method": row["method"], "n": row["n"], "K": row["K"],
+            "count": 0, "failures": 0,
+            "estimate_sum": 0.0, "covered_sum": 0.0, "p_sum": 0.0,
+        })
+        cell["count"] += 1
+        if row["error"]:
+            cell["failures"] += 1
+            continue
+        for key, target in (("estimate", "estimate_sum"),
+                            ("covered", "covered_sum"),
+                            ("p_value", "p_sum")):
+            if row[key] != "":
+                cell[target] += float(row[key])
     out = {}
     for cell_id, cell in agg.items():
         ok = cell["count"] - cell["failures"]

@@ -172,8 +172,6 @@ def run_case(name: str, workdir: Path) -> dict:
                                        "output": {"path": str(report_path)}}),
                            encoding="utf-8")
     grid_csv = Path(config["simulate"]["csv_path"]) if command == "simulate" else None
-    if grid_csv is not None:
-        grid_csv.unlink(missing_ok=True)  # run_grid would resume from an old sink
     code = cli.run([command, "--config", str(config_path), "--threads", "1", *flags])
     report = {}
     if report_path.exists():

@@ -14,7 +14,7 @@ from jsonschema import Draft202012Validator
 import splitinfer
 from splitinfer.cli import build_dataset, load_schema, run
 from splitinfer.report import dumps, report_schema_version, sanitize, write_report
-from splitinfer.rng import derived_seed
+from splitinfer.rng import derived_seed, substream
 from splitinfer.sim import ExperimentGrid, _grid_fit
 
 
@@ -134,8 +134,15 @@ def test_malformed_json_exits_one(tmp_path, capsys):
      "/data/synthetic/base_seed"),
     ("estimate --seed -1", {}, "/plan/seed"),
     ("estimate --threads 0", {}, "/threads"),
+    ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
+                               "methods": ["estimate"], "csv_path": "nodir/grid.csv"}},
+     "/simulate/csv_path"),
+    ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
+                               "methods": ["estimate"]},
+                  "output": {"path": "nodir/r.json"}}, "/output/path"),  # CSV nodir/r.json.csv
 ])
-def test_bad_names_are_config_errors(tmp_path, capsys, method, overrides, pointer):
+def test_bad_names_are_config_errors(tmp_path, capsys, monkeypatch, method, overrides, pointer):
+    monkeypatch.chdir(tmp_path)
     method, *flags = method.split()
     cfg = estimate_config(tmp_path, tmp_path / "r.json", method=method, **overrides)
     assert invoke([method, "--config", cfg, *flags]) == 1
@@ -146,6 +153,39 @@ def test_bad_names_are_config_errors(tmp_path, capsys, method, overrides, pointe
 
 
 CSV_ROLES = {"outcome": "y", "covariates": ["x1"]}
+
+
+@pytest.mark.parametrize("flags", [["--threads", "two"], ["--seed", "1.5"], ["--bogus"]],
+                         ids=["threads_not_an_integer", "seed_not_an_integer", "unknown_flag"])
+def test_usage_errors_exit_one(tmp_path, capsys, flags):
+    cfg = estimate_config(tmp_path, tmp_path / "r.json")
+    with pytest.raises(SystemExit) as exc:
+        invoke(["estimate", "--config", cfg, *flags])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage: splitinfer" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_adaptive_ci_runs_where_the_normal_variance_is_zero(tmp_path, capsys):
+    """A constant outcome gives the normal CI a zero variance: with --adaptive
+    the report holds the adaptive CI and no normal CI; without it, exit 2."""
+    data = tmp_path / "constant.csv"
+    x = substream(11).standard_normal(90)
+    data.write_text("y,x1\n" + "".join(f"1,{v!r}\n" for v in x.tolist()), encoding="utf-8")
+    out = tmp_path / "r.json"
+    cfg = estimate_config(tmp_path, out, learner="mean", moment="classify_binary",
+                          data={"path": str(data), "schema": CSV_ROLES})
+    assert invoke(["estimate", "--config", cfg]) == 2
+    assert "runtime failure: delta-method variance is zero" in capsys.readouterr().err
+    assert not out.exists()
+    assert invoke(["estimate", "--config", cfg, "--adaptive"]) == 0
+    results = json.loads(out.read_text())["results"]
+    assert set(results) == {"estimate", "adaptive"}
+    assert results["adaptive"]["flags"]["zero_variance"] is True
+    (lo, hi), = results["adaptive"]["intervals"]
+    assert lo < results["estimate"]["theta_hat"][0] < hi
 
 
 @pytest.mark.parametrize("overrides, env, code, message", [
@@ -327,6 +367,33 @@ def test_simulate_determinism(tmp_path):
     csv_a = (tmp_path / "grid_a.csv").read_text()
     csv_b = (tmp_path / "grid_b.csv").read_text()
     assert csv_a == csv_b
+
+
+def test_simulate_rewrites_a_grid_csv_left_by_another_grid(tmp_path):
+    """A second grid on the same CSV reports its own rows, as a fresh run
+    does, not the rows an earlier grid with other data left there."""
+    def sim_report(noise, csv_name, tag):
+        cfg = write_config(tmp_path, {
+            "method": "simulate",
+            "plan": {"M": 2, "seed": 7},
+            "simulate": {
+                "dgp": {"kind": "gauss_linear", "noise": noise},
+                "n_list": [60], "K_list": [3], "methods": ["estimate"],
+                "iterations": 2, "oracle_rows": 1000,
+                "csv_path": str(tmp_path / csv_name),
+            },
+            "output": {"path": str(tmp_path / f"{tag}.json")},
+        }, name=f"{tag}.cfg.json")
+        assert invoke(["simulate", "--config", cfg]) == 0
+        results = json.loads((tmp_path / f"{tag}.json").read_text())["results"]
+        results.pop("csv_path")
+        return results, (tmp_path / csv_name).read_text()
+
+    sim_report(1.0, "shared.csv", "first")
+    second = sim_report(3.0, "shared.csv", "second")
+    fresh = sim_report(3.0, "fresh.csv", "fresh")
+    assert second == fresh
+    assert second[0]["rows_written"] == 2
 
 
 def test_console_entrypoint_runs(tmp_path):

@@ -14,7 +14,6 @@ from splitinfer.compare import (
     mc_critical_value,
     one_sided_test,
     sigma_from_values,
-    sigma_hat,
 )
 from splitinfer.data import Dataset, Roles
 from splitinfer.errors import ZeroDiagonal
@@ -192,12 +191,12 @@ def test_sigma_oracle_m1_k2():
         plan = generate_plan(n, M=1, K=2, seed=it)
         models = train_all(plan, d, mean_lr, seed=it)
         base = mean_lr.train(d)
-        dv = delta_vector(mf, evaluate(models, plan, d, base))
+        res = compare_models(mf, evaluate(models, plan, d, base), mc_draws=1)
         ybar = y.mean()
         truth = [(1 + y[p.train_rows].mean() ** 2) - (1 + ybar**2)
                  for (_, _, p) in enumerate_pairs(plan)]
-        dev[it] = np.sqrt(n) * (dv.deltas - np.array(truth))
-        sig += sigma_hat(mf, evaluate(models, plan, d, base)).matrix
+        dev[it] = np.sqrt(n) * (res.delta.deltas - np.array(truth))
+        sig += res.sigma.matrix
     empirical = np.cov(dev.T)
     estimated = sig / draws
     np.testing.assert_allclose(estimated, empirical, atol=0.12)

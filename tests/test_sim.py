@@ -1,4 +1,3 @@
-import csv
 import os
 import subprocess
 import sys
@@ -7,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from splitinfer import sim
 from splitinfer.data import Dataset, Roles
 from splitinfer.learners import ConstantModel, builtin, train_all
 from splitinfer.moments import builtin_moment
@@ -151,31 +151,14 @@ def test_run_grid_smoke_rows_and_determinism(tmp_path):
         text_b = fh.read()
     assert text_a == text_b
 
-    summary = summarize_grid(grid.out_csv)
+    summary = summarize_grid(rows)
     assert len(summary) == 2
     for cell in summary.values():
         assert cell["failures"] == 0
         assert cell["coverage"] is not None
 
 
-def test_run_grid_resume_skips_done(tmp_path):
-    path = str(tmp_path / "grid.csv")
-    grid = ExperimentGrid(
-        dgp={"kind": "gauss_linear"}, n_list=(50,), K_list=(2,), M=1,
-        methods=("estimate",), iterations=3, seed=5, out_csv=path,
-        oracle_rows=1000,
-    )
-    run_grid(grid)
-    with open(path) as fh:
-        first = list(csv.DictReader(fh))
-    rows = run_grid(grid)  # everything already present
-    assert rows == []
-    with open(path) as fh:
-        second = list(csv.DictReader(fh))
-    assert first == second
-
-
-def test_run_grid_records_failures(tmp_path):
+def test_run_grid_records_failures(tmp_path, monkeypatch):
     grid = ExperimentGrid(
         dgp={"kind": "gauss_linear"}, n_list=(30,), K_list=(2,), M=1,
         methods=("boom",), iterations=2, seed=1,
@@ -185,7 +168,8 @@ def test_run_grid_records_failures(tmp_path):
     def boom(grid, n, K, cell_index, iteration):
         raise RuntimeError("synthetic failure")
 
-    rows = run_grid(grid, methods_registry={"boom": boom}, resume=False)
+    monkeypatch.setitem(sim.METHOD_RUNNERS, "boom", boom)
+    rows = run_grid(grid)
     assert len(rows) == 2
     assert all("synthetic failure" in r["error"] for r in rows)
 
