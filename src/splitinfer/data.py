@@ -8,6 +8,14 @@ data must be pre-encoded numerically by the caller.
 
 Row subsets are plain sorted integer index arrays ("row index sets"); use
 :func:`as_row_index_set` to validate one and :func:`complement` to invert it.
+:meth:`Dataset.subset` returns a row view of the root dataset, which was
+validated once when it was built: any set of its rows is still finite, still
+has a binary treatment and propensities in (0, 1), so a view checks only its
+row set. A view gathers a column from the root on first read, with
+``ndarray.take``, and keeps it read-only; a fit that reads ``x`` and ``y``
+gathers those and nothing else. Two threads reading a view's column for the
+first time may both gather it; they gather the same values, which is
+harmless.
 """
 
 from __future__ import annotations
@@ -70,6 +78,14 @@ class Roles:
 class Dataset:
     """Immutable numeric table with column roles.
 
+    A dataset built from columns is a root: ``__init__`` checks its columns
+    once and freezes them. :meth:`subset` returns a row view of the root (a
+    subset of a view composes the row indices) that re-runs none of those
+    checks. A view gathers each column from the root on first read and caches
+    it read-only, and takes ``x`` from the root's ``x``. Two threads reading a
+    view's column for the first time may both gather it; they gather the same
+    values, so either copy serves.
+
     Parameters
     ----------
     columns : mapping of name -> 1d float array, all of the same length n >= 2.
@@ -109,6 +125,8 @@ class Dataset:
             if not 0.0 < roles.propensity < 1.0:
                 raise InvalidPropensity("constant propensity must lie strictly inside (0,1)")
         self._columns = cols
+        self._root: Dataset | None = None  # a view's root; None on a root
+        self._rows: np.ndarray | None = None
         self.roles = roles
         self.n = n
         self.n_dropped = int(n_dropped)
@@ -118,21 +136,28 @@ class Dataset:
         try:
             return self._columns[name]
         except KeyError:
-            raise MissingColumn(f"no column {name!r}") from None
+            if self._root is None or name not in self._root._columns:
+                raise MissingColumn(f"no column {name!r}") from None
+        arr = self._root._columns[name].take(self._rows)
+        arr.flags.writeable = False
+        self._columns[name] = arr
+        return arr
 
     @property
     def column_names(self) -> tuple[str, ...]:
-        return tuple(self._columns)
+        return tuple((self._root or self)._columns)
 
     @property
     def y(self) -> np.ndarray:
-        return self._columns[self.roles.outcome]
+        return self.column(self.roles.outcome)
 
     @property
     def x(self) -> np.ndarray:
         """Covariate matrix of shape (n, p), p may be 0."""
         if self._x is None:
-            if self.roles.covariates:
+            if self._root is not None:
+                x = self._root.x.take(self._rows, axis=0)
+            elif self.roles.covariates:
                 x = np.column_stack([self._columns[c] for c in self.roles.covariates])
             else:
                 x = np.empty((self.n, 0))
@@ -144,13 +169,13 @@ class Dataset:
     def t(self) -> np.ndarray:
         if self.roles.treatment is None:
             raise IncompatibleRoles("dataset has no treatment column")
-        return self._columns[self.roles.treatment]
+        return self.column(self.roles.treatment)
 
     @property
     def g(self) -> np.ndarray:
         if self.roles.group is None:
             raise IncompatibleRoles("dataset has no group column")
-        return self._columns[self.roles.group]
+        return self.column(self.roles.group)
 
     def propensity_values(self) -> np.ndarray:
         """Propensity per row, from the role column or a constant."""
@@ -158,29 +183,53 @@ class Dataset:
         if p is None:
             raise InvalidPropensity("dataset declares no propensity")
         if isinstance(p, str):
-            return self._columns[p]
+            return self.column(p)
         return np.full(self.n, float(p))
 
     def subset(self, rows) -> "Dataset":
-        """Dataset restricted to a row index set, roles preserved."""
+        """Row view of the root dataset on a row index set of this one, roles
+        preserved. The view checks only the row set; its columns are gathered
+        from the root when first read."""
         rows = as_row_index_set(rows, self.n)
-        cols = {name: arr[rows] for name, arr in self._columns.items()}
-        return Dataset(cols, self.roles)
+        if rows.size < 2:
+            raise DataError("dataset needs at least 2 rows")
+        if self._root is not None:
+            rows = self._rows.take(rows)
+            rows.flags.writeable = False
+        view = Dataset.__new__(Dataset)
+        view._columns = {}
+        view._root = self._root or self
+        view._rows = rows
+        view.roles = self.roles
+        view.n = rows.size
+        view.n_dropped = 0
+        view._x = None
+        return view
 
     def row_tuples(self) -> list[tuple]:
-        names = self.column_names
-        return [tuple(self._columns[c][i] for c in names) for i in range(self.n)]
+        cols = [self.column(c) for c in self.column_names]
+        return [tuple(c[i] for c in cols) for i in range(self.n)]
+
+
+def _integer_rows(rows) -> np.ndarray:
+    """A new flat int64 array of the indices ``rows``; a boolean mask or
+    non-integer values raise rather than being cast to indices."""
+    arr = np.asarray(rows).ravel()
+    if arr.size and arr.dtype.kind not in "iu":
+        raise DataError(f"row indices must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64)
 
 
 def as_row_index_set(rows, n: int) -> np.ndarray:
-    """Validate and normalize a row index set: sorted, unique, within [0, n)."""
-    arr = np.asarray(rows, dtype=np.int64).ravel()
+    """Validate and normalize a row index set: integer, sorted, unique, within
+    [0, n)."""
+    arr = _integer_rows(rows)
     if arr.size == 0:
         raise EmptySubset("row index set is empty")
-    if arr.min() < 0 or arr.max() >= n:
-        raise IndexOutOfRange(f"indices must lie in [0, {n})")
-    if arr.size > 1 and np.any(np.diff(arr) <= 0):
+    if (arr[1:] <= arr[:-1]).any():
         arr = np.unique(arr)
+    if arr[0] < 0 or arr[-1] >= n:
+        raise IndexOutOfRange(f"indices must lie in [0, {n})")
     arr.flags.writeable = False
     return arr
 
@@ -188,7 +237,7 @@ def as_row_index_set(rows, n: int) -> np.ndarray:
 def complement(rows, n: int) -> np.ndarray:
     """Indices in [0, n) not contained in ``rows``."""
     mask = np.ones(n, dtype=bool)
-    mask[np.asarray(rows, dtype=np.int64)] = False
+    mask[_integer_rows(rows)] = False
     out = np.flatnonzero(mask)
     if out.size == 0:
         raise EmptySubset("complement is empty")

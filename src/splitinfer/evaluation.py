@@ -27,7 +27,7 @@ def group_codes(d: Dataset) -> np.ndarray | None:
 
 
 def _take(arr, rows):
-    return arr if rows is None or arr is None else arr[rows]
+    return arr if rows is None or arr is None else arr.take(rows, axis=0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -116,9 +116,9 @@ def _design(cfg: GatesConfig, d: Dataset):
 def _calibration_fit(controls, d: Dataset, p, w, tau_mat: np.ndarray, rows: np.ndarray):
     """WLS of y on the controls plus the centred predictions x (t - p), on
     ``rows``; returns what :func:`wls_fit` returns."""
-    tau_bar = tau_mat[rows].mean(axis=0)
-    inter = (tau_mat[rows] - tau_bar) * (d.t[rows] - p[rows])[:, None]
-    return wls_fit(np.column_stack([controls[rows], inter]), d.y[rows], w[rows])
+    tau = tau_mat.take(rows, axis=0)
+    inter = (tau - tau.mean(axis=0)) * (d.t[rows] - p[rows])[:, None]
+    return wls_fit(np.column_stack([controls.take(rows, axis=0), inter]), d.y[rows], w[rows])
 
 
 def _group_regression(controls, y, w, centered_t, labels, J: int):
@@ -202,9 +202,10 @@ def ensemble_predict(cfg: GatesConfig, d: Dataset, seed: int = 0) -> EnsembleFit
         tau_mat = np.empty((d.n, n_alg))
         for _, k, (rows, train_rows) in enumerate_pairs(plan):
             train_d = d.subset(train_rows)
+            x_rows = d.x.take(rows, axis=0)
             for a, learner in enumerate(cfg.learners):
                 model = learner.train(train_d, derived_seed(seed, m, 1, k, a))
-                tau_mat[rows, a] = model.predict(d.x[rows])
+                tau_mat[rows, a] = model.predict(x_rows)
 
         calib_plan = generate_plan(d.n, M=1, K=cfg.L, seed=derived_seed(seed, m, 2))
         beta_mat = np.empty((cfg.L, n_alg))
@@ -213,7 +214,7 @@ def ensemble_predict(cfg: GatesConfig, d: Dataset, seed: int = 0) -> EnsembleFit
             beta, _, _, ridge_used = _calibration_fit(controls, d, p, w, tau_mat, fit_rows)
             ridge_any = ridge_any or ridge_used
             beta_mat[ell] = beta[controls.shape[1]:]
-            tau_hat[rows] = tau_mat[rows] @ beta_mat[ell]
+            tau_hat[rows] = tau_mat.take(rows, axis=0) @ beta_mat[ell]
         train_folds.append(list(plan.repetitions[0]))
         tau_by_alg.append(tau_mat)
         betas_all.append(beta_mat)
@@ -345,7 +346,7 @@ def _fold_level_gates(cfg: GatesConfig, d: Dataset, rows: np.ndarray,
     """t-statistic of the top-minus-bottom gap within the fold ``rows``, whose
     predictions are ``tau``."""
     labels, _ = _fold_groups(tau, cfg.J)
-    gam, _, gap_var = _group_regression(controls[rows], d.y[rows], w[rows],
+    gam, _, gap_var = _group_regression(controls.take(rows, axis=0), d.y[rows], w[rows],
                                         d.t[rows] - p[rows], labels, cfg.J)
     return float(gam[-1] - gam[0]) / float(np.sqrt(max(gap_var, 1e-300)))
 
@@ -371,7 +372,8 @@ def baselines(cfg: GatesConfig, d: Dataset, seed: int = 0) -> dict:
         # TTM: model trained on the complement, evaluated within the fold
         for _, k, (rows, train_rows) in enumerate_pairs(plan):
             model = learner.train(d.subset(train_rows), derived_seed(seed, m, 1, k))
-            t_stat = _fold_level_gates(cfg, d, rows, model.predict(d.x[rows]), p, w, controls)
+            t_stat = _fold_level_gates(cfg, d, rows, model.predict(d.x.take(rows, axis=0)),
+                                       p, w, controls)
             ttm_pvalues.append(float(1.0 - norm_cdf(t_stat)))
 
         # Seq: ordered training on folds 1..k-1, evaluation on fold k
@@ -380,7 +382,7 @@ def baselines(cfg: GatesConfig, d: Dataset, seed: int = 0) -> dict:
             train_rows = np.sort(np.concatenate(folds[:k]))
             model = learner.train(d.subset(train_rows), derived_seed(seed, m, 2, k))
             rows = folds[k]
-            t_stats.append(_fold_level_gates(cfg, d, rows, model.predict(d.x[rows]),
+            t_stats.append(_fold_level_gates(cfg, d, rows, model.predict(d.x.take(rows, axis=0)),
                                              p, w, controls))
         t_final = float(np.sqrt(cfg.K - 1) * np.mean(t_stats))
         seq_pvalues.append(float(1.0 - norm_cdf(t_final)))

@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitinfer.data import Dataset, Roles, as_row_index_set, complement, ingest_csv
 from splitinfer.errors import (
+    DataError,
     EmptyAfterDrop,
     EmptySubset,
     IndexOutOfRange,
@@ -10,6 +15,7 @@ from splitinfer.errors import (
     NonBinaryTreatment,
     NonNumericCell,
 )
+from splitinfer.learners import builtin
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -120,6 +126,119 @@ def test_partition_multiset_equality():
 
 
 def test_columns_are_immutable():
+    d = make_dataset(8)
+    for table in (d, d.subset([1, 3, 4, 6]), d.subset([1, 3, 4, 6]).subset([0, 2])):
+        for arr in (table.y, table.x, table.column("x")):
+            with pytest.raises(ValueError):
+                arr[0] = 99.0
+
+
+def test_boolean_mask_is_not_a_row_set():
     d = make_dataset()
-    with pytest.raises(ValueError):
-        d.y[0] = 99.0
+    with pytest.raises(DataError, match="bool"):
+        d.subset(np.array([True, False, True, False, True]))
+    with pytest.raises(DataError, match="bool"):
+        complement(np.array([True, False, True, False, True]), d.n)
+
+
+def test_float_indices_are_not_truncated():
+    d = make_dataset()
+    with pytest.raises(DataError, match="float64"):
+        d.subset([0.9, 2.7])
+    with pytest.raises(DataError, match="float64"):
+        as_row_index_set(np.array([0.0, 2.0]), d.n)
+
+
+def eager_subset(d, rows):
+    """Reference subset: validate the rows, then copy every column."""
+    rows = as_row_index_set(rows, d.n)
+    return Dataset({name: d.column(name)[rows] for name in d.column_names}, d.roles)
+
+
+def trial_table(n, seed):
+    rng = np.random.default_rng(seed)
+    cols = {
+        "y": rng.standard_normal(n),
+        "t": rng.integers(0, 2, n).astype(float),
+        "ps": rng.uniform(0.1, 0.9, n),
+        "grp": rng.integers(0, 3, n).astype(float),
+        "a": rng.standard_normal(n),
+        "b": rng.standard_normal(n),
+        "unused": rng.standard_normal(n),
+    }
+    return cols, Roles("y", ("a", "b"), treatment="t", group="grp", propensity="ps")
+
+
+READS = ("y", "x", "t", "g", "propensity_values", "column", "column_names", "n",
+         "n_dropped", "row_tuples")
+
+
+def read(d, what):
+    if what == "propensity_values":
+        return d.propensity_values()
+    if what == "column":
+        return d.column("unused")
+    if what == "row_tuples":
+        return d.row_tuples()
+    return getattr(d, what)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 25),
+    seed=st.integers(0, 2**16),
+    steps=st.lists(st.lists(st.integers(0, 30), max_size=12), min_size=1, max_size=3),
+    order=st.permutations(READS),
+)
+def test_views_match_an_eager_gather(n, seed, steps, order):
+    cols, roles = trial_table(n, seed)
+    view = Dataset(cols, roles)
+    eager = Dataset(cols, roles)
+    for rows in steps:
+        rows = [r % (view.n + 1) for r in rows]  # sometimes one past the end
+        try:
+            expected = eager_subset(eager, rows)
+        except DataError as exc:
+            with pytest.raises(DataError) as caught:
+                view.subset(rows)
+            assert type(caught.value) is type(exc)
+            return
+        view = view.subset(rows)
+        eager = expected
+        for what in order:  # first reads in a random order fill the caches
+            got, want = read(view, what), read(eager, what)
+            if isinstance(want, np.ndarray):
+                assert not got.flags.writeable
+                assert got.shape == want.shape and got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert got == want
+        assert view.y is view.y and view.x is view.x and view.t is view.t
+
+
+def test_subset_error_types():
+    d = make_dataset(6).subset([0, 2, 3, 5])
+    with pytest.raises(EmptySubset):
+        d.subset([])
+    with pytest.raises(IndexOutOfRange):
+        d.subset([0, 4])
+    with pytest.raises(DataError, match="at least 2 rows"):
+        d.subset([3])
+
+
+def test_a_fit_gathers_only_the_columns_it_reads():
+    n = 50_000
+    rng = np.random.default_rng(3)
+    cols = {"y": rng.standard_normal(n), "x": rng.standard_normal(n)}
+    cols.update({f"z{i}": rng.standard_normal(n) for i in range(40)})
+    d = Dataset(cols, Roles("y", ("x",)))
+    rows = np.arange(0, n, 2)
+    all_columns = len(cols) * rows.size * 8
+    tracemalloc.start()
+    try:
+        builtin("ols").train(d.subset(rows))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # x, y, the design and lstsq's copies: well under half of all 42 columns
+    assert peak < all_columns / 2, (peak, all_columns)

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -168,6 +171,25 @@ def test_learner_relabeling_invariance():
     res_ba, _, _ = run_gates(GatesConfig(learners=(l2, l1), M=2, K=2), d, seed=4)
     assert res_ab.delta_hat == pytest.approx(res_ba.delta_hat, rel=1e-9)
     assert res_ab.p_one_sided == pytest.approx(res_ba.p_one_sided, rel=1e-9)
+
+
+def test_cate_learners_share_a_training_view_across_threads():
+    def fresh_view():
+        return small_trial(n=200, seed=21).subset(np.arange(0, 200, 2))
+
+    jobs = [(CateLearner(builtin(name)), seed) for name in ("ols", "knn(5)") for seed in range(6)]
+    x_eval = small_trial(n=200, seed=21).x
+    seq = [cate.train(fresh_view(), seed).predict(x_eval) for cate, seed in jobs]
+    shared = fresh_view()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            models = list(pool.map(lambda job: job[0].train(shared, job[1]), jobs))
+    finally:
+        sys.setswitchinterval(interval)
+    for want, model in zip(seq, models):
+        assert np.array_equal(model.predict(x_eval), want)
 
 
 def test_het_test_smoke_and_degenerate():

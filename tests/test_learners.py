@@ -264,6 +264,29 @@ def test_train_all_threads_match_sequential():
         np.testing.assert_array_equal(seq[key].beta, par[key].beta)
 
 
+@pytest.mark.parametrize("name", ["ols", "knn(5)"])
+def test_train_all_threads_on_views_match_sequential(name):
+    def fresh_view():
+        rng = substream(12)
+        x = rng.standard_normal((90, 3))
+        cols = {"y": x @ [1.0, -2.0, 0.5] + rng.standard_normal(90), "unused": np.ones(90)}
+        cols.update({f"x{j}": x[:, j] for j in range(3)})
+        return Dataset(cols, Roles("y", ("x0", "x1", "x2"))).subset(np.arange(5, 90))
+
+    d = fresh_view()
+    plan = generate_plan(d.n, M=4, K=3, seed=2)
+    seq = train_all(plan, d, builtin(name), seed=9, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:  # a cold root: every thread's first gather builds the root's x
+        par = train_all(plan, fresh_view(), builtin(name), seed=9, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    for m, k, pair in enumerate_pairs(plan):
+        x_eval = d.x[pair.eval_rows]
+        assert np.array_equal(seq[(m, k)].predict(x_eval), par[(m, k)].predict(x_eval))
+
+
 MEAN_WORKER = """
 import json, sys
 req = json.loads(sys.stdin.readline())
