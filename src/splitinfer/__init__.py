@@ -3,15 +3,7 @@ sample-splitting and cross-fitting."""
 
 from .data import Dataset, Roles, as_row_index_set, complement, ingest_csv
 from .splits import SplitPlan, TrainEvalPair, enumerate_pairs, generate_plan
-from .learners import (
-    AveragedModel,
-    Learner,
-    Model,
-    SubprocessLearner,
-    average_model,
-    builtin,
-    train_all,
-)
+from .learners import Learner, Model, builtin, train_all
 from .evaluation import Block, Evaluations, evaluate, pool
 from .moments import MomentFunction, builtin_moment
 from .zestim import ZEstimate, per_split_estimates, solve
@@ -19,7 +11,6 @@ from .inference import (
     DeltaSpec,
     InferenceReport,
     difference_reduction,
-    identity_reduction,
     named_reduction,
     normal_ci,
     sandwich,
@@ -52,6 +43,5 @@ from .sim import (
     run_grid,
     synthetic_base,
 )
-from .report import report_schema_version
 
 __version__ = "0.1.0"

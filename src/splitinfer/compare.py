@@ -37,6 +37,7 @@ from .evaluation import Block, Evaluations, evaluate, pool
 from .inference import (
     IDENTITY,
     DeltaSpec,
+    nonsingular,
     norm_ppf,
     sandwich,
     variance_inflation,
@@ -129,7 +130,7 @@ def _influence_rows(mf, b: Block, theta, grad) -> np.ndarray:
         return mf.f_eta(b.eta, b.y, b.g)
     jac = mf.jacobian_eta(theta, b.eta, b.y, b.g)
     psi = mf.psi_eta(theta, b.eta, b.y, b.g)
-    return -(psi @ np.linalg.solve(jac, grad))
+    return -(psi @ np.linalg.solve(nonsingular(jac), grad))
 
 
 # ---------------------------------------------------------------------------

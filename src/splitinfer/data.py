@@ -206,10 +206,6 @@ class Dataset:
         view._x = None
         return view
 
-    def row_tuples(self) -> list[tuple]:
-        cols = [self.column(c) for c in self.column_names]
-        return [tuple(c[i] for c in cols) for i in range(self.n)]
-
 
 def _integer_rows(rows) -> np.ndarray:
     """A new flat int64 array of the indices ``rows``; a boolean mask or

@@ -65,10 +65,6 @@ class UnknownMoment(SplitInferError):
     pass
 
 
-class EmptyModelList(SplitInferError):
-    pass
-
-
 class IncompatibleRoles(SplitInferError):
     pass
 

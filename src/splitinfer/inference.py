@@ -39,12 +39,8 @@ class DeltaSpec:
         return np.asarray(self.grad_h(np.asarray(theta, dtype=np.float64)), dtype=np.float64)
 
 
-def identity_reduction() -> DeltaSpec:
-    return DeltaSpec("identity", lambda t: float(np.asarray(t).ravel()[0]),
+IDENTITY = DeltaSpec("identity", lambda t: float(np.asarray(t).ravel()[0]),
                      lambda t: np.eye(np.asarray(t).size)[0])
-
-
-IDENTITY = identity_reduction()
 
 
 def coordinate_reduction(j: int) -> DeltaSpec:
@@ -92,12 +88,18 @@ def variance_inflation(M: int, K: int, b: int, n: int) -> float:
     return (n / b + M - 1.0) / M
 
 
-def sandwich(jac: np.ndarray, meat: np.ndarray, inflation: float) -> np.ndarray:
-    """V = inflation * J^{-1} meat J^{-T}, symmetrized."""
+def nonsingular(jac: np.ndarray) -> np.ndarray:
+    """jac as a float array; ``SingularJacobian`` if it is numerically singular."""
     jac = np.asarray(jac, dtype=np.float64)
     scale = float(np.abs(jac).max())
     if scale == 0.0 or abs(np.linalg.det(jac)) <= 1e-12 * scale ** jac.shape[0]:
         raise SingularJacobian("moment Jacobian is numerically singular")
+    return jac
+
+
+def sandwich(jac: np.ndarray, meat: np.ndarray, inflation: float) -> np.ndarray:
+    """V = inflation * J^{-1} meat J^{-T}, symmetrized."""
+    jac = nonsingular(jac)
     inv = np.linalg.solve(jac, np.eye(jac.shape[0]))
     v = inflation * inv @ meat @ inv.T
     return 0.5 * (v + v.T)

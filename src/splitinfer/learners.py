@@ -16,24 +16,19 @@ holds at most ``_CHUNK_TERMS`` float64 values. The buffer is allocated once
 per predict and filled in place with ``out=``: a fresh array per feature and
 chunk, once it is larger than the allocator's mmap threshold, is returned to
 the operating system on free and faulted back in on the next allocation.
-
-External ML backends can be attached through :class:`SubprocessLearner`,
-which speaks a line-delimited JSON protocol (described in its docstring).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
-import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
-from .errors import EmptyModelList, LearnerFailure, UnknownLearner
+from .errors import LearnerFailure, UnknownLearner
 from .rng import derived_seed
 from .splits import SplitPlan, enumerate_pairs
 
@@ -80,7 +75,8 @@ class LogisticModel(Model):
 
     def predict(self, x):
         z = self.beta[0] + np.asarray(x) @ self.beta[1:]
-        return 1.0 / (1.0 + np.exp(-z))
+        with np.errstate(over="ignore"):  # exp(-z) = inf gives the right 0
+            return 1.0 / (1.0 + np.exp(-z))
 
 
 class KnnModel(Model):
@@ -216,34 +212,17 @@ class TreeModel(Model):
         return self.value[node]
 
 
-class AveragedModel(Model):
-    """Equal-weight pointwise mean of member predictions."""
-
-    def __init__(self, models):
-        models = list(models)
-        if not models:
-            raise EmptyModelList("average_model needs at least one member")
-        self.models = models
-
-    def predict(self, x):
-        acc = self.models[0].predict(x).astype(np.float64, copy=True)
-        for model in self.models[1:]:
-            acc += model.predict(x)
-        return acc / len(self.models)
-
-
-def average_model(models) -> AveragedModel:
-    """Pointwise-mean predictor over a nonempty model list."""
-    return AveragedModel(models)
-
-
 # ---------------------------------------------------------------------------
 # learners
 
 
 @dataclass(frozen=True)
 class Learner:
-    """Named training algorithm: ``train(dataset, seed) -> Model``."""
+    """Named training algorithm: ``train(dataset, seed) -> Model``.
+
+    ``fit`` is any Python callable, so this is also how an outside model is
+    attached; a ``fit`` that needs its own process can start one.
+    """
 
     name: str
     fit: "callable" = field(repr=False)
@@ -356,7 +335,8 @@ def _fit_logistic(d: Dataset, seed) -> Model:
     beta = np.zeros(z.shape[1])
     for _ in range(100):
         eta = z @ beta
-        p = 1.0 / (1.0 + np.exp(-eta))
+        with np.errstate(over="ignore"):
+            p = 1.0 / (1.0 + np.exp(-eta))
         grad = z.T @ (y - p) - lam * beta
         if np.linalg.norm(grad) < 1e-10:
             break
@@ -433,53 +413,3 @@ def train_all(plan: SplitPlan, d: Dataset, learner: Learner, seed: int = 0,
     else:
         fitted = [fit_one(item) for item in pairs]
     return dict(fitted)
-
-
-# ---------------------------------------------------------------------------
-# subprocess learner protocol
-
-
-class SubprocessModel(Model):
-    def __init__(self, argv, blob):
-        self.argv = list(argv)
-        self.blob = blob
-
-    def predict(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        reply = _roundtrip(self.argv, {"op": "predict", "model": self.blob, "x": x.tolist()})
-        return np.asarray(reply["pred"], dtype=np.float64)
-
-
-class SubprocessLearner:
-    """Learner backed by an external process speaking line-delimited JSON.
-
-    Requests are single JSON lines on stdin; the process answers one JSON line
-    on stdout and exits. ``{"op": "train", "y": [...], "x": [[...]], "seed": s}``
-    must yield ``{"ok": true, "model": <any json>}``; ``{"op": "predict",
-    "model": ..., "x": [[...]]}`` must yield ``{"ok": true, "pred": [...]}``.
-    """
-
-    def __init__(self, argv, name: str = "subprocess"):
-        self.argv = list(argv)
-        self.name = name
-
-    def train(self, d: Dataset, seed: int = 0) -> Model:
-        request = {"op": "train", "y": d.y.tolist(), "x": d.x.tolist(), "seed": int(seed)}
-        reply = _roundtrip(self.argv, request)
-        return SubprocessModel(self.argv, reply["model"])
-
-
-def _roundtrip(argv, request) -> dict:
-    proc = subprocess.run(
-        argv,
-        input=json.dumps(request) + "\n",
-        capture_output=True,
-        text=True,
-        check=False,
-    )
-    if proc.returncode != 0:
-        raise LearnerFailure(-1, -1, f"subprocess exited {proc.returncode}: {proc.stderr[:500]}")
-    reply = json.loads(proc.stdout.strip().splitlines()[-1])
-    if not reply.get("ok"):
-        raise LearnerFailure(-1, -1, reply.get("error", "subprocess reported failure"))
-    return reply

@@ -12,10 +12,6 @@ import tempfile
 SCHEMA_VERSION = "1.0.0"
 
 
-def report_schema_version() -> str:
-    return SCHEMA_VERSION
-
-
 def sanitize(obj):
     """Replace non-finite numbers with None; returns (cleaned, reasons_by_path)."""
     nulls: dict[str, str] = {}

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+from .errors import ZeroVariance
 from .evaluation import Evaluations, evaluate, pool
-from .inference import IDENTITY, DeltaSpec, norm_cdf, norm_ppf, variance_inflation
+from .inference import IDENTITY, DeltaSpec, nonsingular, norm_cdf, norm_ppf, variance_inflation
 from .learners import Learner, train_all
 from .moments import MomentFunction
 from .rng import derived_seed
@@ -101,9 +102,11 @@ def sigma_D_hat(mf: MomentFunction, ev: Evaluations, theta_hat,
     meat = meat_split.mean(axis=0)
 
     grad = h.gradient(theta_hat)
-    a_hat = np.linalg.solve(pooled.jacobian.T, grad)   # row vector grad . J^{-1}
+    a_hat = np.linalg.solve(nonsingular(pooled.jacobian).T, grad)  # row vector grad . J^{-1}
     sigma2_eta = float(vmk * a_hat @ meat @ a_hat)
-    sigma_eta = float(np.sqrt(max(sigma2_eta, 0.0)))
+    if sigma2_eta <= 0.0:
+        raise ZeroVariance("delta-method variance is zero; reproducibility margin undefined")
+    sigma_eta = float(np.sqrt(sigma2_eta))
 
     # V_G: spread of per-repetition pooled moments (they average to ~0 at the
     # variant-2 solution, so the uncentered outer product is the variance)

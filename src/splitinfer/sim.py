@@ -18,9 +18,10 @@ The treatment-effect generator is a parameterized synthetic analog of a
 zero-inflated count outcome: a logit decides zero donation, a truncated
 Poisson draws positive amounts, and the treatment shifts both pieces. Its
 design constants are fixed in ``hte_sample``. The "shuffled" mode permutes
-treatment after outcomes are generated so effect heterogeneity exists but is
-unrelated to covariates. Both potential outcomes are kept in a ``_true_te``
-oracle column.
+the unit effects Y(1) - Y(0) across units, which keeps the effects' spread
+and mean but makes them independent of the covariates: a null of no
+predictable heterogeneity. Both potential outcomes and their difference are
+kept in oracle columns.
 """
 
 from __future__ import annotations
@@ -188,7 +189,9 @@ def hte_sample(n: int, seed: int, mode: str = "predictable") -> Dataset:
     by 0.05 in the effect-probability computation (the source design's 4 and
     0.05). Probabilities produced by the effect construction are clamped to
     [0, 1]. ``mode`` "predictable" keeps the covariate link; "shuffled"
-    permutes the treatment indicator after outcomes are drawn.
+    sets Y(1) = Y(0) + a random permutation of the unit effects Y(1) - Y(0),
+    so the effects no longer depend on the covariates while their mean and
+    spread stay; the treatment draw is the same in both modes.
 
     The returned dataset has roles (outcome y, treatment t, covariates) plus
     oracle columns ``_true_te`` (realized Y(1) - Y(0)), ``_y0`` and ``_y1``,
@@ -227,7 +230,7 @@ def hte_sample(n: int, seed: int, mode: str = "predictable") -> Dataset:
 
     t = (rng.random(n) < 0.5).astype(np.float64)
     if mode == "shuffled":
-        t = t[rng.permutation(n)]
+        y1 = y0 + (y1 - y0)[rng.permutation(n)]
     y = np.where(t == 1.0, y1, y0)
 
     columns = {f"x{i+1}": x[:, i] for i in range(p)}

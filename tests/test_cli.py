@@ -3,17 +3,19 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from jsonschema import Draft202012Validator
 
 import splitinfer
 from splitinfer.cli import build_dataset, load_schema, run
-from splitinfer.report import dumps, report_schema_version, sanitize, write_report
+from splitinfer.moments import builtin_moment
+from splitinfer.report import SCHEMA_VERSION, dumps, sanitize, write_report
 from splitinfer.rng import derived_seed, substream
 from splitinfer.sim import ExperimentGrid, _grid_fit
 
@@ -55,7 +57,7 @@ def test_estimate_smoke_and_schema(tmp_path):
     cfg = estimate_config(tmp_path, out)
     assert invoke(["estimate", "--config", cfg]) == 0
     report = json.loads(out.read_text())
-    assert report["schema_version"] == report_schema_version() == "1.0.0"
+    assert report["schema_version"] == SCHEMA_VERSION == "1.0.0"
     assert report["master_seed"] == 5
     assert "ci" in report["results"]["inference"]
     Draft202012Validator(load_schema("report.schema.json")).validate(report)
@@ -170,22 +172,48 @@ def test_usage_errors_exit_one(tmp_path, capsys, flags):
 
 def test_adaptive_ci_runs_where_the_normal_variance_is_zero(tmp_path, capsys):
     """A constant outcome gives the normal CI a zero variance: with --adaptive
-    the report holds the adaptive CI and no normal CI; without it, exit 2."""
+    the report holds the adaptive CI and no normal CI; without it, and in
+    repro, exit 2."""
     data = tmp_path / "constant.csv"
     x = substream(11).standard_normal(90)
     data.write_text("y,x1\n" + "".join(f"1,{v!r}\n" for v in x.tolist()), encoding="utf-8")
     out = tmp_path / "r.json"
-    cfg = estimate_config(tmp_path, out, learner="mean", moment="classify_binary",
-                          data={"path": str(data), "schema": CSV_ROLES})
-    assert invoke(["estimate", "--config", cfg]) == 2
-    assert "runtime failure: delta-method variance is zero" in capsys.readouterr().err
-    assert not out.exists()
-    assert invoke(["estimate", "--config", cfg, "--adaptive"]) == 0
+
+    def config(method):
+        return estimate_config(tmp_path, out, method=method, learner="mean",
+                               moment="classify_binary",
+                               data={"path": str(data), "schema": CSV_ROLES})
+
+    for method in ("estimate", "repro"):
+        assert invoke([method, "--config", config(method)]) == 2
+        err = capsys.readouterr().err
+        assert "runtime failure: delta-method variance is zero" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+    assert invoke(["estimate", "--config", config("estimate"), "--adaptive"]) == 0
     results = json.loads(out.read_text())["results"]
     assert set(results) == {"estimate", "adaptive"}
     assert results["adaptive"]["flags"]["zero_variance"] is True
     (lo, hi), = results["adaptive"]["intervals"]
     assert lo < results["estimate"]["theta_hat"][0] < hi
+
+
+@pytest.mark.parametrize("method, plan", [
+    ("compare", {"M": 1, "K": 2, "seed": 0}),
+    ("repro", {"M": 1, "K": 1, "b": 1, "seed": 0}),
+])
+def test_singular_jacobian_is_a_runtime_failure(tmp_path, capsys, method, plan):
+    """A constant predictor leaves linreg_on_eta's Jacobian singular on each
+    evaluation set: compare reads each set's own Jacobian, repro the pooled
+    one, which here is one set's."""
+    out = tmp_path / "r.json"
+    cfg = estimate_config(tmp_path, out, method=method, learner="mean", moment="linreg_on_eta",
+                          data={"synthetic": {"kind": "base", "n": 30, "seed": 1}}, plan=plan)
+    assert invoke([method, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "runtime failure: moment Jacobian is numerically singular" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("overrides, env, code, message", [
@@ -250,8 +278,8 @@ def test_estimate_runs_on_gauss_linear_data(tmp_path):
 
 def test_cli_import_leaves_scipy_optimize_and_stats_unloaded():
     code = ("import sys, splitinfer.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.stats', 'scipy.special') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.stats', 'scipy.special', "
+            "'subprocess') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=python_env())
     assert proc.returncode == 0, proc.stderr
@@ -405,6 +433,80 @@ def test_console_entrypoint_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+LEARNERS = st.one_of(
+    st.sampled_from(["mean", "ols", "logistic"]),
+    st.sampled_from([0.0, 0.5, 10.0]).map(lambda lam: f"ridge({lam})"),
+    st.integers(1, 10).map(lambda k: f"knn({k})"),
+    st.integers(1, 4).map(lambda depth: f"tree({depth})"),
+)
+DGPS = st.one_of(
+    st.sampled_from([{"kind": "base"}, {"kind": "linear_cate"}, {"kind": "gauss_linear"}]),
+    st.sampled_from(["asis", "correlated", "uncorrelated"]).map(
+        lambda mode: {"kind": "copula", "mode": mode}),
+    st.sampled_from(["predictable", "shuffled"]).map(lambda mode: {"kind": "hte", "mode": mode}),
+)
+MOMENTS = load_schema("config.schema.json")["properties"]["moment"]["enum"]
+
+
+def reductions(dim):
+    """Any reduction of a dim-dimensional theta, or one index past its end."""
+    index = st.integers(0, dim)
+    return st.one_of(st.just("identity"), index.map(lambda j: f"coordinate:{j}"),
+                     st.tuples(index, index).map(lambda ij: f"diff:{ij[0]}-{ij[1]}"))
+
+
+@st.composite
+def cli_configs(draw):
+    """A schema-valid config for one of the four single-run subcommands on
+    small synthetic data, with any built-in learner, moment and reduction."""
+    method = draw(st.sampled_from(["estimate", "compare", "gates", "repro"]))
+    n = draw(st.integers(30, 150))
+    plan = {"M": draw(st.integers(1, 3)), "K": draw(st.integers(1, 5)),
+            "seed": draw(st.integers(0, 2**16))}
+    if plan["K"] == 1:
+        plan["b"] = draw(st.integers(1, n - 1))
+    moment = draw(st.sampled_from(MOMENTS))
+    config = {
+        "method": method,
+        "data": {"synthetic": {**draw(DGPS), "n": n, "seed": draw(st.integers(0, 2**16))}},
+        "plan": plan,
+        "learner": draw(LEARNERS),
+        "moment": moment,
+        "h": draw(reductions(builtin_moment(moment).dim)),
+        "alpha": draw(st.sampled_from([0.05, 0.1])),
+    }
+    if method == "estimate":
+        config["variant"] = draw(st.sampled_from([1, 2, 3]))
+        config["estimate"] = {"adaptive": draw(st.booleans())}
+    elif method == "compare":
+        against = draw(st.sampled_from(["baseline", "against_learner"]))
+        config["compare"] = {against: draw(LEARNERS), "mc_draws": draw(st.integers(100, 500))}
+    elif method == "gates":
+        config["learners"] = draw(st.lists(LEARNERS, min_size=1, max_size=2))
+        config["gates"] = {"J": draw(st.integers(2, 4)), "L": draw(st.integers(2, 3)),
+                           "het_test": draw(st.booleans()), "baselines": draw(st.booleans()),
+                           "mc_draws": draw(st.integers(100, 500))}
+    else:
+        config["repro"] = {"beta": draw(st.sampled_from([0.1, 0.2, 0.4])),
+                           "tau": draw(st.sampled_from([-0.5, 0.0, 0.1, 1.0])),
+                           "test_type": draw(st.sampled_from(["two_sided", "right", "left"]))}
+    return config
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(config=cli_configs())
+def test_schema_valid_configs_end_in_an_exit_code(config):
+    """Whatever a schema-valid config asks for, the run ends in a documented
+    exit code: no exception, and (warnings being errors) no warning, escapes."""
+    Draft202012Validator(load_schema("config.schema.json")).validate(config)
+    with tempfile.TemporaryDirectory() as tmp:
+        config["output"] = {"path": os.path.join(tmp, "report.json")}
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        assert run([config["method"], "--config", path, "--threads", "1"]) in (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

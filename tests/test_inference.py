@@ -6,7 +6,6 @@ from splitinfer.errors import SingularJacobian, ZeroVariance
 from splitinfer.evaluation import evaluate, pool
 from splitinfer.inference import (
     difference_reduction,
-    identity_reduction,
     named_reduction,
     norm_cdf,
     norm_ppf,

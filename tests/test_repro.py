@@ -4,7 +4,6 @@ from scipy.stats import norm
 
 from splitinfer.data import Dataset, Roles
 from splitinfer.evaluation import evaluate
-from splitinfer.inference import identity_reduction
 from splitinfer.learners import builtin, train_all
 from splitinfer.moments import builtin_moment
 from splitinfer.repro import (
