@@ -10,7 +10,6 @@ from .zestim import ZEstimate, per_split_estimates, solve
 from .inference import (
     DeltaSpec,
     InferenceReport,
-    difference_reduction,
     named_reduction,
     normal_ci,
     sandwich,
@@ -24,7 +23,7 @@ from .compare import (
     delta_vector,
     one_sided_test,
 )
-from .adaptive import AdaptiveCI, AdaptiveConfig, adaptive_ci, gate
+from .adaptive import AdaptiveCI, AdaptiveConfig, adaptive_ci
 from .repro import (
     ReproComponents,
     ReproMeasure,

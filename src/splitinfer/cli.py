@@ -11,6 +11,15 @@ unreadable ``data.path``, a negative ``--seed``, a thread count
 a report or grid CSV that cannot be written; 2 runtime failure, including a
 CSV cell that is not a number or a CSV that is not UTF-8.
 
+``validate-config`` runs the schema check and a run's name resolution
+(``resolve_config``), so a bad name fails it at the same JSON pointer; the
+checks that need the data (n against K, the CSV, control columns) stay with
+the runs.
+
+``h`` names the scalar reduction of theta that the CIs and tests are about:
+"identity" (theta_0), "coordinate:j" (theta_j) or "diff:i-j"
+(theta_i - theta_j, with i != j), every index below the moment's dimension.
+
 Data come from a CSV (``data.path``) or from a synthetic generator
 (``data.synthetic``: any kind of ``sim.dgp_sampler``, i.e. "base",
 "linear_cate", "gauss_linear", "copula" or "hte", plus ``n`` and ``seed``;
@@ -354,22 +363,13 @@ def run(argv) -> int:
 
     try:
         validate_config(config)
-    except ConfigInvalid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    if args.command == "validate-config":
-        print("config ok")
-        return 0
-
-    if config.get("method", args.command) != args.command:
-        print(f"error: config method {config.get('method')!r} does not match "
-              f"subcommand {args.command!r}", file=sys.stderr)
-        return 1
-    config["method"] = args.command
-
-    try:
+        if args.command not in ("validate-config", config["method"]):
+            raise ConfigInvalid("/method", f"{config['method']!r} does not match the "
+                                           f"subcommand {args.command!r}")
         resolved = resolve_config(config, args)
+        if args.command == "validate-config":
+            print("config ok")
+            return 0
         outcome = RUNNERS[args.command](resolved)
     except ConfigInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,15 +33,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ZeroDiagonal
-from .evaluation import Block, Evaluations, evaluate, pool
-from .inference import (
-    IDENTITY,
-    DeltaSpec,
-    nonsingular,
-    norm_ppf,
-    sandwich,
-    variance_inflation,
-)
+from .evaluation import Block, Evaluations, evaluate
+from .inference import IDENTITY, DeltaSpec, delta_variance, nonsingular, norm_ppf
 from .learners import train_all
 from .moments import AverageMoment, MomentFunction
 from .rng import derived_seed, substream
@@ -251,10 +244,11 @@ def _one_sided(mf: MomentFunction, ev: Evaluations, delta: DeltaVector, vals_ref
                slack: float) -> tuple[SigmaHat, OneSidedTest]:
     """Covariance of the gaps ``delta`` against the reference model's
     influence values ``vals_ref`` on all n rows, and their one-sided test."""
+    grad = h.gradient(delta.theta_b)
+
     def split_vals():
         for b in ev.blocks:
-            theta = delta.per_split_thetas[(b.m, b.k)]
-            yield _influence_rows(mf, b, theta, h.gradient(theta))
+            yield _influence_rows(mf, b, delta.per_split_thetas[(b.m, b.k)], grad)
 
     sigma = sigma_from_values(ev.plan.eval_sets(), ev.plan.n, split_vals(), vals_ref)
     return sigma, one_sided_test(delta.deltas, sigma, ev.plan.n, alpha, mc_draws, seed, slack)
@@ -333,24 +327,17 @@ def sigma_delta_hat(mf: MomentFunction, ev: Evaluations, theta_pooled, base_vals
     Returns (sigma_delta, clamped_flag); a tiny negative variance from the
     covariance subtraction is clamped to zero and flagged.
     """
-    plan = ev.plan
-    pooled = pool(mf, ev.blocks, theta_pooled, meat=True, jacobian=True)
-    jac, meat = pooled.jacobian, pooled.meat
-    vmk = variance_inflation(plan.M, plan.K, plan.b, plan.n)
-    v = sandwich(jac, meat, vmk)
-    grad = h.gradient(theta_pooled)
-    var_eta = float(grad @ v @ grad)
-
+    dv = delta_variance(mf, ev, theta_pooled, h)
     var_b = float(np.var(base_vals))
 
     cov_acc = 0.0
     for b in ev.blocks:
-        a_s = _influence_rows(mf, b, theta_pooled, grad)
+        a_s = _influence_rows(mf, b, theta_pooled, dv.grad)
         a_b = base_vals[b.rows]
         cov_acc += float(np.mean((a_s - a_s.mean()) * (a_b - a_b.mean())))
     cov = cov_acc / len(ev.blocks)
 
-    var_delta = var_eta + var_b - 2.0 * cov
+    var_delta = dv.variance + var_b - 2.0 * cov
     clamped = var_delta < 0.0
     return float(np.sqrt(max(var_delta, 0.0))), bool(clamped)
 

@@ -117,7 +117,7 @@ def pool(mf, blocks, theta, psi: bool = True, meat: bool = False,
         if jacobian:
             jacs.append(mf.jacobian_eta(theta, b.eta, b.y, b.g))
     # sum() adds block by block; np.mean would sum pairwise and move the last
-    # bits, which the golden reports and the adaptive CI's gate counts pin
+    # bits, which the golden reports pin
     dim = mf.dim
     jac = sum(jacs) / count if jacobian else None
     if jacobian and not np.all(np.isfinite(jac)):

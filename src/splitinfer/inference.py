@@ -1,10 +1,14 @@
 """Normal-approximation inference for split-sample Z-estimates.
 
-Builds the plug-in Jacobian, the psi outer-product "meat", the
-variance-inflation factor, and the sandwich covariance, then applies the delta
-method for a scalar reduction h and forms the CI
-h(theta) +/- z_{1-alpha/2} * sigma / sqrt(n). Both the moment's Jacobian and
-the reduction's gradient are analytic: a ``DeltaSpec`` carries ``grad_h``.
+``delta_variance`` is the one delta method of the package: it pools the psi
+"meat" and the plug-in Jacobian over the splits at the pooled (variant-2)
+estimate, applies the variance-inflation factor V_{M,K}, forms the sandwich
+V = V_{M,K} J^{-1} meat J^{-T} and reduces it to c^T V c for the gradient c of
+a scalar reduction h. ``normal_ci`` turns that into the CI
+h(theta) +/- z_{1-alpha/2} * sigma / sqrt(n); the model comparison and the
+reproducibility margin call it too. Every reduction a config can name is a
+linear contrast (a ``DeltaSpec``), so its gradient is a constant vector and
+the delta method is exact.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import SingularJacobian, ZeroVariance
-from .evaluation import Evaluations, pool
+from .evaluation import Evaluations, Pooled, pool
 from .moments import MomentFunction
 from .zestim import ZEstimate
 
@@ -29,38 +33,27 @@ norm_cdf = np.vectorize(lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)), otypes=[
 
 @dataclass(frozen=True)
 class DeltaSpec:
-    """Scalar reduction h with its analytic gradient grad_h."""
+    """The contrast h(theta) = theta_i - theta_j, or theta_i when j is None.
+
+    Its gradient is the constant e_i - e_j, so the delta method is exact."""
 
     name: str
-    h: "callable"
-    grad_h: "callable"
+    i: int = 0
+    j: int | None = None
 
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return np.asarray(self.grad_h(np.asarray(theta, dtype=np.float64)), dtype=np.float64)
+    def h(self, theta) -> float:
+        theta = np.asarray(theta, dtype=np.float64).ravel()
+        return float(theta[self.i] if self.j is None else theta[self.i] - theta[self.j])
 
-
-IDENTITY = DeltaSpec("identity", lambda t: float(np.asarray(t).ravel()[0]),
-                     lambda t: np.eye(np.asarray(t).size)[0])
-
-
-def coordinate_reduction(j: int) -> DeltaSpec:
-    def grad(t):
-        g = np.zeros(np.asarray(t).size)
-        g[j] = 1.0
-        return g
-
-    return DeltaSpec(f"coordinate:{j}", lambda t: float(np.asarray(t)[j]), grad)
+    def gradient(self, theta) -> np.ndarray:
+        grad = np.zeros(np.asarray(theta).size)
+        grad[self.i] = 1.0
+        if self.j is not None:
+            grad[self.j] -= 1.0
+        return grad
 
 
-def difference_reduction(i: int, j: int) -> DeltaSpec:
-    def grad(t):
-        g = np.zeros(np.asarray(t).size)
-        g[i] = 1.0
-        g[j] = -1.0
-        return g
-
-    return DeltaSpec(f"diff:{i}-{j}", lambda t: float(t[i] - t[j]), grad)
-
+IDENTITY = DeltaSpec("identity")
 
 _REDUCTION_RE = re.compile(r"identity|coordinate:(\d+)|diff:(\d+)-(\d+)")
 
@@ -68,7 +61,8 @@ _REDUCTION_RE = re.compile(r"identity|coordinate:(\d+)|diff:(\d+)-(\d+)")
 def named_reduction(spec: str, dim: int) -> DeltaSpec:
     """Parse "identity", "coordinate:j", or "diff:i-j" for a dim-dimensional theta.
 
-    Raises ValueError for an unknown spec or an index outside [0, dim).
+    Raises ValueError for an unknown spec, an index outside [0, dim), or a
+    difference of a coordinate with itself, which is identically zero.
     """
     match = _REDUCTION_RE.fullmatch(spec)
     if match is None:
@@ -78,7 +72,9 @@ def named_reduction(spec: str, dim: int) -> DeltaSpec:
         raise ValueError(f"reduction {spec!r} needs indices in [0, {dim})")
     if not indices:
         return IDENTITY
-    return coordinate_reduction(*indices) if len(indices) == 1 else difference_reduction(*indices)
+    if len(indices) == 2 and indices[0] == indices[1]:
+        raise ValueError(f"reduction {spec!r} is identically zero: diff needs i != j")
+    return DeltaSpec(spec, *indices)
 
 
 def variance_inflation(M: int, K: int, b: int, n: int) -> float:
@@ -135,6 +131,30 @@ class InferenceReport:
         }
 
 
+@dataclass(frozen=True)
+class DeltaVariance:
+    """The pooled moment at theta (psi, meat, Jacobian and their per-split
+    arrays), V_{M,K}, the sandwich V, the gradient c of h and c^T V c."""
+
+    pooled: Pooled
+    inflation: float
+    sandwich: np.ndarray
+    grad: np.ndarray
+    variance: float
+
+
+def delta_variance(mf: MomentFunction, ev: Evaluations, theta,
+                   h: DeltaSpec = IDENTITY) -> DeltaVariance:
+    """Delta-method variance of h(theta_hat) for the pooled estimator at theta."""
+    theta = np.asarray(theta, dtype=np.float64)
+    plan = ev.plan
+    pooled = pool(mf, ev.blocks, theta, meat=True, jacobian=True)
+    vmk = variance_inflation(plan.M, plan.K, plan.b, plan.n)
+    v = sandwich(pooled.jacobian, pooled.meat, vmk)
+    grad = h.gradient(theta)
+    return DeltaVariance(pooled, vmk, v, grad, float(grad @ v @ grad))
+
+
 def normal_ci(mf: MomentFunction, ev: Evaluations, estimate: ZEstimate,
               h: DeltaSpec = IDENTITY, alpha: float = 0.05) -> InferenceReport:
     """Sandwich-variance normal CI for h(theta_hat).
@@ -144,33 +164,29 @@ def normal_ci(mf: MomentFunction, ev: Evaluations, estimate: ZEstimate,
     the adaptive CI in that case).
     """
     theta = estimate.theta_hat
-    plan = ev.plan
-    pooled = pool(mf, ev.blocks, theta, meat=True, jacobian=True)
-    jac, meat = pooled.jacobian, pooled.meat
-    vmk = variance_inflation(plan.M, plan.K, plan.b, plan.n)
+    n = ev.plan.n
+    dv = delta_variance(mf, ev, theta, h)
+    meat = dv.pooled.meat
     flags = {}
     eigs = np.linalg.eigvalsh(meat)
     if eigs.min() <= 1e-12 * (1.0 + float(theta @ theta)):
         flags["fast_convergence_risk"] = True
-    v = sandwich(jac, meat, vmk)
-    grad = h.gradient(theta)
-    var_h = float(grad @ v @ grad)
-    if var_h <= 0.0:
+    if dv.variance <= 0.0:
         raise ZeroVariance("delta-method variance is zero; normal CI undefined")
-    se = float(np.sqrt(var_h))
+    se = float(np.sqrt(dv.variance))
     z = float(norm_ppf(1.0 - alpha / 2.0))
-    point = float(h.h(theta))
-    half = z * se / np.sqrt(plan.n)
+    point = h.h(theta)
+    half = z * se / np.sqrt(n)
     return InferenceReport(
         theta_hat=theta,
         h_hat=point,
-        jacobian=jac,
+        jacobian=dv.pooled.jacobian,
         meat=meat,
-        sandwich_matrix=v,
-        variance_inflation=vmk,
-        se=se / float(np.sqrt(plan.n)),
+        sandwich_matrix=dv.sandwich,
+        variance_inflation=dv.inflation,
+        se=se / float(np.sqrt(n)),
         ci=(point - half, point + half),
         alpha=alpha,
-        n=plan.n,
+        n=n,
         flags=flags,
     )

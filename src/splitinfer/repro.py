@@ -18,8 +18,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ZeroVariance
-from .evaluation import Evaluations, evaluate, pool
-from .inference import IDENTITY, DeltaSpec, nonsingular, norm_cdf, norm_ppf, variance_inflation
+from .evaluation import Evaluations, evaluate
+from .inference import IDENTITY, DeltaSpec, delta_variance, norm_cdf, norm_ppf
 from .learners import Learner, train_all
 from .moments import MomentFunction
 from .rng import derived_seed
@@ -93,17 +93,13 @@ def sigma_D_hat(mf: MomentFunction, ev: Evaluations, theta_hat,
     """
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
     plan = ev.plan
-    vmk = variance_inflation(plan.M, plan.K, plan.b, plan.n)
-
-    pooled = pool(mf, ev.blocks, theta_hat, meat=True, jacobian=True)
+    dv = delta_variance(mf, ev, theta_hat, h)
+    pooled, vmk = dv.pooled, dv.inflation
     psi_split = pooled.split_psi      # per-split moment at theta_hat
-    meat_split = pooled.split_meat    # per-split psi psi^T mean
-    pooled_psi = psi_split.mean(axis=0)
-    meat = meat_split.mean(axis=0)
 
-    grad = h.gradient(theta_hat)
-    a_hat = np.linalg.solve(nonsingular(pooled.jacobian).T, grad)  # row vector grad . J^{-1}
-    sigma2_eta = float(vmk * a_hat @ meat @ a_hat)
+    # row vector grad . J^{-1}; delta_variance has checked that J is nonsingular
+    a_hat = np.linalg.solve(pooled.jacobian.T, dv.grad)
+    sigma2_eta = dv.variance
     if sigma2_eta <= 0.0:
         raise ZeroVariance("delta-method variance is zero; reproducibility margin undefined")
     sigma_eta = float(np.sqrt(sigma2_eta))
@@ -114,14 +110,14 @@ def sigma_D_hat(mf: MomentFunction, ev: Evaluations, theta_hat,
     v_g = g_reps.T @ g_reps / plan.M
     v_hat_D2 = float(a_hat @ v_g @ a_hat) / sigma2_eta
 
-    h_hat = float(h.h(theta_hat))
+    h_hat = h.h(theta_hat)
     gap = h_hat - tau
 
-    centered_meat = meat_split - meat
+    centered_meat = pooled.split_meat - pooled.meat
     q = np.einsum("i,sij,j->s", a_hat, centered_meat, a_hat)
     zeta = 0.25 * sigma_eta**-6 * gap**2 * vmk**2 * float(np.mean(q**2))
 
-    proj_psi = (psi_split - pooled_psi) @ a_hat
+    proj_psi = (psi_split - pooled.psi) @ a_hat
     rho = 0.5 * sigma_eta**-4 * gap * vmk * float(np.mean(proj_psi * q))
 
     sigma_d2 = 2.0 * (v_hat_D2 + zeta + 2.0 * rho)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from splitinfer.adaptive import AdaptiveConfig, adaptive_ci, gate
+from splitinfer.adaptive import AdaptiveConfig, adaptive_ci
 from splitinfer.data import Dataset, Roles
 from splitinfer.evaluation import evaluate
+from splitinfer.inference import norm_ppf
 from splitinfer.learners import ConstantModel, builtin, train_all
 from splitinfer.moments import MomentFunction, builtin_moment
 from splitinfer.rng import substream
@@ -25,39 +26,39 @@ def signal_setup(n=200, seed=0):
 
 def test_gate_thresholding():
     mf, models, plan, d, est = signal_setup()
-    theta = float(est.theta_hat[0])
-    # exactly at the solution the pooled moment is ~0: gate off
-    psi, a_n = gate(mf, evaluate(models, plan, d), theta, gamma_n=1e-12)
-    assert a_n == 0
-    assert abs(psi) <= 1e-10
-    # far away the product is large: gate on
-    _, a_far = gate(mf, evaluate(models, plan, d), theta + 5.0, gamma_n=1e-12)
-    assert a_far == 1
+    ci = adaptive_ci(mf, evaluate(models, plan, d), est)
+    np.testing.assert_array_equal(ci.gate, ci.psi * ci.psi > ci.gamma_n)
+    # on far from the estimate, off next to it
+    assert ci.gate[0] == ci.gate[-1] == 1
+    assert ci.gate[np.argmin(np.abs(ci.psi))] == 0
 
 
 def test_gate_example_values():
-    # product 0.002 vs gamma 0.001 -> on; vs gamma 0.01 -> off
+    # f == 1 on every row, so theta_hat = 1 and Psi(tau) = 1 - tau
     d = Dataset({"y": np.full(4, 1.0), "x": np.zeros(4)}, Roles("y", ("x",)))
     plan = generate_plan(4, M=1, K=2, seed=0)
     models = {(0, 0): ConstantModel(1.0), (0, 1): ConstantModel(1.0)}
     mf = builtin_moment("covariance")
-    # pooled moment at tau: f == 1, so psi = 1 - tau
-    psi, on = gate(mf, evaluate(models, plan, d), 1.0 - np.sqrt(0.002), 0.001)
-    assert psi * psi == pytest.approx(0.002, rel=1e-9)
-    assert on == 1
-    _, off = gate(mf, evaluate(models, plan, d), 1.0 - np.sqrt(0.002), 0.01)
-    assert off == 0
+    ev = evaluate(models, plan, d)
+    est = solve(2, mf, ev)
+    assert est.theta_hat[0] == 1.0
+    ci = adaptive_ci(mf, ev, est, AdaptiveConfig(c_gamma=0.004))
+    np.testing.assert_array_equal(ci.psi, est.theta_hat[0] - ci.grid)
+    assert ci.gamma_n == 0.001
+    np.testing.assert_array_equal(ci.gate, ci.psi * ci.psi > 0.001)
 
 
 def test_gate_monotone_in_gamma():
     mf, models, plan, d, est = signal_setup(seed=3)
-    taus = float(est.theta_hat[0]) + np.linspace(-0.5, 0.5, 11)
-    for tau in taus:
-        previous = 1
-        for gamma in (1e-8, 1e-4, 1e-2, 1.0):
-            _, a_n = gate(mf, evaluate(models, plan, d), tau, gamma)
-            assert a_n <= previous
-            previous = a_n
+    ev = evaluate(models, plan, d)
+    counts = []
+    for c_gamma in (0.0, 1e-4, 1e-2, 1.0, 10.0):
+        ci = adaptive_ci(mf, ev, est, AdaptiveConfig(c_gamma=c_gamma))
+        # the grid follows the standard error, not c_gamma: counts compare
+        np.testing.assert_array_equal(ci.psi, est.theta_hat[0] - ci.grid)
+        counts.append(int(ci.gate.sum()))
+    assert counts == sorted(counts, reverse=True)
+    assert counts[0] > counts[-1]
 
 
 def test_adaptive_matches_normal_when_gate_always_on():
@@ -80,14 +81,16 @@ def test_adaptive_all_conservative_unbounded():
 
 
 def test_adaptive_signal_width_close_to_normal():
-    widths = []
+    """At the default c_gamma the gate is off only within SE / 2 of the
+    estimate, inside the normal interval, so the adaptive CI is the normal CI
+    up to the bisection tolerance of 1e-4 SE."""
     for seed in range(10):
         mf, models, plan, d, est = signal_setup(n=400, seed=seed)
         ci = adaptive_ci(mf, evaluate(models, plan, d), est)
-        lo, hi = ci.intervals[0]
-        nlo, nhi = ci.normal_interval
-        widths.append((hi - lo) / (nhi - nlo))
-    assert np.mean(np.abs(np.array(widths) - 1.0) < 0.10) >= 0.9
+        [(lo, hi)], (nlo, nhi) = ci.intervals, ci.normal_interval
+        se = (nhi - nlo) / (2.0 * norm_ppf(0.975))
+        assert abs(lo - nlo) <= 1e-4 * se
+        assert abs(hi - nhi) <= 1e-4 * se
 
 
 def test_adaptive_requires_scalar_moment():
@@ -115,8 +118,6 @@ def test_adaptive_and_gate_require_average_moment():
     ev = evaluate(models, plan, d)
     with pytest.raises(ValueError, match="average-type"):
         adaptive_ci(Centered(), ev, est)
-    with pytest.raises(ValueError, match="average-type"):
-        gate(Centered(), ev, 0.0, 1e-12)
 
 
 def test_adaptive_degenerate_keeps_estimand():

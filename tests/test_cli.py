@@ -87,6 +87,12 @@ def test_malformed_json_exits_one(tmp_path, capsys):
     assert invoke(["estimate", "--config", path]) == 1
 
 
+# the pointers of the checks a run makes on its data (n against K or L, the
+# control columns) or its output paths, which validate-config does not make
+NEEDS_DATA_OR_OUTPUT = {"/plan", "/plan/K", "/gates/L", "/gates/controls/1",
+                        "/simulate/csv_path", "/output/path"}
+
+
 @pytest.mark.parametrize("method, overrides, pointer", [
     ("estimate", {"h": "foo"}, "/h"),
     ("estimate", {"h": "diff:0-x"}, "/h"),
@@ -142,15 +148,29 @@ def test_malformed_json_exits_one(tmp_path, capsys):
     ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
                                "methods": ["estimate"]},
                   "output": {"path": "nodir/r.json"}}, "/output/path"),  # CSV nodir/r.json.csv
+    ("estimate", {"moment": "linreg_on_eta", "h": "diff:1-1"}, "/h"),  # identically zero
 ])
 def test_bad_names_are_config_errors(tmp_path, capsys, monkeypatch, method, overrides, pointer):
+    """A run fails at ``pointer``; so does validate-config, unless the check
+    needs the data or writes a file."""
     monkeypatch.chdir(tmp_path)
     method, *flags = method.split()
     cfg = estimate_config(tmp_path, tmp_path / "r.json", method=method, **overrides)
-    assert invoke([method, "--config", cfg, *flags]) == 1
-    err = capsys.readouterr().err
-    assert f"invalid config at {pointer}:" in err
-    assert "Traceback" not in err
+    commands = [method]
+    if pointer not in NEEDS_DATA_OR_OUTPUT:
+        commands.append("validate-config")
+    for command in commands:
+        assert invoke([command, "--config", cfg, *flags]) == 1
+        err = capsys.readouterr().err
+        assert f"invalid config at {pointer}:" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_method_mismatch_is_a_config_error(tmp_path, capsys):
+    cfg = estimate_config(tmp_path, tmp_path / "r.json")
+    assert invoke(["compare", "--config", cfg]) == 1
+    assert "invalid config at /method: 'estimate' does not match" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -5,7 +5,6 @@ from splitinfer.data import Dataset, Roles
 from splitinfer.errors import SingularJacobian, ZeroVariance
 from splitinfer.evaluation import evaluate, pool
 from splitinfer.inference import (
-    difference_reduction,
     named_reduction,
     norm_cdf,
     norm_ppf,
@@ -108,11 +107,19 @@ def test_normal_cdf_and_quantile_match_scipy_into_the_tails():
     np.testing.assert_allclose([norm_ppf(v) for v in q], special.ndtri(q), rtol=1e-14, atol=0)
 
 
-def test_difference_reduction_algebra():
-    h = difference_reduction(0, 1)
-    v = np.array([[2.0, 0.5], [0.5, 1.0]])
-    grad = h.gradient(np.array([1.0, 2.0]))
-    np.testing.assert_allclose(grad @ v @ grad, 2.0 + 1.0 - 2 * 0.5)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_reductions_are_constant_contrasts(dim):
+    """Every nameable h is linear: h(theta) == gradient(theta) @ theta exactly,
+    and the gradient does not depend on theta."""
+    specs = ["identity", *(f"coordinate:{j}" for j in range(dim)),
+             *(f"diff:{i}-{j}" for i in range(dim) for j in range(dim) if i != j)]
+    thetas = substream(dim).standard_normal((4, dim)) * [[1.0], [1e-8], [1e8], [0.0]]
+    for spec in specs:
+        h = named_reduction(spec, dim)
+        grad = h.gradient(thetas[0])
+        for theta in thetas:
+            assert h.h(theta) == grad @ theta
+            np.testing.assert_array_equal(h.gradient(theta), grad)
 
 
 def test_named_reduction_parsing():
@@ -121,6 +128,8 @@ def test_named_reduction_parsing():
     assert named_reduction("diff:2-0", 3).h(np.array([1.0, 5.0, 4.0])) == 3.0
     with pytest.raises(ValueError):
         named_reduction("median", 2)
+    with pytest.raises(ValueError, match="i != j"):
+        named_reduction("diff:1-1", 2)
 
 
 def test_full_report_fields_and_ci_contains_estimate():
