@@ -11,10 +11,10 @@ unreadable ``data.path``, a negative ``--seed``, a thread count
 a report or grid CSV that cannot be written; 2 runtime failure, including a
 CSV cell that is not a number or a CSV that is not UTF-8.
 
-``validate-config`` runs the schema check and a run's name resolution
-(``resolve_config``), so a bad name fails it at the same JSON pointer; the
-checks that need the data (n against K, the CSV, control columns) stay with
-the runs.
+``validate-config`` runs the schema check and a run's resolution
+(``resolve_config``: names, and the plan checks that need no data), so a bad
+name or plan fails it at the same JSON pointer; the checks that need the
+data (n against K, b or L, the CSV, control columns) stay with the runs.
 
 ``h`` names the scalar reduction of theta that the CIs and tests are about:
 "identity" (theta_0), "coordinate:j" (theta_j) or "diff:i-j"
@@ -49,7 +49,7 @@ from .learners import builtin, train_all
 from .moments import AverageMoment, builtin_moment
 from .report import SCHEMA_VERSION, write_report
 from .rng import derived_seed
-from .splits import generate_plan
+from .splits import check_plan, generate_plan
 from .zestim import solve
 
 DEFAULTS = {
@@ -101,6 +101,7 @@ def resolve_config(config: dict, args) -> dict:
         output["emit_sigma"] = True
     resolved["threads"] = _thread_count(args.threads)
     _resolve_names(resolved)
+    _check_plan(resolved)
     return resolved
 
 
@@ -148,6 +149,26 @@ def _resolve_names(config: dict) -> None:
             if method not in sim.METHOD_RUNNERS:
                 raise ConfigInvalid(f"/simulate/methods/{i}", f"unknown grid method {method!r}")
         _resolved("/simulate/dgp", sim.dgp_sampler, sim_cfg.get("dgp", {}))
+
+
+def _check_plan(config: dict) -> None:
+    """Make the plan checks that need no data: K=1 needs b, and GATES needs
+    J, K and L of at least 2. The runs check n against K, b and L."""
+    if config["method"] == "gates":
+        _gates_config(config)
+    elif config["method"] in ("estimate", "compare", "repro"):
+        plan = config["plan"]
+        _resolved("/plan", check_plan, plan["M"], plan["K"], plan["b"])
+
+
+def _gates_config(config: dict) -> gates_mod.GatesConfig:
+    """The run's ``GatesConfig``, whose checks are the GATES plan checks."""
+    plan_cfg = config["plan"]
+    learner_names = config.get("learners") or [config["learner"]]
+    learners = tuple(gates_mod.CateLearner(builtin(name)) for name in learner_names)
+    return _resolved("/plan/K", gates_mod.GatesConfig, learners=learners, M=plan_cfg["M"],
+                     K=plan_cfg["K"], alpha=config["alpha"],
+                     **_given(config.get("gates", {}), "L", "J", "controls"))
 
 
 def _resolved(pointer: str, resolve, *args, **kwargs):
@@ -241,17 +262,13 @@ def run_gates(config: dict) -> dict:
     d = build_dataset(config)
     plan_cfg = config["plan"]
     gates_cfg = config.get("gates", {})
-    learner_names = config.get("learners") or [config["learner"]]
-    learners = tuple(gates_mod.CateLearner(builtin(name)) for name in learner_names)
-    cfg = _resolved("/plan/K", gates_mod.GatesConfig, learners=learners, M=plan_cfg["M"],
-                    K=plan_cfg["K"], alpha=config["alpha"],
-                    **_given(gates_cfg, "L", "J", "controls"))
+    cfg = _gates_config(config)
     for i, name in enumerate(cfg.controls):
         if name not in ("const", "propensity"):
             _resolved(f"/gates/controls/{i}", d.column, name)
     # each repetition draws a K-fold plan and an L-fold calibration plan
-    _resolved("/plan/K", generate_plan, d.n, 1, cfg.K)
-    _resolved("/gates/L", generate_plan, d.n, 1, cfg.L)
+    _resolved("/plan/K", check_plan, 1, cfg.K, n=d.n)
+    _resolved("/gates/L", check_plan, 1, cfg.L, n=d.n)
     result, het, _ = gates_mod.run_gates(
         cfg, d, seed=plan_cfg["seed"], run_het=gates_cfg.get("het_test", False),
         **_given(gates_cfg, "mc_draws"),

@@ -8,14 +8,17 @@ framework is agnostic to: constant mean, OLS, ridge, k-NN, a greedy
 variance-reduction tree, and a damped-Newton logistic regression.
 
 The k-NN predict is the one whose cost grows with both the evaluation and the
-training rows. It sums squared differences one feature at a time, in the
-order numpy's pairwise ``add.reduce`` uses on a contiguous axis, so its
-distances are bitwise those of summing the (rows x train x p) cube without
-ever holding it. Evaluation rows go in chunks sized so that the work buffer
-holds at most ``_CHUNK_TERMS`` float64 values. The buffer is allocated once
-per predict and filled in place with ``out=``: a fresh array per feature and
-chunk, once it is larger than the allocator's mmap threshold, is returned to
-the operating system on free and faulted back in on the next allocation.
+training rows. It filters, then refines. One matrix product gives every
+(row, train) distance up to a rounding error it bounds; only the columns that
+bound cannot rule out get an exact distance, summed one feature at a time in
+the order numpy's pairwise ``add.reduce`` uses on a contiguous axis. So the
+neighbours and their mean are bitwise those of a stable sort of the summed
+(rows x train x p) cube, which is never held (see ``KnnModel``). Evaluation
+rows go in chunks sized so that each work buffer holds at most
+``_CHUNK_TERMS`` float64 values. The buffers are allocated once per predict
+and filled in place with ``out=``: a fresh array per feature and chunk, once
+it is larger than the allocator's mmap threshold, is returned to the
+operating system on free and faulted back in on the next allocation.
 """
 
 from __future__ import annotations
@@ -81,19 +84,52 @@ class LogisticModel(Model):
 
 class KnnModel(Model):
     """Mean outcome of the k nearest training rows by squared euclidean
-    distance, ties going to the lower training index.
+    distance, ties going to the lower training index: bitwise the mean, in
+    order, of the first k columns of a stable argsort of each row of
+    ``((x[:, None, :] - train_x[None]) ** 2).sum(axis=2)``.
 
     The training covariates are stored feature-major, as a (p, n_train)
-    array. ``predict`` never forms the (rows x n_train x p) difference cube:
-    it takes the evaluation rows in chunks of at most
-    ``_CHUNK_TERMS // (slots * n_train)`` rows and sums each chunk's
-    distances one feature at a time into one work buffer of ``slots``
-    (chunk x n_train) planes, allocated once per call and reused with
-    ``out=`` across features and chunks, so that no memory is freed and
-    faulted back in between them. ``_sum_squares`` adds the feature
-    terms in the order numpy's ``add.reduce`` uses on a contiguous axis, so
-    the distances, and with them the neighbours chosen among ties, are
-    bitwise those of ``((x[:, None, :] - train_x[None]) ** 2).sum(axis=2)``.
+    array. ``predict`` never forms that (rows x n_train x p) cube. It filters,
+    then refines, over chunks of at most ``_CHUNK_TERMS // (2 * n_train)``
+    evaluation rows:
+
+    1. Filter. Let x' and t' be the rows less c, the training mean, as
+       computed. One matrix product of [x', 1] with [-2 t'; |t'|^2] gives
+       b = |t'|^2 - 2 x'.t', the approximate distance less |x'|^2, which no
+       comparison within a row needs, in one reused plane. ``partition`` on
+       a copy in a second plane finds each row's k-th smallest b, b_(k). A
+       row's candidates are the columns with b <= b_(k) + 2E, in index order.
+    2. Refine. ``_refine`` computes the exact distances d of the candidates
+       only, with ``_sum_squares``, and averages the first k of a stable
+       argsort of them.
+
+    The bound E. Let u = 2^-53 and R = (|x'| + max_j |t'_j|)^2, which bounds
+    the real distance and every partial sum behind b and d. Whatever order
+    the sums take, to first order in u: d is within (p + 2) u R + p 2^-1075
+    of the real distance |x - t|^2; centring moves each x_f - t_f by at most
+    u (|x'_f| + |t'_f|), so |x' - t'|^2 is within 2 u R of it; and
+    a = b + |x'|^2, |x'|^2 taken exact, is within (2p + 1) u R + 2p 2^-1075
+    of |x' - t'|^2. An operation's rounding is relative, and below the
+    normal range a product or square errs by at most 2^-1075 more. So
+    |a - d| <= (3p + 5) u R + 3p 2^-1075, and E = (4p + 16)(u R + 2^-1074)
+    bounds it with room for the rounding of R, of E and of b_(k) + 2E.
+    Centring keeps R, and with it E, small when the covariates share a
+    large offset, which would otherwise make every column a candidate.
+
+    Why the result is the cube's stable sort. The k-th smallest of two
+    vectors within E of each other are within E, so |a_(k) - d_(k)| <= E. If
+    d_j <= d_(k), then a_j <= d_(k) + E <= a_(k) + 2E, that is
+    b_j <= b_(k) + 2E: every column at or below the k-th exact distance,
+    each tie included, is a candidate. The candidates keep index order, so
+    a stable argsort over them picks the columns that one over the whole row
+    picks, in the same order; and their d are the cube's bit for bit, since
+    ``_sum_squares`` adds the same terms in numpy's order.
+
+    The overflow rule. Where R is not below 2^1000, or is not finite, a
+    centring, norm or dot product may overflow, and inf - inf gives a NaN
+    that fails every comparison. Such a row takes every column as a candidate, so its
+    refine is the full stable sort. Below 2^1000 nothing in b or d
+    overflows.
     """
 
     def __init__(self, train_x: np.ndarray, train_y: np.ndarray, k: int):
@@ -106,36 +142,76 @@ class KnnModel(Model):
         p, n_train = self.train_t.shape
         if x.shape[1] != p:
             raise ValueError(f"kNN model has {p} covariates, got {x.shape[1]}")
-        slots = _sum_squares_slots(p)
-        chunk = max(1, min(x.shape[0], _CHUNK_TERMS // (slots * n_train)))
-        buf = np.empty((slots, chunk, n_train))
-        xt = x.T[:, :, None]  # xt[f, r] broadcasts against train_t[f]
-        out = np.empty(x.shape[0])
-        for r0 in range(0, x.shape[0], chunk):
-            work = buf[:, :min(chunk, x.shape[0] - r0)]
-            _sum_squares(xt[:, r0:r0 + chunk], self.train_t, work)
-            out[r0:r0 + chunk] = self.train_y[self._nearest(work[0])].mean(axis=1)
+        rows, k = x.shape[0], self.k
+        chunk = max(1, min(rows, _CHUNK_TERMS // (2 * n_train)))
+        planes = np.empty((2, chunk, n_train))
+        kept = np.empty((chunk, n_train), dtype=bool)
+        x1 = np.ones((chunk, p + 1))
+        t2 = np.empty((p + 1, n_train))
+        work = np.empty(max(_CHUNK_TERMS, _sum_squares_slots(p) * n_train))
+        out = np.empty(rows)
+        # overflow and NaN arise only in the rows the overflow rule widens
+        with np.errstate(over="ignore", invalid="ignore"):
+            centre = self.train_t.mean(axis=1)
+            np.subtract(self.train_t, centre[:, None], out=t2[:p])
+            np.einsum("fj,fj->j", t2[:p], t2[:p], out=t2[p])
+            t2[:p] *= -2.0
+            t_far = np.sqrt(t2[p].max())
+        for r0 in range(0, rows, chunk):
+            m = min(chunk, rows - r0)
+            b, kth = planes[:, :m]
+            xc = x1[:m, :p]
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.subtract(x[r0:r0 + m], centre, out=xc)
+                reach = (np.sqrt(np.einsum("rf,rf->r", xc, xc)) + t_far) ** 2
+                slack = (8 * p + 32) * (2.0**-53 * reach + 2.0**-1074)  # 2E
+                np.matmul(x1[:m], t2, out=b)
+                np.copyto(kth, b)
+                kth.partition(k - 1, axis=1)
+                np.less_equal(b, (kth[:, k - 1] + slack)[:, None], out=kept[:m])
+            wide = ~(reach < 2.0**1000)
+            if wide.any():
+                kept[:m][wide] = True
+            out[r0:r0 + m] = self._refine(x[r0:r0 + m], kept[:m], work)
         return out
 
-    def _nearest(self, d2):
-        """Indices of the k nearest training rows per row of d2, ordered by
-        (distance, index): what a stable argsort of each row would give."""
-        k = self.k
-        near = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
-        near_d2 = np.take_along_axis(d2, near, axis=1)
-        near = np.take_along_axis(near, np.argsort(near_d2, axis=1, kind="stable"), axis=1)
-        # where more than k rows lie within the k-th distance, the partition
-        # picked among the ties at it arbitrarily: sort those rows in full
-        kth = near_d2.max(axis=1, keepdims=True)
-        tied = np.flatnonzero((d2 <= kth).sum(axis=1) > k)
-        if tied.size:
-            near[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
-        return near
+    def _refine(self, x, kept, work):
+        """Mean outcome of each row's k nearest among its candidate columns
+        ``kept`` (rows x n_train, bool), by exact distance and then index.
+
+        A row's candidates sit at the front of a (rows x width) index array,
+        width the most candidates any of the rows has; the slots after them
+        are padding, at distance inf. Rows go in groups sized so that the
+        ``_sum_squares`` planes and three index arrays hold at most
+        ``_CHUNK_TERMS`` values, however many columns tie.
+        """
+        rows, n_train = kept.shape
+        slots = _sum_squares_slots(x.shape[1])
+        flat = np.flatnonzero(kept)  # row-major: each row's candidates in index order
+        starts = np.searchsorted(flat, np.arange(rows + 1) * n_train)
+        counts = np.diff(starts)
+        step = max(1, _CHUNK_TERMS // ((slots + 3) * int(counts.max())))
+        xt = x.T[:, :, None]  # xt[f, r] broadcasts against row r's candidates
+        out = np.empty(rows)
+        for s0 in range(0, rows, step):
+            s1 = min(rows, s0 + step)
+            pad = np.arange(counts[s0:s1].max()) >= counts[s0:s1, None]
+            cols = np.zeros(pad.shape, dtype=np.intp)
+            cols[~pad] = flat[starts[s0]:starts[s1]] % n_train
+            buf = work[:slots * cols.size].reshape(slots, *cols.shape)
+            _sum_squares(xt[:, s0:s1], self.train_t, cols, buf)
+            buf[0][pad] = np.inf
+            order = np.argsort(buf[0], axis=1, kind="stable")[:, :self.k]
+            out[s0:s1] = self.train_y[np.take_along_axis(cols, order, axis=1)].mean(axis=1)
+        return out
 
 
-# evaluation rows per chunk times training rows times buffer planes: a kNN
-# predict's work buffer holds at most _CHUNK_TERMS float64 values (1 MiB)
-# unless a single row needs more, whatever the fold size.
+# A kNN predict's filter holds two (chunk x n_train) float64 planes, so a
+# chunk has at most _CHUNK_TERMS // (2 * n_train) evaluation rows, and the
+# chunk's candidates at most half as many indices. The refine takes the
+# chunk's rows in groups whose _sum_squares planes and three index arrays
+# hold at most _CHUNK_TERMS values, whatever the ties. So each budget is
+# 1 MiB, unless a single row needs more, whatever the fold size.
 _CHUNK_TERMS = 1 << 17
 
 
@@ -149,13 +225,15 @@ def _sum_squares_slots(p: int) -> int:
     return 2 if p < 8 else 9
 
 
-def _square_diff(a, b, out):
-    np.subtract(a, b, out=out)
+def _square_diff(a, t, cols, out):
+    """out = (a - t[cols]) ** 2, gathering t[cols] into out first."""
+    np.take(t, cols, out=out, mode="clip")
+    np.subtract(a, out, out=out)
     return np.multiply(out, out, out=out)
 
 
-def _sum_squares(xt, tt, buf):
-    """buf[0] = sum over f of (xt[f] - tt[f]) ** 2; buf[1:] is scratch.
+def _sum_squares(xt, tt, cols, buf):
+    """buf[0] = sum over f of (xt[f] - tt[f][cols]) ** 2; buf[1:] is scratch.
 
     The terms are added in numpy's pairwise order for a contiguous reduction
     axis: one after another for p < 8; for p <= 128, eight partial sums over
@@ -166,27 +244,27 @@ def _sum_squares(xt, tt, buf):
     p = xt.shape[0]
     if p > 128:
         half = p // 2 - (p // 2) % 8
-        _sum_squares(xt[:half], tt[:half], buf)
-        _sum_squares(xt[half:], tt[half:], buf[1:])
+        _sum_squares(xt[:half], tt[:half], cols, buf)
+        _sum_squares(xt[half:], tt[half:], cols, buf[1:])
         np.add(buf[0], buf[1], out=buf[0])
         return
     if p < 8:
         if p == 0:
             buf[0].fill(0.0)
         else:
-            _square_diff(xt[0], tt[0], buf[0])
+            _square_diff(xt[0], tt[0], cols, buf[0])
         for f in range(1, p):
-            np.add(buf[0], _square_diff(xt[f], tt[f], buf[1]), out=buf[0])
+            np.add(buf[0], _square_diff(xt[f], tt[f], cols, buf[1]), out=buf[0])
         return
     body = p - p % 8
     for f in range(8):
-        _square_diff(xt[f], tt[f], buf[f])
+        _square_diff(xt[f], tt[f], cols, buf[f])
     for f in range(8, body):
-        np.add(buf[f % 8], _square_diff(xt[f], tt[f], buf[8]), out=buf[f % 8])
+        np.add(buf[f % 8], _square_diff(xt[f], tt[f], cols, buf[8]), out=buf[f % 8])
     for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
         np.add(buf[a], buf[b], out=buf[a])
     for f in range(body, p):
-        np.add(buf[0], _square_diff(xt[f], tt[f], buf[8]), out=buf[0])
+        np.add(buf[0], _square_diff(xt[f], tt[f], cols, buf[8]), out=buf[0])
 
 
 class TreeModel(Model):

@@ -55,6 +55,21 @@ class SplitPlan:
         }
 
 
+def check_plan(M: int, K: int, b: int | None = None, n: int | None = None) -> None:
+    """Raise if ``generate_plan`` cannot draw this plan; with n None, make
+    only the checks that need no data."""
+    if M < 1:
+        raise InvalidFoldCount("M must be at least 1")
+    if K < 1:
+        raise InvalidFoldCount("K must be at least 1")
+    if K == 1:
+        if b is None or b < 1 or (n is not None and b >= n):
+            raise InvalidSubsampleSize(f"K=1 requires 1 <= b < n, got b={b}"
+                                       + ("" if n is None else f", n={n}"))
+    elif n is not None and n < 2 * K:
+        raise InvalidFoldCount(f"K={K} needs n >= {2 * K} rows, got {n}")
+
+
 def generate_plan(n: int, M: int, K: int, b: int | None = None, seed: int = 0) -> SplitPlan:
     """Draw a split plan.
 
@@ -66,16 +81,8 @@ def generate_plan(n: int, M: int, K: int, b: int | None = None, seed: int = 0) -
     b : evaluation-subsample size, required iff K=1 (defaults to n // K otherwise).
     seed : master seed; repetition m uses the substream (seed, m).
     """
-    if M < 1:
-        raise InvalidFoldCount("M must be at least 1")
-    if K < 1:
-        raise InvalidFoldCount("K must be at least 1")
-    if K == 1:
-        if b is None or not 1 <= b < n:
-            raise InvalidSubsampleSize(f"K=1 requires 1 <= b < n, got b={b}, n={n}")
-    else:
-        if n < 2 * K:
-            raise InvalidFoldCount(f"K={K} needs n >= {2 * K} rows, got {n}")
+    check_plan(M, K, b, n)
+    if K > 1:
         b = n // K
 
     reps = []

@@ -87,10 +87,13 @@ def test_malformed_json_exits_one(tmp_path, capsys):
     assert invoke(["estimate", "--config", path]) == 1
 
 
-# the pointers of the checks a run makes on its data (n against K or L, the
-# control columns) or its output paths, which validate-config does not make
-NEEDS_DATA_OR_OUTPUT = {"/plan", "/plan/K", "/gates/L", "/gates/controls/1",
-                        "/simulate/csv_path", "/output/path"}
+# a row whose check a run makes on its data (n against K, b or L, the control
+# columns) or its output paths, which validate-config does not make
+NEEDS_DATA_OR_OUTPUT = pytest.mark.needs_data_or_output
+
+
+def needs_data_or_output(*row):
+    return pytest.param(*row, marks=NEEDS_DATA_OR_OUTPUT)
 
 
 @pytest.mark.parametrize("method, overrides, pointer", [
@@ -107,7 +110,8 @@ NEEDS_DATA_OR_OUTPUT = {"/plan", "/plan/K", "/gates/L", "/gates/controls/1",
     ("estimate", {"learner": "knn(1e400)"}, "/learner"),
     ("estimate", {"learner": "tree(1e400)"}, "/learner"),
     ("estimate", {"learner": "ridge(1e400)"}, "/learner"),
-    ("gates", {"gates": {"controls": ["const", "nope"]}}, "/gates/controls/1"),
+    needs_data_or_output("gates", {"gates": {"controls": ["const", "nope"]}},
+                         "/gates/controls/1"),
     ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
                                "methods": ["estimate", "bogus"]}}, "/simulate/methods/1"),
     ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
@@ -120,18 +124,20 @@ NEEDS_DATA_OR_OUTPUT = {"/plan", "/plan/K", "/gates/L", "/gates/controls/1",
     ("estimate", {"moment": "linreg_on_eta", "estimate": {"adaptive": True}},
      "/estimate/adaptive"),
     ("estimate", {"plan": {"M": 3, "K": 1, "seed": 5}}, "/plan"),  # K=1 needs b
-    ("compare", {"plan": {"M": 3, "K": 50, "seed": 5}}, "/plan"),  # n=90 < 2K
-    ("repro", {"plan": {"M": 3, "K": 50, "seed": 5}}, "/plan"),
+    needs_data_or_output("compare", {"plan": {"M": 3, "K": 50, "seed": 5}}, "/plan"),  # n=90 < 2K
+    needs_data_or_output("repro", {"plan": {"M": 3, "K": 50, "seed": 5}}, "/plan"),
     ("gates", {"plan": {"M": 3, "K": 1, "seed": 5}}, "/plan/K"),
     ("estimate", {"data": {"synthetic": {"kind": "copula", "mode": "shuffled"}}},
      "/data/synthetic/mode"),
     ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
                                "methods": ["estimate"], "dgp": {"kind": "hte", "mode": "asis"}}},
      "/simulate/dgp/mode"),
-    ("gates", {"data": {"synthetic": {"kind": "linear_cate", "n": 40, "seed": 1}},
-               "plan": {"M": 3, "K": 25, "seed": 5}}, "/plan/K"),  # n=40 < 2K
-    ("gates", {"data": {"synthetic": {"kind": "linear_cate", "n": 40, "seed": 1}},
-               "gates": {"L": 25}}, "/gates/L"),  # n=40 < 2L
+    needs_data_or_output("gates", {"data": {"synthetic": {"kind": "linear_cate", "n": 40,
+                                                          "seed": 1}},
+                                   "plan": {"M": 3, "K": 25, "seed": 5}}, "/plan/K"),  # n < 2K
+    needs_data_or_output("gates", {"data": {"synthetic": {"kind": "linear_cate", "n": 40,
+                                                          "seed": 1}},
+                                   "gates": {"L": 25}}, "/gates/L"),  # n=40 < 2L
     ("compare --adaptive", {}, "/estimate/adaptive"),
     ("gates --adaptive", {}, "/estimate/adaptive"),
     ("estimate", {"data": {"path": "data.csv"}}, "/data"),  # a CSV needs data.schema
@@ -142,22 +148,27 @@ NEEDS_DATA_OR_OUTPUT = {"/plan", "/plan/K", "/gates/L", "/gates/controls/1",
      "/data/synthetic/base_seed"),
     ("estimate --seed -1", {}, "/plan/seed"),
     ("estimate --threads 0", {}, "/threads"),
-    ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
-                               "methods": ["estimate"], "csv_path": "nodir/grid.csv"}},
-     "/simulate/csv_path"),
-    ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
-                               "methods": ["estimate"]},
-                  "output": {"path": "nodir/r.json"}}, "/output/path"),  # CSV nodir/r.json.csv
+    needs_data_or_output("simulate", {"simulate": {"n_list": [40], "K_list": [2],
+                                                   "iterations": 1, "methods": ["estimate"],
+                                                   "csv_path": "nodir/grid.csv"}},
+                         "/simulate/csv_path"),
+    needs_data_or_output("simulate", {"simulate": {"n_list": [40], "K_list": [2],
+                                                   "iterations": 1, "methods": ["estimate"]},
+                                      "output": {"path": "nodir/r.json"}},
+                         "/output/path"),  # CSV nodir/r.json.csv
     ("estimate", {"moment": "linreg_on_eta", "h": "diff:1-1"}, "/h"),  # identically zero
+    ("estimate", {"plan": {"M": 3, "K": 1}}, "/plan"),  # K=1 needs b, with the default seed
+    ("gates", {"plan": {"M": 3, "K": 1}}, "/plan/K"),
 ])
-def test_bad_names_are_config_errors(tmp_path, capsys, monkeypatch, method, overrides, pointer):
+def test_bad_names_are_config_errors(tmp_path, capsys, monkeypatch, request, method, overrides,
+                                     pointer):
     """A run fails at ``pointer``; so does validate-config, unless the check
     needs the data or writes a file."""
     monkeypatch.chdir(tmp_path)
     method, *flags = method.split()
     cfg = estimate_config(tmp_path, tmp_path / "r.json", method=method, **overrides)
     commands = [method]
-    if pointer not in NEEDS_DATA_OR_OUTPUT:
+    if request.node.get_closest_marker(NEEDS_DATA_OR_OUTPUT.name) is None:
         commands.append("validate-config")
     for command in commands:
         assert invoke([command, "--config", cfg, *flags]) == 1

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitinfer import learners
 from splitinfer.data import Dataset, Roles
@@ -88,19 +90,19 @@ def test_knn_matches_full_stable_sort(data, k):
 @pytest.mark.parametrize("chunk_rows", [1, 5, None])  # None: the default budget
 @pytest.mark.parametrize("data", ["continuous", "discrete"])
 def test_knn_chunked_distances_equal_the_cube_bitwise(monkeypatch, data, chunk_rows):
-    # the reference sums the whole (rows x train x p) cube with numpy; the
-    # model's distances must equal it to the bit, so the neighbours chosen
-    # among ties are the same too
+    # the reference sorts the whole (rows x train x p) cube's distances with
+    # numpy; the filter must keep each chunk's k nearest, and the refine's
+    # exact distances must pick them among ties as the cube does
     rng = substream(22)
     n_train, rows, k = 60, 37, 5  # 37 rows: a chunk of 5 does not divide them
     seen = []
-    nearest = KnnModel._nearest
+    refine = KnnModel._refine
 
-    def recording(self, d2):
-        seen.append(d2.copy())
-        return nearest(self, d2)
+    def recording(self, x, kept, work):
+        seen.append(kept.copy())
+        return refine(self, x, kept, work)
 
-    monkeypatch.setattr(KnnModel, "_nearest", recording)
+    monkeypatch.setattr(KnnModel, "_refine", recording)
     for p in [*range(20), 130]:  # p = 0: every distance is 0
         if data == "continuous":
             scale = rng.lognormal(size=p)
@@ -111,14 +113,13 @@ def test_knn_chunked_distances_equal_the_cube_bitwise(monkeypatch, data, chunk_r
             x = rng.integers(-5, 6, (rows, p)) * 0.1
         train_y = rng.standard_normal(n_train)
         if chunk_rows is not None:
-            terms = chunk_rows * learners._sum_squares_slots(p) * n_train
-            monkeypatch.setattr(learners, "_CHUNK_TERMS", terms)
+            monkeypatch.setattr(learners, "_CHUNK_TERMS", chunk_rows * 2 * n_train)
         seen.clear()
         pred = KnnModel(train_x, train_y, k).predict(x)
         d2 = ((x[:, None, :] - train_x[None]) ** 2).sum(axis=2)
         order = np.argsort(d2, axis=1, kind="stable")[:, :k]
         assert len(seen) == (-(-rows // chunk_rows) if chunk_rows else 1)
-        np.testing.assert_array_equal(np.concatenate(seen), d2)
+        assert np.take_along_axis(np.concatenate(seen), order, axis=1).all()
         np.testing.assert_array_equal(pred, train_y[order].mean(axis=1))
 
 
@@ -135,6 +136,96 @@ def test_knn_predict_holds_no_rows_by_train_array():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_knn_predict_with_every_column_tied_stays_bounded(monkeypatch):
+    # 667 identical training rows: every column ties with the k-th, so every
+    # column is a candidate and the refine works through all of them in groups
+    rng = substream(24)
+    train_y = rng.standard_normal(667)
+    model = KnnModel(np.tile(rng.standard_normal(3), (667, 1)), train_y, 10)
+    x = rng.standard_normal((20_000, 3))
+    kept = []
+    refine = KnnModel._refine
+
+    def counting(self, x, chunk_kept, work):
+        kept.append(int(chunk_kept.sum()))
+        return refine(self, x, chunk_kept, work)
+
+    monkeypatch.setattr(KnnModel, "_refine", counting)
+    tracemalloc.start()
+    try:
+        pred = model.predict(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(kept) == 20_000 * 667
+    assert peak < 16 * 2**20
+    np.testing.assert_array_equal(pred, np.full(20_000, train_y[:10].mean()))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+def test_knn_refine_computes_about_k_exact_distances_a_row(monkeypatch, offset):
+    # on continuous data hardly any column lies within 2E of the k-th
+    # approximate distance, so the exact sum runs on about k of 666 columns;
+    # centring keeps E small when every covariate carries a large offset
+    rng = substream(25)
+    k = 10
+    model = KnnModel(rng.standard_normal((666, 8)) + offset, rng.standard_normal(666), k)
+    x = rng.standard_normal((334, 8)) + offset
+    computed = []
+    sum_squares = learners._sum_squares
+
+    def counting(*args):
+        computed.append(args[-1][0].size)  # the result plane of the buffer
+        return sum_squares(*args)
+
+    monkeypatch.setattr(learners, "_sum_squares", counting)
+    model.predict(x)
+    assert sum(computed) / len(x) <= k + 1
+
+
+KNN_FEATURES = [*range(15), *range(129, 137)]  # both sides of _sum_squares' split at 128
+
+
+def _knn_covariates(rng, kind, rows, p, base):
+    if kind == "continuous":
+        return rng.uniform(-1.0, 1.0, (rows, p))
+    if kind == "grid":  # values 0.1 apart: many distances tie, and inexactly
+        return rng.integers(-5, 6, (rows, p)) * 0.1
+    return base[rng.integers(0, len(base), rows)]  # duplicated rows
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(p=st.sampled_from(KNN_FEATURES), n_train=st.integers(1, 40), rows=st.integers(1, 25),
+       kind=st.sampled_from(["continuous", "grid", "duplicates"]),
+       scale=st.floats(-320.0, 308.0), spread=st.sampled_from([0.0, 10.0, 700.0]),
+       offset=st.sampled_from([0.0, 1e4, 1e8]), chunk_terms=st.sampled_from([None, 1, 7, 100]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_knn_predict_equals_the_full_stable_sort(p, n_train, rows, kind, scale, spread, offset,
+                                                 chunk_terms, seed, data):
+    # the columns are scaled by 10**c, c the overall scale plus up to
+    # +-spread per feature, within 1e-320 .. 1e308 and below overflow after
+    # the offset; at the top the distances themselves overflow to inf
+    k = data.draw(st.integers(1, n_train), label="k")
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-1.0, 1.0, (3, p))
+    shift = rng.uniform(-offset, offset, p)
+    c = np.clip(scale + rng.uniform(-spread, spread, p), -320.0,
+                307.0 - np.log10(1.0 + np.abs(shift)))
+    train_x = (_knn_covariates(rng, kind, n_train, p, base) + shift) * 10.0**c
+    x = (_knn_covariates(rng, kind, rows, p, base) + shift) * 10.0**c
+    train_y = rng.standard_normal(n_train)
+    terms = learners._CHUNK_TERMS
+    learners._CHUNK_TERMS = chunk_terms or terms
+    try:
+        with np.errstate(over="ignore"):  # an inf distance, as in the cube
+            pred = KnnModel(train_x, train_y, k).predict(x)
+            d2 = ((x[:, None, :] - train_x[None]) ** 2).sum(axis=2)
+    finally:
+        learners._CHUNK_TERMS = terms
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    np.testing.assert_array_equal(pred, train_y[order].mean(axis=1))
 
 
 def test_tree_fits_step_function():
