@@ -11,6 +11,15 @@ unreadable ``data.path``, a negative ``--seed``, a thread count
 a report or grid CSV that cannot be written; 2 runtime failure, including a
 CSV cell that is not a number or a CSV that is not UTF-8.
 
+The schema check reads ``schemas/config.schema.json`` with a small interpreter
+(``_Schema``) of the JSON Schema 2020-12 keywords that file uses: ``type``,
+``enum``, ``const``, ``required``, ``properties``, ``additionalProperties``
+and ``unevaluatedProperties`` (both ``false``), ``dependentRequired``,
+``items``, ``minItems``, ``minimum``, ``maximum``, ``exclusiveMinimum``,
+``exclusiveMaximum``, ``allOf``, ``if``/``then``/``else`` and local ``$ref``.
+Loading the schema refuses any other keyword, so the schema cannot grow a
+rule the check would skip, and starting the CLI loads no JSON Schema library.
+
 ``validate-config`` runs the schema check and a run's resolution
 (``resolve_config``: names, and the plan checks that need no data), so a bad
 name or plan fails it at the same JSON pointer; the checks that need the
@@ -29,12 +38,12 @@ default: 400 rows of "base" with seed 0).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import operator
 import os
 import sys
 from importlib import resources
-
-from jsonschema import Draft202012Validator
 
 from . import adaptive as adaptive_mod
 from . import compare as compare_mod
@@ -67,13 +76,177 @@ def load_schema(name: str) -> dict:
         return json.load(fh)
 
 
+# ``_Schema`` would silently skip a keyword it does not implement, so loading a
+# schema with any keyword outside these sets fails
+_ANNOTATIONS = frozenset({"$schema", "title", "$defs"})
+_KEYWORDS = frozenset({
+    "type", "enum", "const", "required", "properties", "additionalProperties",
+    "unevaluatedProperties", "dependentRequired", "items", "minItems", "minimum", "maximum",
+    "exclusiveMinimum", "exclusiveMaximum", "allOf", "if", "then", "else", "$ref",
+})
+_TYPES = {"string": str, "boolean": bool, "null": type(None), "array": list, "object": dict,
+          "number": (int, float), "integer": (int, float)}
+_BOUNDS = {"minimum": (operator.lt, "below the minimum"),
+           "maximum": (operator.gt, "above the maximum"),
+           "exclusiveMinimum": (operator.le, "not above the exclusive minimum"),
+           "exclusiveMaximum": (operator.ge, "not below the exclusive maximum")}
+
+
+def _is_type(value, name: str) -> bool:
+    """JSON type membership: a bool is no number, and an integral float is an integer."""
+    if name in ("number", "integer") and isinstance(value, bool):
+        return False
+    return isinstance(value, _TYPES[name]) and (
+        name != "integer" or isinstance(value, int) or value.is_integer())
+
+
+def _names(rule) -> list:
+    """The type names of a ``type`` rule: one name or a list of them."""
+    return [rule] if isinstance(rule, str) else rule
+
+
+def _equal(a, b) -> bool:
+    """JSON equality against a scalar: true is not 1, and 1 is 1.0."""
+    return a is b if isinstance(a, bool) or isinstance(b, bool) else a == b
+
+
+class _Schema:
+    """An interpreter of the keywords in ``_KEYWORDS``, with local ``$ref`` only.
+
+    Loading checks the whole schema and raises ``ValueError`` on any other
+    keyword, a ``$ref`` that does not resolve, ``false`` missing from
+    ``additionalProperties`` or ``unevaluatedProperties``, or an ``enum`` or
+    ``const`` value that is not a JSON scalar.
+    """
+
+    def __init__(self, root: dict):
+        self.root = root
+        self._check(root, "#")
+
+    def _resolve(self, ref: str) -> dict:
+        node = self.root
+        try:
+            if not ref.startswith("#/"):
+                raise KeyError(ref)
+            for part in ref[2:].split("/"):
+                node = node[part.replace("~1", "/").replace("~0", "~")]
+        except (KeyError, TypeError):
+            raise ValueError(f"$ref {ref!r} is not a pointer into the schema") from None
+        return node
+
+    def _check(self, schema, where: str) -> None:
+        if not isinstance(schema, dict):
+            raise ValueError(f"{where}: a schema must be an object")
+        for key, rule in schema.items():
+            at = f"{where}/{key}"
+            if key not in _KEYWORDS | _ANNOTATIONS:
+                raise ValueError(f"{at}: unsupported schema keyword {key!r}")
+            if key in ("properties", "$defs"):
+                for name, sub in rule.items():
+                    self._check(sub, f"{at}/{name}")
+            elif key in ("items", "if", "then", "else"):
+                self._check(rule, at)
+            elif key == "allOf":
+                for i, sub in enumerate(rule):
+                    self._check(sub, f"{at}/{i}")
+            elif key == "$ref":
+                self._resolve(rule)
+            elif key == "type" and not set(_names(rule)) <= _TYPES.keys():
+                raise ValueError(f"{at}: unknown type in {rule!r}")
+            elif key in ("additionalProperties", "unevaluatedProperties") and rule is not False:
+                raise ValueError(f"{at}: only false is supported")
+            elif key in ("enum", "const") and not all(
+                    isinstance(v, (str, int, float, bool, type(None)))
+                    for v in (rule if key == "enum" else [rule])):
+                raise ValueError(f"{at}: only JSON scalars are supported")
+
+    def is_valid(self, value, schema: dict) -> bool:
+        return next(self.errors(value, schema), None) is None
+
+    def errors(self, value, schema: dict, path: tuple = ()):
+        """Yield (path, message) for each rule of ``schema`` that ``value`` breaks."""
+        is_array, is_object = isinstance(value, list), isinstance(value, dict)
+        for key, rule in schema.items():
+            if key == "type" and not any(_is_type(value, name) for name in _names(rule)):
+                yield path, f"{value!r} is not of type {' or '.join(_names(rule))}"
+            elif key == "enum" and not any(_equal(value, v) for v in rule):
+                yield path, f"{value!r} is not one of {rule!r}"
+            elif key == "const" and not _equal(value, rule):
+                yield path, f"{value!r} is not the constant {rule!r}"
+            elif key == "$ref":
+                yield from self.errors(value, self._resolve(rule), path)
+            elif key == "allOf":
+                for sub in rule:
+                    yield from self.errors(value, sub, path)
+            elif key == "if":
+                branch = schema.get("then" if self.is_valid(value, rule) else "else")
+                if branch is not None:
+                    yield from self.errors(value, branch, path)
+            elif key in _BOUNDS and _is_type(value, "number") and _BOUNDS[key][0](value, rule):
+                yield path, f"{value!r} is {_BOUNDS[key][1]} {rule!r}"
+            elif key == "items" and is_array:
+                for i, item in enumerate(value):
+                    yield from self.errors(item, rule, path + (i,))
+            elif key == "minItems" and is_array and len(value) < rule:
+                yield path, f"{value!r} has fewer than minItems {rule} items"
+            elif key == "properties" and is_object:
+                for name, sub in rule.items():
+                    if name in value:
+                        yield from self.errors(value[name], sub, path + (name,))
+            elif key == "required" and is_object:
+                for name in rule:
+                    if name not in value:
+                        yield path, f"the required key {name!r} is missing"
+            elif key == "dependentRequired" and is_object:
+                for name, needed in rule.items():
+                    for other in needed if name in value else ():
+                        if other not in value:
+                            yield path, f"the key {other!r} is required with {name!r}"
+            elif key in ("additionalProperties", "unevaluatedProperties") and is_object:
+                known = (schema.get("properties", {}).keys() if key == "additionalProperties"
+                         else self._evaluated(value, schema))
+                extra = [name for name in value if name not in known]
+                if extra:
+                    yield path, f"{key} is false: unknown key(s) {', '.join(map(repr, extra))}"
+
+    def _evaluated(self, value: dict, schema: dict) -> set:
+        """The keys of ``value`` that ``schema`` evaluates: its ``properties``,
+        and those of its ``$ref``, each ``allOf`` branch that ``value`` passes,
+        and the ``if`` and the branch taken."""
+        keys = value.keys() & schema.get("properties", {}).keys()
+        subs = [self._resolve(schema["$ref"])] if "$ref" in schema else []
+        subs += [sub for sub in schema.get("allOf", ()) if self.is_valid(value, sub)]
+        if "if" in schema:
+            taken = self.is_valid(value, schema["if"])
+            subs += [schema["if"], schema.get("then", {})] if taken else [schema.get("else", {})]
+        for sub in subs:
+            keys |= self._evaluated(value, sub)
+        return keys
+
+
+@functools.cache
+def _config_schema() -> _Schema:
+    return _Schema(load_schema("config.schema.json"))
+
+
 def validate_config(config: dict) -> None:
-    validator = Draft202012Validator(load_schema("config.schema.json"))
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
+    """Check ``config`` against ``schemas/config.schema.json``.
+
+    The schema is read by ``_Schema``, a small interpreter of the keywords it
+    uses: ``type``, ``enum``, ``const``, ``required``, ``properties``,
+    ``additionalProperties`` and ``unevaluatedProperties`` (both ``false``),
+    ``dependentRequired``, ``items``, ``minItems``, ``minimum``, ``maximum``,
+    ``exclusiveMinimum``, ``exclusiveMaximum``, ``allOf``,
+    ``if``/``then``/``else`` and local ``$ref``, with the 2020-12 meaning
+    (an integral float is an integer, and a bool is no number). It refuses
+    any other keyword when the schema loads. Every broken rule is collected
+    as (path, message); the first in path order raises ``ConfigInvalid``.
+    """
+    schema = _config_schema()
+    errors = sorted(schema.errors(config, schema.root), key=lambda error: error[0])
     if errors:
-        err = errors[0]
-        pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-        raise ConfigInvalid(pointer, err.message)
+        path, message = errors[0]
+        raise ConfigInvalid("/" + "/".join(str(p) for p in path), message)
 
 
 def resolve_config(config: dict, args) -> dict:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -486,6 +485,8 @@ def train_all(plan: SplitPlan, d: Dataset, learner: Learner, seed: int = 0,
             raise LearnerFailure(m, k, exc) from exc
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             fitted = list(pool.map(fit_one, pairs))
     else:

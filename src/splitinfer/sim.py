@@ -363,7 +363,7 @@ def _grid_compare(grid, n, K, cell_index, iteration):
     return {
         "estimate": res.point, "se": res.sigma_delta / np.sqrt(n),
         "ci_lo": res.ci_final[0], "ci_hi": res.ci_final[1],
-        "p_value": float(res.test.reject),
+        "reject": int(res.test.reject),
     }
 
 
@@ -408,7 +408,7 @@ class ExperimentGrid:
 
 
 GRID_COLUMNS = ("cell_id", "iteration", "method", "n", "K", "M",
-                "estimate", "se", "ci_lo", "ci_hi", "p_value", "covered", "error")
+                "estimate", "se", "ci_lo", "ci_hi", "p_value", "reject", "covered", "error")
 
 
 def run_grid(grid: ExperimentGrid) -> list[dict]:
@@ -437,33 +437,26 @@ def run_grid(grid: ExperimentGrid) -> list[dict]:
     return rows
 
 
+# (grid column, summary field): each field is the mean of its column over the
+# rows of a cell that record it, and null where no row does (compare rows
+# record no coverage, and estimate rows no p-value)
+_SUMMARY_MEANS = (("estimate", "mean_estimate"), ("covered", "coverage"),
+                  ("p_value", "mean_p"), ("reject", "reject_rate"))
+
+
 def summarize_grid(rows: list[dict]) -> dict:
     """Per-cell means of the numeric columns of the rows one :func:`run_grid`
     call returns (a grid always writes a fresh CSV, so these are its rows)."""
-    agg: dict[str, dict] = {}
+    cells: dict[str, list[dict]] = {}
     for row in rows:
-        cell = agg.setdefault(row["cell_id"], {
-            "method": row["method"], "n": row["n"], "K": row["K"],
-            "count": 0, "failures": 0,
-            "estimate_sum": 0.0, "covered_sum": 0.0, "p_sum": 0.0,
-        })
-        cell["count"] += 1
-        if row["error"]:
-            cell["failures"] += 1
-            continue
-        for key, target in (("estimate", "estimate_sum"),
-                            ("covered", "covered_sum"),
-                            ("p_value", "p_sum")):
-            if row[key] != "":
-                cell[target] += float(row[key])
+        cells.setdefault(row["cell_id"], []).append(row)
     out = {}
-    for cell_id, cell in agg.items():
-        ok = cell["count"] - cell["failures"]
+    for cell_id, cell in cells.items():
         out[cell_id] = {
-            "method": cell["method"], "n": cell["n"], "K": cell["K"],
-            "iterations": cell["count"], "failures": cell["failures"],
-            "mean_estimate": cell["estimate_sum"] / ok if ok else None,
-            "coverage": cell["covered_sum"] / ok if ok else None,
-            "mean_p": cell["p_sum"] / ok if ok else None,
+            "method": cell[0]["method"], "n": cell[0]["n"], "K": cell[0]["K"],
+            "iterations": len(cell), "failures": sum(bool(row["error"]) for row in cell),
         }
+        for column, field in _SUMMARY_MEANS:
+            values = [float(row[column]) for row in cell if row[column] != ""]
+            out[cell_id][field] = sum(values) / len(values) if values else None
     return out

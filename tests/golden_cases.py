@@ -2,11 +2,12 @@
 
 Write (or deliberately remake) the corpus from the repository root with
 
-    PYTHONPATH=src python tests/golden_cases.py
+    PYTHONPATH=src python tests/golden_cases.py [NAME ...]
 
-``tests/test_golden.py`` reruns every case and compares its report with the
-stored one. Remaking the goldens changes what the test guards, so log every
-remake in CHANGES.md with its reason.
+(only the named cases, when names are given). ``tests/test_golden.py`` reruns
+every case and compares its report with the stored one. Remaking the goldens
+changes what the test guards, so log every remake in CHANGES.md with its
+reason.
 
 Each case is one CLI run with ``--threads 1`` on small data (n <= 400,
 M <= 10). A golden keeps the exit code and the whole report except
@@ -184,13 +185,13 @@ def run_case(name: str, workdir: Path) -> dict:
     return golden
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
     import tempfile
 
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        for name in cases(workdir):
+        for name in names or cases(workdir):
             golden = run_case(name, workdir)
             if golden["exit_code"] != 0:
                 print(f"{name}: exit code {golden['exit_code']}", file=sys.stderr)
@@ -201,4 +202,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

@@ -13,11 +13,14 @@ from hypothesis import given, settings
 from jsonschema import Draft202012Validator
 
 import splitinfer
-from splitinfer.cli import build_dataset, load_schema, run
+from splitinfer.cli import _Schema, build_dataset, load_schema, run, validate_config
+from splitinfer.errors import ConfigInvalid
 from splitinfer.moments import builtin_moment
 from splitinfer.report import SCHEMA_VERSION, dumps, sanitize, write_report
 from splitinfer.rng import derived_seed, substream
 from splitinfer.sim import ExperimentGrid, _grid_fit
+
+from golden_cases import cases as golden_cases
 
 
 def invoke(args):
@@ -37,7 +40,7 @@ def write_config(tmp_path, payload, name="config.json"):
     return path
 
 
-def estimate_config(tmp_path, out, seed=5, **overrides):
+def estimate_payload(out, seed=5, **overrides):
     payload = {
         "method": "estimate",
         "data": {"synthetic": {"kind": "base", "n": 90, "seed": 1}},
@@ -49,7 +52,11 @@ def estimate_config(tmp_path, out, seed=5, **overrides):
         "output": {"path": str(out)},
     }
     payload.update(overrides)
-    return write_config(tmp_path, payload)
+    return payload
+
+
+def estimate_config(tmp_path, out, seed=5, **overrides):
+    return write_config(tmp_path, estimate_payload(out, seed, **overrides))
 
 
 def test_estimate_smoke_and_schema(tmp_path):
@@ -96,7 +103,7 @@ def needs_data_or_output(*row):
     return pytest.param(*row, marks=NEEDS_DATA_OR_OUTPUT)
 
 
-@pytest.mark.parametrize("method, overrides, pointer", [
+BAD_CONFIGS = [
     ("estimate", {"h": "foo"}, "/h"),
     ("estimate", {"h": "diff:0-x"}, "/h"),
     ("estimate", {"h": "coordinate:"}, "/h"),
@@ -159,7 +166,10 @@ def needs_data_or_output(*row):
     ("estimate", {"moment": "linreg_on_eta", "h": "diff:1-1"}, "/h"),  # identically zero
     ("estimate", {"plan": {"M": 3, "K": 1}}, "/plan"),  # K=1 needs b, with the default seed
     ("gates", {"plan": {"M": 3, "K": 1}}, "/plan/K"),
-])
+]
+
+
+@pytest.mark.parametrize("method, overrides, pointer", BAD_CONFIGS)
 def test_bad_names_are_config_errors(tmp_path, capsys, monkeypatch, request, method, overrides,
                                      pointer):
     """A run fails at ``pointer``; so does validate-config, unless the check
@@ -176,6 +186,168 @@ def test_bad_names_are_config_errors(tmp_path, capsys, monkeypatch, request, met
         assert f"invalid config at {pointer}:" in err
         assert "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# the config check agrees with jsonschema
+
+
+CONFIG_SCHEMA = load_schema("config.schema.json")
+ORACLE = Draft202012Validator(CONFIG_SCHEMA)
+
+
+def first_pointers(config):
+    """The first pointer, in path order, at which ``validate_config`` and
+    jsonschema reject ``config``; None where one accepts it."""
+    errors = sorted(ORACLE.iter_errors(config), key=lambda e: list(e.absolute_path))
+    want = "/" + "/".join(map(str, errors[0].absolute_path)) if errors else None
+    try:
+        validate_config(config)
+    except ConfigInvalid as exc:
+        return exc.pointer, want
+    return None, want
+
+
+def schema_words(node, key=None):
+    """Every property name and every string enum value in a schema."""
+    if isinstance(node, dict):
+        names = set(node) if key == "properties" else set()
+        return names.union(*(schema_words(v, k) for k, v in node.items()))
+    if isinstance(node, list):
+        return {v for v in node if isinstance(v, str)} if key == "enum" else set().union(
+            *(schema_words(v) for v in node))
+    return set()
+
+
+WORDS = sorted(schema_words(CONFIG_SCHEMA) | {"bogus", ""})
+KINDS = ["base", "linear_cate", "gauss_linear", "copula", "hte", "weird"]
+MODES = ["asis", "correlated", "uncorrelated", "predictable", "shuffled", "bogus"]
+NUMBERS = [-1, 0, 1, 2, 3, 99, 100, 2**70, -0.0, 0.0, 1.0, 2.0, 100.0, 0.5, 0.49999, 1.5,
+           1e-300, 1e308, float("inf"), float("nan")]
+LEAVES = st.one_of(st.none(), st.booleans(), st.sampled_from(NUMBERS), st.integers(),
+                   st.floats(), st.sampled_from(WORDS))
+VALUES = st.one_of(LEAVES, st.lists(LEAVES, max_size=2),
+                   st.dictionaries(st.sampled_from(WORDS), LEAVES, max_size=2))
+DGP_OPTIONS = {"kind": st.sampled_from(KINDS), "mode": st.sampled_from(MODES),
+               "slope": st.just(0.5), "noise": st.just(1.0), "outcome_p": st.just(0.1),
+               "base_n": st.just(200), "base_seed": st.just(0)}
+
+
+def full_config(method, synthetic, dgp):
+    """A config that sets every key the schema knows, with ``synthetic`` as
+    ``data.synthetic`` (or a CSV's keys, where it is None) and ``dgp`` as
+    ``simulate.dgp``."""
+    data = ({"synthetic": synthetic} if synthetic is not None else
+            {"path": "d.csv", "schema": {"outcome": "y", "covariates": ["x1"], "treatment": None,
+                                         "group": "g", "propensity": 0.5},
+             "missing_policy": "drop", "missing_values": ["NA"]})
+    return {
+        "method": method, "data": data, "plan": {"M": 3, "K": 2, "b": None, "seed": 0},
+        "learner": "ols", "learners": ["ols"], "moment": "mse", "variant": 2,
+        "h": "identity", "alpha": 0.05,
+        "estimate": {"adaptive": True, "c_gamma": None, "grid_points": 5},
+        "compare": {"baseline": "mean", "mc_draws": 100, "slack": 0.0,
+                    "against_learner": "knn(3)"},
+        "gates": {"L": 2, "J": 2, "controls": ["const"], "het_test": True, "baselines": False,
+                  "mc_draws": 100},
+        "repro": {"beta": 0.2, "tau": 0.0, "test_type": "right"},
+        "simulate": {"dgp": dgp, "n_list": [40], "K_list": [2], "methods": ["estimate"],
+                     "iterations": 1, "oracle_rows": 100, "csv_path": "g.csv"},
+        "output": {"path": "r.json", "emit_plan": True, "emit_sigma": False},
+    }
+
+
+def node_paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from node_paths(child, (*path, key))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_config_check_agrees_with_jsonschema(data):
+    """Configs mutated from valid ones (keys dropped, unknown keys added at
+    any level, any node swapped for a JSON value of another type, boundary
+    and out-of-range numbers, unknown enum values, every kind and mode in
+    both DGP specs) get jsonschema's verdict and first sorted pointer."""
+    dgps = st.fixed_dictionaries({}, optional=DGP_OPTIONS)
+    config = full_config(data.draw(st.sampled_from(["estimate", "compare", "gates", "repro",
+                                                    "simulate"])),
+                         data.draw(st.none() | dgps.map(lambda d: {**d, "n": 40, "seed": 1})),
+                         data.draw(dgps))
+    for key in data.draw(st.sets(st.sampled_from(sorted(config)))) - {"method"}:
+        del config[key]
+    for _ in range(data.draw(st.integers(0, 3))):
+        path = data.draw(st.sampled_from(list(node_paths(config))))
+        parent, node = None, config
+        for key in path:
+            parent, node = node, node[key]
+        op = data.draw(st.sampled_from(["drop", "add", "set"]))
+        if op == "drop" and isinstance(node, dict) and node:
+            del node[data.draw(st.sampled_from(sorted(node)))]
+        elif op == "add" and isinstance(node, (dict, list)):
+            value = data.draw(VALUES)
+            if isinstance(node, dict):
+                node[data.draw(st.sampled_from(WORDS))] = value
+            else:
+                node.append(value)
+        elif parent is not None:
+            parent[path[-1]] = data.draw(VALUES)
+    got, want = first_pointers(config)
+    assert got == want
+
+
+@pytest.mark.parametrize("kind", [None, *KINDS])
+@pytest.mark.parametrize("mode", [None, *MODES])
+def test_config_check_agrees_with_jsonschema_on_every_kind_and_mode(kind, mode):
+    spec = {key: value for key, value in (("kind", kind), ("mode", mode)) if value is not None}
+    for synthetic in (None, {**spec, "n": 40}):
+        got, want = first_pointers(full_config("simulate", synthetic, spec))
+        assert got == want
+
+
+SWAPS = [None, True, False, -1, 0, 1, 2, 99, 100, 1.0, 0.5, 1e308, float("nan"), "bogus",
+         "copula", [], ["x"], [True], {}, {"bogus": 1}]
+
+
+@pytest.mark.parametrize("synthetic", [None, {"kind": "hte", "n": 40, "seed": 1}])
+def test_config_check_agrees_with_jsonschema_on_every_single_swap(synthetic):
+    """Each node of a full config, swapped in turn for each value of SWAPS."""
+    base = full_config("simulate", synthetic, {"kind": "copula", "mode": "asis", "slope": 1.0})
+    for path in list(node_paths(base))[1:]:
+        for value in SWAPS:
+            config = json.loads(json.dumps(base))
+            node = config
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            got, want = first_pointers(config)
+            assert got == want, (path, value)
+
+
+def test_config_check_agrees_with_jsonschema_on_known_configs(tmp_path):
+    """Every bad config of test_bad_names_are_config_errors and every golden
+    config gets jsonschema's verdict and first pointer."""
+    rows = [getattr(row, "values", row) for row in BAD_CONFIGS]  # a pytest.param has values
+    configs = [estimate_payload(tmp_path / "r.json", method=method.split()[0], **overrides)
+               for method, overrides, _ in rows]
+    configs += [{"method": command, **config}
+                for command, config, _ in golden_cases(tmp_path).values()]
+    for config in configs:
+        got, want = first_pointers(config)
+        assert got == want, config
+
+
+def test_schema_loader_refuses_keywords_it_does_not_implement():
+    _Schema(CONFIG_SCHEMA)
+    for where in (lambda s: s, lambda s: s["properties"]["h"],
+                  lambda s: s["$defs"]["dgp"]["allOf"][0]["then"]):
+        schema = json.loads(json.dumps(CONFIG_SCHEMA))
+        where(schema)["pattern"] = "^[a-z]+$"
+        with pytest.raises(ValueError, match="unsupported schema keyword 'pattern'"):
+            _Schema(schema)
 
 
 def test_method_mismatch_is_a_config_error(tmp_path, capsys):
@@ -308,9 +480,12 @@ def test_estimate_runs_on_gauss_linear_data(tmp_path):
 
 
 def test_cli_import_leaves_scipy_optimize_and_stats_unloaded():
+    """Starting the CLI loads none of the modules that only some runs, or only
+    the tests, need: the CLI checks configs without jsonschema, and only a
+    threaded train_all starts a thread pool."""
     code = ("import sys, splitinfer.cli; "
             "print(sorted(m for m in ('scipy.optimize', 'scipy.stats', 'scipy.special', "
-            "'subprocess') if m in sys.modules))")
+            "'subprocess', 'jsonschema', 'concurrent.futures') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=python_env())
     assert proc.returncode == 0, proc.stderr

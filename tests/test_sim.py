@@ -180,6 +180,24 @@ def test_run_grid_records_failures(tmp_path, monkeypatch):
     assert all("synthetic failure" in r["error"] for r in rows)
 
 
+def test_summary_rates_are_null_where_no_row_records_them():
+    def row(method, it, **values):
+        return {**dict.fromkeys(sim.GRID_COLUMNS, ""), "cell_id": method, "iteration": it,
+                "method": method, "n": 40, "K": 2, "M": 1, **values}
+
+    rows = [row("estimate", 0, estimate=1.0, covered=1),
+            row("estimate", 1, estimate=3.0, covered=0),
+            row("compare", 0, estimate=0.5, reject=1),
+            row("compare", 1, error="Boom: failed"),
+            row("gates", 0, estimate=2.0, p_value=0.25)]
+    summary = summarize_grid(rows)
+    assert {cell: [summary[cell][key] for key in ("mean_estimate", "coverage", "mean_p",
+                                                  "reject_rate", "failures")]
+            for cell in summary} == {"estimate": [2.0, 0.5, None, None, 0],
+                                     "compare": [0.5, None, None, 1.0, 1],
+                                     "gates": [2.0, None, 0.25, None, 0]}
+
+
 LAYERING_SCRIPT = """
 import sys
 from splitinfer.sim import ExperimentGrid, run_grid
