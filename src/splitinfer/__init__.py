@@ -2,9 +2,9 @@
 sample-splitting and cross-fitting."""
 
 from .data import Dataset, Roles, as_row_index_set, complement, ingest_csv
-from .splits import SplitPlan, TrainEvalPair, enumerate_pairs, generate_plan
-from .learners import Learner, Model, builtin, train_all
-from .evaluation import Block, Evaluations, evaluate, pool
+from .splits import SplitPlan, generate_plan
+from .learners import Learner, Model, builtin
+from .evaluation import Block, Evaluations, cross_fit, pool
 from .moments import MomentFunction, builtin_moment
 from .zestim import ZEstimate, per_split_estimates, solve
 from .inference import (

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridTooNarrow, ZeroVariance
+from .errors import GridTooNarrow
 from .evaluation import Evaluations
-from .inference import IDENTITY, norm_cdf, normal_ci
+from .inference import InferenceReport, norm_cdf
 from .moments import AverageMoment
 from .zestim import ZEstimate
 
@@ -79,8 +79,12 @@ class AdaptiveCI:
 
 
 def adaptive_ci(mf: AverageMoment, ev: Evaluations, estimate: ZEstimate,
-                cfg: AdaptiveConfig | None = None) -> AdaptiveCI:
-    """Grid inversion of the gated test for an average-type moment."""
+                normal: InferenceReport | None, cfg: AdaptiveConfig | None = None) -> AdaptiveCI:
+    """Grid inversion of the gated test for an average-type moment.
+
+    ``normal`` is the normal CI of ``estimate`` (``inference.normal_ci`` at the
+    same alpha), or None where its variance is zero.
+    """
     if not isinstance(mf, AverageMoment):
         raise ValueError(f"the adaptive CI needs an average-type moment psi = f - theta, "
                          f"not {mf.name!r}")
@@ -91,15 +95,14 @@ def adaptive_ci(mf: AverageMoment, ev: Evaluations, estimate: ZEstimate,
 
     # the p_e branch: normal approximation scale
     flags = {}
-    try:
-        report = normal_ci(mf, ev, estimate, IDENTITY, alpha)
-        se = report.se
-        normal_iv = report.ci
-        flags.update(report.flags)
-    except ZeroVariance:
+    if normal is None:
         se = 0.0
         normal_iv = (theta, theta)
         flags["zero_variance"] = True
+    else:
+        se = normal.se
+        normal_iv = normal.ci
+        flags.update(normal.flags)
 
     scale = se if se > 0.0 else (float(np.ptp(ev.d.y)) or 1.0) / np.sqrt(n)
     c_gamma = cfg.c_gamma if cfg.c_gamma is not None else 0.25 * (scale * np.sqrt(n)) ** 2

@@ -6,10 +6,10 @@ a handful of overriding flags; every report embeds the resolved config and the
 master seed, is schema-versioned, and is written atomically. A key the config
 leaves out keeps the library's default. Exit codes: 0 success; 1 usage or
 config error, including an unknown flag or a flag value of the wrong type, an
-unreadable ``data.path``, a negative ``--seed``, a thread count
-(``--threads`` or ``SPLITINFER_THREADS``) that is not a positive integer, and
-a report or grid CSV that cannot be written; 2 runtime failure, including a
-CSV cell that is not a number or a CSV that is not UTF-8.
+unreadable ``data.path``, a negative ``--seed``, a ``--threads`` count (the
+only way to set one; default 1) that is not a positive integer, and a report
+or grid CSV that cannot be written; 2 runtime failure, including a CSV cell
+that is not a number or a CSV that is not UTF-8.
 
 The schema check reads ``schemas/config.schema.json`` with a small interpreter
 (``_Schema``) of the JSON Schema 2020-12 keywords that file uses: ``type``,
@@ -41,7 +41,6 @@ import argparse
 import functools
 import json
 import operator
-import os
 import sys
 from importlib import resources
 
@@ -52,9 +51,9 @@ from . import repro as repro_mod
 from . import sim
 from .data import Roles, ingest_csv
 from .errors import ConfigInvalid, SplitInferError, ZeroVariance
-from .evaluation import evaluate
+from .evaluation import cross_fit
 from .inference import named_reduction, normal_ci
-from .learners import builtin, train_all
+from .learners import builtin
 from .moments import AverageMoment, builtin_moment
 from .report import SCHEMA_VERSION, write_report
 from .rng import derived_seed
@@ -278,17 +277,12 @@ def resolve_config(config: dict, args) -> dict:
     return resolved
 
 
-def _thread_count(flag: int | None) -> int:
-    """``--threads``, else ``SPLITINFER_THREADS``, else 1."""
-    raw = os.environ.get("SPLITINFER_THREADS", "1") if flag is None else flag
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
+def _thread_count(flag: int) -> int:
+    """``--threads``, checked to be a positive integer."""
+    if flag < 1:
         raise ConfigInvalid("/threads", f"the thread count must be a positive integer, "
-                                        f"got {raw!r}")
-    return threads
+                                        f"got {flag!r}")
+    return flag
 
 
 def _given(section: dict, *keys: str) -> dict:
@@ -374,23 +368,25 @@ def run_estimate(config: dict) -> dict:
                      plan_cfg["seed"])
     learner = builtin(config["learner"])
     mf = builtin_moment(config["moment"])
-    models = train_all(plan, d, learner, seed=derived_seed(plan_cfg["seed"], 1),
-                       threads=config.get("threads", 1))
-    ev = evaluate(models, plan, d)
+    ev = cross_fit(plan, d, learner, seed=derived_seed(plan_cfg["seed"], 1),
+                   threads=config.get("threads", 1))
     est = solve(config["variant"], mf, ev)
     h = named_reduction(config["h"], mf.dim)
     results = {"estimate": est.to_jsonable()}
     est_cfg = config.get("estimate", {})
+    normal = None
     try:
-        results["inference"] = normal_ci(mf, ev, est, h, config["alpha"]).to_jsonable()
+        normal = normal_ci(mf, ev, est, h, config["alpha"])
+        results["inference"] = normal.to_jsonable()
     except ZeroVariance:
         # the adaptive CI is built for a zero variance; without it, fail
         if not est_cfg.get("adaptive"):
             raise
     if est_cfg.get("adaptive"):
+        # the adaptive CI takes only one-dimensional moments, whose h is theta_0
         cfg = adaptive_mod.AdaptiveConfig(alpha=config["alpha"],
                                           **_given(est_cfg, "c_gamma", "grid_points"))
-        ci = adaptive_mod.adaptive_ci(mf, ev, est, cfg)
+        ci = adaptive_mod.adaptive_ci(mf, ev, est, normal, cfg)
         results["adaptive"] = ci.to_jsonable()
     return {"results": results, "plan": plan}
 
@@ -422,11 +418,11 @@ def run_compare(config: dict) -> dict:
         }
         return {"results": results, "plan": plan}
     learner = builtin(config["learner"])
-    models = train_all(plan, d, learner, seed=derived_seed(plan_cfg["seed"], 1),
-                       threads=config.get("threads", 1))
+    ev = cross_fit(plan, d, learner, seed=derived_seed(plan_cfg["seed"], 1),
+                   threads=config.get("threads", 1))
     baseline = builtin(cmp_cfg.get("baseline", "mean")).train(d, derived_seed(plan_cfg["seed"], 3))
-    res = compare_mod.compare_models(mf, evaluate(models, plan, d, baseline), h=h,
-                                     alpha=config["alpha"], seed=seed, **mc)
+    res = compare_mod.compare_models(mf, ev, baseline, h=h, alpha=config["alpha"], seed=seed,
+                                     **mc)
     emit_sigma = config.get("output", {}).get("emit_sigma", False)
     return {"results": res.to_jsonable(emit_sigma=emit_sigma), "plan": plan}
 
@@ -462,9 +458,8 @@ def run_repro(config: dict) -> dict:
     mf = builtin_moment(config["moment"])
     h = named_reduction(config["h"], mf.dim)
     learner = builtin(config["learner"])
-    models = train_all(plan, d, learner, seed=derived_seed(plan_cfg["seed"], 1),
-                       threads=config.get("threads", 1))
-    ev = evaluate(models, plan, d)
+    ev = cross_fit(plan, d, learner, seed=derived_seed(plan_cfg["seed"], 1),
+                   threads=config.get("threads", 1))
     est = solve(2, mf, ev)
     rep_cfg = config.get("repro", {})
     comps = repro_mod.sigma_D_hat(mf, ev, est.theta_hat, h, **_given(rep_cfg, "tau"))
@@ -532,8 +527,8 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="override plan seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (default: SPLITINFER_THREADS or 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads for training and predicting (default: 1)")
         p.add_argument("--out", default=None, help="report path override")
         p.add_argument("--emit-plan", action="store_true", dest="emit_plan")
         p.add_argument("--emit-sigma", action="store_true", dest="emit_sigma")

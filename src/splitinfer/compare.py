@@ -21,8 +21,8 @@ indicators and split values, whose products give every cross sum, row sum
 and intersection count (see ``sigma_from_values``).
 
 Everything is computed from one ``Evaluations`` (see
-``evaluation.evaluate``): the out-of-fold predictions of every split and the
-baseline's predictions on all rows, each made once.
+``evaluation.cross_fit``), the out-of-fold predictions of every split, and
+for ``compare_models`` the baseline's predictions on all rows, each made once.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ZeroDiagonal
-from .evaluation import Block, Evaluations, evaluate
+from .evaluation import Block, Evaluations, cross_fit
 from .inference import IDENTITY, DeltaSpec, delta_variance, nonsingular, norm_ppf
-from .learners import train_all
+from .learners import Model
 from .moments import AverageMoment, MomentFunction
 from .rng import derived_seed, substream
 from .splits import SplitPlan
@@ -160,9 +160,12 @@ def sigma_from_values(eval_sets, n: int, vals_split, vals_base) -> SigmaHat:
     """Covariance of sqrt(n) * (per-split mean - full-sample baseline mean).
 
     ``vals_split`` yields the j-th split's values on its own evaluation rows
-    (in the order of ``eval_sets[j]``), j in plan order; it may be a
-    generator, so the values of all splits need not be held at once.
-    ``vals_base`` holds the baseline values for all n rows.
+    (in the order of ``eval_sets[j]``), j in plan order.
+    ``vals_base`` holds the baseline values for all n rows. Every split's
+    tilde_j (see ``_sorted_split_values``) is held before the chunk loop
+    starts: one float per evaluation row of every split, M n floats for a
+    K-fold plan (16 MB at M = 100, n = 20 000). A generator for
+    ``vals_split`` only spares a second copy of them.
 
     With E the (S x n) eval-row indicator, C = 1 - E its complement, T the
     split values (zero off each split's eval rows) and a = C * v, the sums are
@@ -225,11 +228,11 @@ def sigma_from_values(eval_sets, n: int, vals_split, vals_base) -> SigmaHat:
     return SigmaHat(matrix=total, psd_projected=projected, degenerate_blocks=degenerate)
 
 
-def delta_vector(mf: MomentFunction, ev: Evaluations, h: DeltaSpec = IDENTITY) -> DeltaVector:
-    """Per-split estimates minus the whole-sample baseline estimate."""
-    if ev.baseline is None:
-        raise ValueError("the comparison needs evaluations with a baseline model")
-    return _gaps(h, per_split_estimates(mf, ev), solve_blocks(mf, [ev.baseline])[0])
+def delta_vector(mf: MomentFunction, ev: Evaluations, baseline: Block,
+                 h: DeltaSpec = IDENTITY) -> DeltaVector:
+    """Per-split estimates minus the whole-sample estimate of the baseline's
+    block ``baseline`` on all rows."""
+    return _gaps(h, per_split_estimates(mf, ev), solve_blocks(mf, [baseline])[0])
 
 
 def _gaps(h: DeltaSpec, per_split_thetas, theta_b) -> DeltaVector:
@@ -342,16 +345,18 @@ def sigma_delta_hat(mf: MomentFunction, ev: Evaluations, theta_pooled, base_vals
     return float(np.sqrt(max(var_delta, 0.0))), bool(clamped)
 
 
-def compare_models(mf: MomentFunction, ev: Evaluations, h: DeltaSpec = IDENTITY,
+def compare_models(mf: MomentFunction, ev: Evaluations, baseline: Model, h: DeltaSpec = IDENTITY,
                    alpha: float = 0.05, mc_draws: int = 100_000, seed: int = 0,
                    slack: float = 0.0) -> ComparisonResult:
     """Full comparison pipeline: gaps, covariance, test, pre-tested CI.
 
-    ``ev`` must carry the baseline's predictions (``evaluate(..., baseline=)``).
+    ``baseline`` is the model the splits are compared with; it predicts once,
+    on all rows.
     """
     n = ev.plan.n
-    delta = delta_vector(mf, ev, h)
-    base_vals = _influence_rows(mf, ev.baseline, delta.theta_b, h.gradient(delta.theta_b))
+    base = Block.of(baseline, ev.d)
+    delta = delta_vector(mf, ev, base, h)
+    base_vals = _influence_rows(mf, base, delta.theta_b, h.gradient(delta.theta_b))
     sigma, test = _one_sided(mf, ev, delta, base_vals, h, alpha, mc_draws, seed, slack)
 
     pooled = solve(2, mf, ev)
@@ -413,7 +418,7 @@ def compare_two_learners(mf: MomentFunction, plan: SplitPlan, d: Dataset,
                          h: DeltaSpec = IDENTITY, alpha: float = 0.05,
                          mc_draws: int = 100_000, slack: float = 0.0) -> TwoLearnerComparison:
     """Directional comparisons of two learners trained on identical splits."""
-    evs = [evaluate(train_all(plan, d, learner, derived_seed(seed, i)), plan, d)
+    evs = [cross_fit(plan, d, learner, derived_seed(seed, i))
            for i, learner in enumerate((learner_a, learner_b))]
     thetas = [solve(2, mf, ev).theta_hat for ev in evs]
 

@@ -1,10 +1,11 @@
 """Out-of-fold predictions, computed once per split, and the pooled moment.
 
 Every estimator in this package is a function of the same out-of-fold
-predictions eta = model_(m,k)(x[eval rows of (m, k)]). :func:`evaluate`
-computes them once, after ``train_all``; the Z-solve, the CIs, the comparison
-test and the reproducibility margin read them and never call ``predict``.
-:func:`pool` is the one loop over splits that evaluates a moment on them.
+predictions eta = model_(m,k)(x[eval rows of (m, k)]). :func:`cross_fit`
+trains each split's model on the complement of its evaluation rows and
+computes them once; the Z-solve, the CIs, the comparison test and the
+reproducibility margin read them and never call ``predict``. :func:`pool` is
+the one loop over splits that evaluates a moment on them.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
-from .errors import NonFiniteJacobian
+from .data import Dataset, complement
+from .errors import LearnerFailure, NonFiniteJacobian
+from .learners import Learner
+from .rng import derived_seed
 from .splits import SplitPlan
 
 
@@ -63,26 +66,43 @@ class Block:
 
 @dataclass(frozen=True, eq=False)
 class Evaluations:
-    """The blocks of every split in plan order, (m, k) lexicographic, and for
-    a model comparison the baseline's block on all rows."""
+    """The blocks of every split in plan order, (m, k) lexicographic."""
 
     plan: SplitPlan
     d: Dataset
     blocks: tuple[Block, ...]
-    baseline: Block | None = None
 
 
-def evaluate(models, plan: SplitPlan, d: Dataset, baseline=None) -> Evaluations:
-    """One ``predict`` per split on its evaluation rows, plus one for the
-    baseline model on all rows when one is given."""
+def cross_fit(plan: SplitPlan, d: Dataset, learner: Learner, seed: int = 0,
+              threads: int = 1) -> Evaluations:
+    """Train one model per split on the complement of its evaluation rows and
+    predict once on those rows, split by split in plan order.
+
+    Split (m, k) trains with the seed derived from (seed, m, k), so the result
+    does not depend on scheduling order or thread count; a training error is
+    raised as ``LearnerFailure(m, k)``. With ``threads`` > 1 each split's
+    train and predict run in a thread pool.
+    """
     codes = group_codes(d)
-    blocks = tuple(
-        Block.of(models[(m, k)], d, rows, m, k, codes)
-        for m, rep in enumerate(plan.repetitions)
-        for k, rows in enumerate(rep)
-    )
-    base = None if baseline is None else Block.of(baseline, d, None, codes=codes)
-    return Evaluations(plan, d, blocks, base)
+    splits = [(m, k, rows) for m, rep in enumerate(plan.repetitions)
+              for k, rows in enumerate(rep)]
+
+    def fit_one(split):
+        m, k, rows = split
+        try:
+            model = learner.train(d.subset(complement(rows, plan.n)), derived_seed(seed, m, k))
+        except Exception as exc:  # noqa: BLE001
+            raise LearnerFailure(m, k, exc) from exc
+        return Block.of(model, d, rows, m, k, codes)
+
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as executor:
+            blocks = tuple(executor.map(fit_one, splits))
+    else:
+        blocks = tuple(map(fit_one, splits))
+    return Evaluations(plan, d, blocks)
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compare import OneSidedTest, one_sided_test, sigma_from_values
-from .data import Dataset
+from .data import Dataset, complement
 from .errors import EmptyGroup, IncompatibleRoles, ZeroDiagonal
 from .inference import norm_cdf
 from .learners import Learner, Model
 from .rng import derived_seed
-from .splits import enumerate_pairs, generate_plan
+from .splits import generate_plan
 
 RIDGE_FALLBACK = 1e-8
 
@@ -200,8 +200,8 @@ def ensemble_predict(cfg: GatesConfig, d: Dataset, seed: int = 0) -> EnsembleFit
     for m in range(cfg.M):
         plan = generate_plan(d.n, M=1, K=cfg.K, seed=derived_seed(seed, m, 0))
         tau_mat = np.empty((d.n, n_alg))
-        for _, k, (rows, train_rows) in enumerate_pairs(plan):
-            train_d = d.subset(train_rows)
+        for k, rows in enumerate(plan.repetitions[0]):
+            train_d = d.subset(complement(rows, d.n))
             x_rows = d.x.take(rows, axis=0)
             for a, learner in enumerate(cfg.learners):
                 model = learner.train(train_d, derived_seed(seed, m, 1, k, a))
@@ -210,8 +210,9 @@ def ensemble_predict(cfg: GatesConfig, d: Dataset, seed: int = 0) -> EnsembleFit
         calib_plan = generate_plan(d.n, M=1, K=cfg.L, seed=derived_seed(seed, m, 2))
         beta_mat = np.empty((cfg.L, n_alg))
         tau_hat = np.empty(d.n)
-        for _, ell, (rows, fit_rows) in enumerate_pairs(calib_plan):
-            beta, _, _, ridge_used = _calibration_fit(controls, d, p, w, tau_mat, fit_rows)
+        for ell, rows in enumerate(calib_plan.repetitions[0]):
+            beta, _, _, ridge_used = _calibration_fit(controls, d, p, w, tau_mat,
+                                                      complement(rows, d.n))
             ridge_any = ridge_any or ridge_used
             beta_mat[ell] = beta[controls.shape[1]:]
             tau_hat[rows] = tau_mat.take(rows, axis=0) @ beta_mat[ell]
@@ -370,8 +371,8 @@ def baselines(cfg: GatesConfig, d: Dataset, seed: int = 0) -> dict:
         folds = plan.repetitions[0]
 
         # TTM: model trained on the complement, evaluated within the fold
-        for _, k, (rows, train_rows) in enumerate_pairs(plan):
-            model = learner.train(d.subset(train_rows), derived_seed(seed, m, 1, k))
+        for k, rows in enumerate(folds):
+            model = learner.train(d.subset(complement(rows, d.n)), derived_seed(seed, m, 1, k))
             t_stat = _fold_level_gates(cfg, d, rows, model.predict(d.x.take(rows, axis=0)),
                                        p, w, controls)
             ttm_pvalues.append(float(1.0 - norm_cdf(t_stat)))

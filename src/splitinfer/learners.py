@@ -30,9 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import LearnerFailure, UnknownLearner
-from .rng import derived_seed
-from .splits import SplitPlan, enumerate_pairs
+from .errors import UnknownLearner
 
 
 class Model:
@@ -456,39 +454,14 @@ def builtin(name: str) -> Learner:
             if value < 0:
                 raise UnknownLearner(f"ridge penalty must be >= 0, got {value}")
             return Learner(name, _make_fit_ridge(value))
+        if value != int(value):
+            raise UnknownLearner(f"{kind} needs an integer parameter, got {raw}")
         if kind == "knn":
-            k = int(value)
-            if k < 1:
-                raise UnknownLearner(f"knn needs k >= 1, got {k}")
-            return Learner(name, _make_fit_knn(k))
-        depth = int(value)  # kind == "tree"
-        if depth < 1:
-            raise UnknownLearner(f"tree needs depth >= 1, got {depth}")
-        return Learner(name, _make_fit_tree(depth))
+            if value < 1:
+                raise UnknownLearner(f"knn needs k >= 1, got {raw}")
+            return Learner(name, _make_fit_knn(int(value)))
+        if value < 1:  # kind == "tree"
+            raise UnknownLearner(f"tree needs depth >= 1, got {raw}")
+        return Learner(name, _make_fit_tree(int(value)))
     raise UnknownLearner(f"no built-in learner named {name!r}")
 
-
-def train_all(plan: SplitPlan, d: Dataset, learner: Learner, seed: int = 0,
-              threads: int = 1) -> dict[tuple[int, int], Model]:
-    """Train one model per (m, k) on the training side of each split.
-
-    Every model gets the seed derived from (seed, m, k), so the result does
-    not depend on scheduling order or thread count.
-    """
-    pairs = enumerate_pairs(plan)
-
-    def fit_one(item):
-        m, k, pair = item
-        try:
-            return (m, k), learner.train(d.subset(pair.train_rows), derived_seed(seed, m, k))
-        except Exception as exc:  # noqa: BLE001
-            raise LearnerFailure(m, k, exc) from exc
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fitted = list(pool.map(fit_one, pairs))
-    else:
-        fitted = [fit_one(item) for item in pairs]
-    return dict(fitted)

@@ -18,9 +18,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ZeroVariance
-from .evaluation import Evaluations, evaluate
+from .evaluation import Evaluations, cross_fit
 from .inference import IDENTITY, DeltaSpec, delta_variance, norm_cdf, norm_ppf
-from .learners import Learner, train_all
+from .learners import Learner
 from .moments import MomentFunction
 from .rng import derived_seed
 from .splits import generate_plan
@@ -182,8 +182,7 @@ def conditional_variance_curve(variant: int, mf: MomentFunction, d: Dataset,
         values = np.empty(reps)
         for r in range(reps):
             plan = generate_plan(d.n, M=M, K=K, b=b, seed=derived_seed(seed, j, r, 0))
-            models = train_all(plan, d, learner, seed=derived_seed(seed, j, r, 1))
-            est = solve(variant, mf, evaluate(models, plan, d))
+            est = solve(variant, mf, cross_fit(plan, d, learner, seed=derived_seed(seed, j, r, 1)))
             values[r] = h.h(est.theta_hat)
         v = float(np.var(values, ddof=1))
         out[M] = {

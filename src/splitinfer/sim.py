@@ -36,9 +36,9 @@ from . import compare as compare_mod
 from . import gates as gates_mod
 from .data import Dataset, Roles
 from .errors import NotPositiveDefinite
-from .evaluation import Block, evaluate, group_codes, pool
+from .evaluation import Block, cross_fit, group_codes, pool
 from .inference import normal_ci
-from .learners import builtin, train_all
+from .learners import builtin
 from .moments import AverageMoment, MomentFunction, builtin_moment
 from .rng import derived_seed, substream
 from .splits import generate_plan
@@ -265,16 +265,17 @@ def linear_cate_sample(n: int, seed: int = 0, base_effect: float = 1.0,
 def estimand_oracle(mf: MomentFunction, models, fresh: Dataset) -> np.ndarray:
     """theta_{eta-hat} approximated on a large fresh sample.
 
-    Solves the variant-2 aggregation of the estimator, but substituting the
-    fresh sample for every evaluation split (population analog of the moment).
+    Solves the variant-2 aggregation of the estimator over ``models``, the
+    split models in plan order, but substituting the fresh sample for every
+    evaluation split (population analog of the moment).
     Each pass over the models predicts on the fresh sample one model at a
     time, so the predictions of all models are never held at once.
     """
     codes = group_codes(fresh)
 
     def blocks():
-        for key in sorted(models):
-            yield Block.of(models[key], fresh, codes=codes)
+        for model in models:
+            yield Block.of(model, fresh, codes=codes)
 
     if isinstance(mf, AverageMoment):
         # psi = f - theta, so the per-model mean psi at theta = 0 is the mean f
@@ -326,8 +327,8 @@ def dgp_sampler(spec: dict, default_kind: str = "gauss_linear"):
 
 
 def _grid_fit(grid, n, K, cell_index, iteration):
-    """The start of an estimate or compare row: its seed, sampler, data, plan,
-    moment and trained models."""
+    """The start of an estimate or compare row: its seed, sampler, data,
+    moment and cross-fit evaluations."""
     sampler = dgp_sampler(grid.dgp)
     seed = derived_seed(grid.seed, cell_index, iteration)
     d = sampler(n, derived_seed(seed, 0))
@@ -335,17 +336,15 @@ def _grid_fit(grid, n, K, cell_index, iteration):
                          seed=derived_seed(seed, 1))
     learner = builtin(grid.learner)
     mf = builtin_moment(grid.moment)
-    models = train_all(plan, d, learner, seed=derived_seed(seed, 2))
-    return seed, sampler, d, plan, mf, models
+    return seed, sampler, d, mf, cross_fit(plan, d, learner, seed=derived_seed(seed, 2))
 
 
 def _grid_estimate(grid, n, K, cell_index, iteration):
-    seed, sampler, d, plan, mf, models = _grid_fit(grid, n, K, cell_index, iteration)
-    ev = evaluate(models, plan, d)
+    seed, sampler, _, mf, ev = _grid_fit(grid, n, K, cell_index, iteration)
     est = solve(2, mf, ev)
     report = normal_ci(mf, ev, est, alpha=grid.alpha)
     fresh = sampler(grid.oracle_rows, derived_seed(seed, 3))
-    oracle = float(estimand_oracle(mf, models, fresh)[0])
+    oracle = float(estimand_oracle(mf, [b.model for b in ev.blocks], fresh)[0])
     lo, hi = report.ci
     return {
         "estimate": float(est.theta_hat[0]), "se": report.se,
@@ -355,10 +354,8 @@ def _grid_estimate(grid, n, K, cell_index, iteration):
 
 
 def _grid_compare(grid, n, K, cell_index, iteration):
-    seed, _, d, plan, mf, models = _grid_fit(grid, n, K, cell_index, iteration)
-    baseline = builtin("mean").train(d)
-    res = compare_mod.compare_models(mf, evaluate(models, plan, d, baseline),
-                                     alpha=grid.alpha,
+    seed, _, d, mf, ev = _grid_fit(grid, n, K, cell_index, iteration)
+    res = compare_mod.compare_models(mf, ev, builtin("mean").train(d), alpha=grid.alpha,
                                      mc_draws=20_000, seed=derived_seed(seed, 4))
     return {
         "estimate": res.point, "se": res.sigma_delta / np.sqrt(n),

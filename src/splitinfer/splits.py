@@ -11,20 +11,11 @@ plan is a pure function of (n, M, K, b, seed), independent of platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .data import complement
 from .errors import InvalidFoldCount, InvalidSubsampleSize
 from .rng import substream
-
-
-class TrainEvalPair(NamedTuple):
-    """Evaluation rows s and the complementary training rows."""
-
-    eval_rows: np.ndarray
-    train_rows: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -94,11 +85,3 @@ def generate_plan(n: int, M: int, K: int, b: int | None = None, seed: int = 0) -
         reps.append(sets)
     return SplitPlan(n=n, M=M, K=K, b=int(b), seed=int(seed), repetitions=tuple(reps))
 
-
-def enumerate_pairs(plan: SplitPlan) -> list[tuple[int, int, TrainEvalPair]]:
-    """All (m, k, train/eval pair) triples, train = complement of eval."""
-    out = []
-    for m, rep in enumerate(plan.repetitions):
-        for k, eval_rows in enumerate(rep):
-            out.append((m, k, TrainEvalPair(eval_rows, complement(eval_rows, plan.n))))
-    return out

@@ -12,7 +12,7 @@ that stalls) raises ``SingularJacobian`` or ``NoConvergence`` rather than
 switching to another algorithm.
 
 The solvers read the out-of-fold predictions in an ``Evaluations`` (see
-``evaluation.evaluate``) and evaluate the moment in its array form through
+``evaluation.cross_fit``) and evaluate the moment in its array form through
 ``evaluation.pool``; they never call ``predict``.
 """
 

@@ -166,6 +166,9 @@ BAD_CONFIGS = [
     ("estimate", {"moment": "linreg_on_eta", "h": "diff:1-1"}, "/h"),  # identically zero
     ("estimate", {"plan": {"M": 3, "K": 1}}, "/plan"),  # K=1 needs b, with the default seed
     ("gates", {"plan": {"M": 3, "K": 1}}, "/plan/K"),
+    ("simulate", {}, "/"),  # a simulate config needs its simulate section
+    ("estimate", {"learner": "knn(3.7)"}, "/learner"),
+    ("estimate", {"learner": "tree(2.5)"}, "/learner"),
 ]
 
 
@@ -419,23 +422,18 @@ def test_singular_jacobian_is_a_runtime_failure(tmp_path, capsys, method, plan):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("overrides, env, code, message", [
-    ({"data": {"path": "absent.csv", "schema": CSV_ROLES}}, {}, 1,
-     "invalid config at /data/path:"),
-    ({"data": {"path": "a_directory", "schema": CSV_ROLES}}, {}, 1,
-     "invalid config at /data/path:"),
-    ({"data": {"path": "latin1.csv", "schema": CSV_ROLES}}, {}, 2,
+@pytest.mark.parametrize("overrides, code, message", [
+    ({"data": {"path": "absent.csv", "schema": CSV_ROLES}}, 1, "invalid config at /data/path:"),
+    ({"data": {"path": "a_directory", "schema": CSV_ROLES}}, 1, "invalid config at /data/path:"),
+    ({"data": {"path": "latin1.csv", "schema": CSV_ROLES}}, 2,
      "runtime failure: CSV file is not UTF-8"),
-    ({}, {"SPLITINFER_THREADS": "two"}, 1, "invalid config at /threads:"),
-    ({"output": {"path": "a_directory"}}, {}, 1, "error: cannot write report:"),
-    ({"output": {"path": "good.csv/r.json"}}, {}, 1, "error: cannot write report:"),
-], ids=["csv_missing", "csv_is_a_directory", "csv_not_utf8", "threads_env_not_an_integer",
-        "report_path_is_a_directory", "report_parent_is_a_file"])
-def test_bad_inputs_end_in_their_exit_code(tmp_path, capsys, monkeypatch, overrides, env,
-                                           code, message):
+    ({"output": {"path": "a_directory"}}, 1, "error: cannot write report:"),
+    ({"output": {"path": "good.csv/r.json"}}, 1, "error: cannot write report:"),
+], ids=["csv_missing", "csv_is_a_directory", "csv_not_utf8", "report_path_is_a_directory",
+        "report_parent_is_a_file"])
+def test_bad_inputs_end_in_their_exit_code(tmp_path, capsys, monkeypatch, overrides, code,
+                                           message):
     monkeypatch.chdir(tmp_path)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     (tmp_path / "a_directory").mkdir()
     (tmp_path / "good.csv").write_text("y,x1\n1,2\n3,5\n4,4\n", encoding="utf-8")
     (tmp_path / "latin1.csv").write_bytes("y,x1\n1,2\n3,5\n4,\u00e9\n".encode("latin-1"))
@@ -482,7 +480,7 @@ def test_estimate_runs_on_gauss_linear_data(tmp_path):
 def test_cli_import_leaves_scipy_optimize_and_stats_unloaded():
     """Starting the CLI loads none of the modules that only some runs, or only
     the tests, need: the CLI checks configs without jsonschema, and only a
-    threaded train_all starts a thread pool."""
+    threaded cross_fit starts a thread pool."""
     code = ("import sys, splitinfer.cli; "
             "print(sorted(m for m in ('scipy.optimize', 'scipy.stats', 'scipy.special', "
             "'subprocess', 'jsonschema', 'concurrent.futures') if m in sys.modules))")
@@ -510,8 +508,7 @@ def test_threads_do_not_change_report(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     cfg = estimate_config(tmp_path, out1)
     assert invoke(["estimate", "--config", cfg, "--threads", 1]) == 0
-    cfg2 = estimate_config(tmp_path, out2, name_unused=None) if False else cfg
-    assert invoke(["estimate", "--config", cfg2, "--threads", 4, "--out", out2]) == 0
+    assert invoke(["estimate", "--config", cfg, "--threads", 4, "--out", out2]) == 0
     r1 = json.loads(out1.read_text())
     r2 = json.loads(out2.read_text())
     r1["config"].pop("threads")

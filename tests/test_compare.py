@@ -15,13 +15,14 @@ from splitinfer.compare import (
     one_sided_test,
     sigma_from_values,
 )
-from splitinfer.data import Dataset, Roles
+from splitinfer.data import Dataset, Roles, complement
 from splitinfer.errors import ZeroDiagonal
-from splitinfer.evaluation import evaluate
-from splitinfer.learners import ConstantModel, builtin, train_all
+from splitinfer.evaluation import Block, cross_fit
+from splitinfer.learners import ConstantModel, builtin
 from splitinfer.moments import builtin_moment
 from splitinfer.rng import substream
-from splitinfer.splits import enumerate_pairs, generate_plan
+from splitinfer.splits import generate_plan
+from test_evaluation import fixed
 
 
 def gauss_dataset(n, seed, slope=1.0):
@@ -34,8 +35,8 @@ def gauss_dataset(n, seed, slope=1.0):
 def test_delta_zero_for_constant_outcome():
     d = Dataset({"y": np.full(12, 2.0), "x": np.zeros(12)}, Roles("y", ("x",)))
     plan = generate_plan(12, M=2, K=2, seed=0)
-    models = {key: ConstantModel(2.0) for key in [(m, k) for m in range(2) for k in range(2)]}
-    dv = delta_vector(builtin_moment("mse"), evaluate(models, plan, d, ConstantModel(2.0)))
+    two = ConstantModel(2.0)
+    dv = delta_vector(builtin_moment("mse"), cross_fit(plan, d, fixed(two)), Block.of(two, d))
     np.testing.assert_allclose(dv.deltas, 0.0, atol=1e-15)
 
 
@@ -43,20 +44,18 @@ def test_delta_same_function_is_sampling_noise():
     d = gauss_dataset(50, 3)
     plan = generate_plan(50, M=1, K=2, seed=1)
     zero = ConstantModel(0.0)
-    models = {(0, 0): zero, (0, 1): zero}
-    dv = delta_vector(builtin_moment("mse"), evaluate(models, plan, d, zero))
+    dv = delta_vector(builtin_moment("mse"), cross_fit(plan, d, fixed(zero)), Block.of(zero, d))
     # identical prediction functions: gap is eval-mean minus full-mean of y^2
-    for (m, k, pair), delta in zip(enumerate_pairs(plan), dv.deltas):
-        expected = np.mean(d.y[pair.eval_rows] ** 2) - np.mean(d.y**2)
+    for rows, delta in zip(plan.eval_sets(), dv.deltas, strict=True):
+        expected = np.mean(d.y[rows] ** 2) - np.mean(d.y**2)
         assert delta == pytest.approx(expected, abs=1e-12)
 
 
 def test_delta_negative_when_learner_dominates():
     d = gauss_dataset(80, 5, slope=2.0)
     plan = generate_plan(80, M=2, K=2, seed=2)
-    models = train_all(plan, d, builtin("ols"), seed=0)
-    base = builtin("mean").train(d)
-    dv = delta_vector(builtin_moment("mse"), evaluate(models, plan, d, base))
+    base = Block.of(builtin("mean").train(d), d)
+    dv = delta_vector(builtin_moment("mse"), cross_fit(plan, d, builtin("ols"), seed=0), base)
     assert np.all(dv.deltas < 0)
 
 
@@ -189,12 +188,11 @@ def test_sigma_oracle_m1_k2():
         y = rng.standard_normal(n)
         d = Dataset({"y": y, "x": np.zeros(n)}, Roles("y", ("x",)))
         plan = generate_plan(n, M=1, K=2, seed=it)
-        models = train_all(plan, d, mean_lr, seed=it)
-        base = mean_lr.train(d)
-        res = compare_models(mf, evaluate(models, plan, d, base), mc_draws=1)
+        res = compare_models(mf, cross_fit(plan, d, mean_lr, seed=it), mean_lr.train(d),
+                             mc_draws=1)
         ybar = y.mean()
-        truth = [(1 + y[p.train_rows].mean() ** 2) - (1 + ybar**2)
-                 for (_, _, p) in enumerate_pairs(plan)]
+        truth = [(1 + y[complement(rows, n)].mean() ** 2) - (1 + ybar**2)
+                 for rows in plan.eval_sets()]
         dev[it] = np.sqrt(n) * (res.delta.deltas - np.array(truth))
         sig += res.sigma.matrix
     empirical = np.cov(dev.T)
@@ -267,10 +265,8 @@ def test_extended_interval_examples():
 def test_compare_models_end_to_end_flags_and_containment():
     d = gauss_dataset(90, 21, slope=1.5)
     plan = generate_plan(90, M=2, K=3, seed=3)
-    models = train_all(plan, d, builtin("ols"), seed=1)
-    base = builtin("mean").train(d)
-    res = compare_models(builtin_moment("mse"), evaluate(models, plan, d, base),
-                         mc_draws=5000, seed=9)
+    res = compare_models(builtin_moment("mse"), cross_fit(plan, d, builtin("ols"), seed=1),
+                         builtin("mean").train(d), mc_draws=5000, seed=9)
     lo_e, hi_e = res.ci_extended
     assert lo_e <= 0.0 <= hi_e
     assert lo_e <= res.ci_normal[0] and hi_e >= res.ci_normal[1]

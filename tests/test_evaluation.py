@@ -7,22 +7,27 @@ import pytest
 from splitinfer import cli
 from splitinfer.adaptive import AdaptiveConfig, adaptive_ci
 from splitinfer.data import Dataset, Roles
-from splitinfer.evaluation import evaluate, group_codes, pool
+from splitinfer.evaluation import cross_fit, group_codes, pool
 from splitinfer.inference import normal_ci
-from splitinfer.learners import (
-    ConstantModel,
-    FixedFunctionModel,
-    Learner,
-    Model,
-    builtin,
-    train_all,
-)
+from splitinfer.learners import FixedFunctionModel, Learner, Model, builtin
 from splitinfer.moments import builtin_moment
 from splitinfer.repro import repro_measure, sigma_D_hat
 from splitinfer.rng import substream
 from splitinfer.sim import estimand_oracle
 from splitinfer.splits import generate_plan
 from splitinfer.zestim import solve
+
+
+def fixed(model):
+    """A learner whose every fit returns ``model``."""
+    return Learner("fixed", lambda d, seed: model)
+
+
+def in_turn(models):
+    """A learner whose fits return ``models`` one after another; with one
+    thread, that is split by split in plan order."""
+    remaining = iter(models)
+    return Learner("in_turn", lambda d, seed: next(remaining))
 
 
 class CountingModel(Model):
@@ -100,16 +105,15 @@ def test_evaluate_blocks_follow_plan_order():
                  "g": (rng.random(20) < 0.5) * 5.0},
                 Roles("y", ("x",), group="g"))
     plan = generate_plan(20, M=2, K=2, seed=1)
-    models = {(m, k): FixedFunctionModel(lambda z, c=m + k: z[:, 0] + c)
-              for m in range(2) for k in range(2)}
-    ev = evaluate(models, plan, d, baseline=ConstantModel(1.0))
+    models = [FixedFunctionModel(lambda z, c=m + k: z[:, 0] + c)
+              for m in range(2) for k in range(2)]
+    ev = cross_fit(plan, d, in_turn(models))
     assert [(b.m, b.k) for b in ev.blocks] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     for b, rows in zip(ev.blocks, plan.eval_sets()):
         np.testing.assert_array_equal(b.rows, rows)
         np.testing.assert_array_equal(b.eta, d.x[rows, 0] + b.m + b.k)
         np.testing.assert_array_equal(b.y, d.y[rows])
         np.testing.assert_array_equal(b.g, (d.g[rows] == 5.0).astype(int))
-    np.testing.assert_array_equal(ev.baseline.eta, np.ones(20))
     np.testing.assert_array_equal(group_codes(d), (d.g == 5.0).astype(int))
 
 
@@ -118,20 +122,21 @@ def test_pool_matches_per_split_model_forms():
     x = rng.standard_normal(30)
     d = Dataset({"y": 2.0 * x + rng.standard_normal(30), "x": x}, Roles("y", ("x",)))
     plan = generate_plan(30, M=2, K=3, seed=0)
-    models = {(m, k): FixedFunctionModel(lambda z, c=m - k: (1.0 + 0.1 * c) * z[:, 0])
-              for m in range(2) for k in range(3)}
+    models = [FixedFunctionModel(lambda z, c=m - k: (1.0 + 0.1 * c) * z[:, 0])
+              for m in range(2) for k in range(3)]
     mf = builtin_moment("linreg_on_eta")
     theta = np.array([0.1, 1.5])
-    pooled = pool(mf, evaluate(models, plan, d).blocks, theta, meat=True, jacobian=True)
-    etas = [(models[(m, k)].predict(d.x[rows]), d.y[rows])
-            for m, rep in enumerate(plan.repetitions) for k, rows in enumerate(rep)]
+    ev = cross_fit(plan, d, in_turn(models))
+    pooled = pool(mf, ev.blocks, theta, meat=True, jacobian=True)
+    etas = [(model.predict(d.x[rows]), d.y[rows])
+            for model, rows in zip(models, plan.eval_sets(), strict=True)]
     psis = [mf.psi_eta(theta, eta, y) for eta, y in etas]
     jacs = [mf.jac_rows_eta(theta, eta, y).mean(axis=0) for eta, y in etas]
     np.testing.assert_allclose(pooled.split_psi, [v.mean(axis=0) for v in psis])
     np.testing.assert_allclose(pooled.psi, np.mean([v.mean(axis=0) for v in psis], axis=0))
     np.testing.assert_allclose(pooled.meat, np.mean([v.T @ v / len(v) for v in psis], axis=0))
     np.testing.assert_allclose(pooled.jacobian, np.mean(jacs, axis=0))
-    jac_only = pool(mf, evaluate(models, plan, d).blocks, theta, psi=False, jacobian=True)
+    jac_only = pool(mf, ev.blocks, theta, psi=False, jacobian=True)
     assert jac_only.psi is None and jac_only.split_psi is None and jac_only.meat is None
     np.testing.assert_array_equal(jac_only.jacobian, pooled.jacobian)
 
@@ -142,11 +147,11 @@ def test_library_reports_are_plain_json():
     x = rng.standard_normal(60)
     d = Dataset({"y": x + rng.standard_normal(60), "x": x}, Roles("y", ("x",)))
     plan = generate_plan(60, M=2, K=3, seed=0)
-    ev = evaluate(train_all(plan, d, builtin("ols"), seed=0), plan, d)
+    ev = cross_fit(plan, d, builtin("ols"), seed=0)
     mf = builtin_moment("mse")
     reports = [solve(variant, mf, ev) for variant in (1, 2, 3)]
     reports.append(normal_ci(mf, ev, reports[1]))
-    reports.append(adaptive_ci(mf, ev, reports[1], AdaptiveConfig(grid_points=51)))
+    reports.append(adaptive_ci(mf, ev, reports[1], reports[3], AdaptiveConfig(grid_points=51)))
     comps = sigma_D_hat(mf, ev, reports[1].theta_hat)
     reports += [comps, repro_measure(comps, 0.2)]
     for report in reports:
@@ -170,7 +175,7 @@ def test_oracle_holds_one_model_predictions_at_a_time():
             handed_out.append(weakref.ref(eta))
             return eta
 
-    models = {(m, k): Tracked() for m in range(2) for k in range(2)}
+    models = [Tracked() for _ in range(4)]
     theta = estimand_oracle(builtin_moment("linreg_on_eta"), models, fresh)
     np.testing.assert_allclose(theta, [0.5, 3.0], atol=1e-9)
     assert len(held) > len(models)

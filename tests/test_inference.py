@@ -3,7 +3,7 @@ import pytest
 
 from splitinfer.data import Dataset, Roles
 from splitinfer.errors import SingularJacobian, ZeroVariance
-from splitinfer.evaluation import evaluate, pool
+from splitinfer.evaluation import cross_fit, pool
 from splitinfer.inference import (
     named_reduction,
     norm_cdf,
@@ -12,11 +12,12 @@ from splitinfer.inference import (
     sandwich,
     variance_inflation,
 )
-from splitinfer.learners import ConstantModel, FixedFunctionModel, builtin, train_all
+from splitinfer.learners import ConstantModel, FixedFunctionModel, builtin
 from splitinfer.moments import builtin_moment
 from splitinfer.rng import substream
 from splitinfer.splits import generate_plan
 from splitinfer.zestim import ZEstimate, solve
+from test_evaluation import fixed
 
 
 def test_variance_inflation_paper_values():
@@ -32,8 +33,8 @@ def test_variance_inflation_paper_values():
 def test_jacobian_average_type_is_minus_identity():
     d = Dataset({"y": np.arange(6.0), "x": np.zeros(6)}, Roles("y", ("x",)))
     plan = generate_plan(6, M=1, K=2, seed=0)
-    models = {(0, 0): ConstantModel(0.0), (0, 1): ConstantModel(0.0)}
-    jac = pool(builtin_moment("mse"), evaluate(models, plan, d).blocks, np.array([1.0]),
+    ev = cross_fit(plan, d, fixed(ConstantModel(0.0)))
+    jac = pool(builtin_moment("mse"), ev.blocks, np.array([1.0]),
                psi=False, jacobian=True).jacobian
     np.testing.assert_allclose(jac, [[-1.0]])
 
@@ -43,9 +44,8 @@ def test_jacobian_linreg_is_minus_gram():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     d = Dataset({"y": np.zeros(4), "x": x}, Roles("y", ("x",)))
     plan = generate_plan(4, M=1, K=2, seed=1)
-    eta = FixedFunctionModel(lambda z: z[:, 0])
-    models = {(0, 0): eta, (0, 1): eta}
-    jac = pool(builtin_moment("linreg_on_eta"), evaluate(models, plan, d).blocks, np.zeros(2),
+    ev = cross_fit(plan, d, fixed(FixedFunctionModel(lambda z: z[:, 0])))
+    jac = pool(builtin_moment("linreg_on_eta"), ev.blocks, np.zeros(2),
                psi=False, jacobian=True).jacobian
     s1, s2 = plan.repetitions[0]
     gram = np.zeros((2, 2))
@@ -74,13 +74,13 @@ def test_degenerate_meat_flags_fast_convergence():
     # covariance moment with a zero predictor: psi == 0 identically at theta=0
     d = Dataset({"y": np.array([1.0, -1.0, 0.5, 2.0]), "x": np.zeros(4)}, Roles("y", ("x",)))
     plan = generate_plan(4, M=1, K=2, seed=0)
-    models = {(0, 0): ConstantModel(0.0), (0, 1): ConstantModel(0.0)}
+    ev = cross_fit(plan, d, fixed(ConstantModel(0.0)))
     mf = builtin_moment("covariance")
-    meat = pool(mf, evaluate(models, plan, d).blocks, np.array([0.0]), meat=True).meat
+    meat = pool(mf, ev.blocks, np.array([0.0]), meat=True).meat
     np.testing.assert_allclose(meat, 0.0, atol=1e-30)
     est = ZEstimate(2, np.array([0.0]))
     with pytest.raises(ZeroVariance):
-        normal_ci(mf, evaluate(models, plan, d), est)
+        normal_ci(mf, ev, est)
 
 
 def test_normal_ci_frozen_interval():
@@ -137,10 +137,9 @@ def test_full_report_fields_and_ci_contains_estimate():
     x = rng.standard_normal(90)
     d = Dataset({"y": x + rng.standard_normal(90), "x": x}, Roles("y", ("x",)))
     plan = generate_plan(90, M=3, K=3, seed=5)
-    models = train_all(plan, d, builtin("ols"), seed=0)
+    ev = cross_fit(plan, d, builtin("ols"), seed=0)
     mf = builtin_moment("mse")
-    est = solve(2, mf, evaluate(models, plan, d))
-    report = normal_ci(mf, evaluate(models, plan, d), est, alpha=0.1)
+    report = normal_ci(mf, ev, solve(2, mf, ev), alpha=0.1)
     assert report.ci[0] < report.h_hat < report.ci[1]
     assert report.se > 0
     assert report.variance_inflation == 1.0
@@ -163,9 +162,8 @@ def test_ci_halfwidth_scales_root_n():
             x = rng.standard_normal(n)
             d = Dataset({"y": x + rng.standard_normal(n), "x": x}, Roles("y", ("x",)))
             plan = generate_plan(n, M=2, K=3, seed=r)
-            models = train_all(plan, d, builtin("ols"), seed=r)
-            est = solve(2, mf, evaluate(models, plan, d))
-            report = normal_ci(mf, evaluate(models, plan, d), est)
+            ev = cross_fit(plan, d, builtin("ols"), seed=r)
+            report = normal_ci(mf, ev, solve(2, mf, ev))
             acc += report.ci[1] - report.ci[0]
         widths.append(acc / reps)
     slope = np.polyfit(np.log(sizes), np.log(widths), 1)[0]

@@ -7,14 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitinfer import learners
-from splitinfer.data import Dataset, Roles
+from splitinfer.data import Dataset, Roles, complement
 from splitinfer.errors import UnknownLearner
-from splitinfer.learners import (
-    KnnModel,
-    builtin,
-    train_all,
-)
-from splitinfer.splits import enumerate_pairs, generate_plan
+from splitinfer.evaluation import cross_fit
+from splitinfer.learners import KnnModel, builtin
+from splitinfer.splits import generate_plan
 from splitinfer.rng import substream
 
 
@@ -36,19 +33,16 @@ def test_mean_learner_is_constant():
 def test_ols_exact_on_noiseless_line():
     d = linear_dataset(noiseless=True)
     plan = generate_plan(d.n, M=1, K=2, seed=4)
-    models = train_all(plan, d, builtin("ols"), seed=0)
-    for m, k, pair in enumerate_pairs(plan):
-        pred = models[(m, k)].predict(d.x[pair.eval_rows])
-        np.testing.assert_allclose(pred, d.y[pair.eval_rows], atol=1e-9)
+    for b in cross_fit(plan, d, builtin("ols"), seed=0).blocks:
+        np.testing.assert_allclose(b.eta, b.y, atol=1e-9)
 
 
-def test_train_all_uses_train_fold_mean():
+def test_cross_fit_uses_train_fold_mean():
     d = linear_dataset()
     plan = generate_plan(d.n, M=2, K=2, seed=1)
-    models = train_all(plan, d, builtin("mean"), seed=0)
-    for m, k, pair in enumerate_pairs(plan):
-        expected = d.y[pair.train_rows].mean()
-        np.testing.assert_allclose(models[(m, k)].predict(d.x[:1]), [expected])
+    for b in cross_fit(plan, d, builtin("mean"), seed=0).blocks:
+        expected = d.y[complement(b.rows, d.n)].mean()
+        np.testing.assert_allclose(b.eta, np.full(b.rows.size, expected))
 
 
 def test_ridge_zero_matches_ols():
@@ -294,6 +288,13 @@ def test_unknown_learner():
             builtin(name)
 
 
+@pytest.mark.parametrize("name, raw", [("knn(3.7)", "3.7"), ("tree(2.5)", "2.5"),
+                                       ("knn(0.5)", "0.5")])
+def test_fractional_knn_and_tree_parameters_are_refused(name, raw):
+    with pytest.raises(UnknownLearner, match=rf"needs an integer parameter, got {raw}$"):
+        builtin(name)
+
+
 def test_model_purity_bitwise():
     d = linear_dataset(noiseless=False)
     model = builtin("ols").train(d)
@@ -302,17 +303,18 @@ def test_model_purity_bitwise():
     assert np.array_equal(first, second)
 
 
-def test_train_all_threads_match_sequential():
+def test_cross_fit_threads_match_sequential_on_a_whole_dataset():
     d = linear_dataset(n=40, noiseless=False)
     plan = generate_plan(d.n, M=3, K=2, seed=5)
-    seq = train_all(plan, d, builtin("ols"), seed=9, threads=1)
-    par = train_all(plan, d, builtin("ols"), seed=9, threads=4)
-    for key in seq:
-        np.testing.assert_array_equal(seq[key].beta, par[key].beta)
+    seq = cross_fit(plan, d, builtin("ols"), seed=9, threads=1)
+    par = cross_fit(plan, d, builtin("ols"), seed=9, threads=4)
+    assert [(b.m, b.k) for b in par.blocks] == [(b.m, b.k) for b in seq.blocks]
+    for b_seq, b_par in zip(seq.blocks, par.blocks, strict=True):
+        np.testing.assert_array_equal(b_seq.eta, b_par.eta)
 
 
 @pytest.mark.parametrize("name", ["ols", "knn(5)"])
-def test_train_all_threads_on_views_match_sequential(name):
+def test_cross_fit_threads_match_sequential(name):
     def fresh_view():
         rng = substream(12)
         x = rng.standard_normal((90, 3))
@@ -322,14 +324,14 @@ def test_train_all_threads_on_views_match_sequential(name):
 
     d = fresh_view()
     plan = generate_plan(d.n, M=4, K=3, seed=2)
-    seq = train_all(plan, d, builtin(name), seed=9, threads=1)
+    seq = cross_fit(plan, d, builtin(name), seed=9, threads=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:  # a cold root: every thread's first gather builds the root's x
-        par = train_all(plan, fresh_view(), builtin(name), seed=9, threads=4)
+        par = cross_fit(plan, fresh_view(), builtin(name), seed=9, threads=4)
     finally:
         sys.setswitchinterval(interval)
-    for m, k, pair in enumerate_pairs(plan):
-        x_eval = d.x[pair.eval_rows]
-        assert np.array_equal(seq[(m, k)].predict(x_eval), par[(m, k)].predict(x_eval))
+    assert [(b.m, b.k) for b in par.blocks] == [(b.m, b.k) for b in seq.blocks]
+    for b_seq, b_par in zip(seq.blocks, par.blocks, strict=True):
+        assert np.array_equal(b_seq.eta, b_par.eta)
 

@@ -3,8 +3,8 @@ import pytest
 from scipy.stats import norm
 
 from splitinfer.data import Dataset, Roles
-from splitinfer.evaluation import evaluate
-from splitinfer.learners import builtin, train_all
+from splitinfer.evaluation import cross_fit
+from splitinfer.learners import builtin
 from splitinfer.moments import builtin_moment
 from splitinfer.repro import (
     ReproComponents,
@@ -23,21 +23,19 @@ def fitted(n=120, M=4, K=3, seed=0, learner="mean"):
     y = x + rng.standard_normal(n)
     d = Dataset({"y": y, "x": x}, Roles("y", ("x",)))
     plan = generate_plan(n, M=M, K=K, seed=seed)
-    models = train_all(plan, d, builtin(learner), seed=seed)
+    ev = cross_fit(plan, d, builtin(learner), seed=seed)
     mf = builtin_moment("mse")
-    est = solve(2, mf, evaluate(models, plan, d))
-    return mf, models, plan, d, est
+    return mf, ev, solve(2, mf, ev)
 
 
 def components_at(tau, **kwargs):
-    mf, models, plan, d, est = fitted(**kwargs)
-    return sigma_D_hat(mf, evaluate(models, plan, d), est.theta_hat, tau=tau), est
+    mf, ev, est = fitted(**kwargs)
+    return sigma_D_hat(mf, ev, est.theta_hat, tau=tau), est
 
 
 def test_tau_at_estimate_kills_zeta_and_rho():
-    mf, models, plan, d, est = fitted()
-    comps = sigma_D_hat(mf, evaluate(models, plan, d), est.theta_hat,
-                        tau=float(est.theta_hat[0]))
+    mf, ev, est = fitted()
+    comps = sigma_D_hat(mf, ev, est.theta_hat, tau=float(est.theta_hat[0]))
     assert comps.zeta_hat_D2 == pytest.approx(0.0, abs=1e-25)
     assert comps.rho_hat == pytest.approx(0.0, abs=1e-25)
     assert comps.sigma_hat_D2 == pytest.approx(2.0 * comps.v_hat_D2, rel=1e-12)
@@ -46,13 +44,13 @@ def test_tau_at_estimate_kills_zeta_and_rho():
 def test_d1_reduction_matches_direct_formula():
     # d = 1, psi = f - theta: v2 = sigma^-2 * mean over repetitions of
     # (per-repetition pooled moment)^2
-    mf, models, plan, d, est = fitted(M=5)
-    comps = sigma_D_hat(mf, evaluate(models, plan, d), est.theta_hat, tau=0.0)
-    theta = est.theta_hat
+    mf, ev, est = fitted(M=5)
+    comps = sigma_D_hat(mf, ev, est.theta_hat, tau=0.0)
+    theta, d = est.theta_hat, ev.d
     g = []
-    for m in range(plan.M):
-        acc = [mf.psi_eta(theta, models[(m, k)].predict(d.x[rows]), d.y[rows]).mean()
-               for k, rows in enumerate(plan.repetitions[m])]
+    for m in range(ev.plan.M):
+        acc = [mf.psi_eta(theta, b.model.predict(d.x[b.rows]), d.y[b.rows]).mean()
+               for b in ev.blocks if b.m == m]
         g.append(np.mean(acc))
     direct = np.mean(np.square(g)) / comps.sigma_hat_eta**2
     assert comps.v_hat_D2 == pytest.approx(direct, rel=1e-10)
@@ -70,28 +68,24 @@ def test_identical_splits_zero_spread():
     from splitinfer.splits import SplitPlan
 
     plan = SplitPlan(n=n, M=3, K=2, b=one.b, seed=5, repetitions=(rep, rep, rep))
-    models = train_all(plan, d, builtin("mean"), seed=0)
-    # force identical models too (same training rows, deterministic learner)
+    # identical models too (same training rows, deterministic learner)
+    ev = cross_fit(plan, d, builtin("mean"), seed=0)
     mf = builtin_moment("mse")
-    est = solve(2, mf, evaluate(models, plan, d))
-    comps = sigma_D_hat(mf, evaluate(models, plan, d), est.theta_hat, tau=0.0)
+    comps = sigma_D_hat(mf, ev, solve(2, mf, ev).theta_hat, tau=0.0)
     assert comps.v_hat_D2 == pytest.approx(0.0, abs=1e-20)
 
 
 def test_sigma_d_invariant_to_split_order():
-    mf, models, plan, d, est = fitted(M=4, seed=3)
-    comps = sigma_D_hat(mf, evaluate(models, plan, d), est.theta_hat, tau=0.1)
-    # permute repetitions
+    mf, ev, est = fitted(M=4, seed=3)
+    comps = sigma_D_hat(mf, ev, est.theta_hat, tau=0.1)
+    # permute repetitions; the mean learner refits the same models on them
     from splitinfer.splits import SplitPlan
 
+    plan = ev.plan
     order = [2, 0, 3, 1]
     plan_p = SplitPlan(n=plan.n, M=plan.M, K=plan.K, b=plan.b, seed=plan.seed,
                        repetitions=tuple(plan.repetitions[i] for i in order))
-    models_p = {}
-    for new_m, old_m in enumerate(order):
-        for k in range(plan.K):
-            models_p[(new_m, k)] = models[(old_m, k)]
-    comps_p = sigma_D_hat(mf, evaluate(models_p, plan_p, d), est.theta_hat, tau=0.1)
+    comps_p = sigma_D_hat(mf, cross_fit(plan_p, ev.d, builtin("mean")), est.theta_hat, tau=0.1)
     assert comps.sigma_hat_D2 == pytest.approx(comps_p.sigma_hat_D2, rel=1e-12)
 
 

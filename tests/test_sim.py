@@ -8,7 +8,7 @@ from scipy import stats
 
 from splitinfer import sim
 from splitinfer.data import Dataset, Roles
-from splitinfer.learners import ConstantModel, builtin, train_all
+from splitinfer.learners import ConstantModel, builtin
 from splitinfer.moments import builtin_moment
 from splitinfer.rng import substream
 from splitinfer.sim import (
@@ -126,7 +126,7 @@ def test_linear_cate_sample_roles():
 
 def test_estimand_oracle_average_type():
     d = linear_cate_sample(100, seed=13)
-    models = {(m, k): ConstantModel(float(m + k)) for m in range(2) for k in range(2)}
+    models = [ConstantModel(float(m + k)) for m in range(2) for k in range(2)]
     fresh = linear_cate_sample(1000, seed=14)
     mf = builtin_moment("mse")
     oracle = estimand_oracle(mf, models, fresh)

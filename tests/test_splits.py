@@ -4,8 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from splitinfer.data import Dataset, Roles, complement
 from splitinfer.errors import InvalidFoldCount, InvalidSubsampleSize
-from splitinfer.splits import enumerate_pairs, generate_plan
+from splitinfer.evaluation import cross_fit
+from splitinfer.learners import ConstantModel, Learner
+from splitinfer.rng import derived_seed
+from splitinfer.splits import generate_plan
 
 
 def test_equal_fold_sizes():
@@ -52,27 +56,32 @@ def test_partition_invariant_property(n, m, k, seed):
         assert max(s.size for s in rep) - min(s.size for s in rep) <= 1
 
 
-def test_enumerate_pairs_count_and_complement():
-    plan = generate_plan(12, M=2, K=3, seed=5)
-    pairs = enumerate_pairs(plan)
-    assert len(pairs) == 6
-    for _, _, pair in pairs:
-        union = np.union1d(pair.eval_rows, pair.train_rows)
-        assert np.array_equal(union, np.arange(12))
-        assert np.intersect1d(pair.eval_rows, pair.train_rows).size == 0
+@pytest.mark.parametrize("K", [1, 3])
+def test_cross_fit_trains_each_split_on_the_complement_of_its_eval_rows(K):
+    n = 12
+    plan = generate_plan(n, M=2, K=K, b=4 if K == 1 else None, seed=5)
+    # y is each row's index, so a fit's outcomes name its training rows
+    d = Dataset({"y": np.arange(n, dtype=float), "x": np.zeros(n)}, Roles("y", ("x",)))
+    fits = []
 
+    def record(train, seed):
+        fits.append((train.y.astype(int), seed))
+        return ConstantModel(0.0)
 
-def test_enumerate_pairs_train_size_sample_splitting():
-    plan = generate_plan(10, M=1, K=1, b=4, seed=2)
-    (_, _, pair), = enumerate_pairs(plan)
-    assert pair.train_rows.size == 6
+    ev = cross_fit(plan, d, Learner("record", record), seed=7)
+    assert len(fits) == len(ev.blocks) == 2 * K
+    for (train_rows, seed), b, rows in zip(fits, ev.blocks, plan.eval_sets(), strict=True):
+        np.testing.assert_array_equal(b.rows, rows)
+        np.testing.assert_array_equal(train_rows, np.setdiff1d(np.arange(n), rows))
+        assert seed == derived_seed(7, b.m, b.k)
+        assert b.eta.shape == rows.shape
 
 
 def test_two_fold_symmetry():
     plan = generate_plan(4, M=1, K=2, seed=9)
-    pairs = enumerate_pairs(plan)
-    np.testing.assert_array_equal(pairs[0][2].train_rows, pairs[1][2].eval_rows)
-    np.testing.assert_array_equal(pairs[1][2].train_rows, pairs[0][2].eval_rows)
+    first, second = plan.repetitions[0]
+    np.testing.assert_array_equal(complement(first, 4), second)
+    np.testing.assert_array_equal(complement(second, 4), first)
 
 
 def test_determinism():

@@ -7,26 +7,24 @@ from test_cli import python_env
 
 from splitinfer.data import Dataset, Roles
 from splitinfer.errors import NoConvergence
-from splitinfer.evaluation import Block, evaluate
-from splitinfer.learners import ConstantModel, FixedFunctionModel, builtin, train_all
+from splitinfer.evaluation import Block, cross_fit
+from splitinfer.learners import ConstantModel, FixedFunctionModel, builtin
 from splitinfer.moments import MomentFunction, builtin_moment
 from splitinfer.rng import substream
-from splitinfer.splits import enumerate_pairs, generate_plan
+from splitinfer.splits import generate_plan
 from splitinfer.zestim import newton_solve, per_split_estimates, solve, solve_blocks
+from test_evaluation import fixed
 
-
-def identity_models(plan):
-    return {(m, k): FixedFunctionModel(lambda z: z[:, 0])
-            for m, rep in enumerate(plan.repetitions) for k in range(len(rep))}
+IDENTITY = fixed(FixedFunctionModel(lambda z: z[:, 0]))
+ZERO = fixed(ConstantModel(0.0))
 
 
 def test_constant_moment_all_variants_equal_constant():
     d = Dataset({"y": np.full(6, 3.0), "x": np.zeros(6)}, Roles("y", ("x",)))
     plan = generate_plan(6, M=2, K=3, seed=0)
-    models = {key: ConstantModel(0.0) for key in identity_models(plan)}
     mf = builtin_moment("mse")
     for variant in (1, 2, 3):
-        est = solve(variant, mf, evaluate(models, plan, d))
+        est = solve(variant, mf, cross_fit(plan, d, ZERO))
         np.testing.assert_allclose(est.theta_hat, [9.0], atol=1e-12)
 
 
@@ -48,8 +46,7 @@ def test_cross_fitting_mean_recovers_full_sample_mean():
         def f_eta(self, eta, y, g=None):
             return y
 
-    models = {key: ConstantModel(0.0) for key in identity_models(plan)}
-    est = solve(2, RawAvg(), evaluate(models, plan, d))
+    est = solve(2, RawAvg(), cross_fit(plan, d, ZERO))
     np.testing.assert_allclose(est.theta_hat, [2.5])
 
 
@@ -63,8 +60,7 @@ def test_sample_splitting_mean_matches_selected_rows():
         def f_eta(self, eta, y, g=None):
             return y
 
-    models = {(0, 0): ConstantModel(0.0)}
-    est = solve(1, RawAvg(), evaluate(models, plan, d))
+    est = solve(1, RawAvg(), cross_fit(plan, d, ZERO))
     selected = plan.repetitions[0][0]
     np.testing.assert_allclose(est.theta_hat, [values[selected].mean()])
 
@@ -78,8 +74,8 @@ def test_variant_equality_linear_moments():
         x = rng.standard_normal(n)
         d = Dataset({"y": y, "x": x}, Roles("y", ("x",)))
         plan = generate_plan(n, M=M, K=K, b=b, seed=i)
-        models = train_all(plan, d, builtin("mean"), seed=i)
-        thetas = [solve(v, mf, evaluate(models, plan, d)).theta_hat for v in (1, 2, 3)]
+        ev = cross_fit(plan, d, builtin("mean"), seed=i)
+        thetas = [solve(v, mf, ev).theta_hat for v in (1, 2, 3)]
         for a in thetas:
             for c in thetas:
                 assert np.max(np.abs(a - c)) <= 1e-10
@@ -96,23 +92,22 @@ def test_degenerate_variant_equalities_nonlinear():
     mf = builtin_moment("tercile_fractions")
 
     plan_k1 = generate_plan(n, M=3, K=1, b=20, seed=4)
-    models = identity_models(plan_k1)
-    est1 = solve(1, mf, evaluate(models, plan_k1, d))
-    est3 = solve(3, mf, evaluate(models, plan_k1, d))
+    ev = cross_fit(plan_k1, d, IDENTITY)
+    est1 = solve(1, mf, ev)
+    est3 = solve(3, mf, ev)
     np.testing.assert_allclose(est1.theta_hat, est3.theta_hat, atol=1e-12)
 
     plan_m1 = generate_plan(n, M=1, K=3, seed=5)
-    models = identity_models(plan_m1)
-    est2 = solve(2, mf, evaluate(models, plan_m1, d))
-    est3 = solve(3, mf, evaluate(models, plan_m1, d))
+    ev = cross_fit(plan_m1, d, IDENTITY)
+    est2 = solve(2, mf, ev)
+    est3 = solve(3, mf, ev)
     np.testing.assert_allclose(est2.theta_hat, est3.theta_hat, atol=1e-12)
 
 
 def test_per_split_estimates_constant():
     d = Dataset({"y": np.full(8, 2.0), "x": np.zeros(8)}, Roles("y", ("x",)))
     plan = generate_plan(8, M=2, K=2, seed=0)
-    models = {key: ConstantModel(0.0) for key in identity_models(plan)}
-    per_split = per_split_estimates(builtin_moment("mse"), evaluate(models, plan, d))
+    per_split = per_split_estimates(builtin_moment("mse"), cross_fit(plan, d, ZERO))
     for theta in per_split.values():
         np.testing.assert_allclose(theta, [4.0])
 
@@ -122,8 +117,7 @@ def test_per_split_linreg_noiseless():
     x = rng.standard_normal(30)
     d = Dataset({"y": 2.0 * x + 1.0, "x": x}, Roles("y", ("x",)))
     plan = generate_plan(30, M=2, K=3, seed=1)
-    models = identity_models(plan)
-    per_split = per_split_estimates(builtin_moment("linreg_on_eta"), evaluate(models, plan, d))
+    per_split = per_split_estimates(builtin_moment("linreg_on_eta"), cross_fit(plan, d, IDENTITY))
     for theta in per_split.values():
         np.testing.assert_allclose(theta, [1.0, 2.0], atol=1e-8)
 
@@ -134,7 +128,7 @@ def test_per_split_tercile_constant_outcome():
     d = Dataset({"y": np.ones(27), "x": x}, Roles("y", ("x",)))
     plan = generate_plan(27, M=1, K=3, seed=2)
     per_split = per_split_estimates(builtin_moment("tercile_fractions"),
-                                    evaluate(identity_models(plan), plan, d))
+                                    cross_fit(plan, d, IDENTITY))
     for theta in per_split.values():
         np.testing.assert_allclose(theta[:3], 1.0)
 
@@ -204,7 +198,6 @@ def test_solver_residual_within_tolerance():
     x = rng.standard_normal(60)
     d = Dataset({"y": 1.5 * x + rng.standard_normal(60), "x": x}, Roles("y", ("x",)))
     plan = generate_plan(60, M=2, K=3, seed=3)
-    models = train_all(plan, d, builtin("ols"), seed=0)
     mf = builtin_moment("linreg_on_eta")
-    est = solve(2, mf, evaluate(models, plan, d))
+    est = solve(2, mf, cross_fit(plan, d, builtin("ols"), seed=0))
     assert est.residual_norm <= 1e-10 * (1 + np.linalg.norm(est.theta_hat))
