@@ -4,9 +4,10 @@ values, and the pre-tested confidence interval.
 
 Both comparisons, a model against a whole-sample baseline
 (``compare_models``) and two cross-fit learners against each other
-(``compare_two_learners``), run one core, ``_one_sided``: it streams each
-split's influence values into ``sigma_from_values`` against the reference
-model's values on all n rows, then runs ``one_sided_test`` on the gaps.
+(``compare_two_learners``), run one core, ``_one_sided``: it gives
+``sigma_from_values`` each split's predictions (average moments) or
+influence values against the reference model's values on all n rows, then
+runs ``one_sided_test`` on the gaps.
 
 The covariance of the sqrt(n)-scaled gap vector is assembled from the four
 row-intersection blocks between any two splits (train/train, train/eval,
@@ -15,10 +16,13 @@ moments the per-row values are the f evaluations themselves; general scalar
 moments go through the asymptotically linear (influence) representation
 -J^{-1} psi per row. Intersections with fewer than two rows contribute zero
 and are counted. The block sums are S x S matrix products accumulated over
-chunks of rows, so no (splits x n) array is ever held: each chunk fills one
-(4S x rows) buffer of complement-weighted base values, complement and eval
-indicators and split values, whose products give every cross sum, row sum
-and intersection count (see ``sigma_from_values``).
+chunks of rows: each chunk fills one (4S x rows) buffer of
+complement-weighted base values, complement and eval indicators and split
+values, whose products give every cross sum, row sum and intersection count
+(see ``sigma_from_values``). So the assembly adds no (splits x n) array to
+what its caller holds. For an average moment the split values are f of the
+blocks' own predictions, evaluated one chunk at a time; any other moment's
+per-split influence values are computed first and held once.
 
 Everything is computed from one ``Evaluations`` (see
 ``evaluation.cross_fit``), the out-of-fold predictions of every split, and
@@ -143,40 +147,45 @@ def _centered(s_ab, s_a, s_b, cnt):
         return np.where(ok, s_ab - s_a * s_b / np.where(ok, cnt, 1.0), 0.0)
 
 
-def _sorted_split_values(eval_sets, n, vals_split, vals_base):
-    """Each split's rows in increasing order with its values
-    tilde_j = v[rows] - (n / |rows|) vals_j on them."""
+def _sorted_splits(eval_sets, arrays):
+    """Each split's rows in increasing order with its per-row array in the
+    same order; an array is copied only when its rows are not sorted (plan
+    rows always are)."""
     out = []
-    for rows, vals in zip(eval_sets, vals_split, strict=True):
-        tilde = vals_base[rows] - (n / rows.size) * np.asarray(vals)
+    for rows, arr in zip(eval_sets, arrays, strict=True):
+        arr = np.asarray(arr)
         if np.any(rows[1:] < rows[:-1]):
             order = np.argsort(rows, kind="stable")
-            rows, tilde = rows[order], tilde[order]
-        out.append((rows, tilde))
+            rows, arr = rows[order], arr[order]
+        out.append((rows, arr))
     return out
 
 
-def sigma_from_values(eval_sets, n: int, vals_split, vals_base) -> SigmaHat:
+def sigma_from_values(eval_sets, n: int, vals_split, vals_base, to_values=None) -> SigmaHat:
     """Covariance of sqrt(n) * (per-split mean - full-sample baseline mean).
 
     ``vals_split`` yields the j-th split's values on its own evaluation rows
     (in the order of ``eval_sets[j]``), j in plan order.
-    ``vals_base`` holds the baseline values for all n rows. Every split's
-    tilde_j (see ``_sorted_split_values``) is held before the chunk loop
-    starts: one float per evaluation row of every split, M n floats for a
-    K-fold plan (16 MB at M = 100, n = 20 000). A generator for
-    ``vals_split`` only spares a second copy of them.
+    ``vals_base`` holds the baseline values for all n rows. With
+    ``to_values`` given, ``vals_split`` yields any per-row arrays instead,
+    say a model's predictions, and ``to_values(rows, arrays)`` turns a
+    chunk's concatenated rows and slices of them into the split values there.
+    Only the arrays of ``vals_split`` are held across the chunk loop, once
+    (a generator's are gathered into a list). The split values enter as
+    tilde_j = v[rows] - (n / |rows|) vals_j, which is formed one row chunk
+    at a time and never for a whole split.
 
     With E the (S x n) eval-row indicator, C = 1 - E its complement, T the
-    split values (zero off each split's eval rows) and a = C * v, the sums are
-    taken over row chunks of one (4S x rows) buffer [a; C; T; E]:
+    split values tilde_j (zero off each split's eval rows) and a = C * v, the
+    sums are taken over row chunks of one (4S x rows) buffer [a; C; T; E]:
     a [a; C; T; E]^T gives the complement/complement and complement/eval
     cross sums and row sums, T [T; E]^T the eval/eval ones, C T^T the
     complement/eval column sums and E E^T the intersection counts, from which
     the other counts follow exactly.
     """
-    splits = _sorted_split_values(eval_sets, n, vals_split, vals_base)
+    splits = _sorted_splits(eval_sets, vals_split)
     s = len(splits)
+    scale = n / np.array([rows.size for rows, _ in splits])
     width = max(1, min(n, _CHUNK_TERMS // max(s, 1)))
     buf = np.empty((4 * s, width))
     acc_a = np.zeros((s, 4 * s))   # a [a; C; T; E]^T
@@ -193,9 +202,14 @@ def sigma_from_values(eval_sets, n: int, vals_split, vals_base) -> SigmaHat:
         a, cm, t, e = (chunk[i * s:(i + 1) * s] for i in range(4))
         chunk[2 * s:].fill(0.0)
         lo, hi = bounds[:, c].tolist(), bounds[:, c + 1].tolist()
-        pos = np.concatenate([rows[i:k] for (rows, _), i, k in zip(splits, lo, hi)])
-        pos += np.repeat(np.arange(s) * width - r0, bounds[:, c + 1] - bounds[:, c])
-        t_flat[pos] = np.concatenate([tilde[i:k] for (_, tilde), i, k in zip(splits, lo, hi)])
+        counts = bounds[:, c + 1] - bounds[:, c]
+        rows = np.concatenate([r[i:k] for (r, _), i, k in zip(splits, lo, hi)])
+        vals = np.concatenate([arr[i:k] for (_, arr), i, k in zip(splits, lo, hi)])
+        if to_values is not None:
+            vals = to_values(rows, vals)
+        # int64 offsets, so the positions do not wrap when rows are int32
+        pos = rows + np.repeat(np.arange(s, dtype=np.int64) * width - r0, counts)
+        t_flat[pos] = vals_base[rows] - np.repeat(scale, counts) * vals
         e_flat[pos] = 1.0
         np.subtract(1.0, e, out=cm)
         np.multiply(cm, vals_base[r0:r0 + w], out=a)
@@ -247,14 +261,22 @@ def _one_sided(mf: MomentFunction, ev: Evaluations, delta: DeltaVector, vals_ref
                slack: float) -> tuple[SigmaHat, OneSidedTest]:
     """Covariance of the gaps ``delta`` against the reference model's
     influence values ``vals_ref`` on all n rows, and their one-sided test."""
-    grad = h.gradient(delta.theta_b)
+    eval_sets, n = ev.plan.eval_sets(), ev.plan.n
+    if isinstance(mf, AverageMoment):
+        # f acts row by row, so Sigma reads the blocks' own predictions and
+        # evaluates f once per row chunk, over every split's rows in it
+        y_all, g_all = ev.blocks[0].y_all, ev.blocks[0].g_all
 
-    def split_vals():
-        for b in ev.blocks:
-            yield _influence_rows(mf, b, delta.per_split_thetas[(b.m, b.k)], grad)
+        def f_rows(rows, eta):
+            return mf.f_eta(eta, y_all[rows], None if g_all is None else g_all[rows])
 
-    sigma = sigma_from_values(ev.plan.eval_sets(), ev.plan.n, split_vals(), vals_ref)
-    return sigma, one_sided_test(delta.deltas, sigma, ev.plan.n, alpha, mc_draws, seed, slack)
+        sigma = sigma_from_values(eval_sets, n, [b.eta for b in ev.blocks], vals_ref, f_rows)
+    else:
+        grad = h.gradient(delta.theta_b)
+        sigma = sigma_from_values(
+            eval_sets, n, (_influence_rows(mf, b, delta.per_split_thetas[(b.m, b.k)], grad)
+                           for b in ev.blocks), vals_ref)
+    return sigma, one_sided_test(delta.deltas, sigma, n, alpha, mc_draws, seed, slack)
 
 
 # ---------------------------------------------------------------------------

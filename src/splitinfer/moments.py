@@ -69,7 +69,10 @@ class MomentFunction:
 
 
 class AverageMoment(MomentFunction):
-    """psi = f(eta, y) - theta for a scalar f; Jacobian is -1."""
+    """psi = f(eta, y) - theta for a scalar f; Jacobian is -1.
+
+    ``f_eta`` acts row by row: the comparison covariance evaluates it on the
+    rows of several splits at once (see ``compare.sigma_from_values``)."""
 
     dim = 1
 

@@ -18,6 +18,7 @@ from splitinfer.compare import (
 from splitinfer.data import Dataset, Roles, complement
 from splitinfer.errors import ZeroDiagonal
 from splitinfer.evaluation import Block, cross_fit
+from splitinfer.inference import IDENTITY
 from splitinfer.learners import ConstantModel, builtin
 from splitinfer.moments import builtin_moment
 from splitinfer.rng import substream
@@ -158,6 +159,50 @@ def test_sigma_does_not_depend_on_chunk_size(name, monkeypatch):
                                    atol=1e-12 * np.abs(results[0].matrix).max())
         assert sig.psd_projected == results[0].psd_projected
         assert sig.degenerate_blocks == results[0].degenerate_blocks
+
+
+@pytest.mark.parametrize("name", sorted(sigma_cases()))
+def test_sigma_from_predictions_is_bitwise_sigma_from_values(name):
+    # the map path: per-row arrays (here predictions) plus a map applied to a
+    # whole chunk's rows must give the values path's Sigma bit for bit,
+    # also where a split's rows are unsorted and its array must follow them
+    eval_sets, _, base = sigma_cases()[name]
+    rng = substream(17)
+    y = rng.standard_normal(base.size)
+    etas = [rng.standard_normal(len(rows)) for rows in eval_sets]
+    mf = builtin_moment("mse")
+    vals = [mf.f_eta(eta, y[rows]) for rows, eta in zip(eval_sets, etas)]
+    want = sigma_from_values(eval_sets, base.size, vals, base)
+    got = sigma_from_values(eval_sets, base.size, iter(etas), base,
+                            lambda rows, eta: mf.f_eta(eta, y[rows]))
+    np.testing.assert_array_equal(got.matrix, want.matrix)
+    assert got.psd_projected == want.psd_projected
+    assert got.degenerate_blocks == want.degenerate_blocks
+
+
+def test_compare_sigma_memory_is_bounded_by_the_chunk_budget():
+    # n large next to S: one float64 copy of the split values is M n * 8 bytes
+    # (16 MB). The chunk loop's buffer holds 4 * _CHUNK_TERMS floats, and each
+    # per-chunk gather holds at most _CHUNK_TERMS entries, so with room for
+    # four such gathers the bound is 8 * _CHUNK_TERMS floats (8 MiB), about
+    # half of that copy
+    n, M, K = 200_000, 10, 3
+    budget = 8 * compare_mod._CHUNK_TERMS * 8
+    assert budget < M * n * 8
+    d = gauss_dataset(n, 21)
+    mf = builtin_moment("mse")
+    mean_lr = builtin("mean")
+    ev = cross_fit(generate_plan(n, M, K, seed=5), d, mean_lr)
+    base = Block.of(mean_lr.train(d), d)
+    delta = delta_vector(mf, ev, base)
+    base_vals = mf.f_eta(base.eta, base.y)
+    tracemalloc.start()
+    try:
+        compare_mod._one_sided(mf, ev, delta, base_vals, IDENTITY, 0.05, 1000, 0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget
 
 
 def test_sigma_memory_stays_below_one_splits_by_rows_array():

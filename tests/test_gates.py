@@ -99,8 +99,7 @@ def test_calibration_weight_near_one_for_good_predictor():
         d = small_trial(n=500, seed=seed, hte_coef=1.5)
         cfg = config(M=2, K=2)
         fit = ensemble_predict(cfg, d, seed=seed)
-        betas.extend([b[0] for bm in fit.betas for b in bm[:, None].T] if False else
-                     [float(b) for bm in fit.betas for b in bm.ravel()])
+        betas.extend(float(b) for bm in fit.betas for b in bm.ravel())
     assert abs(np.mean(betas) - 1.0) < 0.1
 
 

@@ -8,8 +8,8 @@ from splitinfer.data import Dataset, Roles, complement
 from splitinfer.errors import InvalidFoldCount, InvalidSubsampleSize
 from splitinfer.evaluation import cross_fit
 from splitinfer.learners import ConstantModel, Learner
-from splitinfer.rng import derived_seed
-from splitinfer.splits import generate_plan
+from splitinfer.rng import derived_seed, substream
+from splitinfer.splits import generate_plan, row_dtype
 
 
 def test_equal_fold_sizes():
@@ -32,6 +32,28 @@ def test_sample_splitting_sizes():
     for rep in plan.repetitions:
         assert len(rep) == 1
         assert rep[0].size == 4
+
+
+@pytest.mark.parametrize("n, M, K, b", [(23, 3, 5, None), (40, 2, 1, 9), (7, 1, 3, None)])
+def test_plan_rows_are_read_only_int32_with_the_int64_plan_json(n, M, K, b):
+    plan = generate_plan(n, M, K, b, seed=4)
+    for rows in plan.eval_sets():
+        assert rows.dtype == np.int32
+        assert not rows.flags.writeable
+    # the same draw with the int64 permutation throughout: split, sort
+    want = []
+    for m in range(M):
+        perm = substream(4, m).permutation(n)
+        parts = [perm[:b]] if K == 1 else np.array_split(perm, K)
+        want.append([np.sort(s).tolist() for s in parts])
+    assert plan.to_jsonable()["repetitions"] == want
+
+
+def test_row_dtype_widens_at_two_to_the_31_rows():
+    assert row_dtype(1) is np.int32
+    assert row_dtype(2**31 - 1) is np.int32
+    assert row_dtype(2**31) is np.int64
+    assert row_dtype(2**40) is np.int64
 
 
 def test_partition_invariant():
