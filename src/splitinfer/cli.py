@@ -9,7 +9,12 @@ config error, including an unknown flag or a flag value of the wrong type, an
 unreadable ``data.path``, a negative ``--seed``, a ``--threads`` count (the
 only way to set one; default 1) that is not a positive integer, and a report
 or grid CSV that cannot be written; 2 runtime failure, including a CSV cell
-that is not a number or a CSV that is not UTF-8.
+that is not a number, a CSV that is not UTF-8, and a learner that fails to
+train (the message names the split (m, k), or the compare baseline).
+
+``--threads`` sets the workers that fit the splits of ``estimate``, ``repro``
+and ``compare`` with a baseline; ``gates``, ``compare`` with
+``against_learner`` and ``simulate`` fit on one thread.
 
 The schema check reads ``schemas/config.schema.json`` with a small interpreter
 (``_Schema``) of the JSON Schema 2020-12 keywords that file uses: ``type``,
@@ -420,7 +425,12 @@ def run_compare(config: dict) -> dict:
     learner = builtin(config["learner"])
     ev = cross_fit(plan, d, learner, seed=derived_seed(plan_cfg["seed"], 1),
                    threads=config.get("threads", 1))
-    baseline = builtin(cmp_cfg.get("baseline", "mean")).train(d, derived_seed(plan_cfg["seed"], 3))
+    baseline_learner = builtin(cmp_cfg.get("baseline", "mean"))
+    try:
+        baseline = baseline_learner.train(d, derived_seed(plan_cfg["seed"], 3))
+    except Exception as exc:  # noqa: BLE001
+        raise SplitInferError(f"baseline learner {baseline_learner.name!r} failed on the "
+                              f"whole sample: {exc}") from exc
     res = compare_mod.compare_models(mf, ev, baseline, h=h, alpha=config["alpha"], seed=seed,
                                      **mc)
     emit_sigma = config.get("output", {}).get("emit_sigma", False)
@@ -528,7 +538,9 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="override plan seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for training and predicting (default: 1)")
+                       help="worker threads for the split fits of estimate, repro and "
+                            "compare with a baseline; gates, compare with against_learner "
+                            "and simulate fit on one thread (default: 1)")
         p.add_argument("--out", default=None, help="report path override")
         p.add_argument("--emit-plan", action="store_true", dest="emit_plan")
         p.add_argument("--emit-sigma", action="store_true", dest="emit_sigma")

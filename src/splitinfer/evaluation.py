@@ -1,11 +1,14 @@
 """Out-of-fold predictions, computed once per split, and the pooled moment.
 
 Every estimator in this package is a function of the same out-of-fold
-predictions eta = model_(m,k)(x[eval rows of (m, k)]). :func:`cross_fit`
-trains each split's model on the complement of its evaluation rows and
-computes them once; the Z-solve, the CIs, the comparison test and the
-reproducibility margin read them and never call ``predict``. :func:`pool` is
-the one loop over splits that evaluates a moment on them.
+predictions eta = model_(m,k)(x[eval rows of (m, k)]). :func:`fit_split` is
+the one step that trains a split's model (on the complement of its evaluation
+rows, unless told otherwise) and predicts once on those rows; a training error
+leaves it as ``LearnerFailure(m, k)``. :func:`cross_fit` maps the step over a
+plan, and GATES calls it split by split. The Z-solve, the CIs, the comparison
+test and the reproducibility margin read the predictions and never call
+``predict``. :func:`pool` is the one loop over splits that evaluates a moment
+on them.
 """
 
 from __future__ import annotations
@@ -73,15 +76,28 @@ class Evaluations:
     blocks: tuple[Block, ...]
 
 
+def fit_split(learner: Learner, d: Dataset, rows: np.ndarray, seed: int, m: int, k: int,
+              train_rows=None, codes=None) -> Block:
+    """Split (m, k)'s step: train ``learner`` with ``seed`` on ``train_rows``
+    (by default the complement of ``rows``, built for this split only) and
+    predict once on ``rows``; ``codes`` are ``group_codes(d)``, computed here
+    when not given. A training error is raised as ``LearnerFailure(m, k)``."""
+    if train_rows is None:
+        train_rows = complement(rows, d.n)
+    try:
+        model = learner.train(d.subset(train_rows), seed)
+    except Exception as exc:  # noqa: BLE001
+        raise LearnerFailure(m, k, exc) from exc
+    return Block.of(model, d, rows, m, k, codes)
+
+
 def cross_fit(plan: SplitPlan, d: Dataset, learner: Learner, seed: int = 0,
               threads: int = 1) -> Evaluations:
-    """Train one model per split on the complement of its evaluation rows and
-    predict once on those rows, split by split in plan order.
+    """:func:`fit_split` on every split of ``plan``, in plan order.
 
     Split (m, k) trains with the seed derived from (seed, m, k), so the result
-    does not depend on scheduling order or thread count; a training error is
-    raised as ``LearnerFailure(m, k)``. With ``threads`` > 1 each split's
-    train and predict run in a thread pool.
+    does not depend on scheduling order or thread count. With ``threads`` > 1
+    the splits run in a thread pool.
     """
     codes = group_codes(d)
     splits = [(m, k, rows) for m, rep in enumerate(plan.repetitions)
@@ -89,11 +105,7 @@ def cross_fit(plan: SplitPlan, d: Dataset, learner: Learner, seed: int = 0,
 
     def fit_one(split):
         m, k, rows = split
-        try:
-            model = learner.train(d.subset(complement(rows, plan.n)), derived_seed(seed, m, k))
-        except Exception as exc:  # noqa: BLE001
-            raise LearnerFailure(m, k, exc) from exc
-        return Block.of(model, d, rows, m, k, codes)
+        return fit_split(learner, d, rows, derived_seed(seed, m, k), m, k, codes=codes)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -8,6 +8,10 @@ per-training-fold quantiles of the combined prediction; and a single weighted
 regression on the whole sample (weights 1/(p(x)(1-p(x)))) estimates the group
 average treatment effects with heteroscedasticity-robust (HC0) standard
 errors. Estimates and standard errors are averaged over the M repetitions.
+
+Every model here, the ensemble's and the baselines', is trained and predicts
+through :func:`evaluation.fit_split`, the step ``cross_fit`` maps over a
+plan, so a training error ends in ``LearnerFailure`` naming its (m, k).
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import numpy as np
 from .compare import OneSidedTest, one_sided_test, sigma_from_values
 from .data import Dataset, complement
 from .errors import EmptyGroup, IncompatibleRoles, ZeroDiagonal
+from .evaluation import fit_split
 from .inference import norm_cdf
 from .learners import Learner, Model
 from .rng import derived_seed
@@ -201,11 +206,9 @@ def ensemble_predict(cfg: GatesConfig, d: Dataset, seed: int = 0) -> EnsembleFit
         plan = generate_plan(d.n, M=1, K=cfg.K, seed=derived_seed(seed, m, 0))
         tau_mat = np.empty((d.n, n_alg))
         for k, rows in enumerate(plan.repetitions[0]):
-            train_d = d.subset(complement(rows, d.n))
-            x_rows = d.x.take(rows, axis=0)
             for a, learner in enumerate(cfg.learners):
-                model = learner.train(train_d, derived_seed(seed, m, 1, k, a))
-                tau_mat[rows, a] = model.predict(x_rows)
+                tau_mat[rows, a] = fit_split(learner, d, rows, derived_seed(seed, m, 1, k, a),
+                                             m, k).eta
 
         calib_plan = generate_plan(d.n, M=1, K=cfg.L, seed=derived_seed(seed, m, 2))
         beta_mat = np.empty((cfg.L, n_alg))
@@ -342,16 +345,6 @@ def run_gates(cfg: GatesConfig, d: Dataset, seed: int = 0, run_het: bool = False
 # baseline aggregation schemes
 
 
-def _fold_level_gates(cfg: GatesConfig, d: Dataset, rows: np.ndarray,
-                      tau: np.ndarray, p, w, controls):
-    """t-statistic of the top-minus-bottom gap within the fold ``rows``, whose
-    predictions are ``tau``."""
-    labels, _ = _fold_groups(tau, cfg.J)
-    gam, _, gap_var = _group_regression(controls.take(rows, axis=0), d.y[rows], w[rows],
-                                        d.t[rows] - p[rows], labels, cfg.J)
-    return float(gam[-1] - gam[0]) / float(np.sqrt(max(gap_var, 1e-300)))
-
-
 def baselines(cfg: GatesConfig, d: Dataset, seed: int = 0) -> dict:
     """Twice-the-median and sequential-aggregation p-values.
 
@@ -364,6 +357,16 @@ def baselines(cfg: GatesConfig, d: Dataset, seed: int = 0) -> dict:
     p, w, controls = _design(cfg, d)
     learner = cfg.learners[0]
 
+    def t_stat(m, k, rows, stream, train_rows=None):
+        """t-statistic of the top-minus-bottom gap within fold ``rows``, grouped
+        by the predictions of the model trained with seed (seed, m, stream, k)
+        on ``train_rows`` (default: the complement of ``rows``)."""
+        eta = fit_split(learner, d, rows, derived_seed(seed, m, stream, k), m, k, train_rows).eta
+        labels, _ = _fold_groups(eta, cfg.J)
+        gam, _, gap_var = _group_regression(controls.take(rows, axis=0), d.y[rows], w[rows],
+                                            d.t[rows] - p[rows], labels, cfg.J)
+        return float(gam[-1] - gam[0]) / float(np.sqrt(max(gap_var, 1e-300)))
+
     ttm_pvalues = []
     seq_pvalues = []
     for m in range(cfg.M):
@@ -372,19 +375,11 @@ def baselines(cfg: GatesConfig, d: Dataset, seed: int = 0) -> dict:
 
         # TTM: model trained on the complement, evaluated within the fold
         for k, rows in enumerate(folds):
-            model = learner.train(d.subset(complement(rows, d.n)), derived_seed(seed, m, 1, k))
-            t_stat = _fold_level_gates(cfg, d, rows, model.predict(d.x.take(rows, axis=0)),
-                                       p, w, controls)
-            ttm_pvalues.append(float(1.0 - norm_cdf(t_stat)))
+            ttm_pvalues.append(float(1.0 - norm_cdf(t_stat(m, k, rows, 1))))
 
         # Seq: ordered training on folds 1..k-1, evaluation on fold k
-        t_stats = []
-        for k in range(1, cfg.K):
-            train_rows = np.sort(np.concatenate(folds[:k]))
-            model = learner.train(d.subset(train_rows), derived_seed(seed, m, 2, k))
-            rows = folds[k]
-            t_stats.append(_fold_level_gates(cfg, d, rows, model.predict(d.x.take(rows, axis=0)),
-                                             p, w, controls))
+        t_stats = [t_stat(m, k, folds[k], 2, np.sort(np.concatenate(folds[:k])))
+                   for k in range(1, cfg.K)]
         t_final = float(np.sqrt(cfg.K - 1) * np.mean(t_stats))
         seq_pvalues.append(float(1.0 - norm_cdf(t_final)))
 

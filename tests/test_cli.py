@@ -422,6 +422,43 @@ def test_singular_jacobian_is_a_runtime_failure(tmp_path, capsys, method, plan):
     assert not out.exists()
 
 
+SPLIT_00 = "runtime failure: learner failed on split (m=0, k=0): Singular matrix"
+
+
+@pytest.mark.parametrize("method, flags, overrides, message", [
+    ("estimate", [], {}, SPLIT_00),
+    ("estimate", ["--threads", "2"], {}, SPLIT_00),
+    ("gates", [], {"gates": {"baselines": True}}, SPLIT_00),
+    ("compare", [], {"learner": "ols", "compare": {"baseline": "ridge(0)"}},
+     "runtime failure: baseline learner 'ridge(0)' failed on the whole sample: Singular matrix"),
+    ("compare", [], {"learner": "ols", "compare": {"against_learner": "ridge(0)"}}, SPLIT_00),
+    ("repro", [], {}, SPLIT_00),
+], ids=["estimate", "estimate_threads", "gates_baselines", "compare_baseline",
+        "compare_against_learner", "repro"])
+def test_learner_failures_are_runtime_failures(tmp_path, capsys, method, flags, overrides,
+                                               message):
+    """ridge(0) cannot train on a CSV whose covariate x2 equals x1: every run
+    exits 2 and names the split or the baseline that failed."""
+    rng = substream(12)
+    x, t = rng.standard_normal(80), (rng.random(80) < 0.5) * 1.0
+    data = tmp_path / "collinear.csv"
+    data.write_text("y,x1,x2,t\n" + "".join(
+        f"{a + b * a!r},{a!r},{a!r},{b!r}\n" for a, b in zip(x.tolist(), t.tolist())),
+        encoding="utf-8")
+    out = tmp_path / "r.json"
+    roles = {"outcome": "y", "covariates": ["x1", "x2"], "treatment": "t", "propensity": 0.5}
+    payload = estimate_payload(out, method=method, data={"path": str(data), "schema": roles},
+                               plan={"M": 2, "K": 2, "seed": 0},
+                               **{"learner": "ridge(0)", **overrides})
+    if method == "gates":
+        del payload["moment"], payload["variant"]
+    assert invoke([method, "--config", write_config(tmp_path, payload), *flags]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides, code, message", [
     ({"data": {"path": "absent.csv", "schema": CSV_ROLES}}, 1, "invalid config at /data/path:"),
     ({"data": {"path": "a_directory", "schema": CSV_ROLES}}, 1, "invalid config at /data/path:"),

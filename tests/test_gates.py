@@ -1,15 +1,18 @@
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from splitinfer.data import Dataset, Roles
-from splitinfer.errors import EmptyGroup, ZeroDiagonal
+from splitinfer.data import Dataset, Roles, complement
+from splitinfer.errors import EmptyGroup, LearnerFailure, ZeroDiagonal
 from splitinfer.gates import (
     CateLearner,
     GatesConfig,
+    _design,
     _fold_groups,
+    _group_regression,
     baselines,
     ensemble_predict,
     gates_estimate,
@@ -18,9 +21,11 @@ from splitinfer.gates import (
     ttm_aggregate,
     wls_fit,
 )
-from splitinfer.learners import builtin
-from splitinfer.rng import substream
+from splitinfer.inference import norm_cdf
+from splitinfer.learners import FixedFunctionModel, Learner, builtin
+from splitinfer.rng import derived_seed, substream
 from splitinfer.sim import linear_cate_sample
+from splitinfer.splits import generate_plan
 
 
 def small_trial(n=300, seed=0, hte_coef=1.0, base_effect=1.0):
@@ -236,3 +241,119 @@ def test_flat_predictions_warn():
     fit.tau[0] = np.zeros(d.n)  # force flat combined predictions
     with pytest.warns(UserWarning):
         gates_estimate(cfg, d, fit)
+
+
+def seeded_shift(d, seed):
+    """ols plus a constant drawn from the fit's seed, so a fit's predictions
+    tell which seed it was given."""
+    model = builtin("ols").train(d, seed)
+    shift = float(substream(seed).standard_normal())
+    return FixedFunctionModel(lambda x: model.predict(x) + shift)
+
+
+def retrained_tau_by_alg(cfg, d, seed):
+    """The ensemble's out-of-fold predictions from a loop of its own: per
+    fold, one training view shared by the learners, a fresh model per
+    (m, k, a)."""
+    out = []
+    for m in range(cfg.M):
+        plan = generate_plan(d.n, M=1, K=cfg.K, seed=derived_seed(seed, m, 0))
+        tau_mat = np.empty((d.n, len(cfg.learners)))
+        for k, rows in enumerate(plan.repetitions[0]):
+            train_d = d.subset(complement(rows, d.n))
+            x_rows = d.x.take(rows, axis=0)
+            for a, learner in enumerate(cfg.learners):
+                model = learner.train(train_d, derived_seed(seed, m, 1, k, a))
+                tau_mat[rows, a] = model.predict(x_rows)
+        out.append(tau_mat)
+    return out
+
+
+def retrained_baselines(cfg, d, seed):
+    """TTM and Seq p-values from a loop of their own."""
+    p, w, controls = _design(cfg, d)
+    learner = cfg.learners[0]
+
+    def t_stat(rows, model):
+        labels, _ = _fold_groups(model.predict(d.x.take(rows, axis=0)), cfg.J)
+        gam, _, gap_var = _group_regression(controls.take(rows, axis=0), d.y[rows], w[rows],
+                                            d.t[rows] - p[rows], labels, cfg.J)
+        return float(gam[-1] - gam[0]) / float(np.sqrt(max(gap_var, 1e-300)))
+
+    ttm, seq = [], []
+    for m in range(cfg.M):
+        folds = generate_plan(d.n, M=1, K=cfg.K, seed=derived_seed(seed, m, 0)).repetitions[0]
+        for k, rows in enumerate(folds):
+            model = learner.train(d.subset(complement(rows, d.n)), derived_seed(seed, m, 1, k))
+            ttm.append(float(1.0 - norm_cdf(t_stat(rows, model))))
+        t_stats = []
+        for k in range(1, cfg.K):
+            model = learner.train(d.subset(np.sort(np.concatenate(folds[:k]))),
+                                  derived_seed(seed, m, 2, k))
+            t_stats.append(t_stat(folds[k], model))
+        seq.append(float(1.0 - norm_cdf(float(np.sqrt(cfg.K - 1) * np.mean(t_stats)))))
+    return {"ttm_pvalue": ttm_aggregate(ttm), "seq_pvalue": ttm_aggregate(seq)}
+
+
+@pytest.mark.parametrize("base", [builtin("ols"), builtin("ridge(1.0)"), builtin("knn(5)"),
+                                  builtin("tree(2)"), Learner("seeded_shift", seeded_shift)],
+                         ids=lambda base: base.name)
+def test_gates_fits_equal_an_independent_retrain(base):
+    d = small_trial(n=180, seed=31, hte_coef=1.5)
+    cfg = GatesConfig(learners=(CateLearner(base), CateLearner(builtin("ols"))), M=3, K=3)
+    fit = ensemble_predict(cfg, d, seed=6)
+    for got, want in zip(fit.tau_by_alg, retrained_tau_by_alg(cfg, d, 6), strict=True):
+        assert np.array_equal(got, want)
+    assert baselines(cfg, d, seed=8) == retrained_baselines(cfg, d, 8)
+
+
+def failing_fit(n_fit, calls):
+    """An ols T-learner whose ``n_fit``-th fit raises; every fit's seed goes
+    into ``calls``."""
+    cate = CateLearner(builtin("ols"))
+
+    def fit(d, seed):
+        calls.append(seed)
+        if len(calls) == n_fit:
+            raise ValueError("fit failed on purpose")
+        return cate.train(d, seed)
+
+    return Learner("flaky", fit)
+
+
+# M=2, K=3, one learner. The ensemble fits (m, k) in order; baselines fits,
+# per repetition, 3 TTM models (seed path m, 1, k) and then 2 Seq models
+# (seed path m, 2, k for k = 1, 2).
+@pytest.mark.parametrize("run, n_fit, m, k, seed_path", [
+    (ensemble_predict, 5, 1, 1, (1, 1, 1, 0)),
+    (baselines, 7, 1, 1, (1, 1, 1)),
+    (baselines, 10, 1, 2, (1, 2, 2)),
+], ids=["ensemble", "ttm", "seq"])
+def test_learner_failure_names_its_split(run, n_fit, m, k, seed_path):
+    calls = []
+    cfg = GatesConfig(learners=(failing_fit(n_fit, calls),), M=2, K=3)
+    with pytest.raises(LearnerFailure) as info:
+        run(cfg, small_trial(n=150, seed=3), seed=4)
+    assert (info.value.m, info.value.k) == (m, k)
+    assert isinstance(info.value.cause, ValueError)
+    assert calls[-1] == derived_seed(4, *seed_path)
+
+
+def test_ensemble_holds_at_most_one_model_between_fits():
+    # bound fixed before the first run: a fit may start while the previous
+    # fit's model is still held, never while two are
+    cate = CateLearner(builtin("ols"))
+    alive = weakref.WeakSet()
+    held_at_fit = []
+
+    def fit(d, seed):
+        held_at_fit.append(len(alive))
+        model = cate.train(d, seed)
+        alive.add(model)
+        return model
+
+    cfg = GatesConfig(learners=(Learner("a", fit), Learner("b", fit)), M=2, K=3)
+    ensemble_predict(cfg, small_trial(n=150, seed=5), seed=0)
+    assert len(held_at_fit) == cfg.M * cfg.K * 2
+    assert max(held_at_fit) <= 1
+    assert len(alive) == 0
