@@ -20,9 +20,11 @@ chunks of rows: each chunk fills one (4S x rows) buffer of
 complement-weighted base values, complement and eval indicators and split
 values, whose products give every cross sum, row sum and intersection count
 (see ``sigma_from_values``). So the assembly adds no (splits x n) array to
-what its caller holds. For an average moment the split values are f of the
-blocks' own predictions, evaluated one chunk at a time; any other moment's
-per-split influence values are computed first and held once.
+what its caller holds, and the chunk buffer is freed when the chunk loop
+ends, before the S x S block arithmetic and its eigendecomposition. For an
+average moment the split values are f of the blocks' own predictions,
+evaluated one chunk at a time; any other moment's per-split influence values
+are computed first and held once.
 
 Everything is computed from one ``Evaluations`` (see
 ``evaluation.cross_fit``), the out-of-fold predictions of every split, and
@@ -161,29 +163,11 @@ def _sorted_splits(eval_sets, arrays):
     return out
 
 
-def sigma_from_values(eval_sets, n: int, vals_split, vals_base, to_values=None) -> SigmaHat:
-    """Covariance of sqrt(n) * (per-split mean - full-sample baseline mean).
-
-    ``vals_split`` yields the j-th split's values on its own evaluation rows
-    (in the order of ``eval_sets[j]``), j in plan order.
-    ``vals_base`` holds the baseline values for all n rows. With
-    ``to_values`` given, ``vals_split`` yields any per-row arrays instead,
-    say a model's predictions, and ``to_values(rows, arrays)`` turns a
-    chunk's concatenated rows and slices of them into the split values there.
-    Only the arrays of ``vals_split`` are held across the chunk loop, once
-    (a generator's are gathered into a list). The split values enter as
-    tilde_j = v[rows] - (n / |rows|) vals_j, which is formed one row chunk
-    at a time and never for a whole split.
-
-    With E the (S x n) eval-row indicator, C = 1 - E its complement, T the
-    split values tilde_j (zero off each split's eval rows) and a = C * v, the
-    sums are taken over row chunks of one (4S x rows) buffer [a; C; T; E]:
-    a [a; C; T; E]^T gives the complement/complement and complement/eval
-    cross sums and row sums, T [T; E]^T the eval/eval ones, C T^T the
-    complement/eval column sums and E E^T the intersection counts, from which
-    the other counts follow exactly.
-    """
-    splits = _sorted_splits(eval_sets, vals_split)
+def _chunk_sums(splits, n, vals_base, to_values):
+    """The four accumulators of ``sigma_from_values``, a [a; C; T; E]^T,
+    T [T; E]^T, C T^T and E E^T, summed over row chunks of one (4S x rows)
+    buffer. The buffer, its views and the per-chunk gathers live only in
+    this frame, so they are freed before the caller's S x S arithmetic."""
     s = len(splits)
     scale = n / np.array([rows.size for rows, _ in splits])
     width = max(1, min(n, _CHUNK_TERMS // max(s, 1)))
@@ -217,6 +201,36 @@ def sigma_from_values(eval_sets, n: int, vals_split, vals_base, to_values=None) 
         acc_t += t @ chunk[2 * s:].T
         acc_ct += cm @ t.T
         acc_ee += e @ e.T
+    return acc_a, acc_t, acc_ct, acc_ee
+
+
+def sigma_from_values(eval_sets, n: int, vals_split, vals_base, to_values=None) -> SigmaHat:
+    """Covariance of sqrt(n) * (per-split mean - full-sample baseline mean).
+
+    ``vals_split`` yields the j-th split's values on its own evaluation rows
+    (in the order of ``eval_sets[j]``), j in plan order.
+    ``vals_base`` holds the baseline values for all n rows. With
+    ``to_values`` given, ``vals_split`` yields any per-row arrays instead,
+    say a model's predictions, and ``to_values(rows, arrays)`` turns a
+    chunk's concatenated rows and slices of them into the split values there.
+    Only the arrays of ``vals_split`` are held across the chunk loop, once
+    (a generator's are gathered into a list). The split values enter as
+    tilde_j = v[rows] - (n / |rows|) vals_j, which is formed one row chunk
+    at a time and never for a whole split. The chunk loop runs in
+    ``_chunk_sums``, so its buffer and gathers (and a generator's arrays)
+    are freed before the S x S block arithmetic and ``eigh``.
+
+    With E the (S x n) eval-row indicator, C = 1 - E its complement, T the
+    split values tilde_j (zero off each split's eval rows) and a = C * v, the
+    sums are taken over row chunks of one (4S x rows) buffer [a; C; T; E]:
+    a [a; C; T; E]^T gives the complement/complement and complement/eval
+    cross sums and row sums, T [T; E]^T the eval/eval ones, C T^T the
+    complement/eval column sums and E E^T the intersection counts, from which
+    the other counts follow exactly.
+    """
+    acc_a, acc_t, acc_ct, acc_ee = _chunk_sums(_sorted_splits(eval_sets, vals_split), n,
+                                               vals_base, to_values)
+    s = acc_ee.shape[0]
 
     size = np.diag(acc_ee)
     c4 = acc_ee

@@ -6,6 +6,10 @@ Columns are stored column-major in double precision and frozen after
 construction, so a dataset can be shared freely across threads. Categorical
 data must be pre-encoded numerically by the caller.
 
+:func:`ingest_csv` parses each kept cell with ``float`` and collects each
+column in a typed ``array.array("d")``, 8 bytes per cell, not in a list of
+Python floats.
+
 Row subsets are plain sorted integer index arrays ("row index sets"); use
 :func:`as_row_index_set` to validate one and :func:`complement` to invert it.
 :meth:`Dataset.subset` returns a row view of the root dataset, which was
@@ -21,6 +25,7 @@ harmless.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,7 +253,9 @@ def ingest_csv(path, schema, missing_policy: str = "strict",
     cell that does not parse as a number raises; under ``drop`` rows whose
     declared cells match a missing sentinel are removed and counted, while
     unparseable non-sentinel cells still raise :class:`NonNumericCell`. A file
-    that is not UTF-8 raises :class:`NotUtf8`.
+    that is not UTF-8 raises :class:`NotUtf8`. Each kept column is collected
+    as a typed array of doubles, 8 bytes per cell, and copied once into its
+    numpy column.
 
     Parameters
     ----------
@@ -277,7 +284,7 @@ def ingest_csv(path, schema, missing_policy: str = "strict",
                     raise MissingColumn(f"column {name!r} not in CSV header {header}")
                 positions[name] = header.index(name)
 
-            kept: dict[str, list[float]] = {name: [] for name in positions}
+            kept = {name: array("d") for name in positions}
             n_dropped = 0
             for line_no, record in enumerate(reader, start=2):
                 if not record:

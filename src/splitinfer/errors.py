@@ -50,8 +50,9 @@ class InvalidSubsampleSize(SplitInferError):
 
 
 class LearnerFailure(SplitInferError):
-    def __init__(self, m, k, cause):
-        super().__init__(f"learner failed on split (m={m}, k={k}): {cause}")
+    def __init__(self, learner, m, k, cause):
+        super().__init__(f"learner {learner!r} failed on split (m={m}, k={k}): {cause}")
+        self.learner = learner
         self.m = m
         self.k = k
         self.cause = cause

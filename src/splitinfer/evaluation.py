@@ -4,11 +4,11 @@ Every estimator in this package is a function of the same out-of-fold
 predictions eta = model_(m,k)(x[eval rows of (m, k)]). :func:`fit_split` is
 the one step that trains a split's model (on the complement of its evaluation
 rows, unless told otherwise) and predicts once on those rows; a training error
-leaves it as ``LearnerFailure(m, k)``. :func:`cross_fit` maps the step over a
-plan, and GATES calls it split by split. The Z-solve, the CIs, the comparison
-test and the reproducibility margin read the predictions and never call
-``predict``. :func:`pool` is the one loop over splits that evaluates a moment
-on them.
+leaves it as ``LearnerFailure``, naming the learner and the split (m, k).
+:func:`cross_fit` maps the step over a plan, and GATES calls it split by
+split. The Z-solve, the CIs, the comparison test and the reproducibility
+margin read the predictions and never call ``predict``. :func:`pool` is the
+one loop over splits that evaluates a moment on them.
 """
 
 from __future__ import annotations
@@ -81,13 +81,14 @@ def fit_split(learner: Learner, d: Dataset, rows: np.ndarray, seed: int, m: int,
     """Split (m, k)'s step: train ``learner`` with ``seed`` on ``train_rows``
     (by default the complement of ``rows``, built for this split only) and
     predict once on ``rows``; ``codes`` are ``group_codes(d)``, computed here
-    when not given. A training error is raised as ``LearnerFailure(m, k)``."""
+    when not given. A training error is raised as ``LearnerFailure`` with the
+    learner's name and (m, k)."""
     if train_rows is None:
         train_rows = complement(rows, d.n)
     try:
         model = learner.train(d.subset(train_rows), seed)
     except Exception as exc:  # noqa: BLE001
-        raise LearnerFailure(m, k, exc) from exc
+        raise LearnerFailure(learner.name, m, k, exc) from exc
     return Block.of(model, d, rows, m, k, codes)
 
 

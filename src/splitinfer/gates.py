@@ -11,7 +11,8 @@ errors. Estimates and standard errors are averaged over the M repetitions.
 
 Every model here, the ensemble's and the baselines', is trained and predicts
 through :func:`evaluation.fit_split`, the step ``cross_fit`` maps over a
-plan, so a training error ends in ``LearnerFailure`` naming its (m, k).
+plan, so a training error ends in ``LearnerFailure`` naming the learner and
+its (m, k).
 """
 
 from __future__ import annotations

@@ -422,13 +422,14 @@ def test_singular_jacobian_is_a_runtime_failure(tmp_path, capsys, method, plan):
     assert not out.exists()
 
 
-SPLIT_00 = "runtime failure: learner failed on split (m=0, k=0): Singular matrix"
+SPLIT_00 = "runtime failure: learner 'ridge(0)' failed on split (m=0, k=0): Singular matrix"
 
 
 @pytest.mark.parametrize("method, flags, overrides, message", [
     ("estimate", [], {}, SPLIT_00),
     ("estimate", ["--threads", "2"], {}, SPLIT_00),
-    ("gates", [], {"gates": {"baselines": True}}, SPLIT_00),
+    ("gates", [], {"gates": {"baselines": True}},
+     "runtime failure: learner 'tlearner[ridge(0)]' failed on split (m=0, k=0): Singular matrix"),
     ("compare", [], {"learner": "ols", "compare": {"baseline": "ridge(0)"}},
      "runtime failure: baseline learner 'ridge(0)' failed on the whole sample: Singular matrix"),
     ("compare", [], {"learner": "ols", "compare": {"against_learner": "ridge(0)"}}, SPLIT_00),
@@ -438,7 +439,7 @@ SPLIT_00 = "runtime failure: learner failed on split (m=0, k=0): Singular matrix
 def test_learner_failures_are_runtime_failures(tmp_path, capsys, method, flags, overrides,
                                                message):
     """ridge(0) cannot train on a CSV whose covariate x2 equals x1: every run
-    exits 2 and names the split or the baseline that failed."""
+    exits 2 and names the learner and the split, or the baseline, that failed."""
     rng = substream(12)
     x, t = rng.standard_normal(80), (rng.random(80) < 0.5) * 1.0
     data = tmp_path / "collinear.csv"

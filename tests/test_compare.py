@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -180,7 +178,7 @@ def test_sigma_from_predictions_is_bitwise_sigma_from_values(name):
     assert got.degenerate_blocks == want.degenerate_blocks
 
 
-def test_compare_sigma_memory_is_bounded_by_the_chunk_budget():
+def test_compare_sigma_memory_is_bounded_by_the_chunk_budget(traced_peak):
     # n large next to S: one float64 copy of the split values is M n * 8 bytes
     # (16 MB). The chunk loop's buffer holds 4 * _CHUNK_TERMS floats, and each
     # per-chunk gather holds at most _CHUNK_TERMS entries, so with room for
@@ -196,28 +194,36 @@ def test_compare_sigma_memory_is_bounded_by_the_chunk_budget():
     base = Block.of(mean_lr.train(d), d)
     delta = delta_vector(mf, ev, base)
     base_vals = mf.f_eta(base.eta, base.y)
-    tracemalloc.start()
-    try:
-        compare_mod._one_sided(mf, ev, delta, base_vals, IDENTITY, 0.05, 1000, 0, 0.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(compare_mod._one_sided, mf, ev, delta, base_vals, IDENTITY, 0.05, 1000,
+                       0, 0.0)
     assert peak < budget
 
 
-def test_sigma_memory_stays_below_one_splits_by_rows_array():
+def test_sigma_memory_stays_below_one_splits_by_rows_array(traced_peak):
     n = 40_000
     eval_sets = generate_plan(n, M=20, K=3, seed=3).eval_sets()
     rng = substream(8)
     base = rng.standard_normal(n)
     vals = [rng.standard_normal(len(rows)) for rows in eval_sets]
-    tracemalloc.start()
-    try:
-        sigma_from_values(eval_sets, n, vals, base)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(sigma_from_values, eval_sets, n, vals, base)
     assert peak < len(eval_sets) * n * 8
+
+
+def test_sigma_frees_its_chunk_buffer_before_the_block_arithmetic(traced_peak):
+    # the compare benchmark's split count, S = 300. Bound fixed before the
+    # first run, in float64 values: the (4S x w) chunk buffer, the eight S x S
+    # blocks of the accumulators plus one S x 4S product (12 S^2), and the
+    # per-chunk gathers, each at most M w entries (6 M w); the S x S
+    # arithmetic after the loop must fit in what the freed buffer leaves
+    n, M, K = 3_000, 100, 3
+    eval_sets = generate_plan(n, M=M, K=K, seed=9).eval_sets()
+    s = len(eval_sets)
+    w = min(n, compare_mod._CHUNK_TERMS // s)
+    rng = substream(10)
+    base = rng.standard_normal(n)
+    vals = [rng.standard_normal(len(rows)) for rows in eval_sets]
+    peak = traced_peak(sigma_from_values, eval_sets, n, vals, base)
+    assert peak <= (4 * s * w + 12 * s * s + 6 * M * w) * 8, peak / 2**20
 
 
 def test_sigma_oracle_m1_k2():

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +80,33 @@ def test_ingest_deterministic(tmp_path):
     d2 = ingest_csv(path, {"outcome": "y", "covariates": ["x"]})
     np.testing.assert_array_equal(d1.y, d2.y)
     np.testing.assert_array_equal(d1.x, d2.x)
+
+
+@pytest.mark.parametrize("policy", ["strict", "drop"])
+def test_ingest_parses_each_cell_as_float_does(tmp_path, policy):
+    cells = ["-0.0", "4.9e-324", "1e308", " 2.5 ", "1E-3", ".5", "7", "-1e-300"]
+    text = "y,x\n" + "".join(f"{c},{d}\n" for c, d in zip(cells, reversed(cells)))
+    if policy == "drop":
+        text += "NA,1\n"
+    d = ingest_csv(write_csv(tmp_path, text), {"outcome": "y", "covariates": ["x"]},
+                   missing_policy=policy)
+    want = np.array([float(c) for c in cells])
+    np.testing.assert_array_equal(d.y.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(d.x[:, 0].view(np.uint64), want[::-1].view(np.uint64))
+    assert np.signbit(d.y[0]) and np.signbit(d.x[-1, 0])
+    assert d.n_dropped == (policy == "drop")
+
+
+def test_ingest_holds_a_kept_cell_in_at_most_three_doubles(tmp_path, traced_peak):
+    # bound fixed before the first run: a column collected as doubles and its
+    # numpy copy are two float64 copies, 16 bytes a cell, plus growth slack
+    rows, cols = 40_000, 6
+    values = np.random.default_rng(5).standard_normal((rows, cols)).tolist()
+    names = [f"c{j}" for j in range(cols)]
+    path = write_csv(tmp_path, ",".join(names) + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in values))
+    peak = traced_peak(ingest_csv, path, {"outcome": names[0], "covariates": names[1:]})
+    assert peak <= 24 * rows * cols, peak / (rows * cols)
 
 
 def make_dataset(n=5):
@@ -228,7 +253,7 @@ def test_subset_error_types():
         d.subset([3])
 
 
-def test_a_fit_gathers_only_the_columns_it_reads():
+def test_a_fit_gathers_only_the_columns_it_reads(traced_peak):
     n = 50_000
     rng = np.random.default_rng(3)
     cols = {"y": rng.standard_normal(n), "x": rng.standard_normal(n)}
@@ -236,11 +261,6 @@ def test_a_fit_gathers_only_the_columns_it_reads():
     d = Dataset(cols, Roles("y", ("x",)))
     rows = np.arange(0, n, 2)
     all_columns = len(cols) * rows.size * 8
-    tracemalloc.start()
-    try:
-        builtin("ols").train(d.subset(rows))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: builtin("ols").train(d.subset(rows)))
     # x, y, the design and lstsq's copies: well under half of all 42 columns
     assert peak < all_columns / 2, (peak, all_columns)

@@ -335,6 +335,8 @@ def test_learner_failure_names_its_split(run, n_fit, m, k, seed_path):
     with pytest.raises(LearnerFailure) as info:
         run(cfg, small_trial(n=150, seed=3), seed=4)
     assert (info.value.m, info.value.k) == (m, k)
+    assert info.value.learner == "flaky"
+    assert str(info.value).startswith(f"learner 'flaky' failed on split (m={m}, k={k}): ")
     assert isinstance(info.value.cause, ValueError)
     assert calls[-1] == derived_seed(4, *seed_path)
 
