@@ -236,15 +236,10 @@ def _config_schema() -> _Schema:
 def validate_config(config: dict) -> None:
     """Check ``config`` against ``schemas/config.schema.json``.
 
-    The schema is read by ``_Schema``, a small interpreter of the keywords it
-    uses: ``type``, ``enum``, ``const``, ``required``, ``properties``,
-    ``additionalProperties`` and ``unevaluatedProperties`` (both ``false``),
-    ``dependentRequired``, ``items``, ``minItems``, ``minimum``, ``maximum``,
-    ``exclusiveMinimum``, ``exclusiveMaximum``, ``allOf``,
-    ``if``/``then``/``else`` and local ``$ref``, with the 2020-12 meaning
-    (an integral float is an integer, and a bool is no number). It refuses
-    any other keyword when the schema loads. Every broken rule is collected
-    as (path, message); the first in path order raises ``ConfigInvalid``.
+    The schema is read by ``_Schema`` (see there for the keywords it knows),
+    with the 2020-12 meaning (an integral float is an integer, and a bool is
+    no number). Every broken rule is collected as (path, message); the first
+    in path order raises ``ConfigInvalid``.
     """
     schema = _config_schema()
     errors = sorted(schema.errors(config, schema.root), key=lambda error: error[0])

@@ -39,7 +39,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ZeroDiagonal
-from .evaluation import Block, Evaluations, cross_fit
+from .evaluation import Block, Evaluations, cross_fit, group_codes
 from .inference import IDENTITY, DeltaSpec, delta_variance, nonsingular, norm_ppf
 from .learners import Model
 from .moments import AverageMoment, MomentFunction
@@ -442,8 +442,9 @@ def _pooled_row_values(mf, ev: Evaluations, theta_pooled, h) -> np.ndarray:
         cnt[b.rows] += 1.0
     uncovered = np.flatnonzero(cnt == 0)
     if uncovered.size:
+        codes = group_codes(ev.d)
         for b in ev.blocks:
-            acc[uncovered] += _influence_rows(mf, Block.of(b.model, ev.d, uncovered),
+            acc[uncovered] += _influence_rows(mf, Block.of(b.model, ev.d, uncovered, codes=codes),
                                               theta_pooled, grad)
         cnt[uncovered] = len(ev.blocks)
     return acc / cnt

@@ -12,8 +12,9 @@ moments implement it, together with an analytic Jacobian (see
 ``MomentFunction``).
 
 Every built-in carries an analytic Jacobian; the tercile system is piecewise
-constant in theta and is handled by closed-form solving plus a dedicated
-Jacobian construction (see ``TercileFractions.jacobian_eta``).
+constant in theta and is handled by one closed-form solve
+(``TercileFractions.solve_pooled``) plus a dedicated Jacobian construction
+(see ``TercileFractions.jacobian_eta``).
 """
 
 from __future__ import annotations
@@ -197,10 +198,14 @@ class TercileFractions(MomentFunction):
     the outcome and the two prediction quantile thresholds. Group membership
     uses half-open intervals (t_{j-1}, t_j]; ties go to the lower group. The
     moment is piecewise constant in (t_1, t_2), so it is solved in closed form
-    and its Jacobian is built from the block structure rather than finite
-    differences: the threshold rows only require the prediction density and
-    the outcome's conditional mean at each threshold, and the density factors
-    cancel out of every functional of the fraction block.
+    (``solve_pooled``) and its Jacobian is built from the block structure
+    rather than finite differences: the threshold rows only require the
+    prediction density and the outcome's conditional mean at each threshold,
+    and the density factors cancel out of every functional of the fraction
+    block. Heavily tied predictions (a shallow tree, say) make the Jacobian
+    numerically singular: when the k nearest predictions to a threshold all
+    equal it, the density estimate there is k / (n * 2e-12), so the CIs and
+    tests raise ``SingularJacobian`` (exit 2 from the CLI).
     """
 
     name = "tercile_fractions"
@@ -224,18 +229,14 @@ class TercileFractions(MomentFunction):
             ]
         )
 
-    def solve_closed_form(self, eta, y) -> np.ndarray:
-        """Type-1 (left-inverse) quantiles for the thresholds, then group means of y."""
-        t1, t2 = np.quantile(eta, [1.0 / 3.0, 2.0 / 3.0], method="inverted_cdf")
-        groups = self.group_masks(eta, t1, t2)
-        means = [float(y[g].mean()) if g.any() else 0.0 for g in groups]
-        return np.array([*means, t1, t2])
-
     def solve_pooled(self, split_items) -> np.ndarray:
-        """Closed-form solve of the averaged moment over splits.
+        """Closed-form solve of the averaged moment over one or more splits.
 
         ``split_items`` is a list of (eta_values, y_values) pairs; each split
-        contributes weight 1/(n_splits * |s|) per row.
+        contributes weight 1/(n_splits * |s|) per row. The thresholds are the
+        type-1 (left-inverse) quantiles of the weighted predictions, the
+        smallest prediction whose cumulative weight reaches 1/3 and 2/3; the
+        group coordinates are the weighted group means of y.
         """
         n_splits = len(split_items)
         eta = np.concatenate([e for e, _ in split_items])
@@ -249,7 +250,7 @@ class TercileFractions(MomentFunction):
         for j in (1, 2):
             target = j * total / 3.0
             pos = int(np.searchsorted(cum, target - 1e-12, side="left"))
-            thresholds.append(float(eta[order][min(pos, eta.size - 1)]))
+            thresholds.append(float(eta[order[min(pos, eta.size - 1)]]))
         t1, t2 = thresholds
         means = [float((w[g] * y[g]).sum() / w[g].sum()) if g.any() else 0.0
                  for g in self.group_masks(eta, t1, t2)]

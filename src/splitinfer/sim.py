@@ -22,6 +22,10 @@ the unit effects Y(1) - Y(0) across units, which keeps the effects' spread
 and mean but makes them independent of the covariates: a null of no
 predictable heterogeneity. Both potential outcomes and their difference are
 kept in oracle columns.
+
+The grid's estimate rows check coverage of theta_{eta-hat}, the variant-2
+estimand of the trained split models, which ``estimand_oracle`` solves on
+fresh rows through the estimator's own ``zestim.solve_blocks``.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .learners import builtin
 from .moments import AverageMoment, MomentFunction, builtin_moment
 from .rng import derived_seed, substream
 from .splits import generate_plan
-from .zestim import newton_solve, solve
+from .zestim import solve, solve_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -266,27 +270,19 @@ def estimand_oracle(mf: MomentFunction, models, fresh: Dataset) -> np.ndarray:
     """theta_{eta-hat} approximated on a large fresh sample.
 
     Solves the variant-2 aggregation of the estimator over ``models``, the
-    split models in plan order, but substituting the fresh sample for every
-    evaluation split (population analog of the moment).
-    Each pass over the models predicts on the fresh sample one model at a
-    time, so the predictions of all models are never held at once.
+    split models in plan order, with the fresh sample standing in for every
+    evaluation split (the population analog of the moment). Each model
+    predicts on the fresh sample once. An average-type moment streams the
+    models in one pass, so the predictions of all models are never held at
+    once; any other moment holds len(models) x fresh.n predictions and solves
+    them through ``zestim.solve_blocks``, like the estimator itself.
     """
     codes = group_codes(fresh)
-
-    def blocks():
-        for model in models:
-            yield Block.of(model, fresh, codes=codes)
-
+    blocks = (Block.of(model, fresh, codes=codes) for model in models)
     if isinstance(mf, AverageMoment):
         # psi = f - theta, so the per-model mean psi at theta = 0 is the mean f
-        return np.array([pool(mf, blocks(), np.zeros(1)).split_psi[:, 0].mean()])
-    # general moments: Newton on the pooled fresh moment
-    theta0 = next(mf.initial_guess_eta(b.eta, b.y, b.g) for b in blocks())
-    theta, _, _ = newton_solve(
-        lambda theta: pool(mf, blocks(), theta).psi,
-        lambda theta: pool(mf, blocks(), theta, psi=False, jacobian=True).jacobian,
-        theta0, 1e-9)
-    return theta
+        return np.array([pool(mf, blocks, np.zeros(1)).split_psi[:, 0].mean()])
+    return solve_blocks(mf, list(blocks))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +383,8 @@ class ExperimentGrid:
 
     ``dgp`` is a :func:`dgp_sampler` spec. The estimate and compare rows fit
     ``learner`` for ``moment`` at level ``alpha``; the estimate rows' oracle
-    draws ``oracle_rows`` fresh rows.
+    draws ``oracle_rows`` fresh rows, on which a moment that is not
+    average-type holds M·K x ``oracle_rows`` predictions at once.
     """
 
     dgp: dict

@@ -56,15 +56,16 @@ class ZEstimate:
         return out
 
 
-def _tolerance(tol_base: float, theta: np.ndarray) -> float:
-    return tol_base * (1.0 + float(np.linalg.norm(theta)))
+def _tolerance(theta: np.ndarray) -> float:
+    return DEFAULT_TOL * (1.0 + float(np.linalg.norm(theta)))
 
 
-def newton_solve(fun, jac, theta0, tol_base=DEFAULT_TOL, max_iter=80):
+def newton_solve(fun, jac, theta0, max_iter=80):
     """Damped Newton root-finder on a vector system.
 
     ``fun(theta)`` returns the stacked moment, ``jac(theta)`` its Jacobian
-    estimate. Returns (theta, iterations, residual_norm). Raises
+    estimate. A residual norm within ``DEFAULT_TOL`` * (1 + |theta|) counts
+    as solved. Returns (theta, iterations, residual_norm). Raises
     ``SingularJacobian`` when a Newton step cannot be solved or is not
     finite, and ``NoConvergence`` when 40 step halvings give no sufficient
     decrease or ``max_iter`` iterations miss the tolerance.
@@ -73,7 +74,7 @@ def newton_solve(fun, jac, theta0, tol_base=DEFAULT_TOL, max_iter=80):
     value = fun(theta)
     for it in range(1, max_iter + 1):
         norm = float(np.linalg.norm(value))
-        if norm <= _tolerance(tol_base, theta):
+        if norm <= _tolerance(theta):
             return theta, it - 1, norm
         try:
             step = np.linalg.solve(jac(theta), -value)
@@ -92,7 +93,7 @@ def newton_solve(fun, jac, theta0, tol_base=DEFAULT_TOL, max_iter=80):
         else:
             raise NoConvergence(f"line search stalled at residual {norm:.3e}")
     norm = float(np.linalg.norm(value))
-    if norm <= _tolerance(tol_base, theta):
+    if norm <= _tolerance(theta):
         return theta, max_iter, norm
     raise NoConvergence(f"residual {norm:.3e} after {max_iter} iterations")
 
@@ -107,10 +108,7 @@ def solve_blocks(mf: MomentFunction, group) -> tuple[np.ndarray, int, float]:
         theta = pool(mf, group, np.zeros(1)).split_psi.mean(axis=0)
         return theta, 0, _residual(mf, group, theta)
     if isinstance(mf, TercileFractions):
-        if len(group) == 1:
-            theta = mf.solve_closed_form(group[0].eta, group[0].y)
-        else:
-            theta = mf.solve_pooled([(b.eta, b.y) for b in group])
+        theta = mf.solve_pooled([(b.eta, b.y) for b in group])
         return theta, 0, _residual(mf, group, theta)
     b0 = group[0]
     return newton_solve(lambda theta: pool(mf, group, theta).psi,

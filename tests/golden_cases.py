@@ -13,18 +13,40 @@ Each case is one CLI run with ``--threads 1`` on small data (n <= 400,
 M <= 10). A golden keeps the exit code and the whole report except
 ``config`` and a grid's ``results.csv_path``, which embed the run's own file
 paths; a ``simulate`` case also keeps the rows of its grid CSV.
+
+Before a remake, audit what it would change with
+
+    PYTHONPATH=src python tests/golden_cases.py --audit [NAME ...]
+
+which writes no golden and prints, for each case, how many numeric leaves of
+a fresh run are bitwise equal to the stored ones, within the golden test's
+tolerance, or beyond it, and the path of each leaf that is not bitwise equal.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import math
 import sys
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+RTOL = 1e-12
+# round-off-level values, such as a solver's residual_norm (~1e-17), carry no
+# relative precision: any change of summation order moves them by 100%.
+# The Monte-Carlo critical values are the most fragile fields: a Cholesky of
+# the PSD-projected Sigma amplifies Sigma's round-off, and regrouping Sigma's
+# sums has moved a critical value by 4e-12 and by 8e-12 relative. They hold to
+# RTOL only while a change keeps Sigma's arithmetic.
+ATOL = 1e-12
 
 MOMENTS = ("mse", "classify_prob", "classify_binary", "covariance",
            "linreg_on_eta", "group_mse_gap", "tercile_fractions")
@@ -159,6 +181,53 @@ def _csv_rows(path: Path) -> list[dict]:
         return [{k: value(v) for k, v in row.items()} for row in csv.DictReader(fh)]
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def compare_leaves(got, want, path=""):
+    """Walk two JSON values in step, yielding (path, verdict, note).
+
+    Each pair of leaves yields once: two numbers are "bitwise" when equal,
+    else "close" within RTOL and ATOL (when a float is on either side) or
+    "beyond"; any other pair is "equal" or "mismatch". A missing, unexpected
+    key or a list length that differs is a "mismatch" too. ``note`` says how
+    a pair differs, and is empty where it is bitwise or equal.
+    """
+    if isinstance(want, dict) and isinstance(got, dict):
+        for k in sorted(want.keys() - got.keys()):
+            yield f"{path}/{k}", "mismatch", "missing"
+        for k in sorted(got.keys() - want.keys()):
+            yield f"{path}/{k}", "mismatch", "unexpected"
+        for k in sorted(want.keys() & got.keys()):
+            yield from compare_leaves(got[k], want[k], f"{path}/{k}")
+        return
+    if isinstance(want, list) and isinstance(got, list):
+        if len(got) != len(want):
+            yield path, "mismatch", f"length {len(got)} != {len(want)}"
+            return
+        for i, (g, w) in enumerate(zip(got, want)):
+            yield from compare_leaves(g, w, f"{path}/{i}")
+        return
+    if not (_number(got) and _number(want)):
+        if type(got) is type(want) and got == want:
+            yield path, "equal", ""
+        else:
+            yield path, "mismatch", f"{got!r} != {want!r}"
+        return
+    # reports write each float as its shortest round-trip repr, so an integral
+    # float reads back as a float; goldens written at 17 significant digits
+    # hold it as an int, so a float on either side compares as a float
+    if got == want:
+        yield path, "bitwise", ""
+    elif not (isinstance(got, float) or isinstance(want, float)):
+        yield path, "beyond", f"{got!r} != {want!r}"
+    else:
+        note = f"{got!r} != {want!r} (rel {abs(got - want) / max(abs(got), abs(want)):.3g})"
+        close = math.isclose(got, want, rel_tol=RTOL, abs_tol=ATOL)
+        yield path, "close" if close else "beyond", note
+
+
 def run_case(name: str, workdir: Path) -> dict:
     """Run one case through ``cli.run``; its report without ``config`` (and
     ``results.csv_path``), plus the exit code and a grid's CSV rows."""
@@ -185,9 +254,31 @@ def run_case(name: str, workdir: Path) -> dict:
     return golden
 
 
-def main(names: list[str]) -> int:
-    import tempfile
+def audit(names: list[str]) -> int:
+    """Print each case's leaf counts against its stored golden (see the module
+    docstring); 1 when a leaf is beyond the tolerance or mismatched."""
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for name in names or sorted(cases(workdir)):
+            with open(GOLDEN_DIR / f"{name}.json", encoding="utf-8") as fh:
+                want = json.load(fh)
+            with contextlib.redirect_stdout(io.StringIO()):  # the CLI's report path
+                got = run_case(name, workdir)
+            leaves = list(compare_leaves(got, want))
+            counts = Counter(verdict for _, verdict, _ in leaves)
+            print(f"{name}: " + ", ".join(f"{verdict} {counts[verdict]}" for verdict in
+                                          ("bitwise", "close", "beyond", "mismatch")))
+            for path, verdict, note in leaves:
+                if note:
+                    print(f"  {verdict} {path}: {note}")
+            failed = failed or bool(counts["beyond"] or counts["mismatch"])
+    return int(failed)
 
+
+def main(names: list[str]) -> int:
+    if names[:1] == ["--audit"]:
+        return audit(names[1:])
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)

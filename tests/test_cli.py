@@ -404,17 +404,26 @@ def test_adaptive_ci_runs_where_the_normal_variance_is_zero(tmp_path, capsys):
     assert lo < results["estimate"]["theta_hat"][0] < hi
 
 
-@pytest.mark.parametrize("method, plan", [
-    ("compare", {"M": 1, "K": 2, "seed": 0}),
-    ("repro", {"M": 1, "K": 1, "b": 1, "seed": 0}),
+CONSTANT_LINREG = {"learner": "mean", "moment": "linreg_on_eta",
+                   "data": {"synthetic": {"kind": "base", "n": 30, "seed": 1}}}
+
+
+@pytest.mark.parametrize("method, plan, setup", [
+    pytest.param("compare", {"M": 1, "K": 2, "seed": 0}, CONSTANT_LINREG, id="compare-plan0"),
+    pytest.param("repro", {"M": 1, "K": 1, "b": 1, "seed": 0}, CONSTANT_LINREG,
+                 id="repro-plan1"),
+    pytest.param("estimate", {"M": 4, "K": 3, "seed": 11},
+                 {"learner": "tree(2)", "moment": "tercile_fractions",
+                  "data": {"synthetic": {"kind": "linear_cate", "n": 150, "seed": 3}}},
+                 id="estimate-tied_terciles"),
 ])
-def test_singular_jacobian_is_a_runtime_failure(tmp_path, capsys, method, plan):
+def test_singular_jacobian_is_a_runtime_failure(tmp_path, capsys, method, plan, setup):
     """A constant predictor leaves linreg_on_eta's Jacobian singular on each
     evaluation set: compare reads each set's own Jacobian, repro the pooled
-    one, which here is one set's."""
+    one, which here is one set's. A depth-2 tree ties its predictions, and
+    the tercile Jacobian's density estimate at a tied threshold blows up."""
     out = tmp_path / "r.json"
-    cfg = estimate_config(tmp_path, out, method=method, learner="mean", moment="linreg_on_eta",
-                          data={"synthetic": {"kind": "base", "n": 30, "seed": 1}}, plan=plan)
+    cfg = estimate_config(tmp_path, out, method=method, plan=plan, **setup)
     assert invoke([method, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "runtime failure: moment Jacobian is numerically singular" in err

@@ -159,24 +159,33 @@ def test_library_reports_are_plain_json():
         assert json.loads(json.dumps(payload)) == payload
 
 
-def test_oracle_holds_one_model_predictions_at_a_time():
-    # a general moment runs Newton on the fresh sample: each pass predicts with
-    # every model again, and a model's predictions are dropped before the next
-    # model predicts
+@pytest.mark.parametrize("moment", ["mse", "linreg_on_eta", "tercile_fractions"])
+def test_oracle_predicts_each_model_once(moment):
+    # every model predicts on the fresh sample once; an average moment streams
+    # the models, so a model's predictions are dropped before the next model
+    # predicts, and any other moment is solved by solve_blocks on them all
     rng = substream(5)
     x = rng.standard_normal(400)
     fresh = Dataset({"y": 3.0 * x + 0.5, "x": x}, Roles("y", ("x",)))
-    handed_out, held = [], []
+    handed_out, held, calls = [], [], []
 
     class Tracked(Model):
         def predict(self, z):
+            calls.append(self)
             held.append(sum(ref() is not None for ref in handed_out))
             eta = z[:, 0].copy()
             handed_out.append(weakref.ref(eta))
             return eta
 
     models = [Tracked() for _ in range(4)]
-    theta = estimand_oracle(builtin_moment("linreg_on_eta"), models, fresh)
-    np.testing.assert_allclose(theta, [0.5, 3.0], atol=1e-9)
-    assert len(held) > len(models)
-    assert max(held) <= 1
+    mf = builtin_moment(moment)
+    theta = estimand_oracle(mf, models, fresh)
+    assert calls == models
+    if moment == "mse":
+        np.testing.assert_allclose(theta, [np.mean((fresh.y - x) ** 2)])
+        assert max(held) <= 1
+    elif moment == "linreg_on_eta":
+        np.testing.assert_allclose(theta, [0.5, 3.0], atol=1e-9)
+    else:
+        expected = mf.solve_pooled([(x, fresh.y)] * len(models))
+        np.testing.assert_array_equal(theta, expected)

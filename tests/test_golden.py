@@ -1,46 +1,17 @@
 """Every golden case's report matches the stored one (see golden_cases.py)."""
 
 import json
-import math
 
 import pytest
 
-from golden_cases import GOLDEN_DIR, cases, run_case
-
-RTOL = 1e-12
-# round-off-level values, such as a solver's residual_norm (~1e-17), carry no
-# relative precision: any change of summation order moves them by 100%.
-# The Monte-Carlo critical values are the most fragile fields: a Cholesky of
-# the PSD-projected Sigma amplifies Sigma's round-off, and regrouping Sigma's
-# sums has moved a critical value by 4e-12 and by 8e-12 relative. They hold to
-# RTOL only while a change keeps Sigma's arithmetic.
-ATOL = 1e-12
+from golden_cases import GOLDEN_DIR, cases, compare_leaves, run_case
 
 
-def diff(got, want, path=""):
-    """Differences between two JSON values, one line each; empty if they match."""
-    if isinstance(want, dict) and isinstance(got, dict):
-        out = [f"{path}/{k}: missing" for k in sorted(want.keys() - got.keys())]
-        out += [f"{path}/{k}: unexpected" for k in sorted(got.keys() - want.keys())]
-        for k in sorted(want.keys() & got.keys()):
-            out += diff(got[k], want[k], f"{path}/{k}")
-        return out
-    if isinstance(want, list) and isinstance(got, list):
-        if len(got) != len(want):
-            return [f"{path}: length {len(got)} != {len(want)}"]
-        return [line for i, (g, w) in enumerate(zip(got, want))
-                for line in diff(g, w, f"{path}/{i}")]
-    # reports write each float as its shortest round-trip repr, so an integral
-    # float reads back as a float; goldens written at 17 significant digits
-    # hold it as an int, so a float on either side compares as a float
-    if (isinstance(got, float) or isinstance(want, float)) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in (got, want)):
-        if math.isclose(got, want, rel_tol=RTOL, abs_tol=ATOL):
-            return []
-        return [f"{path}: {got!r} != {want!r} (rel {abs(got - want) / max(abs(got), abs(want)):.3g})"]
-    if type(got) is type(want) and got == want:
-        return []
-    return [f"{path}: {got!r} != {want!r}"]
+def diff(got, want):
+    """Differences between two JSON values, one line each; empty if they match
+    to the tolerances of ``golden_cases.compare_leaves``."""
+    return [f"{path}: {note}" for path, verdict, note in compare_leaves(got, want)
+            if verdict in ("beyond", "mismatch")]
 
 
 @pytest.fixture(scope="module")

@@ -103,7 +103,7 @@ def test_tercile_thresholds_are_left_inverse_quantiles():
     for eta, thresholds in (([3.0, 1.0, 2.0], [1.0, 2.0]),
                             ([1.0, 2.0, 3.0, 4.0], [2.0, 3.0]),
                             ([2.0, 1.0, 2.0, 3.0, 2.0, 1.0], [1.0, 2.0])):  # ties
-        theta = mf.solve_closed_form(np.array(eta), np.zeros(len(eta)))
+        theta = mf.solve_pooled([(np.array(eta), np.zeros(len(eta)))])
         assert theta[3:].tolist() == thresholds
 
 
@@ -115,7 +115,7 @@ def test_tercile_solution_balances_groups():
     d = dataset_from(y, x)
     mf = builtin_moment("tercile_fractions")
     model = FixedFunctionModel(lambda z: z[:, 0])
-    theta = mf.solve_closed_form(model.predict(d.x), d.y)
+    theta = mf.solve_pooled([(model.predict(d.x), d.y)])
     g1, g2, g3 = mf.group_masks(model.predict(d.x), theta[3], theta[4])
     lo, hi = n // 3, -(-n // 3)
     for g in (g1, g2, g3):
@@ -131,5 +131,5 @@ def test_tercile_constant_outcome():
     x = rng.standard_normal(30)
     d = dataset_from(np.ones(30), x)
     mf = builtin_moment("tercile_fractions")
-    theta = mf.solve_closed_form(FixedFunctionModel(lambda z: z[:, 0]).predict(d.x), d.y)
+    theta = mf.solve_pooled([(FixedFunctionModel(lambda z: z[:, 0]).predict(d.x), d.y)])
     np.testing.assert_allclose(theta[:3], 1.0)

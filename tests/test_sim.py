@@ -164,6 +164,19 @@ def test_run_grid_smoke_rows_and_determinism(tmp_path):
         assert cell["coverage"] is not None
 
 
+def test_run_grid_tercile_oracle_solves(tmp_path):
+    # the oracle solves the tercile system in closed form, as the estimator
+    # does, so no K leaves it to a Newton iteration that can stall
+    grid = ExperimentGrid(
+        dgp={"kind": "linear_cate"}, n_list=(300,), K_list=(1, 3), M=5,
+        methods=("estimate",), iterations=2, seed=1,
+        out_csv=str(tmp_path / "grid.csv"), moment="tercile_fractions", oracle_rows=5000,
+    )
+    rows = run_grid(grid)
+    assert [(row["K"], row["error"]) for row in rows] == [(1, ""), (1, ""), (3, ""), (3, "")]
+    assert all(row["covered"] in (0, 1) for row in rows)
+
+
 def test_run_grid_records_failures(tmp_path, monkeypatch):
     grid = ExperimentGrid(
         dgp={"kind": "gauss_linear"}, n_list=(30,), K_list=(2,), M=1,
