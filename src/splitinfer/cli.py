@@ -16,14 +16,15 @@ train (the message names the split (m, k), or the compare baseline).
 and ``compare`` with a baseline; ``gates``, ``compare`` with
 ``against_learner`` and ``simulate`` fit on one thread.
 
-The schema check reads ``schemas/config.schema.json`` with a small interpreter
-(``_Schema``) of the JSON Schema 2020-12 keywords that file uses: ``type``,
-``enum``, ``const``, ``required``, ``properties``, ``additionalProperties``
-and ``unevaluatedProperties`` (both ``false``), ``dependentRequired``,
-``items``, ``minItems``, ``minimum``, ``maximum``, ``exclusiveMinimum``,
-``exclusiveMaximum``, ``allOf``, ``if``/``then``/``else`` and local ``$ref``.
-Loading the schema refuses any other keyword, so the schema cannot grow a
-rule the check would skip, and starting the CLI loads no JSON Schema library.
+The schema check reads the flat ``schemas/config.schema.json`` with two small
+functions for the JSON Schema 2020-12 keywords it uses: ``type``, ``enum``,
+``required``, ``properties``, ``additionalProperties`` (``false``),
+``dependentRequired``, ``items``, ``minItems`` and the four bounds. Loading
+the schema refuses any other keyword, so it cannot grow a rule the check
+would skip, and starting the CLI loads no JSON Schema library. A rule that
+needs a conditional lives where the decision is made: ``sim.dgp_sampler``
+checks each generator kind's options and modes, and ``resolve_config`` that
+a simulate config has ``simulate`` and that ``data`` names one source.
 
 ``validate-config`` runs the schema check and a run's resolution
 (``resolve_config``: names, and the plan checks that need no data), so a bad
@@ -36,8 +37,9 @@ data (n against K, b or L, the CSV, control columns) stay with the runs.
 
 Data come from a CSV (``data.path``) or from a synthetic generator
 (``data.synthetic``: any kind of ``sim.dgp_sampler``, i.e. "base",
-"linear_cate", "gauss_linear", "copula" or "hte", plus ``n`` and ``seed``;
-default: 400 rows of "base" with seed 0).
+"linear_cate", "gauss_linear", "copula" or "hte", with the options of its
+kind, plus ``n`` and ``seed``; default: 400 rows of "base" with seed 0), not
+from both.
 """
 
 from __future__ import annotations
@@ -80,13 +82,12 @@ def load_schema(name: str) -> dict:
         return json.load(fh)
 
 
-# ``_Schema`` would silently skip a keyword it does not implement, so loading a
+# the check would silently skip a keyword it does not implement, so loading a
 # schema with any keyword outside these sets fails
-_ANNOTATIONS = frozenset({"$schema", "title", "$defs"})
+_ANNOTATIONS = frozenset({"$schema", "title"})
 _KEYWORDS = frozenset({
-    "type", "enum", "const", "required", "properties", "additionalProperties",
-    "unevaluatedProperties", "dependentRequired", "items", "minItems", "minimum", "maximum",
-    "exclusiveMinimum", "exclusiveMaximum", "allOf", "if", "then", "else", "$ref",
+    "type", "enum", "required", "properties", "additionalProperties", "dependentRequired",
+    "items", "minItems", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
 })
 _TYPES = {"string": str, "boolean": bool, "null": type(None), "array": list, "object": dict,
           "number": (int, float), "integer": (int, float)}
@@ -114,135 +115,81 @@ def _equal(a, b) -> bool:
     return a is b if isinstance(a, bool) or isinstance(b, bool) else a == b
 
 
-class _Schema:
-    """An interpreter of the keywords in ``_KEYWORDS``, with local ``$ref`` only.
+def _check_schema(schema, where: str = "#") -> None:
+    """Raise ``ValueError`` if ``schema`` uses a keyword outside ``_KEYWORDS``
+    and ``_ANNOTATIONS``, an unknown type, an ``additionalProperties`` other
+    than ``false``, or an ``enum`` value that is not a JSON scalar."""
+    if not isinstance(schema, dict):
+        raise ValueError(f"{where}: a schema must be an object")
+    for key, rule in schema.items():
+        at = f"{where}/{key}"
+        if key not in _KEYWORDS | _ANNOTATIONS:
+            raise ValueError(f"{at}: unsupported schema keyword {key!r}")
+        if key == "properties":
+            for name, sub in rule.items():
+                _check_schema(sub, f"{at}/{name}")
+        elif key == "items":
+            _check_schema(rule, at)
+        elif key == "type" and not set(_names(rule)) <= _TYPES.keys():
+            raise ValueError(f"{at}: unknown type in {rule!r}")
+        elif key == "additionalProperties" and rule is not False:
+            raise ValueError(f"{at}: only false is supported")
+        elif key == "enum" and not all(isinstance(v, (str, int, float, bool, type(None)))
+                                       for v in rule):
+            raise ValueError(f"{at}: only JSON scalars are supported")
 
-    Loading checks the whole schema and raises ``ValueError`` on any other
-    keyword, a ``$ref`` that does not resolve, ``false`` missing from
-    ``additionalProperties`` or ``unevaluatedProperties``, or an ``enum`` or
-    ``const`` value that is not a JSON scalar.
-    """
 
-    def __init__(self, root: dict):
-        self.root = root
-        self._check(root, "#")
-
-    def _resolve(self, ref: str) -> dict:
-        node = self.root
-        try:
-            if not ref.startswith("#/"):
-                raise KeyError(ref)
-            for part in ref[2:].split("/"):
-                node = node[part.replace("~1", "/").replace("~0", "~")]
-        except (KeyError, TypeError):
-            raise ValueError(f"$ref {ref!r} is not a pointer into the schema") from None
-        return node
-
-    def _check(self, schema, where: str) -> None:
-        if not isinstance(schema, dict):
-            raise ValueError(f"{where}: a schema must be an object")
-        for key, rule in schema.items():
-            at = f"{where}/{key}"
-            if key not in _KEYWORDS | _ANNOTATIONS:
-                raise ValueError(f"{at}: unsupported schema keyword {key!r}")
-            if key in ("properties", "$defs"):
-                for name, sub in rule.items():
-                    self._check(sub, f"{at}/{name}")
-            elif key in ("items", "if", "then", "else"):
-                self._check(rule, at)
-            elif key == "allOf":
-                for i, sub in enumerate(rule):
-                    self._check(sub, f"{at}/{i}")
-            elif key == "$ref":
-                self._resolve(rule)
-            elif key == "type" and not set(_names(rule)) <= _TYPES.keys():
-                raise ValueError(f"{at}: unknown type in {rule!r}")
-            elif key in ("additionalProperties", "unevaluatedProperties") and rule is not False:
-                raise ValueError(f"{at}: only false is supported")
-            elif key in ("enum", "const") and not all(
-                    isinstance(v, (str, int, float, bool, type(None)))
-                    for v in (rule if key == "enum" else [rule])):
-                raise ValueError(f"{at}: only JSON scalars are supported")
-
-    def is_valid(self, value, schema: dict) -> bool:
-        return next(self.errors(value, schema), None) is None
-
-    def errors(self, value, schema: dict, path: tuple = ()):
-        """Yield (path, message) for each rule of ``schema`` that ``value`` breaks."""
-        is_array, is_object = isinstance(value, list), isinstance(value, dict)
-        for key, rule in schema.items():
-            if key == "type" and not any(_is_type(value, name) for name in _names(rule)):
-                yield path, f"{value!r} is not of type {' or '.join(_names(rule))}"
-            elif key == "enum" and not any(_equal(value, v) for v in rule):
-                yield path, f"{value!r} is not one of {rule!r}"
-            elif key == "const" and not _equal(value, rule):
-                yield path, f"{value!r} is not the constant {rule!r}"
-            elif key == "$ref":
-                yield from self.errors(value, self._resolve(rule), path)
-            elif key == "allOf":
-                for sub in rule:
-                    yield from self.errors(value, sub, path)
-            elif key == "if":
-                branch = schema.get("then" if self.is_valid(value, rule) else "else")
-                if branch is not None:
-                    yield from self.errors(value, branch, path)
-            elif key in _BOUNDS and _is_type(value, "number") and _BOUNDS[key][0](value, rule):
-                yield path, f"{value!r} is {_BOUNDS[key][1]} {rule!r}"
-            elif key == "items" and is_array:
-                for i, item in enumerate(value):
-                    yield from self.errors(item, rule, path + (i,))
-            elif key == "minItems" and is_array and len(value) < rule:
-                yield path, f"{value!r} has fewer than minItems {rule} items"
-            elif key == "properties" and is_object:
-                for name, sub in rule.items():
-                    if name in value:
-                        yield from self.errors(value[name], sub, path + (name,))
-            elif key == "required" and is_object:
-                for name in rule:
-                    if name not in value:
-                        yield path, f"the required key {name!r} is missing"
-            elif key == "dependentRequired" and is_object:
-                for name, needed in rule.items():
-                    for other in needed if name in value else ():
-                        if other not in value:
-                            yield path, f"the key {other!r} is required with {name!r}"
-            elif key in ("additionalProperties", "unevaluatedProperties") and is_object:
-                known = (schema.get("properties", {}).keys() if key == "additionalProperties"
-                         else self._evaluated(value, schema))
-                extra = [name for name in value if name not in known]
-                if extra:
-                    yield path, f"{key} is false: unknown key(s) {', '.join(map(repr, extra))}"
-
-    def _evaluated(self, value: dict, schema: dict) -> set:
-        """The keys of ``value`` that ``schema`` evaluates: its ``properties``,
-        and those of its ``$ref``, each ``allOf`` branch that ``value`` passes,
-        and the ``if`` and the branch taken."""
-        keys = value.keys() & schema.get("properties", {}).keys()
-        subs = [self._resolve(schema["$ref"])] if "$ref" in schema else []
-        subs += [sub for sub in schema.get("allOf", ()) if self.is_valid(value, sub)]
-        if "if" in schema:
-            taken = self.is_valid(value, schema["if"])
-            subs += [schema["if"], schema.get("then", {})] if taken else [schema.get("else", {})]
-        for sub in subs:
-            keys |= self._evaluated(value, sub)
-        return keys
+def _schema_errors(value, schema: dict, path: tuple = ()):
+    """Yield (path, message) for each rule of ``schema`` that ``value`` breaks."""
+    is_array, is_object = isinstance(value, list), isinstance(value, dict)
+    for key, rule in schema.items():
+        if key == "type" and not any(_is_type(value, name) for name in _names(rule)):
+            yield path, f"{value!r} is not of type {' or '.join(_names(rule))}"
+        elif key == "enum" and not any(_equal(value, v) for v in rule):
+            yield path, f"{value!r} is not one of {rule!r}"
+        elif key in _BOUNDS and _is_type(value, "number") and _BOUNDS[key][0](value, rule):
+            yield path, f"{value!r} is {_BOUNDS[key][1]} {rule!r}"
+        elif key == "items" and is_array:
+            for i, item in enumerate(value):
+                yield from _schema_errors(item, rule, path + (i,))
+        elif key == "minItems" and is_array and len(value) < rule:
+            yield path, f"{value!r} has fewer than minItems {rule} items"
+        elif key == "properties" and is_object:
+            for name, sub in rule.items():
+                if name in value:
+                    yield from _schema_errors(value[name], sub, path + (name,))
+        elif key == "required" and is_object:
+            for name in rule:
+                if name not in value:
+                    yield path, f"the required key {name!r} is missing"
+        elif key == "dependentRequired" and is_object:
+            for name, needed in rule.items():
+                for other in needed if name in value else ():
+                    if other not in value:
+                        yield path, f"the key {other!r} is required with {name!r}"
+        elif key == "additionalProperties" and is_object:
+            extra = [repr(name) for name in value if name not in schema.get("properties", {})]
+            if extra:
+                yield path, f"additionalProperties is false: unknown key(s) {', '.join(extra)}"
 
 
 @functools.cache
-def _config_schema() -> _Schema:
-    return _Schema(load_schema("config.schema.json"))
+def _config_schema() -> dict:
+    schema = load_schema("config.schema.json")
+    _check_schema(schema)
+    return schema
 
 
 def validate_config(config: dict) -> None:
     """Check ``config`` against ``schemas/config.schema.json``.
 
-    The schema is read by ``_Schema`` (see there for the keywords it knows),
-    with the 2020-12 meaning (an integral float is an integer, and a bool is
-    no number). Every broken rule is collected as (path, message); the first
-    in path order raises ``ConfigInvalid``.
+    The schema may use only ``type``, ``enum``, ``required``, ``properties``,
+    ``additionalProperties`` (``false``), ``dependentRequired``, ``items``,
+    ``minItems`` and the four bounds, with the 2020-12 meaning (an integral
+    float is an integer, and a bool is no number). The first broken rule in
+    path order raises ``ConfigInvalid``.
     """
-    schema = _config_schema()
-    errors = sorted(schema.errors(config, schema.root), key=lambda error: error[0])
+    errors = sorted(_schema_errors(config, _config_schema()), key=lambda error: error[0])
     if errors:
         path, message = errors[0]
         raise ConfigInvalid("/" + "/".join(str(p) for p in path), message)
@@ -294,8 +241,12 @@ def _given(section: dict, *keys: str) -> dict:
 def _resolve_names(config: dict) -> None:
     """Resolve every moment, reduction, learner, grid method and data
     generator now, and check that an adaptive estimate has an average-type
-    moment, so that a bad one is a config error with its JSON pointer, not a
-    failure mid-run."""
+    moment, that a simulate config has its ``simulate`` section and that
+    ``data`` names one source, so that a bad one is a config error with its
+    JSON pointer, not a failure mid-run."""
+    sim_cfg = config.get("simulate")
+    if config["method"] == "simulate" and sim_cfg is None:
+        raise ConfigInvalid("/", "the required key 'simulate' is missing")
     mf = _resolved("/moment", builtin_moment, config["moment"])
     _resolved("/h", named_reduction, config["h"], mf.dim)
     if (config["method"] == "estimate" and config.get("estimate", {}).get("adaptive")
@@ -308,9 +259,10 @@ def _resolve_names(config: dict) -> None:
                     if key in ("baseline", "against_learner"))
     for pointer, name in learners.items():
         _resolved(pointer, builtin, name)
-    _resolved("/data/synthetic", sim.dgp_sampler,
-              (config.get("data") or {}).get("synthetic", {}), "base")
-    sim_cfg = config.get("simulate")
+    data_cfg = config.get("data") or {}
+    if "path" in data_cfg and "synthetic" in data_cfg:
+        raise ConfigInvalid("/data", "data.path and data.synthetic are two sources; give one")
+    _resolved("/data/synthetic", sim.dgp_sampler, _synthetic(data_cfg)[0], "base")
     if sim_cfg is not None:
         for i, method in enumerate(sim_cfg["methods"]):
             if method not in sim.METHOD_RUNNERS:
@@ -319,12 +271,13 @@ def _resolve_names(config: dict) -> None:
 
 
 def _check_plan(config: dict) -> None:
-    """Make the plan checks that need no data: K=1 needs b, and GATES needs
-    J, K and L of at least 2. The runs check n against K, b and L."""
+    """Make the plan checks that need no data: K=1 needs b, K > 1 takes none, and
+    GATES needs J, K and L of at least 2. The runs check n against K, b and L."""
+    plan = config["plan"]
     if config["method"] == "gates":
         _gates_config(config)
+        _resolved("/plan/b", check_plan, plan["M"], plan["K"], plan["b"])
     elif config["method"] in ("estimate", "compare", "repro"):
-        plan = config["plan"]
         _resolved("/plan", check_plan, plan["M"], plan["K"], plan["b"])
 
 
@@ -345,6 +298,12 @@ def _resolved(pointer: str, resolve, *args, **kwargs):
         raise ConfigInvalid(pointer, str(exc)) from None
 
 
+def _synthetic(data_cfg: dict) -> tuple[dict, int, int]:
+    """``data.synthetic`` split into its generator spec, n and seed."""
+    spec = dict(data_cfg.get("synthetic", {}))
+    return spec, int(spec.pop("n", 400)), int(spec.pop("seed", 0))
+
+
 def build_dataset(config: dict):
     data_cfg = config.get("data") or {}
     if "path" in data_cfg:
@@ -353,8 +312,8 @@ def build_dataset(config: dict):
                               **_given(data_cfg, "missing_policy", "missing_values"))
         except OSError as exc:
             raise ConfigInvalid("/data/path", f"cannot read the CSV: {exc}") from None
-    synth = data_cfg.get("synthetic", {})
-    return sim.dgp_sampler(synth, "base")(int(synth.get("n", 400)), int(synth.get("seed", 0)))
+    spec, n, seed = _synthetic(data_cfg)
+    return sim.dgp_sampler(spec, "base")(n, seed)
 
 
 # ---------------------------------------------------------------------------

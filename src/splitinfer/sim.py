@@ -4,7 +4,10 @@
 options, typed in ``config.schema.json``) to data: the CLI's
 ``data.synthetic`` and the grid's ``simulate.dgp`` both draw through it. The
 kinds are "base" (``synthetic_base``), "linear_cate", "gauss_linear", "copula"
-(over a fixed synthetic base) and "hte".
+(over a fixed synthetic base) and "hte". It owns the generator rules:
+``DGP_OPTIONS`` names the options each kind reads and ``DGP_MODES`` the modes
+of the kinds that have one, and ``dgp_sampler`` raises ``ValueError`` on any
+other option or mode (``CopulaDGP`` and ``hte_sample`` check their mode too).
 
 The Gaussian-copula generator preserves the empirical margins and latent
 normal rank correlation of a base dataset: ranks are mapped to uniforms,
@@ -47,6 +50,18 @@ from .moments import AverageMoment, MomentFunction, builtin_moment
 from .rng import derived_seed, substream
 from .splits import generate_plan
 from .zestim import solve, solve_blocks
+
+# the options each generator kind reads, and the modes of the kinds that have one
+DGP_OPTIONS = {"base": (), "linear_cate": (), "gauss_linear": ("slope", "noise"),
+               "copula": ("mode", "outcome_p", "base_n", "base_seed"), "hte": ("mode",)}
+DGP_MODES = {"copula": ("asis", "correlated", "uncorrelated"), "hte": ("predictable", "shuffled")}
+
+
+def _check_mode(kind: str, mode) -> None:
+    """Raise ``ValueError`` unless ``mode`` is one of the modes of ``kind``."""
+    if mode not in DGP_MODES[kind]:
+        raise ValueError(f"the {kind!r} generator has no mode {mode!r}; its modes are "
+                         f"{', '.join(map(repr, DGP_MODES[kind]))}")
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +119,9 @@ class CopulaDGP:
     mode: str = "asis"  # asis | correlated | uncorrelated
     outcome_p: float = 0.07
     sigma: np.ndarray | None = None
+
+    def __post_init__(self):
+        _check_mode("copula", self.mode)
 
     def sigma_star(self) -> np.ndarray:
         names = self.base.column_names
@@ -203,6 +221,7 @@ def hte_sample(n: int, seed: int, mode: str = "predictable") -> Dataset:
     """
     from scipy import stats
 
+    _check_mode("hte", mode)
     rng = substream(seed, 2)
     p = 6
     corr = np.full((p, p), 0.2)
@@ -293,9 +312,16 @@ def dgp_sampler(spec: dict, default_kind: str = "gauss_linear"):
     """``(n, seed) -> Dataset`` for a data-generator spec (``kind`` and its options).
 
     A spec without a ``kind`` gets ``default_kind``: "gauss_linear" for the
-    grid's ``simulate.dgp``, "base" for the CLI's ``data.synthetic``.
+    grid's ``simulate.dgp``, "base" for the CLI's ``data.synthetic``. An
+    unknown kind, an option that ``DGP_OPTIONS`` does not list for the kind
+    or a mode that ``DGP_MODES`` does not list raises ``ValueError``.
     """
     kind = spec.get("kind", default_kind)
+    if kind not in DGP_OPTIONS:
+        raise ValueError(f"unknown DGP kind {kind!r}")
+    unread = [key for key in spec if key not in ("kind", *DGP_OPTIONS[kind])]
+    if unread:
+        raise ValueError(f"the {kind!r} generator reads no option {', '.join(map(repr, unread))}")
     if kind == "base":
         return synthetic_base
     if kind == "linear_cate":
@@ -316,10 +342,9 @@ def dgp_sampler(spec: dict, default_kind: str = "gauss_linear"):
         dgp = CopulaDGP(base, mode=spec.get("mode", "asis"),
                         outcome_p=float(spec.get("outcome_p", 0.07)))
         return lambda n, seed: copula_sample(dgp, n, seed)
-    if kind == "hte":
-        mode = spec.get("mode", "predictable")
-        return lambda n, seed: hte_sample(n, seed, mode)
-    raise ValueError(f"unknown DGP kind {kind!r}")
+    mode = spec.get("mode", "predictable")
+    _check_mode("hte", mode)
+    return lambda n, seed: hte_sample(n, seed, mode)
 
 
 def _grid_fit(grid, n, K, cell_index, iteration):

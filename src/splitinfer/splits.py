@@ -61,6 +61,8 @@ def check_plan(M: int, K: int, b: int | None = None, n: int | None = None) -> No
         if b is None or b < 1 or (n is not None and b >= n):
             raise InvalidSubsampleSize(f"K=1 requires 1 <= b < n, got b={b}"
                                        + ("" if n is None else f", n={n}"))
+    elif b is not None:
+        raise InvalidSubsampleSize(f"K={K} takes no b (its folds have n // K rows), got b={b}")
     elif n is not None and n < 2 * K:
         raise InvalidFoldCount(f"K={K} needs n >= {2 * K} rows, got {n}")
 
@@ -79,7 +81,7 @@ def generate_plan(n: int, M: int, K: int, b: int | None = None, seed: int = 0) -
     n : number of rows.
     M : repetitions, drawn independently (identical repetitions are legal).
     K : folds per repetition; K=1 means sample-splitting with subsample size b.
-    b : evaluation-subsample size, required iff K=1 (defaults to n // K otherwise).
+    b : evaluation-subsample size, required iff K=1 and None otherwise (the plan records n // K).
     seed : master seed; repetition m uses the substream (seed, m).
     """
     check_plan(M, K, b, n)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -13,12 +14,12 @@ from hypothesis import given, settings
 from jsonschema import Draft202012Validator
 
 import splitinfer
-from splitinfer.cli import _Schema, build_dataset, load_schema, run, validate_config
+from splitinfer.cli import _check_schema, build_dataset, load_schema, run, validate_config
 from splitinfer.errors import ConfigInvalid
 from splitinfer.moments import builtin_moment
 from splitinfer.report import SCHEMA_VERSION, dumps, sanitize, write_report
 from splitinfer.rng import derived_seed, substream
-from splitinfer.sim import ExperimentGrid, _grid_fit
+from splitinfer.sim import DGP_OPTIONS as KIND_OPTIONS, ExperimentGrid, _grid_fit
 
 from golden_cases import cases as golden_cases
 
@@ -135,10 +136,10 @@ BAD_CONFIGS = [
     needs_data_or_output("repro", {"plan": {"M": 3, "K": 50, "seed": 5}}, "/plan"),
     ("gates", {"plan": {"M": 3, "K": 1, "seed": 5}}, "/plan/K"),
     ("estimate", {"data": {"synthetic": {"kind": "copula", "mode": "shuffled"}}},
-     "/data/synthetic/mode"),
+     "/data/synthetic"),
     ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
                                "methods": ["estimate"], "dgp": {"kind": "hte", "mode": "asis"}}},
-     "/simulate/dgp/mode"),
+     "/simulate/dgp"),
     needs_data_or_output("gates", {"data": {"synthetic": {"kind": "linear_cate", "n": 40,
                                                           "seed": 1}},
                                    "plan": {"M": 3, "K": 25, "seed": 5}}, "/plan/K"),  # n < 2K
@@ -169,6 +170,17 @@ BAD_CONFIGS = [
     ("simulate", {}, "/"),  # a simulate config needs its simulate section
     ("estimate", {"learner": "knn(3.7)"}, "/learner"),
     ("estimate", {"learner": "tree(2.5)"}, "/learner"),
+    ("estimate", {"plan": {"M": 2, "K": 3, "b": 7, "seed": 5}}, "/plan"),  # K > 1 takes no b
+    ("gates", {"plan": {"M": 2, "K": 3, "b": 7, "seed": 5}}, "/plan/b"),
+    ("estimate", {"data": {"synthetic": {"kind": "base", "slope": 5}}}, "/data/synthetic"),
+    ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
+                               "methods": ["estimate"], "dgp": {"kind": "hte", "outcome_p": 0.3}}},
+     "/simulate/dgp"),
+    ("estimate", {"data": {"path": "data.csv", "schema": {"outcome": "y"},
+                           "synthetic": {"kind": "base"}}}, "/data"),  # two sources
+    ("estimate", {"data": {"missing_policy": "drop"}}, "/data"),  # CSV keys need data.path
+    ("estimate", {"data": {"schema": {"outcome": "y"}}}, "/data"),
+    ("estimate", {"data": {"missing_values": ["NA"]}}, "/data"),
 ]
 
 
@@ -344,13 +356,75 @@ def test_config_check_agrees_with_jsonschema_on_known_configs(tmp_path):
 
 
 def test_schema_loader_refuses_keywords_it_does_not_implement():
-    _Schema(CONFIG_SCHEMA)
+    _check_schema(CONFIG_SCHEMA)
     for where in (lambda s: s, lambda s: s["properties"]["h"],
-                  lambda s: s["$defs"]["dgp"]["allOf"][0]["then"]):
-        schema = json.loads(json.dumps(CONFIG_SCHEMA))
-        where(schema)["pattern"] = "^[a-z]+$"
-        with pytest.raises(ValueError, match="unsupported schema keyword 'pattern'"):
-            _Schema(schema)
+                  lambda s: s["properties"]["data"]["properties"]["synthetic"]):
+        for keyword, rule in (("pattern", "^[a-z]+$"), ("$ref", "#/properties/plan"),
+                              ("if", {"required": ["kind"]})):
+            schema = json.loads(json.dumps(CONFIG_SCHEMA))
+            where(schema)[keyword] = rule
+            with pytest.raises(ValueError,
+                               match=re.escape(f"unsupported schema keyword {keyword!r}")):
+                _check_schema(schema)
+
+
+def test_generator_objects_list_the_same_options():
+    """``data.synthetic`` is ``simulate.dgp`` plus n and seed, and both list
+    the kinds and options of ``sim.DGP_OPTIONS``."""
+    synthetic = CONFIG_SCHEMA["properties"]["data"]["properties"]["synthetic"]
+    dgp = CONFIG_SCHEMA["properties"]["simulate"]["properties"]["dgp"]
+    options = dict(synthetic["properties"])
+    assert (options.pop("n"), options.pop("seed")) == (
+        {"type": "integer", "minimum": 2}, {"type": "integer", "minimum": 0})
+    assert {**synthetic, "properties": options} == dgp
+    assert dgp["properties"]["kind"]["enum"] == list(KIND_OPTIONS)
+    assert set(dgp["properties"]) == {"kind"}.union(*KIND_OPTIONS.values())
+
+
+# validate-config's exit code on each generator kind and mode in each of the two
+# generator specs: 0 exactly where the kind has the mode (or no mode is given)
+ABSENT = object()
+
+
+def grid_label(value):
+    return "absent" if value is ABSENT else str(value)
+
+GRID_KINDS = [ABSENT, "base", "linear_cate", "gauss_linear", "copula", "hte", "weird"]
+GRID_MODES = [ABSENT, "asis", "correlated", "uncorrelated", "predictable", "shuffled", "bogus",
+              3, None]
+GRID_ACCEPTED = {(ABSENT, ABSENT), ("base", ABSENT), ("linear_cate", ABSENT),
+                 ("gauss_linear", ABSENT), ("copula", ABSENT), ("copula", "asis"),
+                 ("copula", "correlated"), ("copula", "uncorrelated"), ("hte", ABSENT),
+                 ("hte", "predictable"), ("hte", "shuffled")}
+VERDICT_GRID = [
+    pytest.param(where, {key: value for key, value in (("kind", kind), ("mode", mode))
+                         if value is not ABSENT},
+                 int((kind, mode) not in GRID_ACCEPTED),
+                 id=f"{where}-{grid_label(kind)}-{grid_label(mode)}")
+    for where in ("synthetic", "dgp") for kind in GRID_KINDS for mode in GRID_MODES
+] + [
+    ("synthetic", {"kind": "copula", "mode": "uncorrelated", "outcome_p": 0.2, "base_n": 50,
+                   "base_seed": 3}, 0),
+    ("dgp", {"kind": "gauss_linear", "slope": -2, "noise": 0.5}, 0),
+    ("dgp", {"kind": "hte", "mode": "Shuffled"}, 1),
+    ("synthetic", {"kind": None}, 1),
+]
+
+
+@pytest.mark.parametrize("where, spec, code", VERDICT_GRID)
+def test_generator_spec_verdicts(tmp_path, capsys, where, spec, code):
+    if where == "synthetic":
+        config = {"method": "estimate", "data": {"synthetic": {**spec, "n": 90, "seed": 1}},
+                  "plan": {"M": 3, "K": 3, "seed": 5}}
+        pointer = "/data/synthetic"
+    else:
+        config = {"method": "simulate", "simulate": {"dgp": spec, "n_list": [40], "K_list": [2],
+                                                     "iterations": 1, "methods": ["estimate"]}}
+        pointer = "/simulate/dgp"
+    assert invoke(["validate-config", "--config", write_config(tmp_path, config)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (f"invalid config at {pointer}" in err) == bool(code)
 
 
 def test_method_mismatch_is_a_config_error(tmp_path, capsys):

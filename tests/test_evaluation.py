@@ -114,6 +114,8 @@ def test_evaluate_blocks_follow_plan_order():
         np.testing.assert_array_equal(b.eta, d.x[rows, 0] + b.m + b.k)
         np.testing.assert_array_equal(b.y, d.y[rows])
         np.testing.assert_array_equal(b.g, (d.g[rows] == 5.0).astype(int))
+        assert b.eta.base is ev.blocks[0].eta.base  # one buffer holds every prediction
+    assert ev.blocks[0].eta.base.shape == (2 * 20,)
     np.testing.assert_array_equal(group_codes(d), (d.g == 5.0).astype(int))
 
 

@@ -117,6 +117,39 @@ def test_hte_strong_design_has_predictable_gap():
     assert oracle_tercile_gap(d) > 0.1
 
 
+# the options each generator kind reads; any other is refused
+KIND_READS = {"base": set(), "linear_cate": set(), "gauss_linear": {"slope", "noise"},
+              "copula": {"mode", "outcome_p", "base_n", "base_seed"}, "hte": {"mode"}}
+OPTION_VALUES = {"slope": 2.0, "noise": 0.5, "mode": "shuffled", "outcome_p": 0.2, "base_n": 50,
+                 "base_seed": 3, "n": 40, "seed": 1}
+
+
+@pytest.mark.parametrize("kind, option", [(kind, option) for kind, reads in KIND_READS.items()
+                                          for option in OPTION_VALUES if option not in reads])
+def test_dgp_sampler_refuses_an_option_the_kind_does_not_read(kind, option):
+    with pytest.raises(ValueError, match=f"the '{kind}' generator reads no option '{option}'"):
+        sim.dgp_sampler({"kind": kind, option: OPTION_VALUES[option]})
+
+
+@pytest.mark.parametrize("kind, mode", [("copula", "shuffled"), ("copula", "uncorrelatd"),
+                                        ("copula", 3), ("hte", "asis"), ("hte", "shufled")])
+def test_dgp_sampler_refuses_a_mode_the_kind_does_not_have(kind, mode):
+    with pytest.raises(ValueError, match=f"the '{kind}' generator has no mode {mode!r}"):
+        sim.dgp_sampler({"kind": kind, "mode": mode})
+
+
+def test_dgp_sampler_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown DGP kind 'weird'"):
+        sim.dgp_sampler({"kind": "weird"})
+
+
+def test_generators_check_their_mode():
+    with pytest.raises(ValueError, match="the 'hte' generator has no mode 'shufled'"):
+        hte_sample(10, 0, mode="shufled")
+    with pytest.raises(ValueError, match="the 'copula' generator has no mode 'uncorrelatd'"):
+        CopulaDGP(synthetic_base(50, 0), mode="uncorrelatd")
+
+
 def test_linear_cate_sample_roles():
     d = linear_cate_sample(500, seed=12)
     assert d.roles.treatment == "t"

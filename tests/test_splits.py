@@ -9,7 +9,7 @@ from splitinfer.errors import InvalidFoldCount, InvalidSubsampleSize
 from splitinfer.evaluation import cross_fit
 from splitinfer.learners import ConstantModel, Learner
 from splitinfer.rng import derived_seed, substream
-from splitinfer.splits import generate_plan, row_dtype
+from splitinfer.splits import check_plan, generate_plan, row_dtype
 
 
 def test_equal_fold_sizes():
@@ -127,6 +127,15 @@ def test_invalid_parameters():
         generate_plan(10, M=1, K=1, b=10, seed=0)
     with pytest.raises(InvalidSubsampleSize):
         generate_plan(10, M=1, K=1, b=None, seed=0)
+
+
+@pytest.mark.parametrize("b", [1, 7, 20])
+def test_k_fold_plan_takes_no_b(b):
+    # even b = n // K, the size the plan would record, is refused
+    with pytest.raises(InvalidSubsampleSize, match="K=3 takes no b"):
+        generate_plan(60, M=2, K=3, b=b, seed=0)
+    with pytest.raises(InvalidSubsampleSize, match="K=3 takes no b"):
+        check_plan(2, 3, b)
 
 
 def test_selection_frequency_binomial():
