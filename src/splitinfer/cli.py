@@ -6,15 +6,12 @@ a handful of overriding flags; every report embeds the resolved config and the
 master seed, is schema-versioned, and is written atomically. A key the config
 leaves out keeps the library's default. Exit codes: 0 success; 1 usage or
 config error, including an unknown flag or a flag value of the wrong type, an
-unreadable ``data.path``, a negative ``--seed``, a ``--threads`` count (the
-only way to set one; default 1) that is not a positive integer, and a report
-or grid CSV that cannot be written; 2 runtime failure, including a CSV cell
-that is not a number, a CSV that is not UTF-8, and a learner that fails to
-train (the message names the split (m, k), or the compare baseline).
-
-``--threads`` sets the workers that fit the splits of ``estimate``, ``repro``
-and ``compare`` with a baseline; ``gates``, ``compare`` with
-``against_learner`` and ``simulate`` fit on one thread.
+unreadable ``data.path``, a negative ``--seed``, a ``--threads`` other than
+1 (every run fits its splits one after another; the flag stays so that
+command lines passing ``--threads 1`` still parse), and a report or grid CSV
+that cannot be written; 2 runtime failure, including a CSV cell that is not
+a number, a CSV that is not UTF-8, and a learner that fails to train (the
+message names the split (m, k), or the compare baseline).
 
 The schema check reads the flat ``schemas/config.schema.json`` with two small
 functions for the JSON Schema 2020-12 keywords it uses: ``type``, ``enum``,
@@ -218,18 +215,9 @@ def resolve_config(config: dict, args) -> dict:
         output["emit_plan"] = True
     if getattr(args, "emit_sigma", False):
         output["emit_sigma"] = True
-    resolved["threads"] = _thread_count(args.threads)
     _resolve_names(resolved)
-    _check_plan(resolved)
+    _check_plan(resolved, config.get("plan", {}))
     return resolved
-
-
-def _thread_count(flag: int) -> int:
-    """``--threads``, checked to be a positive integer."""
-    if flag < 1:
-        raise ConfigInvalid("/threads", f"the thread count must be a positive integer, "
-                                        f"got {flag!r}")
-    return flag
 
 
 def _given(section: dict, *keys: str) -> dict:
@@ -270,11 +258,17 @@ def _resolve_names(config: dict) -> None:
         _resolved("/simulate/dgp", sim.dgp_sampler, sim_cfg.get("dgp", {}))
 
 
-def _check_plan(config: dict) -> None:
-    """Make the plan checks that need no data: K=1 needs b, K > 1 takes none, and
-    GATES needs J, K and L of at least 2. The runs check n against K, b and L."""
+def _check_plan(config: dict, given: dict) -> None:
+    """Make the plan checks that need no data: K=1 needs b, K > 1 takes none,
+    GATES needs J, K and L of at least 2, and ``given``, the plan the config
+    writes, has no K or b for simulate. The runs check n against K, b and L."""
     plan = config["plan"]
-    if config["method"] == "gates":
+    if config["method"] == "simulate":
+        for key in ("K", "b"):
+            if key in given:
+                raise ConfigInvalid(f"/plan/{key}", "simulate takes K from simulate.K_list "
+                                                    "and b = n // 2 at K = 1")
+    elif config["method"] == "gates":
         _gates_config(config)
         _resolved("/plan/b", check_plan, plan["M"], plan["K"], plan["b"])
     elif config["method"] in ("estimate", "compare", "repro"):
@@ -327,8 +321,7 @@ def run_estimate(config: dict) -> dict:
                      plan_cfg["seed"])
     learner = builtin(config["learner"])
     mf = builtin_moment(config["moment"])
-    ev = cross_fit(plan, d, learner, seed=derived_seed(plan_cfg["seed"], 1),
-                   threads=config.get("threads", 1))
+    ev = cross_fit(plan, d, learner, seed=derived_seed(plan_cfg["seed"], 1))
     est = solve(config["variant"], mf, ev)
     h = named_reduction(config["h"], mf.dim)
     results = {"estimate": est.to_jsonable()}
@@ -377,8 +370,7 @@ def run_compare(config: dict) -> dict:
         }
         return {"results": results, "plan": plan}
     learner = builtin(config["learner"])
-    ev = cross_fit(plan, d, learner, seed=derived_seed(plan_cfg["seed"], 1),
-                   threads=config.get("threads", 1))
+    ev = cross_fit(plan, d, learner, seed=derived_seed(plan_cfg["seed"], 1))
     baseline_learner = builtin(cmp_cfg.get("baseline", "mean"))
     try:
         baseline = baseline_learner.train(d, derived_seed(plan_cfg["seed"], 3))
@@ -422,8 +414,7 @@ def run_repro(config: dict) -> dict:
     mf = builtin_moment(config["moment"])
     h = named_reduction(config["h"], mf.dim)
     learner = builtin(config["learner"])
-    ev = cross_fit(plan, d, learner, seed=derived_seed(plan_cfg["seed"], 1),
-                   threads=config.get("threads", 1))
+    ev = cross_fit(plan, d, learner, seed=derived_seed(plan_cfg["seed"], 1))
     est = solve(2, mf, ev)
     rep_cfg = config.get("repro", {})
     comps = repro_mod.sigma_D_hat(mf, ev, est.theta_hat, h, **_given(rep_cfg, "tau"))
@@ -491,10 +482,9 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="override plan seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for the split fits of estimate, repro and "
-                            "compare with a baseline; gates, compare with against_learner "
-                            "and simulate fit on one thread (default: 1)")
+        p.add_argument("--threads", type=int, default=1, choices=(1,),
+                       help="accepted for existing command lines; every run fits its "
+                            "splits one after another, so 1 is the only value")
         p.add_argument("--out", default=None, help="report path override")
         p.add_argument("--emit-plan", action="store_true", dest="emit_plan")
         p.add_argument("--emit-sigma", action="store_true", dest="emit_sigma")

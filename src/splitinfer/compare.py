@@ -427,26 +427,20 @@ class TwoLearnerComparison:
     theta_b: np.ndarray
 
 
-def _pooled_row_values(mf, ev: Evaluations, theta_pooled, h) -> np.ndarray:
+def _pooled_row_values(mf, ev: Evaluations, theta_pooled, h, uncovered) -> np.ndarray:
     """Row-level influence values for a pooled split-sample estimator.
 
-    Each row is averaged over the models that evaluate it out-of-fold; rows
-    that no split evaluates (possible when K = 1) fall back to the average
-    over all models, which predict on those rows for that.
+    Each row is averaged over the models that evaluate it out-of-fold. Rows
+    that no split evaluates (possible when K = 1) take the average over all
+    models: ``uncovered`` holds each model's block on those rows, predicted
+    in its split's step.
     """
     grad = h.gradient(theta_pooled)
     acc = np.zeros(ev.plan.n)
     cnt = np.zeros(ev.plan.n)
-    for b in ev.blocks:
+    for b in (*ev.blocks, *uncovered):
         acc[b.rows] += _influence_rows(mf, b, theta_pooled, grad)
         cnt[b.rows] += 1.0
-    uncovered = np.flatnonzero(cnt == 0)
-    if uncovered.size:
-        codes = group_codes(ev.d)
-        for b in ev.blocks:
-            acc[uncovered] += _influence_rows(mf, Block.of(b.model, ev.d, uncovered, codes=codes),
-                                              theta_pooled, grad)
-        cnt[uncovered] = len(ev.blocks)
     return acc / cnt
 
 
@@ -455,16 +449,28 @@ def compare_two_learners(mf: MomentFunction, plan: SplitPlan, d: Dataset,
                          h: DeltaSpec = IDENTITY, alpha: float = 0.05,
                          mc_draws: int = 100_000, slack: float = 0.0) -> TwoLearnerComparison:
     """Directional comparisons of two learners trained on identical splits."""
-    evs = [cross_fit(plan, d, learner, derived_seed(seed, i))
-           for i, learner in enumerate((learner_a, learner_b))]
+    evaluated = np.zeros(plan.n, dtype=bool)
+    for rows in plan.eval_sets():
+        evaluated[rows] = True
+    uncovered_rows, codes = np.flatnonzero(~evaluated), group_codes(d)
+    evs, uncovered = [], []
+
+    def keep(model, b):  # the split model's block on the rows no split evaluates
+        uncovered[-1].append(Block.of(model, d, uncovered_rows, b.m, b.k, codes))
+
+    for i, learner in enumerate((learner_a, learner_b)):
+        uncovered.append([])
+        evs.append(cross_fit(plan, d, learner, derived_seed(seed, i),
+                             keep if uncovered_rows.size else None))
     thetas = [solve(2, mf, ev).theta_hat for ev in evs]
 
     results = []
     for direction in (0, 1):  # a against pooled b, then b against pooled a
-        ev_split, ev_other, theta_other = evs[direction], evs[1 - direction], thetas[1 - direction]
-        delta = _gaps(h, per_split_estimates(mf, ev_split), theta_other)
-        _, test = _one_sided(mf, ev_split, delta, _pooled_row_values(mf, ev_other, theta_other, h),
-                             h, alpha, mc_draws, derived_seed(seed, 2 + direction), slack)
+        other = 1 - direction
+        delta = _gaps(h, per_split_estimates(mf, evs[direction]), thetas[other])
+        values = _pooled_row_values(mf, evs[other], thetas[other], h, uncovered[other])
+        _, test = _one_sided(mf, evs[direction], delta, values, h, alpha, mc_draws,
+                             derived_seed(seed, 2 + direction), slack)
         results.append((delta, test))
 
     (delta_ab, test_ab), (delta_ba, test_ba) = results

@@ -4,11 +4,12 @@ Every estimator in this package is a function of the same out-of-fold
 predictions eta = model_(m,k)(x[eval rows of (m, k)]). :func:`fit_split` is
 the one step that trains a split's model (on the complement of its evaluation
 rows, unless told otherwise) and predicts once on those rows; a training error
-leaves it as ``LearnerFailure``, naming the learner and the split (m, k).
-:func:`cross_fit` maps the step over a plan, and GATES calls it split by
-split. The Z-solve, the CIs, the comparison test and the reproducibility
-margin read the predictions and never call ``predict``. :func:`pool` is the
-one loop over splits that evaluates a moment on them.
+leaves it as ``LearnerFailure``, naming the learner and the split (m, k). The
+model dies with the step; a ``visit`` may predict with it on other rows first.
+:func:`cross_fit` runs the step split after split over a plan, and GATES calls
+it split by split. The Z-solve, the CIs, the comparison test and the
+reproducibility margin read the predictions and never call ``predict``.
+:func:`pool` is the one loop over splits that evaluates a moment on them.
 """
 
 from __future__ import annotations
@@ -39,14 +40,13 @@ def _take(arr, rows):
 @dataclass(frozen=True, eq=False)
 class Block:
     """One split's evaluation rows (None: all rows) and its model's predictions
-    there. Only ``eta`` is held; ``y`` and the group codes ``g`` are gathered
-    from the whole-dataset arrays on access."""
+    there. Only ``eta`` is held, not the model; ``y`` and the group codes ``g``
+    are gathered from the whole-dataset arrays on access."""
 
     m: int
     k: int
     rows: np.ndarray | None
     eta: np.ndarray
-    model: object = field(repr=False)
     y_all: np.ndarray = field(repr=False)
     g_all: np.ndarray | None = field(repr=False)
 
@@ -56,7 +56,7 @@ class Block:
         """Predict once on ``rows`` (all rows when None)."""
         if codes is None:
             codes = group_codes(d)
-        return cls(m, k, rows, model.predict(_take(d.x, rows)), model, d.y, codes)
+        return cls(m, k, rows, model.predict(_take(d.x, rows)), d.y, codes)
 
     @property
     def y(self) -> np.ndarray:
@@ -77,11 +77,12 @@ class Evaluations:
 
 
 def fit_split(learner: Learner, d: Dataset, rows: np.ndarray, seed: int, m: int, k: int,
-              train_rows=None, codes=None) -> Block:
+              train_rows=None, codes=None, visit=None) -> Block:
     """Split (m, k)'s step: train ``learner`` with ``seed`` on ``train_rows``
-    (by default the complement of ``rows``, built for this split only) and
-    predict once on ``rows``; ``codes`` are ``group_codes(d)``, computed here
-    when not given. A training error is raised as ``LearnerFailure`` with the
+    (by default the complement of ``rows``, built for this split only),
+    predict once on ``rows`` and call ``visit(model, block)``, the last use
+    of the model; ``codes`` are ``group_codes(d)``, computed here when not
+    given. A training error is raised as ``LearnerFailure`` with the
     learner's name and (m, k)."""
     if train_rows is None:
         train_rows = complement(rows, d.n)
@@ -89,16 +90,16 @@ def fit_split(learner: Learner, d: Dataset, rows: np.ndarray, seed: int, m: int,
         model = learner.train(d.subset(train_rows), seed)
     except Exception as exc:  # noqa: BLE001
         raise LearnerFailure(learner.name, m, k, exc) from exc
-    return Block.of(model, d, rows, m, k, codes)
+    block = Block.of(model, d, rows, m, k, codes)
+    if visit is not None:
+        visit(model, block)
+    return block
 
 
 def cross_fit(plan: SplitPlan, d: Dataset, learner: Learner, seed: int = 0,
-              threads: int = 1) -> Evaluations:
-    """:func:`fit_split` on every split of ``plan``, in plan order.
-
-    Split (m, k) trains with the seed derived from (seed, m, k), so the result
-    does not depend on scheduling order or thread count. With ``threads`` > 1
-    the splits run in a thread pool.
+              visit=None) -> Evaluations:
+    """:func:`fit_split` with ``visit`` on each split (m, k) of ``plan``, one
+    after another in plan order, seeded by derived_seed(seed, m, k).
 
     Each split's predictions are copied into one float64 buffer for the whole
     plan (its block holds a view), so none sits on the heap among later
@@ -113,19 +114,13 @@ def cross_fit(plan: SplitPlan, d: Dataset, learner: Learner, seed: int = 0,
 
     def fit_one(split, end):
         m, k, rows = split
-        block = fit_split(learner, d, rows, derived_seed(seed, m, k), m, k, codes=codes)
+        block = fit_split(learner, d, rows, derived_seed(seed, m, k), m, k, codes=codes,
+                          visit=visit)
         eta = etas[end - rows.size:end]
         eta[...] = block.eta
         return replace(block, eta=eta)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as executor:
-            blocks = tuple(executor.map(fit_one, splits, ends))
-    else:
-        blocks = tuple(map(fit_one, splits, ends))
-    return Evaluations(plan, d, blocks)
+    return Evaluations(plan, d, tuple(map(fit_one, splits, ends)))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ kept in oracle columns.
 
 The grid's estimate rows check coverage of theta_{eta-hat}, the variant-2
 estimand of the trained split models, which ``estimand_oracle`` solves on
-fresh rows through the estimator's own ``zestim.solve_blocks``.
+fresh rows (predicted in each model's split step) through ``solve_blocks``.
 """
 
 from __future__ import annotations
@@ -285,23 +285,29 @@ def linear_cate_sample(n: int, seed: int = 0, base_effect: float = 1.0,
 # fresh-draw oracle for the data-dependent estimand
 
 
-def estimand_oracle(mf: MomentFunction, models, fresh: Dataset) -> np.ndarray:
-    """theta_{eta-hat} approximated on a large fresh sample.
+def estimand_oracle(mf: MomentFunction, fresh: Dataset):
+    """theta_{eta-hat} approximated on a large fresh sample: ``(visit, theta)``.
 
-    Solves the variant-2 aggregation of the estimator over ``models``, the
-    split models in plan order, with the fresh sample standing in for every
-    evaluation split (the population analog of the moment). Each model
-    predicts on the fresh sample once. An average-type moment streams the
-    models in one pass, so the predictions of all models are never held at
-    once; any other moment holds len(models) x fresh.n predictions and solves
-    them through ``zestim.solve_blocks``, like the estimator itself.
+    ``visit(model, block)``, a ``cross_fit`` visit, predicts a split model on
+    the fresh sample once, in its split step. ``theta()`` solves the variant-2
+    aggregation of the estimator over the visited models, with the fresh
+    sample standing in for every evaluation split (the population analog of
+    the moment). An average-type moment reduces each model's predictions to
+    their mean f at once, so one model's are held at a time; any other moment
+    keeps every model's block and solves them through ``zestim.solve_blocks``,
+    like the estimator itself.
     """
-    codes = group_codes(fresh)
-    blocks = (Block.of(model, fresh, codes=codes) for model in models)
-    if isinstance(mf, AverageMoment):
-        # psi = f - theta, so the per-model mean psi at theta = 0 is the mean f
-        return np.array([pool(mf, blocks, np.zeros(1)).split_psi[:, 0].mean()])
-    return solve_blocks(mf, list(blocks))[0]
+    codes, average, parts = group_codes(fresh), isinstance(mf, AverageMoment), []
+
+    def visit(model, block=None):
+        b = Block.of(model, fresh, codes=codes)
+        # psi = f - theta, so the mean psi at theta = 0 is the mean f
+        parts.append(pool(mf, [b], np.zeros(1)).psi[0] if average else b)
+
+    def theta() -> np.ndarray:
+        return np.array([np.mean(parts)]) if average else solve_blocks(mf, parts)[0]
+
+    return visit, theta
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +353,10 @@ def dgp_sampler(spec: dict, default_kind: str = "gauss_linear"):
     return lambda n, seed: hte_sample(n, seed, mode)
 
 
-def _grid_fit(grid, n, K, cell_index, iteration):
-    """The start of an estimate or compare row: its seed, sampler, data,
-    moment and cross-fit evaluations."""
+def _grid_fit(grid, n, K, cell_index, iteration, oracle=False):
+    """The start of an estimate or compare row: its seed, the ``theta`` of an
+    ``estimand_oracle`` the split models visit (if ``oracle``), data, moment
+    and cross-fit evaluations."""
     sampler = dgp_sampler(grid.dgp)
     seed = derived_seed(grid.seed, cell_index, iteration)
     d = sampler(n, derived_seed(seed, 0))
@@ -357,15 +364,16 @@ def _grid_fit(grid, n, K, cell_index, iteration):
                          seed=derived_seed(seed, 1))
     learner = builtin(grid.learner)
     mf = builtin_moment(grid.moment)
-    return seed, sampler, d, mf, cross_fit(plan, d, learner, seed=derived_seed(seed, 2))
+    visit, theta = (estimand_oracle(mf, sampler(grid.oracle_rows, derived_seed(seed, 3)))
+                    if oracle else (None, None))
+    return seed, theta, d, mf, cross_fit(plan, d, learner, derived_seed(seed, 2), visit)
 
 
 def _grid_estimate(grid, n, K, cell_index, iteration):
-    seed, sampler, _, mf, ev = _grid_fit(grid, n, K, cell_index, iteration)
+    _, oracle_theta, _, mf, ev = _grid_fit(grid, n, K, cell_index, iteration, oracle=True)
     est = solve(2, mf, ev)
     report = normal_ci(mf, ev, est, alpha=grid.alpha)
-    fresh = sampler(grid.oracle_rows, derived_seed(seed, 3))
-    oracle = float(estimand_oracle(mf, [b.model for b in ev.blocks], fresh)[0])
+    oracle = float(oracle_theta()[0])
     lo, hi = report.ci
     return {
         "estimate": float(est.theta_hat[0]), "se": report.se,

@@ -228,6 +228,11 @@ def compare_leaves(got, want, path=""):
         yield path, "close" if close else "beyond", note
 
 
+def case_argv(command: str, config_path, flags) -> list[str]:
+    """The command line that runs a case."""
+    return [command, "--config", str(config_path), "--threads", "1", *flags]
+
+
 def run_case(name: str, workdir: Path) -> dict:
     """Run one case through ``cli.run``; its report without ``config`` (and
     ``results.csv_path``), plus the exit code and a grid's CSV rows."""
@@ -242,7 +247,7 @@ def run_case(name: str, workdir: Path) -> dict:
                                        "output": {"path": str(report_path)}}),
                            encoding="utf-8")
     grid_csv = Path(config["simulate"]["csv_path"]) if command == "simulate" else None
-    code = cli.run([command, "--config", str(config_path), "--threads", "1", *flags])
+    code = cli.run(case_argv(command, config_path, flags))
     report = {}
     if report_path.exists():
         report = json.loads(report_path.read_text(encoding="utf-8"))

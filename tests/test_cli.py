@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -14,14 +15,21 @@ from hypothesis import given, settings
 from jsonschema import Draft202012Validator
 
 import splitinfer
-from splitinfer.cli import _check_schema, build_dataset, load_schema, run, validate_config
+from splitinfer.cli import (
+    _check_schema,
+    build_dataset,
+    load_schema,
+    make_parser,
+    run,
+    validate_config,
+)
 from splitinfer.errors import ConfigInvalid
 from splitinfer.moments import builtin_moment
 from splitinfer.report import SCHEMA_VERSION, dumps, sanitize, write_report
 from splitinfer.rng import derived_seed, substream
 from splitinfer.sim import DGP_OPTIONS as KIND_OPTIONS, ExperimentGrid, _grid_fit
 
-from golden_cases import cases as golden_cases
+from golden_cases import case_argv, cases as golden_cases
 
 
 def invoke(args):
@@ -155,13 +163,17 @@ BAD_CONFIGS = [
     ("estimate", {"data": {"synthetic": {"kind": "copula", "base_seed": -1}}},
      "/data/synthetic/base_seed"),
     ("estimate --seed -1", {}, "/plan/seed"),
-    ("estimate --threads 0", {}, "/threads"),
+    # simulate takes K from simulate.K_list and b = n // 2; estimate_payload's plan sets K
+    ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
+                               "methods": ["estimate"]}}, "/plan/K"),
     needs_data_or_output("simulate", {"simulate": {"n_list": [40], "K_list": [2],
                                                    "iterations": 1, "methods": ["estimate"],
-                                                   "csv_path": "nodir/grid.csv"}},
+                                                   "csv_path": "nodir/grid.csv"},
+                                      "plan": {"M": 3, "seed": 5}},
                          "/simulate/csv_path"),
     needs_data_or_output("simulate", {"simulate": {"n_list": [40], "K_list": [2],
                                                    "iterations": 1, "methods": ["estimate"]},
+                                      "plan": {"M": 3, "seed": 5},
                                       "output": {"path": "nodir/r.json"}},
                          "/output/path"),  # CSV nodir/r.json.csv
     ("estimate", {"moment": "linreg_on_eta", "h": "diff:1-1"}, "/h"),  # identically zero
@@ -181,6 +193,9 @@ BAD_CONFIGS = [
     ("estimate", {"data": {"missing_policy": "drop"}}, "/data"),  # CSV keys need data.path
     ("estimate", {"data": {"schema": {"outcome": "y"}}}, "/data"),
     ("estimate", {"data": {"missing_values": ["NA"]}}, "/data"),
+    ("simulate", {"simulate": {"n_list": [40], "K_list": [1], "iterations": 1,
+                               "methods": ["estimate"]},
+                  "plan": {"M": 3, "b": 7, "seed": 5}}, "/plan/b"),
 ]
 
 
@@ -437,8 +452,10 @@ def test_method_mismatch_is_a_config_error(tmp_path, capsys):
 CSV_ROLES = {"outcome": "y", "covariates": ["x1"]}
 
 
-@pytest.mark.parametrize("flags", [["--threads", "two"], ["--seed", "1.5"], ["--bogus"]],
-                         ids=["threads_not_an_integer", "seed_not_an_integer", "unknown_flag"])
+@pytest.mark.parametrize("flags", [["--threads", "two"], ["--threads", "0"],
+                                   ["--threads", "2"], ["--seed", "1.5"], ["--bogus"]],
+                         ids=["threads_not_an_integer", "threads_zero", "threads_two",
+                              "seed_not_an_integer", "unknown_flag"])
 def test_usage_errors_exit_one(tmp_path, capsys, flags):
     cfg = estimate_config(tmp_path, tmp_path / "r.json")
     with pytest.raises(SystemExit) as exc:
@@ -508,19 +525,16 @@ def test_singular_jacobian_is_a_runtime_failure(tmp_path, capsys, method, plan, 
 SPLIT_00 = "runtime failure: learner 'ridge(0)' failed on split (m=0, k=0): Singular matrix"
 
 
-@pytest.mark.parametrize("method, flags, overrides, message", [
-    ("estimate", [], {}, SPLIT_00),
-    ("estimate", ["--threads", "2"], {}, SPLIT_00),
-    ("gates", [], {"gates": {"baselines": True}},
+@pytest.mark.parametrize("method, overrides, message", [
+    ("estimate", {}, SPLIT_00),
+    ("gates", {"gates": {"baselines": True}},
      "runtime failure: learner 'tlearner[ridge(0)]' failed on split (m=0, k=0): Singular matrix"),
-    ("compare", [], {"learner": "ols", "compare": {"baseline": "ridge(0)"}},
+    ("compare", {"learner": "ols", "compare": {"baseline": "ridge(0)"}},
      "runtime failure: baseline learner 'ridge(0)' failed on the whole sample: Singular matrix"),
-    ("compare", [], {"learner": "ols", "compare": {"against_learner": "ridge(0)"}}, SPLIT_00),
-    ("repro", [], {}, SPLIT_00),
-], ids=["estimate", "estimate_threads", "gates_baselines", "compare_baseline",
-        "compare_against_learner", "repro"])
-def test_learner_failures_are_runtime_failures(tmp_path, capsys, method, flags, overrides,
-                                               message):
+    ("compare", {"learner": "ols", "compare": {"against_learner": "ridge(0)"}}, SPLIT_00),
+    ("repro", {}, SPLIT_00),
+], ids=["estimate", "gates_baselines", "compare_baseline", "compare_against_learner", "repro"])
+def test_learner_failures_are_runtime_failures(tmp_path, capsys, method, overrides, message):
     """ridge(0) cannot train on a CSV whose covariate x2 equals x1: every run
     exits 2 and names the learner and the split, or the baseline, that failed."""
     rng = substream(12)
@@ -536,7 +550,7 @@ def test_learner_failures_are_runtime_failures(tmp_path, capsys, method, flags, 
                                **{"learner": "ridge(0)", **overrides})
     if method == "gates":
         del payload["moment"], payload["variant"]
-    assert invoke([method, "--config", write_config(tmp_path, payload), *flags]) == 2
+    assert invoke([method, "--config", write_config(tmp_path, payload)]) == 2
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
@@ -600,8 +614,8 @@ def test_estimate_runs_on_gauss_linear_data(tmp_path):
 
 def test_cli_import_leaves_scipy_optimize_and_stats_unloaded():
     """Starting the CLI loads none of the modules that only some runs, or only
-    the tests, need: the CLI checks configs without jsonschema, and only a
-    threaded cross_fit starts a thread pool."""
+    the tests, need: the CLI checks configs without jsonschema, and no run
+    starts a thread pool."""
     code = ("import sys, splitinfer.cli; "
             "print(sorted(m for m in ('scipy.optimize', 'scipy.stats', 'scipy.special', "
             "'subprocess', 'jsonschema', 'concurrent.futures') if m in sys.modules))")
@@ -609,6 +623,25 @@ def test_cli_import_leaves_scipy_optimize_and_stats_unloaded():
                           env=python_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_benchmark_and_golden_command_lines_parse(tmp_path, monkeypatch):
+    """Every benchmark workload's command line and every golden case's (both
+    pass ``--threads 1``) parse, so a flag change that breaks them fails here.
+    The benchmark's workloads module is read, not changed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    argvs = [w.argv("config.json") for w in workloads.WORKLOADS.values()]
+    argvs += [case_argv(command, "config.json", flags)
+              for command, _, flags in golden_cases(tmp_path).values()]
+    assert len(argvs) == len(workloads.WORKLOADS) + 54
+    parser = make_parser()
+    for argv in argvs:
+        args = parser.parse_args(argv)
+        assert (args.command, args.config, args.threads) == (argv[0], "config.json", 1)
 
 
 def test_method_mismatch_exits_one(tmp_path):
@@ -623,20 +656,6 @@ def test_seed_and_out_overrides(tmp_path):
     assert invoke(["estimate", "--config", cfg, "--seed", 9, "--out", override]) == 0
     report = json.loads(override.read_text())
     assert report["master_seed"] == 9
-
-
-def test_threads_do_not_change_report(tmp_path):
-    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    cfg = estimate_config(tmp_path, out1)
-    assert invoke(["estimate", "--config", cfg, "--threads", 1]) == 0
-    assert invoke(["estimate", "--config", cfg, "--threads", 4, "--out", out2]) == 0
-    r1 = json.loads(out1.read_text())
-    r2 = json.loads(out2.read_text())
-    r1["config"].pop("threads")
-    r2["config"].pop("threads")
-    r1["config"]["output"].pop("path")
-    r2["config"]["output"].pop("path")
-    assert dumps(r1) == dumps(r2)
 
 
 def test_emit_plan_included(tmp_path):

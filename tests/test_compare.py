@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from splitinfer import compare as compare_mod
+from splitinfer import sim
 from splitinfer.compare import (
     SigmaHat,
     compare_models,
@@ -16,10 +17,10 @@ from splitinfer.compare import (
 from splitinfer.data import Dataset, Roles, complement
 from splitinfer.errors import ZeroDiagonal
 from splitinfer.evaluation import Block, cross_fit
-from splitinfer.inference import IDENTITY
+from splitinfer.inference import IDENTITY, named_reduction
 from splitinfer.learners import ConstantModel, builtin
 from splitinfer.moments import builtin_moment
-from splitinfer.rng import substream
+from splitinfer.rng import derived_seed, substream
 from splitinfer.splits import generate_plan
 from test_evaluation import fixed
 
@@ -365,3 +366,36 @@ def test_compare_two_learners_equal_learners_size():
         rejections += int(res.test_ab.reject)
     rate = rejections / reps
     assert rate <= 0.05 + 0.05  # generous MC band at 120 replications
+
+
+def test_k1_rows_no_split_evaluates_average_every_split_model(monkeypatch):
+    """At K = 1 a row that no split evaluates takes the mean of every split
+    model's influence value on it. Pinned on the plan of the golden
+    ``compare_learner_linreg_k1`` against split models retrained with their
+    derived seeds."""
+    n = 150
+    d = sim.dgp_sampler({"kind": "linear_cate"})(n, 3)
+    plan = generate_plan(n, M=5, K=1, b=75, seed=11)
+    evaluated = np.zeros(n, dtype=bool)
+    for rows in plan.eval_sets():
+        evaluated[rows] = True
+    uncovered = np.flatnonzero(~evaluated)
+    assert uncovered.tolist() == [62, 70, 75, 87, 93, 106, 136]
+    mf, h = builtin_moment("linreg_on_eta"), named_reduction("coordinate:1", 2)
+    learners, seed = (builtin("ols"), builtin("ridge(5.0)")), derived_seed(11, 2)
+    pooled, real = [], compare_mod._pooled_row_values
+    monkeypatch.setattr(compare_mod, "_pooled_row_values",
+                        lambda *args: pooled.append(real(*args)) or pooled[-1])
+    res = compare_two_learners(mf, plan, d, *learners, seed=seed, h=h, mc_draws=200)
+    # a's splits are tested against pooled b, then b's against pooled a
+    for values, i, theta in zip(pooled, (1, 0), (res.theta_b, res.theta_a), strict=True):
+        grad = h.gradient(theta)
+        acc, cnt = np.zeros(n), np.zeros(n)
+        for m, rows in enumerate(plan.eval_sets()):  # split (m, 0)
+            model = learners[i].train(d.subset(complement(rows, n)),
+                                      derived_seed(derived_seed(seed, i), m, 0))
+            for part in (rows, uncovered):
+                acc[part] += compare_mod._influence_rows(mf, Block.of(model, d, part), theta,
+                                                         grad)
+                cnt[part] += 1.0
+        np.testing.assert_array_equal(values, acc / cnt)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,9 +14,10 @@ from splitinfer.learners import FixedFunctionModel, Learner, Model, builtin
 from splitinfer.moments import builtin_moment
 from splitinfer.repro import repro_measure, sigma_D_hat
 from splitinfer.rng import substream
-from splitinfer.sim import estimand_oracle
+from splitinfer.sim import synthetic_base
 from splitinfer.splits import generate_plan
 from splitinfer.zestim import solve
+from test_sim import oracle
 
 
 def fixed(model):
@@ -24,8 +26,8 @@ def fixed(model):
 
 
 def in_turn(models):
-    """A learner whose fits return ``models`` one after another; with one
-    thread, that is split by split in plan order."""
+    """A learner whose fits return ``models`` one after another; cross_fit
+    fits split by split in plan order."""
     remaining = iter(models)
     return Learner("in_turn", lambda d, seed: next(remaining))
 
@@ -181,7 +183,7 @@ def test_oracle_predicts_each_model_once(moment):
 
     models = [Tracked() for _ in range(4)]
     mf = builtin_moment(moment)
-    theta = estimand_oracle(mf, models, fresh)
+    theta = oracle(mf, models, fresh)
     assert calls == models
     if moment == "mse":
         np.testing.assert_allclose(theta, [np.mean((fresh.y - x) ** 2)])
@@ -191,3 +193,35 @@ def test_oracle_predicts_each_model_once(moment):
     else:
         expected = mf.solve_pooled([(x, fresh.y)] * len(models))
         np.testing.assert_array_equal(theta, expected)
+
+
+def test_no_split_model_outlives_cross_fit(traced_peak):
+    """A kNN model copies its training covariates, so models kept past their
+    split would hold O(M K n p) memory. After cross_fit returns only its
+    n M predictions (0.32 MB here) and their blocks remain, and no model is
+    reachable. The in-call bound adds 4 MiB to the predictions for one
+    split's step: the kNN predict's 1 MiB budgets (two filter planes, the
+    refine's work buffer, its index arrays) and one model with its training
+    view (about 0.2 MB)."""
+    n, M, K = 2_000, 20, 3
+    d = synthetic_base(n, 0)
+    assert d.x.shape == (n, 8)  # the root's covariate matrix, built before tracing
+    plan = generate_plan(n, M, K, seed=1)
+    knn, models, kept = builtin("knn(10)"), [], []
+
+    def train(view, seed):
+        model = knn.train(view, seed)
+        models.append(weakref.ref(model))
+        return model
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        peak = traced_peak(lambda: kept.append(cross_fit(plan, d, Learner("knn(10)", train))))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(models) == M * K
+    assert all(ref() is None for ref in models)
+    assert held <= 1_000_000
+    assert peak <= n * M * 8 + 4 * 2**20

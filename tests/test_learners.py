@@ -1,4 +1,3 @@
-import sys
 import tracemalloc
 
 import numpy as np
@@ -301,37 +300,4 @@ def test_model_purity_bitwise():
     first = model.predict(d.x)
     second = model.predict(d.x)
     assert np.array_equal(first, second)
-
-
-def test_cross_fit_threads_match_sequential_on_a_whole_dataset():
-    d = linear_dataset(n=40, noiseless=False)
-    plan = generate_plan(d.n, M=3, K=2, seed=5)
-    seq = cross_fit(plan, d, builtin("ols"), seed=9, threads=1)
-    par = cross_fit(plan, d, builtin("ols"), seed=9, threads=4)
-    assert [(b.m, b.k) for b in par.blocks] == [(b.m, b.k) for b in seq.blocks]
-    for b_seq, b_par in zip(seq.blocks, par.blocks, strict=True):
-        np.testing.assert_array_equal(b_seq.eta, b_par.eta)
-
-
-@pytest.mark.parametrize("name", ["ols", "knn(5)"])
-def test_cross_fit_threads_match_sequential(name):
-    def fresh_view():
-        rng = substream(12)
-        x = rng.standard_normal((90, 3))
-        cols = {"y": x @ [1.0, -2.0, 0.5] + rng.standard_normal(90), "unused": np.ones(90)}
-        cols.update({f"x{j}": x[:, j] for j in range(3)})
-        return Dataset(cols, Roles("y", ("x0", "x1", "x2"))).subset(np.arange(5, 90))
-
-    d = fresh_view()
-    plan = generate_plan(d.n, M=4, K=3, seed=2)
-    seq = cross_fit(plan, d, builtin(name), seed=9, threads=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:  # a cold root: every thread's first gather builds the root's x
-        par = cross_fit(plan, fresh_view(), builtin(name), seed=9, threads=4)
-    finally:
-        sys.setswitchinterval(interval)
-    assert [(b.m, b.k) for b in par.blocks] == [(b.m, b.k) for b in seq.blocks]
-    for b_seq, b_par in zip(seq.blocks, par.blocks, strict=True):
-        assert np.array_equal(b_seq.eta, b_par.eta)
 

@@ -1,0 +1,84 @@
+"""Metamorphic relations: how the reported numbers must move when the input
+moves, checked without a stored reference, so they hold on both sides of any
+golden remake.
+
+Scaling the outcome by 4, a power of two, scales every sum and product of
+outcomes exactly, so the relations below hold bit for bit: each learner's
+predictions scale by 4, the MSE and its standard error by 16, and a test
+statistic that divides by a standard error does not move.
+"""
+
+import numpy as np
+import pytest
+
+from splitinfer.compare import compare_models, compare_two_learners
+from splitinfer.data import Dataset
+from splitinfer.evaluation import cross_fit
+from splitinfer.inference import normal_ci
+from splitinfer.learners import builtin
+from splitinfer.moments import builtin_moment
+from splitinfer.sim import linear_cate_sample
+from splitinfer.splits import generate_plan
+from splitinfer.zestim import solve
+
+N = 300
+LEARNERS = ["ols", "ridge(1.0)", "knn(5)", "tree(3)"]
+PLANS = {"K3": dict(M=10, K=3), "K1": dict(M=10, K=1, b=N // 2)}
+
+
+def scaled_outcome(d: Dataset, factor: float) -> Dataset:
+    columns = {name: d.column(name) for name in d.column_names}
+    columns[d.roles.outcome] = factor * columns[d.roles.outcome]
+    return Dataset(columns, d.roles)
+
+
+def both_scales():
+    d = linear_cate_sample(N, seed=21)
+    return d, scaled_outcome(d, 4.0)
+
+
+@pytest.mark.parametrize("plan_kind", sorted(PLANS))
+@pytest.mark.parametrize("learner", LEARNERS)
+def test_outcome_times_four_scales_the_mse_estimate_by_sixteen(learner, plan_kind):
+    mf = builtin_moment("mse")
+    plan = generate_plan(N, seed=4, **PLANS[plan_kind])
+    reports = []
+    for d in both_scales():
+        ev = cross_fit(plan, d, builtin(learner), seed=5)
+        reports.append(normal_ci(mf, ev, solve(2, mf, ev)))
+    base, scaled = reports
+    np.testing.assert_array_equal(scaled.theta_hat, 16.0 * base.theta_hat)
+    assert scaled.se == 16.0 * base.se
+    assert scaled.ci == (16.0 * base.ci[0], 16.0 * base.ci[1])
+
+
+@pytest.mark.parametrize("plan_kind", sorted(PLANS))
+@pytest.mark.parametrize("learner", LEARNERS)
+def test_outcome_times_four_leaves_the_comparison_test_unchanged(learner, plan_kind):
+    mf = builtin_moment("mse")
+    plan = generate_plan(N, seed=4, **PLANS[plan_kind])
+    results = []
+    for d in both_scales():
+        ev = cross_fit(plan, d, builtin(learner), seed=5)
+        results.append(compare_models(mf, ev, builtin("mean").train(d), mc_draws=2_000, seed=6))
+    base, scaled = results
+    assert scaled.point == 16.0 * base.point
+    assert scaled.test.statistic == base.test.statistic
+    assert scaled.test.critical_value == base.test.critical_value
+
+
+@pytest.mark.parametrize("plan", [dict(M=5, K=3), dict(M=5, K=1, b=N // 2)], ids=["K3", "K1"])
+@pytest.mark.parametrize("learner", LEARNERS)
+def test_a_learner_compared_with_itself_gives_equal_directions(learner, plan):
+    """Both directions fit the same learner on the same splits, so each is the
+    other's mirror; at K = 1 this also covers the rows no split evaluates."""
+    d = linear_cate_sample(N, seed=21)
+    plan = generate_plan(N, seed=4, **plan)
+    evaluated = np.zeros(N, dtype=bool)
+    for rows in plan.eval_sets():
+        evaluated[rows] = True
+    assert evaluated.all() == (plan.K > 1)
+    res = compare_two_learners(builtin_moment("mse"), plan, d, builtin(learner),
+                               builtin(learner), seed=7, mc_draws=500)
+    np.testing.assert_array_equal(res.theta_a, res.theta_b)
+    np.testing.assert_array_equal(res.delta_ab.deltas, res.delta_ba.deltas)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from splitinfer.data import Dataset, Roles
+from splitinfer.data import Dataset, Roles, complement
 from splitinfer.evaluation import cross_fit
 from splitinfer.learners import builtin
 from splitinfer.moments import builtin_moment
@@ -49,7 +49,9 @@ def test_d1_reduction_matches_direct_formula():
     theta, d = est.theta_hat, ev.d
     g = []
     for m in range(ev.plan.M):
-        acc = [mf.psi_eta(theta, b.model.predict(d.x[b.rows]), d.y[b.rows]).mean()
+        # the mean learner predicts the training fold's mean outcome
+        acc = [mf.psi_eta(theta, np.full(b.rows.size, d.y[complement(b.rows, d.n)].mean()),
+                          d.y[b.rows]).mean()
                for b in ev.blocks if b.m == m]
         g.append(np.mean(acc))
     direct = np.mean(np.square(g)) / comps.sigma_hat_eta**2

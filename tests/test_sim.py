@@ -7,10 +7,10 @@ import pytest
 from scipy import stats
 
 from splitinfer import sim
-from splitinfer.data import Dataset, Roles
+from splitinfer.data import Dataset, Roles, complement
 from splitinfer.learners import ConstantModel, builtin
 from splitinfer.moments import builtin_moment
-from splitinfer.rng import substream
+from splitinfer.rng import derived_seed, substream
 from splitinfer.sim import (
     CopulaDGP,
     ExperimentGrid,
@@ -24,6 +24,7 @@ from splitinfer.sim import (
     summarize_grid,
     synthetic_base,
 )
+from splitinfer.splits import generate_plan
 from splitinfer.zestim import solve
 from test_cli import python_env
 
@@ -157,16 +158,24 @@ def test_linear_cate_sample_roles():
     assert set(np.unique(d.t)) == {0.0, 1.0}
 
 
+def oracle(mf, models, fresh):
+    """``estimand_oracle`` on ``models``, each visited once in order."""
+    visit, theta = estimand_oracle(mf, fresh)
+    for model in models:
+        visit(model)
+    return theta()
+
+
 def test_estimand_oracle_average_type():
     d = linear_cate_sample(100, seed=13)
     models = [ConstantModel(float(m + k)) for m in range(2) for k in range(2)]
     fresh = linear_cate_sample(1000, seed=14)
     mf = builtin_moment("mse")
-    oracle = estimand_oracle(mf, models, fresh)
+    theta = oracle(mf, models, fresh)
     expected = np.mean(
         [np.mean((fresh.y - c) ** 2) for c in (0.0, 1.0, 1.0, 2.0)]
     )
-    np.testing.assert_allclose(oracle, [expected])
+    np.testing.assert_allclose(theta, [expected])
     del d
 
 
@@ -262,3 +271,30 @@ def test_run_grid_does_not_import_the_cli(tmp_path):
                           capture_output=True, text=True, env=python_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("moment", ["mse", "linreg_on_eta", "tercile_fractions"])
+def test_grid_oracle_is_the_oracle_of_the_split_models(monkeypatch, moment, K):
+    """An estimate row's oracle is ``estimand_oracle`` of its split models,
+    retrained here with their derived seeds, bitwise."""
+    grid = ExperimentGrid(dgp={"kind": "linear_cate"}, n_list=(90,), K_list=(K,), M=3,
+                          methods=("estimate",), iterations=1, seed=6, out_csv="unused.csv",
+                          moment=moment, oracle_rows=500)
+    got, real = [], sim.estimand_oracle
+
+    def recording(*args):
+        visit, theta = real(*args)
+        return visit, lambda: got.append(theta()) or got[-1]
+
+    monkeypatch.setattr(sim, "estimand_oracle", recording)
+    sim._grid_estimate(grid, 90, K, 0, 0)
+    seed = derived_seed(grid.seed, 0, 0)
+    sampler = sim.dgp_sampler(grid.dgp)
+    d = sampler(90, derived_seed(seed, 0))
+    plan = generate_plan(90, grid.M, K, b=45 if K == 1 else None, seed=derived_seed(seed, 1))
+    models = [builtin(grid.learner).train(d.subset(complement(rows, 90)),
+                                          derived_seed(derived_seed(seed, 2), m, k))
+              for m, rep in enumerate(plan.repetitions) for k, rows in enumerate(rep)]
+    fresh = sampler(grid.oracle_rows, derived_seed(seed, 3))
+    np.testing.assert_array_equal(got, [oracle(builtin_moment(moment), models, fresh)])
