@@ -19,12 +19,15 @@ and are counted. The block sums are S x S matrix products accumulated over
 chunks of rows: each chunk fills one (4S x rows) buffer of
 complement-weighted base values, complement and eval indicators and split
 values, whose products give every cross sum, row sum and intersection count
-(see ``sigma_from_values``). So the assembly adds no (splits x n) array to
-what its caller holds, and the chunk buffer is freed when the chunk loop
-ends, before the S x S block arithmetic and its eigendecomposition. For an
-average moment the split values are f of the blocks' own predictions,
+(see ``sigma_from_values``). A chunk's eval indicators are the one-hot of
+the plan's fold labels there, and its split values are read from one flat
+fold-major array at each split's running row count, so no split's whole
+row list is formed. The assembly adds no (splits x n) array to what its
+caller holds, and the chunk buffer is freed when the chunk loop ends, before
+the S x S block arithmetic and its eigendecomposition. For an average moment
+the split values are f of the splits' predictions in ``Evaluations.etas``,
 evaluated one chunk at a time; any other moment's per-split influence values
-are computed first and held once.
+are computed first and held once, in one fold-major array.
 
 Everything is computed from one ``Evaluations`` (see
 ``evaluation.cross_fit``), the out-of-fold predictions of every split, and
@@ -44,7 +47,7 @@ from .inference import IDENTITY, DeltaSpec, delta_variance, nonsingular, norm_pp
 from .learners import Model
 from .moments import AverageMoment, MomentFunction
 from .rng import derived_seed, substream
-from .splits import SplitPlan
+from .splits import SplitPlan, fold_sizes
 from .zestim import per_split_estimates, solve, solve_blocks
 
 
@@ -125,6 +128,7 @@ class ComparisonResult:
 
 def _influence_rows(mf, b: Block, theta, grad) -> np.ndarray:
     """Scalar influence contribution grad . (-J^{-1} psi_i) per row of a block."""
+    b = b.with_rows()
     if isinstance(mf, AverageMoment):
         return mf.f_eta(b.eta, b.y, b.g)
     jac = mf.jacobian_eta(theta, b.eta, b.y, b.g)
@@ -149,52 +153,48 @@ def _centered(s_ab, s_a, s_b, cnt):
         return np.where(ok, s_ab - s_a * s_b / np.where(ok, cnt, 1.0), 0.0)
 
 
-def _sorted_splits(eval_sets, arrays):
-    """Each split's rows in increasing order with its per-row array in the
-    same order; an array is copied only when its rows are not sorted (plan
-    rows always are)."""
-    out = []
-    for rows, arr in zip(eval_sets, arrays, strict=True):
-        arr = np.asarray(arr)
-        if np.any(rows[1:] < rows[:-1]):
-            order = np.argsort(rows, kind="stable")
-            rows, arr = rows[order], arr[order]
-        out.append((rows, arr))
-    return out
-
-
-def _chunk_sums(splits, n, vals_base, to_values):
+def _chunk_sums(folds, K, vals_split, vals_base, to_values):
     """The four accumulators of ``sigma_from_values``, a [a; C; T; E]^T,
     T [T; E]^T, C T^T and E E^T, summed over row chunks of one (4S x rows)
-    buffer. The buffer, its views and the per-chunk gathers live only in
-    this frame, so they are freed before the caller's S x S arithmetic."""
-    s = len(splits)
-    scale = n / np.array([rows.size for rows, _ in splits])
+    buffer. The buffer and the per-chunk gathers live only in this frame,
+    so they are freed before the caller's S x S arithmetic."""
+    M, n = folds.shape
+    s = M * K
+    sizes = fold_sizes(folds, K).reshape(s)
+    scale = n / sizes
     width = max(1, min(n, _CHUNK_TERMS // max(s, 1)))
     buf = np.empty((4 * s, width))
     acc_a = np.zeros((s, 4 * s))   # a [a; C; T; E]^T
     acc_t = np.zeros((s, 2 * s))   # T [T; E]^T
     acc_ct = np.zeros((s, s))      # C T^T
     acc_ee = np.zeros((s, s))      # E E^T
-    t_flat, e_flat = buf[2 * s:3 * s].reshape(-1), buf[3 * s:].reshape(-1)
-    starts = np.arange(0, n, width)
-    # bounds[j, c]: where chunk c starts in split j's sorted rows
-    bounds = np.array([np.searchsorted(rows, np.append(starts, n)) for rows, _ in splits])
-    for c, r0 in enumerate(starts):
+    labels = np.arange(K, dtype=folds.dtype)[:, None]
+    t_flat = buf[2 * s:3 * s].reshape(-1)
+    # where each split's next value sits in vals_split, which is fold-major
+    # with each split's values in increasing row order
+    next_value = np.cumsum(sizes) - sizes
+    for r0 in range(0, n, width):
         w = min(width, n - r0)
         chunk = buf[:, :w]
         a, cm, t, e = (chunk[i * s:(i + 1) * s] for i in range(4))
-        chunk[2 * s:].fill(0.0)
-        lo, hi = bounds[:, c].tolist(), bounds[:, c + 1].tolist()
-        counts = bounds[:, c + 1] - bounds[:, c]
-        rows = np.concatenate([r[i:k] for (r, _), i, k in zip(splits, lo, hi)])
-        vals = np.concatenate([arr[i:k] for (_, arr), i, k in zip(splits, lo, hi)])
+        # E is the one-hot of the chunk's labels, split j = (m, k) in row j
+        hot = np.equal(folds[:, None, r0:r0 + w], labels).reshape(s, w)
+        e[...] = hot
+        # the chunk's (split, row) pairs, split by split with rows increasing,
+        # which is also the order of each split's values in vals_split
+        pos = np.flatnonzero(hot)
+        split = pos // w
+        counts = np.bincount(split, minlength=s)
+        rows = pos - split * w + r0
+        pos += split * (width - w)  # where each pair sits in T's full-width rows
+        del split  # freed before the gathers below
+        starts = np.cumsum(counts) - counts
+        vals = vals_split[np.repeat(next_value - starts, counts) + np.arange(pos.size)]
+        next_value += counts
         if to_values is not None:
             vals = to_values(rows, vals)
-        # int64 offsets, so the positions do not wrap when rows are int32
-        pos = rows + np.repeat(np.arange(s, dtype=np.int64) * width - r0, counts)
+        t.fill(0.0)
         t_flat[pos] = vals_base[rows] - np.repeat(scale, counts) * vals
-        e_flat[pos] = 1.0
         np.subtract(1.0, e, out=cm)
         np.multiply(cm, vals_base[r0:r0 + w], out=a)
         acc_a += a @ chunk.T
@@ -204,21 +204,22 @@ def _chunk_sums(splits, n, vals_base, to_values):
     return acc_a, acc_t, acc_ct, acc_ee
 
 
-def sigma_from_values(eval_sets, n: int, vals_split, vals_base, to_values=None) -> SigmaHat:
+def sigma_from_values(folds, K: int, vals_split, vals_base, to_values=None) -> SigmaHat:
     """Covariance of sqrt(n) * (per-split mean - full-sample baseline mean).
 
-    ``vals_split`` yields the j-th split's values on its own evaluation rows
-    (in the order of ``eval_sets[j]``), j in plan order.
+    ``folds`` holds the (M x n) fold labels of a plan (see ``splits``):
+    split j = (m, k), j in plan order, evaluates the rows of repetition m
+    labelled k, and a label K puts a row in no split of its repetition.
+    ``vals_split`` is one flat array of the split values, fold-major: split
+    j's values on its rows in increasing order, then split j + 1's.
     ``vals_base`` holds the baseline values for all n rows. With
-    ``to_values`` given, ``vals_split`` yields any per-row arrays instead,
-    say a model's predictions, and ``to_values(rows, arrays)`` turns a
-    chunk's concatenated rows and slices of them into the split values there.
-    Only the arrays of ``vals_split`` are held across the chunk loop, once
-    (a generator's are gathered into a list). The split values enter as
-    tilde_j = v[rows] - (n / |rows|) vals_j, which is formed one row chunk
-    at a time and never for a whole split. The chunk loop runs in
-    ``_chunk_sums``, so its buffer and gathers (and a generator's arrays)
-    are freed before the S x S block arithmetic and ``eigh``.
+    ``to_values`` given, ``vals_split`` holds any per-row values instead,
+    say the splits' predictions, and ``to_values(rows, values)`` turns a
+    chunk's rows and their values, split by split, into the split values
+    there. The split values enter as tilde_j = v[rows] - (n / |rows|) vals_j,
+    which is formed one row chunk at a time and never for a whole split. The
+    chunk loop runs in ``_chunk_sums``, so its buffer and gathers are freed
+    before the S x S block arithmetic and ``eigh``.
 
     With E the (S x n) eval-row indicator, C = 1 - E its complement, T the
     split values tilde_j (zero off each split's eval rows) and a = C * v, the
@@ -226,11 +227,13 @@ def sigma_from_values(eval_sets, n: int, vals_split, vals_base, to_values=None) 
     a [a; C; T; E]^T gives the complement/complement and complement/eval
     cross sums and row sums, T [T; E]^T the eval/eval ones, C T^T the
     complement/eval column sums and E E^T the intersection counts, from which
-    the other counts follow exactly.
+    the other counts follow exactly. A chunk's E is the one-hot of its slice
+    of the labels, and its T entries are read from ``vals_split`` at each
+    split's running count of rows, so only the chunk's (split, row) pairs
+    are ever indexed, never a split's whole row list.
     """
-    acc_a, acc_t, acc_ct, acc_ee = _chunk_sums(_sorted_splits(eval_sets, vals_split), n,
-                                               vals_base, to_values)
-    s = acc_ee.shape[0]
+    acc_a, acc_t, acc_ct, acc_ee = _chunk_sums(folds, K, vals_split, vals_base, to_values)
+    s, n = acc_ee.shape[0], folds.shape[1]
 
     size = np.diag(acc_ee)
     c4 = acc_ee
@@ -275,7 +278,7 @@ def _one_sided(mf: MomentFunction, ev: Evaluations, delta: DeltaVector, vals_ref
                slack: float) -> tuple[SigmaHat, OneSidedTest]:
     """Covariance of the gaps ``delta`` against the reference model's
     influence values ``vals_ref`` on all n rows, and their one-sided test."""
-    eval_sets, n = ev.plan.eval_sets(), ev.plan.n
+    folds, K, n = ev.plan.folds, ev.plan.K, ev.plan.n
     if isinstance(mf, AverageMoment):
         # f acts row by row, so Sigma reads the blocks' own predictions and
         # evaluates f once per row chunk, over every split's rows in it
@@ -284,12 +287,15 @@ def _one_sided(mf: MomentFunction, ev: Evaluations, delta: DeltaVector, vals_ref
         def f_rows(rows, eta):
             return mf.f_eta(eta, y_all[rows], None if g_all is None else g_all[rows])
 
-        sigma = sigma_from_values(eval_sets, n, [b.eta for b in ev.blocks], vals_ref, f_rows)
+        sigma = sigma_from_values(folds, K, ev.etas, vals_ref, f_rows)
     else:
         grad = h.gradient(delta.theta_b)
-        sigma = sigma_from_values(
-            eval_sets, n, (_influence_rows(mf, b, delta.per_split_thetas[(b.m, b.k)], grad)
-                           for b in ev.blocks), vals_ref)
+        vals, end = np.empty(ev.etas.size), 0
+        for b in ev.blocks:
+            theta = delta.per_split_thetas[(b.m, b.k)]
+            vals[end:end + b.eta.size] = _influence_rows(mf, b, theta, grad)
+            end += b.eta.size
+        sigma = sigma_from_values(folds, K, vals, vals_ref)
     return sigma, one_sided_test(delta.deltas, sigma, n, alpha, mc_draws, seed, slack)
 
 
@@ -371,6 +377,7 @@ def sigma_delta_hat(mf: MomentFunction, ev: Evaluations, theta_pooled, base_vals
 
     cov_acc = 0.0
     for b in ev.blocks:
+        b = b.with_rows()
         a_s = _influence_rows(mf, b, theta_pooled, dv.grad)
         a_b = base_vals[b.rows]
         cov_acc += float(np.mean((a_s - a_s.mean()) * (a_b - a_b.mean())))
@@ -439,6 +446,7 @@ def _pooled_row_values(mf, ev: Evaluations, theta_pooled, h, uncovered) -> np.nd
     acc = np.zeros(ev.plan.n)
     cnt = np.zeros(ev.plan.n)
     for b in (*ev.blocks, *uncovered):
+        b = b.with_rows()
         acc[b.rows] += _influence_rows(mf, b, theta_pooled, grad)
         cnt[b.rows] += 1.0
     return acc / cnt
@@ -449,10 +457,9 @@ def compare_two_learners(mf: MomentFunction, plan: SplitPlan, d: Dataset,
                          h: DeltaSpec = IDENTITY, alpha: float = 0.05,
                          mc_draws: int = 100_000, slack: float = 0.0) -> TwoLearnerComparison:
     """Directional comparisons of two learners trained on identical splits."""
-    evaluated = np.zeros(plan.n, dtype=bool)
-    for rows in plan.eval_sets():
-        evaluated[rows] = True
-    uncovered_rows, codes = np.flatnonzero(~evaluated), group_codes(d)
+    # a row no split evaluates has the "in no fold" label K in every repetition
+    uncovered_rows = np.flatnonzero((plan.folds == plan.K).all(axis=0))
+    codes = group_codes(d)
     evs, uncovered = [], []
 
     def keep(model, b):  # the split model's block on the rows no split evaluates

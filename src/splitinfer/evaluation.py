@@ -22,7 +22,7 @@ from .data import Dataset, complement
 from .errors import LearnerFailure, NonFiniteJacobian
 from .learners import Learner
 from .rng import derived_seed
-from .splits import SplitPlan
+from .splits import SplitPlan, eval_rows, fold_sizes
 
 
 def group_codes(d: Dataset) -> np.ndarray | None:
@@ -39,16 +39,23 @@ def _take(arr, rows):
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """One split's evaluation rows (None: all rows) and its model's predictions
-    there. Only ``eta`` is held, not the model; ``y`` and the group codes ``g``
-    are gathered from the whole-dataset arrays on access."""
+    """One split's evaluation rows and its model's predictions there. Only
+    ``eta`` is held, not the model. The rows are ``index`` (None: all rows)
+    or, in a ``cross_fit`` block, the rows whose label in ``labels``, a view
+    of its repetition's row of the plan's fold labels, is ``k``; ``rows``
+    derives those on each access and the block never keeps them. ``y`` and
+    the group codes ``g`` are gathered from the whole-dataset arrays on
+    access (``g`` reads no rows without a group column). A pass that reads a
+    block's rows, y or g more than once takes ``with_rows()`` first, so it
+    derives them once."""
 
     m: int
     k: int
-    rows: np.ndarray | None
+    index: np.ndarray | None
     eta: np.ndarray
     y_all: np.ndarray = field(repr=False)
     g_all: np.ndarray | None = field(repr=False)
+    labels: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def of(cls, model, d: Dataset, rows=None, m: int = -1, k: int = -1,
@@ -59,21 +66,34 @@ class Block:
         return cls(m, k, rows, model.predict(_take(d.x, rows)), d.y, codes)
 
     @property
+    def rows(self) -> np.ndarray | None:
+        return self.index if self.labels is None else eval_rows(self.labels, self.k)
+
+    def with_rows(self) -> "Block":
+        """This block with its rows derived once and held, for one pass."""
+        if self.labels is None:
+            return self
+        return Block(self.m, self.k, self.rows, self.eta, self.y_all, self.g_all)
+
+    @property
     def y(self) -> np.ndarray:
         return _take(self.y_all, self.rows)
 
     @property
     def g(self) -> np.ndarray | None:
-        return _take(self.g_all, self.rows)
+        return None if self.g_all is None else _take(self.g_all, self.rows)
 
 
 @dataclass(frozen=True, eq=False)
 class Evaluations:
-    """The blocks of every split in plan order, (m, k) lexicographic."""
+    """The blocks of every split in plan order, (m, k) lexicographic, and
+    ``etas``, the one buffer that holds their predictions: each split's on
+    its rows in increasing order, one split after another (fold-major)."""
 
     plan: SplitPlan
     d: Dataset
     blocks: tuple[Block, ...]
+    etas: np.ndarray
 
 
 def fit_split(learner: Learner, d: Dataset, rows: np.ndarray, seed: int, m: int, k: int,
@@ -99,7 +119,9 @@ def fit_split(learner: Learner, d: Dataset, rows: np.ndarray, seed: int, m: int,
 def cross_fit(plan: SplitPlan, d: Dataset, learner: Learner, seed: int = 0,
               visit=None) -> Evaluations:
     """:func:`fit_split` with ``visit`` on each split (m, k) of ``plan``, one
-    after another in plan order, seeded by derived_seed(seed, m, k).
+    after another in plan order, seeded by derived_seed(seed, m, k). Each
+    split derives its rows from the plan's labels for its step; the block it
+    leaves holds the labels, not the rows.
 
     Each split's predictions are copied into one float64 buffer for the whole
     plan (its block holds a view), so none sits on the heap among later
@@ -107,20 +129,18 @@ def cross_fit(plan: SplitPlan, d: Dataset, learner: Learner, seed: int = 0,
     earlier allocations and moved one commit's peak RSS by several MB.
     """
     codes = group_codes(d)
-    splits = [(m, k, rows) for m, rep in enumerate(plan.repetitions)
-              for k, rows in enumerate(rep)]
-    ends = np.cumsum([rows.size for _, _, rows in splits])
-    etas = np.empty(int(ends[-1]))
-
-    def fit_one(split, end):
-        m, k, rows = split
-        block = fit_split(learner, d, rows, derived_seed(seed, m, k), m, k, codes=codes,
-                          visit=visit)
-        eta = etas[end - rows.size:end]
-        eta[...] = block.eta
-        return replace(block, eta=eta)
-
-    return Evaluations(plan, d, tuple(map(fit_one, splits, ends)))
+    etas = np.empty(int(fold_sizes(plan.folds, plan.K).sum()))
+    blocks, end = [], 0
+    for m, labels in enumerate(plan.folds):
+        for k in range(plan.K):
+            rows = eval_rows(labels, k)
+            block = fit_split(learner, d, rows, derived_seed(seed, m, k), m, k, codes=codes,
+                              visit=visit)
+            eta = etas[end:end + rows.size]
+            eta[...] = block.eta
+            end += rows.size
+            blocks.append(replace(block, index=None, eta=eta, labels=labels))
+    return Evaluations(plan, d, tuple(blocks), etas)
 
 
 @dataclass(frozen=True)
@@ -146,6 +166,7 @@ def pool(mf, blocks, theta, psi: bool = True, meat: bool = False,
     split_psi, split_meat, jacs = [], [], []
     count = 0
     for b in blocks:
+        b = b.with_rows()
         count += 1
         if with_psi:
             values = mf.psi_eta(theta, b.eta, b.y, b.g)

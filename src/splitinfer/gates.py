@@ -148,7 +148,7 @@ def _group_regression(controls, y, w, centered_t, labels, J: int):
 class EnsembleFit:
     """Per-repetition ingredients of the ensemble GATES pipeline."""
 
-    train_folds: list          # per m: list of K eval row arrays
+    plans: list                # per m: its K-fold plan, M = 1
     tau_by_alg: list           # per m: (n, A) out-of-fold predictions
     betas: list                # per m: (L, A) calibration weights
     tau: list                  # per m: (n,) combined predictions
@@ -202,11 +202,11 @@ def ensemble_predict(cfg: GatesConfig, d: Dataset, seed: int = 0) -> EnsembleFit
     n_alg = len(cfg.learners)
     ridge_any = False
 
-    train_folds, tau_by_alg, betas_all, tau_all = [], [], [], []
+    plans, tau_by_alg, betas_all, tau_all = [], [], [], []
     for m in range(cfg.M):
         plan = generate_plan(d.n, M=1, K=cfg.K, seed=derived_seed(seed, m, 0))
         tau_mat = np.empty((d.n, n_alg))
-        for k, rows in enumerate(plan.repetitions[0]):
+        for k, rows in enumerate(plan.eval_sets()):
             for a, learner in enumerate(cfg.learners):
                 tau_mat[rows, a] = fit_split(learner, d, rows, derived_seed(seed, m, 1, k, a),
                                              m, k).eta
@@ -214,17 +214,17 @@ def ensemble_predict(cfg: GatesConfig, d: Dataset, seed: int = 0) -> EnsembleFit
         calib_plan = generate_plan(d.n, M=1, K=cfg.L, seed=derived_seed(seed, m, 2))
         beta_mat = np.empty((cfg.L, n_alg))
         tau_hat = np.empty(d.n)
-        for ell, rows in enumerate(calib_plan.repetitions[0]):
+        for ell, rows in enumerate(calib_plan.eval_sets()):
             beta, _, _, ridge_used = _calibration_fit(controls, d, p, w, tau_mat,
                                                       complement(rows, d.n))
             ridge_any = ridge_any or ridge_used
             beta_mat[ell] = beta[controls.shape[1]:]
             tau_hat[rows] = tau_mat.take(rows, axis=0) @ beta_mat[ell]
-        train_folds.append(list(plan.repetitions[0]))
+        plans.append(plan)
         tau_by_alg.append(tau_mat)
         betas_all.append(beta_mat)
         tau_all.append(tau_hat)
-    return EnsembleFit(train_folds, tau_by_alg, betas_all, tau_all, ridge_fallback=ridge_any)
+    return EnsembleFit(plans, tau_by_alg, betas_all, tau_all, ridge_fallback=ridge_any)
 
 
 def _fold_groups(tau: np.ndarray, J: int):
@@ -258,7 +258,7 @@ def gates_estimate(cfg: GatesConfig, d: Dataset, fit: EnsembleFit) -> GatesResul
         tau = fit.tau[m]
         group = np.empty(d.n, dtype=np.int64)
         cutpoints = []
-        for rows in fit.train_folds[m]:
+        for rows in fit.plans[m].eval_sets():
             if float(np.ptp(tau[rows])) < 1e-8:
                 warnings.warn(
                     "near-flat predicted treatment effects within a fold; "
@@ -314,21 +314,20 @@ def het_test(cfg: GatesConfig, d: Dataset, fit: EnsembleFit,
     base_sq = base_resid**2
     msr_base = float(base_sq.mean())
 
-    eval_sets = []
     split_sq = []
     msr_splits = []
     for m in range(cfg.M):
-        for rows in fit.train_folds[m]:
+        for rows in fit.plans[m].eval_sets():
             _, _, resid, _ = _calibration_fit(controls, d, p, w, fit.tau_by_alg[m], rows)
             sq = resid**2
-            eval_sets.append(rows)
             split_sq.append(sq)
             msr_splits.append(float(sq.mean()))
 
     msr_splits = np.array(msr_splits)
     if float(base_sq.var()) == 0.0:
         raise ZeroDiagonal("outcome is deterministic given controls; MSR variance is zero")
-    sigma = sigma_from_values(eval_sets, d.n, split_sq, base_sq)
+    folds = np.concatenate([plan.folds for plan in fit.plans])
+    sigma = sigma_from_values(folds, cfg.K, np.concatenate(split_sq), base_sq)
     test = one_sided_test(msr_splits - msr_base, sigma, d.n, cfg.alpha, mc_draws, seed)
     return HetTestResult(msr_splits=msr_splits, msr_baseline=msr_base, test=test)
 
@@ -372,7 +371,7 @@ def baselines(cfg: GatesConfig, d: Dataset, seed: int = 0) -> dict:
     seq_pvalues = []
     for m in range(cfg.M):
         plan = generate_plan(d.n, M=1, K=cfg.K, seed=derived_seed(seed, m, 0))
-        folds = plan.repetitions[0]
+        folds = plan.eval_sets()
 
         # TTM: model trained on the complement, evaluated within the fold
         for k, rows in enumerate(folds):

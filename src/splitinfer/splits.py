@@ -7,9 +7,14 @@ random partition of [0, n) into K folds whose sizes differ by at most one
 assembly is a Fisher-Yates shuffle on a per-repetition Philox substream, so a
 plan is a pure function of (n, M, K, b, seed), independent of platform.
 
-Each evaluation set is a sorted, read-only array of row indices of dtype
-``row_dtype(n)``: int32 below 2**31 rows, which halves the M n indices a
-K-fold plan holds (8 MB at M = 100, n = 20 000), and int64 beyond.
+A plan stores one fold label per (repetition, row): ``folds[m, i]`` is the
+fold k whose evaluation set holds row i in repetition m, or K when no fold
+does (the n - b unsampled rows at K=1). Its dtype is ``label_dtype(K)``,
+uint8 up to K = 254, so the labels take M n bytes (2 MB at M = 100,
+n = 20 000) where int32 row indices took four times that. A split's sorted
+evaluation rows are derived from its labels when asked for (``rows``), as a
+read-only array of dtype ``row_dtype(n)``: int32 below 2**31 rows, int64
+beyond.
 """
 
 from __future__ import annotations
@@ -29,15 +34,25 @@ class SplitPlan:
     K: int
     b: int
     seed: int
-    repetitions: tuple[tuple[np.ndarray, ...], ...]
+    folds: np.ndarray  # (M, n) fold labels, read-only
 
     @property
     def n_splits(self) -> int:
         return self.M * self.K
 
+    def rows(self, m: int, k: int) -> np.ndarray:
+        """Split (m, k)'s evaluation rows in increasing order, derived from
+        repetition m's labels on each call."""
+        return eval_rows(self.folds[m], k)
+
+    @property
+    def repetitions(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Each repetition's evaluation sets, derived from the labels."""
+        return tuple(tuple(self.rows(m, k) for k in range(self.K)) for m in range(self.M))
+
     def eval_sets(self):
         """Evaluation sets in (m, k) lexicographic order."""
-        return [s for rep in self.repetitions for s in rep]
+        return [self.rows(m, k) for m in range(self.M) for k in range(self.K)]
 
     def to_jsonable(self) -> dict:
         return {
@@ -48,6 +63,18 @@ class SplitPlan:
             "seed": self.seed,
             "repetitions": [[s.tolist() for s in rep] for rep in self.repetitions],
         }
+
+
+def eval_rows(labels: np.ndarray, k: int) -> np.ndarray:
+    """The rows whose label is ``k``, in increasing order, read-only."""
+    rows = np.flatnonzero(labels == k).astype(row_dtype(labels.size), copy=False)
+    rows.flags.writeable = False
+    return rows
+
+
+def fold_sizes(folds: np.ndarray, K: int) -> np.ndarray:
+    """(M, K) evaluation-set sizes of the label rows ``folds``."""
+    return np.array([np.bincount(labels, minlength=K + 1)[:K] for labels in folds])
 
 
 def check_plan(M: int, K: int, b: int | None = None, n: int | None = None) -> None:
@@ -73,6 +100,12 @@ def row_dtype(n: int) -> type:
     return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
+def label_dtype(K: int) -> np.dtype:
+    """The smallest unsigned integer type that holds K + 1: every label,
+    0..K, with one value to spare, so a label plus one cannot wrap."""
+    return np.min_scalar_type(K + 1)
+
+
 def generate_plan(n: int, M: int, K: int, b: int | None = None, seed: int = 0) -> SplitPlan:
     """Draw a split plan.
 
@@ -88,13 +121,13 @@ def generate_plan(n: int, M: int, K: int, b: int | None = None, seed: int = 0) -
     if K > 1:
         b = n // K
 
-    dtype = row_dtype(n)
-    reps = []
+    dtype = label_dtype(K)
+    # the label of each position of a permutation: the np.array_split fold
+    # sizes in order, or b zeros then n - b "in no fold" labels at K=1
+    sizes = [b, n - b] if K == 1 else [n // K + (k < n % K) for k in range(K)]
+    by_position = np.repeat(np.arange(len(sizes), dtype=dtype), sizes)
+    folds = np.empty((M, n), dtype=dtype)
     for m in range(M):
-        perm = substream(seed, m).permutation(n).astype(dtype, copy=False)
-        sets = tuple(np.sort(s) for s in ([perm[:b]] if K == 1 else np.array_split(perm, K)))
-        for s in sets:
-            s.flags.writeable = False
-        reps.append(sets)
-    return SplitPlan(n=n, M=M, K=K, b=int(b), seed=int(seed), repetitions=tuple(reps))
-
+        folds[m, substream(seed, m).permutation(n)] = by_position
+    folds.flags.writeable = False
+    return SplitPlan(n=n, M=M, K=K, b=int(b), seed=int(seed), folds=folds)

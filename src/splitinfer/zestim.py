@@ -110,7 +110,7 @@ def solve_blocks(mf: MomentFunction, group) -> tuple[np.ndarray, int, float]:
     if isinstance(mf, TercileFractions):
         theta = mf.solve_pooled([(b.eta, b.y) for b in group])
         return theta, 0, _residual(mf, group, theta)
-    b0 = group[0]
+    b0 = group[0].with_rows()
     return newton_solve(lambda theta: pool(mf, group, theta).psi,
                         lambda theta: pool(mf, group, theta, psi=False, jacobian=True).jacobian,
                         mf.initial_guess_eta(b0.eta, b0.y, b0.g))
@@ -123,7 +123,7 @@ def _residual(mf, group, theta) -> float:
 def per_split_estimates(mf: MomentFunction, ev: Evaluations):
     """Variant-1 ingredients: one solved theta per (m, k)."""
     mf.validate(ev.d)
-    return {(b.m, b.k): solve_blocks(mf, [b])[0] for b in ev.blocks}
+    return {(b.m, b.k): solve_blocks(mf, [b.with_rows()])[0] for b in ev.blocks}
 
 
 def solve(variant: int, mf: MomentFunction, ev: Evaluations) -> ZEstimate:
@@ -140,7 +140,9 @@ def solve(variant: int, mf: MomentFunction, ev: Evaluations) -> ZEstimate:
         groups = {(b.m, b.k): [b] for b in ev.blocks}
     else:
         groups = {m: [b for b in ev.blocks if b.m == m] for m in range(ev.plan.M)}
-    solved = {key: solve_blocks(mf, group) for key, group in groups.items()}
+    # one group's rows at a time are derived once for all its passes
+    solved = {key: solve_blocks(mf, [b.with_rows() for b in group])
+              for key, group in groups.items()}
     thetas = {key: theta for key, (theta, _, _) in solved.items()}
     theta_hat = np.mean(list(thetas.values()), axis=0)
     iters = max(it for _, it, _ in solved.values())

@@ -108,94 +108,121 @@ def test_malformed_json_exits_one(tmp_path, capsys):
 NEEDS_DATA_OR_OUTPUT = pytest.mark.needs_data_or_output
 
 
-def needs_data_or_output(*row):
-    return pytest.param(*row, marks=NEEDS_DATA_OR_OUTPUT)
+def row(label, method, overrides, pointer, marks=()):
+    """One bad config, with the test id ``{method}-{label}-{pointer}``: a
+    row's id is written down, so adding or deleting a row renames no other.
+    The labels ``overridesN`` keep the ids the rows had when pytest named
+    them by position; a new row takes a label that says what it breaks."""
+    return pytest.param(method, overrides, pointer, marks=marks,
+                        id=f"{method}-{label}-{pointer}")
+
+
+def needs_data_or_output(*args):
+    return row(*args, marks=NEEDS_DATA_OR_OUTPUT)
 
 
 BAD_CONFIGS = [
-    ("estimate", {"h": "foo"}, "/h"),
-    ("estimate", {"h": "diff:0-x"}, "/h"),
-    ("estimate", {"h": "coordinate:"}, "/h"),
-    ("estimate", {"h": "coordinate:7"}, "/h"),  # mse is one-dimensional
-    ("estimate", {"moment": "linreg_on_eta", "h": "diff:0-2"}, "/h"),
-    ("estimate", {"learner": "knn(0)"}, "/learner"),
-    ("estimate", {"learner": "xgboost"}, "/learner"),
-    ("compare", {"compare": {"baseline": "ridge(-1)"}}, "/compare/baseline"),
-    ("compare", {"compare": {"against_learner": "forest"}}, "/compare/against_learner"),
-    ("gates", {"learners": ["ols", "bogus"]}, "/learners/1"),
-    ("estimate", {"learner": "knn(1e400)"}, "/learner"),
-    ("estimate", {"learner": "tree(1e400)"}, "/learner"),
-    ("estimate", {"learner": "ridge(1e400)"}, "/learner"),
-    needs_data_or_output("gates", {"gates": {"controls": ["const", "nope"]}},
+    row("overrides0", "estimate", {"h": "foo"}, "/h"),
+    row("overrides1", "estimate", {"h": "diff:0-x"}, "/h"),
+    row("overrides2", "estimate", {"h": "coordinate:"}, "/h"),
+    row("overrides3", "estimate", {"h": "coordinate:7"}, "/h"),  # mse is one-dimensional
+    row("overrides4", "estimate", {"moment": "linreg_on_eta", "h": "diff:0-2"}, "/h"),
+    row("overrides5", "estimate", {"learner": "knn(0)"}, "/learner"),
+    row("overrides6", "estimate", {"learner": "xgboost"}, "/learner"),
+    row("overrides7", "compare", {"compare": {"baseline": "ridge(-1)"}}, "/compare/baseline"),
+    row("overrides8", "compare", {"compare": {"against_learner": "forest"}},
+        "/compare/against_learner"),
+    row("overrides9", "gates", {"learners": ["ols", "bogus"]}, "/learners/1"),
+    row("overrides10", "estimate", {"learner": "knn(1e400)"}, "/learner"),
+    row("overrides11", "estimate", {"learner": "tree(1e400)"}, "/learner"),
+    row("overrides12", "estimate", {"learner": "ridge(1e400)"}, "/learner"),
+    needs_data_or_output("overrides13", "gates", {"gates": {"controls": ["const", "nope"]}},
                          "/gates/controls/1"),
-    ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
-                               "methods": ["estimate", "bogus"]}}, "/simulate/methods/1"),
-    ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
-                               "methods": ["estimate"], "dgp": {"kind": "weird"}}},
-     "/simulate/dgp/kind"),
-    ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
-                               "methods": ["estimate"], "dgp": {"slope": None}}},
-     "/simulate/dgp/slope"),
-    ("estimate", {"data": {"synthetic": {"kind": "weird"}}}, "/data/synthetic/kind"),
-    ("estimate", {"moment": "linreg_on_eta", "estimate": {"adaptive": True}},
-     "/estimate/adaptive"),
-    ("estimate", {"plan": {"M": 3, "K": 1, "seed": 5}}, "/plan"),  # K=1 needs b
-    needs_data_or_output("compare", {"plan": {"M": 3, "K": 50, "seed": 5}}, "/plan"),  # n=90 < 2K
-    needs_data_or_output("repro", {"plan": {"M": 3, "K": 50, "seed": 5}}, "/plan"),
-    ("gates", {"plan": {"M": 3, "K": 1, "seed": 5}}, "/plan/K"),
-    ("estimate", {"data": {"synthetic": {"kind": "copula", "mode": "shuffled"}}},
-     "/data/synthetic"),
-    ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
-                               "methods": ["estimate"], "dgp": {"kind": "hte", "mode": "asis"}}},
-     "/simulate/dgp"),
-    needs_data_or_output("gates", {"data": {"synthetic": {"kind": "linear_cate", "n": 40,
-                                                          "seed": 1}},
-                                   "plan": {"M": 3, "K": 25, "seed": 5}}, "/plan/K"),  # n < 2K
-    needs_data_or_output("gates", {"data": {"synthetic": {"kind": "linear_cate", "n": 40,
-                                                          "seed": 1}},
-                                   "gates": {"L": 25}}, "/gates/L"),  # n=40 < 2L
-    ("compare --adaptive", {}, "/estimate/adaptive"),
-    ("gates --adaptive", {}, "/estimate/adaptive"),
-    ("estimate", {"data": {"path": "data.csv"}}, "/data"),  # a CSV needs data.schema
-    ("estimate", {"plan": {"M": 3, "K": 3, "seed": -1}}, "/plan/seed"),
-    ("estimate", {"data": {"synthetic": {"kind": "base", "n": 90, "seed": -1}}},
-     "/data/synthetic/seed"),
-    ("estimate", {"data": {"synthetic": {"kind": "copula", "base_seed": -1}}},
-     "/data/synthetic/base_seed"),
-    ("estimate --seed -1", {}, "/plan/seed"),
+    row("overrides14", "simulate",
+        {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
+                      "methods": ["estimate", "bogus"]}}, "/simulate/methods/1"),
+    row("overrides15", "simulate",
+        {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
+                      "methods": ["estimate"], "dgp": {"kind": "weird"}}},
+        "/simulate/dgp/kind"),
+    row("overrides16", "simulate",
+        {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
+                      "methods": ["estimate"], "dgp": {"slope": None}}},
+        "/simulate/dgp/slope"),
+    row("overrides17", "estimate", {"data": {"synthetic": {"kind": "weird"}}},
+        "/data/synthetic/kind"),
+    row("overrides18", "estimate", {"moment": "linreg_on_eta", "estimate": {"adaptive": True}},
+        "/estimate/adaptive"),
+    row("overrides19", "estimate", {"plan": {"M": 3, "K": 1, "seed": 5}}, "/plan"),  # K=1 needs b
+    needs_data_or_output("overrides20", "compare", {"plan": {"M": 3, "K": 50, "seed": 5}},
+                         "/plan"),  # n=90 < 2K
+    needs_data_or_output("overrides21", "repro", {"plan": {"M": 3, "K": 50, "seed": 5}},
+                         "/plan"),
+    row("overrides22", "gates", {"plan": {"M": 3, "K": 1, "seed": 5}}, "/plan/K"),
+    row("overrides23", "estimate", {"data": {"synthetic": {"kind": "copula", "mode": "shuffled"}}},
+        "/data/synthetic"),
+    row("overrides24", "simulate",
+        {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
+                      "methods": ["estimate"], "dgp": {"kind": "hte", "mode": "asis"}}},
+        "/simulate/dgp"),
+    needs_data_or_output("overrides25", "gates",
+                         {"data": {"synthetic": {"kind": "linear_cate", "n": 40, "seed": 1}},
+                          "plan": {"M": 3, "K": 25, "seed": 5}}, "/plan/K"),  # n < 2K
+    needs_data_or_output("overrides26", "gates",
+                         {"data": {"synthetic": {"kind": "linear_cate", "n": 40, "seed": 1}},
+                          "gates": {"L": 25}}, "/gates/L"),  # n=40 < 2L
+    row("overrides27", "compare --adaptive", {}, "/estimate/adaptive"),
+    row("overrides28", "gates --adaptive", {}, "/estimate/adaptive"),
+    row("overrides29", "estimate", {"data": {"path": "data.csv"}},
+        "/data"),  # a CSV needs data.schema
+    row("overrides30", "estimate", {"plan": {"M": 3, "K": 3, "seed": -1}}, "/plan/seed"),
+    row("overrides31", "estimate", {"data": {"synthetic": {"kind": "base", "n": 90, "seed": -1}}},
+        "/data/synthetic/seed"),
+    row("overrides32", "estimate", {"data": {"synthetic": {"kind": "copula", "base_seed": -1}}},
+        "/data/synthetic/base_seed"),
+    row("overrides33", "estimate --seed -1", {}, "/plan/seed"),
     # simulate takes K from simulate.K_list and b = n // 2; estimate_payload's plan sets K
-    ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
-                               "methods": ["estimate"]}}, "/plan/K"),
-    needs_data_or_output("simulate", {"simulate": {"n_list": [40], "K_list": [2],
-                                                   "iterations": 1, "methods": ["estimate"],
-                                                   "csv_path": "nodir/grid.csv"},
-                                      "plan": {"M": 3, "seed": 5}},
+    row("overrides34", "simulate",
+        {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
+                      "methods": ["estimate"]}}, "/plan/K"),
+    needs_data_or_output("overrides35", "simulate",
+                         {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
+                                       "methods": ["estimate"], "csv_path": "nodir/grid.csv"},
+                          "plan": {"M": 3, "seed": 5}},
                          "/simulate/csv_path"),
-    needs_data_or_output("simulate", {"simulate": {"n_list": [40], "K_list": [2],
-                                                   "iterations": 1, "methods": ["estimate"]},
-                                      "plan": {"M": 3, "seed": 5},
-                                      "output": {"path": "nodir/r.json"}},
+    needs_data_or_output("overrides36", "simulate",
+                         {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
+                                       "methods": ["estimate"]},
+                          "plan": {"M": 3, "seed": 5},
+                          "output": {"path": "nodir/r.json"}},
                          "/output/path"),  # CSV nodir/r.json.csv
-    ("estimate", {"moment": "linreg_on_eta", "h": "diff:1-1"}, "/h"),  # identically zero
-    ("estimate", {"plan": {"M": 3, "K": 1}}, "/plan"),  # K=1 needs b, with the default seed
-    ("gates", {"plan": {"M": 3, "K": 1}}, "/plan/K"),
-    ("simulate", {}, "/"),  # a simulate config needs its simulate section
-    ("estimate", {"learner": "knn(3.7)"}, "/learner"),
-    ("estimate", {"learner": "tree(2.5)"}, "/learner"),
-    ("estimate", {"plan": {"M": 2, "K": 3, "b": 7, "seed": 5}}, "/plan"),  # K > 1 takes no b
-    ("gates", {"plan": {"M": 2, "K": 3, "b": 7, "seed": 5}}, "/plan/b"),
-    ("estimate", {"data": {"synthetic": {"kind": "base", "slope": 5}}}, "/data/synthetic"),
-    ("simulate", {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
-                               "methods": ["estimate"], "dgp": {"kind": "hte", "outcome_p": 0.3}}},
-     "/simulate/dgp"),
-    ("estimate", {"data": {"path": "data.csv", "schema": {"outcome": "y"},
-                           "synthetic": {"kind": "base"}}}, "/data"),  # two sources
-    ("estimate", {"data": {"missing_policy": "drop"}}, "/data"),  # CSV keys need data.path
-    ("estimate", {"data": {"schema": {"outcome": "y"}}}, "/data"),
-    ("estimate", {"data": {"missing_values": ["NA"]}}, "/data"),
-    ("simulate", {"simulate": {"n_list": [40], "K_list": [1], "iterations": 1,
-                               "methods": ["estimate"]},
-                  "plan": {"M": 3, "b": 7, "seed": 5}}, "/plan/b"),
+    row("overrides37", "estimate", {"moment": "linreg_on_eta", "h": "diff:1-1"},
+        "/h"),  # identically zero
+    row("overrides38", "estimate", {"plan": {"M": 3, "K": 1}},
+        "/plan"),  # K=1 needs b, with the default seed
+    row("overrides39", "gates", {"plan": {"M": 3, "K": 1}}, "/plan/K"),
+    row("overrides40", "simulate", {}, "/"),  # a simulate config needs its simulate section
+    row("overrides41", "estimate", {"learner": "knn(3.7)"}, "/learner"),
+    row("overrides42", "estimate", {"learner": "tree(2.5)"}, "/learner"),
+    row("overrides43", "estimate", {"plan": {"M": 2, "K": 3, "b": 7, "seed": 5}},
+        "/plan"),  # K > 1 takes no b
+    row("overrides44", "gates", {"plan": {"M": 2, "K": 3, "b": 7, "seed": 5}}, "/plan/b"),
+    row("overrides45", "estimate", {"data": {"synthetic": {"kind": "base", "slope": 5}}},
+        "/data/synthetic"),
+    row("overrides46", "simulate",
+        {"simulate": {"n_list": [40], "K_list": [2], "iterations": 1,
+                      "methods": ["estimate"], "dgp": {"kind": "hte", "outcome_p": 0.3}}},
+        "/simulate/dgp"),
+    row("overrides47", "estimate", {"data": {"path": "data.csv", "schema": {"outcome": "y"},
+                                             "synthetic": {"kind": "base"}}},
+        "/data"),  # two sources
+    row("overrides48", "estimate", {"data": {"missing_policy": "drop"}},
+        "/data"),  # CSV keys need data.path
+    row("overrides49", "estimate", {"data": {"schema": {"outcome": "y"}}}, "/data"),
+    row("overrides50", "estimate", {"data": {"missing_values": ["NA"]}}, "/data"),
+    row("overrides51", "simulate",
+        {"simulate": {"n_list": [40], "K_list": [1], "iterations": 1, "methods": ["estimate"]},
+         "plan": {"M": 3, "b": 7, "seed": 5}}, "/plan/b"),
 ]
 
 
@@ -360,9 +387,8 @@ def test_config_check_agrees_with_jsonschema_on_every_single_swap(synthetic):
 def test_config_check_agrees_with_jsonschema_on_known_configs(tmp_path):
     """Every bad config of test_bad_names_are_config_errors and every golden
     config gets jsonschema's verdict and first pointer."""
-    rows = [getattr(row, "values", row) for row in BAD_CONFIGS]  # a pytest.param has values
     configs = [estimate_payload(tmp_path / "r.json", method=method.split()[0], **overrides)
-               for method, overrides, _ in rows]
+               for method, overrides, _ in (param.values for param in BAD_CONFIGS)]
     configs += [{"method": command, **config}
                 for command, config, _ in golden_cases(tmp_path).values()]
     for config in configs:

@@ -59,21 +59,28 @@ def test_delta_negative_when_learner_dominates():
     assert np.all(dv.deltas < 0)
 
 
+def one_repetition_per_set(eval_sets, n):
+    """K = 1 fold labels with one repetition per evaluation set: label 0 on
+    its rows, 1 (in no fold) elsewhere, so the sets may overlap or repeat."""
+    folds = np.ones((len(eval_sets), n), dtype=np.uint8)
+    for labels, rows in zip(folds, eval_sets):
+        labels[rows] = 0
+    return folds
+
+
 def test_sigma_duplicate_splits_symmetry():
     d = gauss_dataset(30, 7)
-    eval_sets = [np.arange(10), np.arange(10)]  # identical duplicate splits
-    vals = [d.y[:10] ** 2, d.y[:10] ** 2]
+    folds = one_repetition_per_set([np.arange(10), np.arange(10)], d.n)  # identical splits
+    vals = np.concatenate([d.y[:10] ** 2, d.y[:10] ** 2])
     base = d.y**2
-    sig = sigma_from_values(eval_sets, d.n, vals, base)
+    sig = sigma_from_values(folds, 1, vals, base)
     np.testing.assert_allclose(sig.matrix[0], sig.matrix[1])
     np.testing.assert_allclose(sig.matrix[:, 0], sig.matrix[:, 1])
 
 
 def test_sigma_constant_values_zero():
-    eval_sets = [np.arange(5), np.arange(5, 10)]
-    vals = [np.ones(5), np.ones(5)]
-    base = np.ones(10)
-    sig = sigma_from_values(eval_sets, 10, vals, base)
+    folds = np.repeat(np.arange(2, dtype=np.uint8), 5)[None]  # one repetition of K = 2
+    sig = sigma_from_values(folds, 2, np.ones(10), np.ones(10))
     np.testing.assert_allclose(sig.matrix, 0.0, atol=1e-12)
 
 
@@ -118,24 +125,33 @@ def sigma_reference(eval_sets, n, vals, base):
 
 
 def sigma_cases():
+    """name -> (fold labels, K, the evaluation sets in plan order, each set's
+    values in increasing row order, baseline values on all rows)."""
     rng = substream(99)
     n = 37
     base = rng.standard_normal(n) ** 2
-    k3 = generate_plan(n, M=2, K=3, seed=1).eval_sets()
-    k1 = generate_plan(n, M=4, K=1, b=20, seed=2).eval_sets()
-    shuffled = list(k3)
-    shuffled[1] = rng.permutation(shuffled[1])
+    plans = {
+        "k3": generate_plan(n, M=2, K=3, seed=1),
+        "k1_subsample": generate_plan(n, M=4, K=1, b=20, seed=2),
+        # K = 1 with a complement of two rows, and with half the rows and two
+        # repetitions, which leaves rows that no split evaluates
+        "k1_b_n_minus_2": generate_plan(n, M=3, K=1, b=n - 2, seed=4),
+        "k1_b_half": generate_plan(n, M=2, K=1, b=n // 2, seed=5),
+    }
+    cases = {name: (plan.folds, plan.K, plan.eval_sets()) for name, plan in plans.items()}
+    k3 = cases["k3"][2]
     tiny = [np.array([0, 1, 2]), np.array([2, 3]), np.arange(3, n - 1), np.arange(1, n)]
-    cases = {"k3": k3, "k1_subsample": k1, "duplicates": [k3[0], k3[0], k3[1]],
-             "shuffled": shuffled, "singletons": tiny}
-    return {name: (sets, [base[rows] + 0.3 * rng.standard_normal(len(rows)) for rows in sets],
-                   base) for name, sets in cases.items()}
+    for name, sets in {"duplicates": [k3[0], k3[0], k3[1]], "singletons": tiny}.items():
+        cases[name] = (one_repetition_per_set(sets, n), 1, sets)
+    return {name: (folds, K, sets,
+                   [base[rows] + 0.3 * rng.standard_normal(len(rows)) for rows in sets], base)
+            for name, (folds, K, sets) in cases.items()}
 
 
 @pytest.mark.parametrize("name", sorted(sigma_cases()))
 def test_sigma_matches_intersection_reference(name):
-    eval_sets, vals, base = sigma_cases()[name]
-    got = sigma_from_values(eval_sets, base.size, iter(vals), base)
+    folds, K, eval_sets, vals, base = sigma_cases()[name]
+    got = sigma_from_values(folds, K, np.concatenate(vals), base)
     want = sigma_reference(eval_sets, base.size, vals, base)
     np.testing.assert_allclose(got.matrix, want.matrix, rtol=1e-12,
                                atol=1e-12 * np.abs(want.matrix).max())
@@ -147,12 +163,12 @@ def test_sigma_matches_intersection_reference(name):
 
 @pytest.mark.parametrize("name", sorted(sigma_cases()))
 def test_sigma_does_not_depend_on_chunk_size(name, monkeypatch):
-    eval_sets, vals, base = sigma_cases()[name]
+    folds, K, eval_sets, vals, base = sigma_cases()[name]
     s = len(eval_sets)
     results = []
     for terms in (s, 7 * s, compare_mod._CHUNK_TERMS):
         monkeypatch.setattr(compare_mod, "_CHUNK_TERMS", terms)
-        results.append(sigma_from_values(eval_sets, base.size, vals, base))
+        results.append(sigma_from_values(folds, K, np.concatenate(vals), base))
     for sig in results[1:]:
         np.testing.assert_allclose(sig.matrix, results[0].matrix, rtol=1e-12,
                                    atol=1e-12 * np.abs(results[0].matrix).max())
@@ -163,16 +179,18 @@ def test_sigma_does_not_depend_on_chunk_size(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(sigma_cases()))
 def test_sigma_from_predictions_is_bitwise_sigma_from_values(name):
     # the map path: per-row arrays (here predictions) plus a map applied to a
-    # whole chunk's rows must give the values path's Sigma bit for bit,
-    # also where a split's rows are unsorted and its array must follow them
-    eval_sets, _, base = sigma_cases()[name]
+    # whole chunk's rows must give the values path's Sigma bit for bit, also
+    # at K = 1 where some rows are in no split
+    folds, K, eval_sets, _, base = sigma_cases()[name]
+    if name == "k1_b_half":
+        assert np.all(folds == K, axis=0).any()
     rng = substream(17)
     y = rng.standard_normal(base.size)
     etas = [rng.standard_normal(len(rows)) for rows in eval_sets]
     mf = builtin_moment("mse")
     vals = [mf.f_eta(eta, y[rows]) for rows, eta in zip(eval_sets, etas)]
-    want = sigma_from_values(eval_sets, base.size, vals, base)
-    got = sigma_from_values(eval_sets, base.size, iter(etas), base,
+    want = sigma_from_values(folds, K, np.concatenate(vals), base)
+    got = sigma_from_values(folds, K, np.concatenate(etas), base,
                             lambda rows, eta: mf.f_eta(eta, y[rows]))
     np.testing.assert_array_equal(got.matrix, want.matrix)
     assert got.psd_projected == want.psd_projected
@@ -202,12 +220,12 @@ def test_compare_sigma_memory_is_bounded_by_the_chunk_budget(traced_peak):
 
 def test_sigma_memory_stays_below_one_splits_by_rows_array(traced_peak):
     n = 40_000
-    eval_sets = generate_plan(n, M=20, K=3, seed=3).eval_sets()
+    plan = generate_plan(n, M=20, K=3, seed=3)
     rng = substream(8)
     base = rng.standard_normal(n)
-    vals = [rng.standard_normal(len(rows)) for rows in eval_sets]
-    peak = traced_peak(sigma_from_values, eval_sets, n, vals, base)
-    assert peak < len(eval_sets) * n * 8
+    vals = rng.standard_normal(plan.M * n)
+    peak = traced_peak(sigma_from_values, plan.folds, plan.K, vals, base)
+    assert peak < plan.n_splits * n * 8
 
 
 def test_sigma_frees_its_chunk_buffer_before_the_block_arithmetic(traced_peak):
@@ -217,14 +235,30 @@ def test_sigma_frees_its_chunk_buffer_before_the_block_arithmetic(traced_peak):
     # per-chunk gathers, each at most M w entries (6 M w); the S x S
     # arithmetic after the loop must fit in what the freed buffer leaves
     n, M, K = 3_000, 100, 3
-    eval_sets = generate_plan(n, M=M, K=K, seed=9).eval_sets()
-    s = len(eval_sets)
+    plan = generate_plan(n, M=M, K=K, seed=9)
+    s = plan.n_splits
     w = min(n, compare_mod._CHUNK_TERMS // s)
     rng = substream(10)
     base = rng.standard_normal(n)
-    vals = [rng.standard_normal(len(rows)) for rows in eval_sets]
-    peak = traced_peak(sigma_from_values, eval_sets, n, vals, base)
+    vals = rng.standard_normal(M * n)
+    peak = traced_peak(sigma_from_values, plan.folds, K, vals, base)
     assert peak <= (4 * s * w + 12 * s * s + 6 * M * w) * 8, peak / 2**20
+
+
+def test_sigma_holds_no_splits_by_rows_array(traced_peak):
+    # Sigma on the compare benchmark's plan shape, M = 100, K = 3. Bound
+    # fixed before the first run: its chunk buffer and accumulators do not
+    # grow with n, so doubling n from 10 000 to 20 000 must add less to its
+    # peak than one (S x 10 000) array of one byte per entry would
+    M, K = 100, 3
+    peaks = []
+    for n in (10_000, 20_000):
+        plan = generate_plan(n, M, K, seed=12)
+        rng = substream(13)
+        base = rng.standard_normal(n)
+        vals = rng.standard_normal(M * n)
+        peaks.append(traced_peak(sigma_from_values, plan.folds, K, vals, base))
+    assert peaks[1] - peaks[0] < M * K * 10_000, [p / 2**20 for p in peaks]
 
 
 def test_sigma_oracle_m1_k2():

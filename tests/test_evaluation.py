@@ -116,9 +116,32 @@ def test_evaluate_blocks_follow_plan_order():
         np.testing.assert_array_equal(b.eta, d.x[rows, 0] + b.m + b.k)
         np.testing.assert_array_equal(b.y, d.y[rows])
         np.testing.assert_array_equal(b.g, (d.g[rows] == 5.0).astype(int))
-        assert b.eta.base is ev.blocks[0].eta.base  # one buffer holds every prediction
-    assert ev.blocks[0].eta.base.shape == (2 * 20,)
+        assert b.eta.base is ev.etas  # one buffer holds every prediction, fold-major
+        # a block keeps its repetition's labels, a view of the plan's, not its rows
+        assert b.index is None and np.shares_memory(b.labels, plan.folds)
+    assert ev.etas.shape == (2 * 20,)
+    np.testing.assert_array_equal(ev.etas, np.concatenate([b.eta for b in ev.blocks]))
     np.testing.assert_array_equal(group_codes(d), (d.g == 5.0).astype(int))
+
+
+def test_a_pass_derives_each_blocks_rows_once(monkeypatch):
+    from splitinfer import evaluation
+
+    rng = substream(5)
+    d = Dataset({"y": rng.standard_normal(30), "x": rng.standard_normal(30),
+                 "g": (rng.random(30) < 0.5) * 1.0}, Roles("y", ("x",), group="g"))
+    ev = cross_fit(generate_plan(30, M=2, K=3, seed=2), d, builtin("ols"))
+    derived = []
+    real = evaluation.eval_rows
+    monkeypatch.setattr(evaluation, "eval_rows",
+                        lambda labels, k: derived.append(k) or real(labels, k))
+    pool(builtin_moment("linreg_on_eta"), ev.blocks, np.zeros(2), meat=True, jacobian=True)
+    assert len(derived) == len(ev.blocks)  # y and g twice each, rows once
+    no_group = cross_fit(generate_plan(30, M=2, K=3, seed=2), Dataset(
+        {"y": d.y, "x": d.x[:, 0]}, Roles("y", ("x",))), builtin("ols"))
+    derived.clear()
+    assert all(b.g is None for b in no_group.blocks)
+    assert derived == []
 
 
 def test_pool_matches_per_split_model_forms():

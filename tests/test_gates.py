@@ -63,7 +63,7 @@ def test_row_propensity_and_covariate_controls_enter_the_gates_design():
     cfg = config(M=1, K=2, controls=("const", "propensity", "x2"))
     result, _, fit = run_gates(cfg, d, seed=2)
     group = np.empty(n, dtype=np.int64)
-    for rows in fit.train_folds[0]:
+    for rows in fit.plans[0].eval_sets():
         group[rows], _ = _fold_groups(fit.tau[0][rows], cfg.J)
     design = np.column_stack([np.ones(n), p, x2,
                               (t - p)[:, None] * (group[:, None] == np.arange(cfg.J))])
@@ -91,7 +91,7 @@ def test_group_balance_invariant():
     cfg = config(M=2, K=3)
     fit = ensemble_predict(cfg, d, seed=0)
     for m in range(cfg.M):
-        for rows in fit.train_folds[m]:
+        for rows in fit.plans[m].eval_sets():
             labels, _ = _fold_groups(fit.tau[m][rows], cfg.J)
             sizes = [np.sum(labels == j) for j in range(cfg.J)]
             assert max(sizes) - min(sizes) <= 1
@@ -155,7 +155,7 @@ def test_gamma_equals_per_group_ratio_without_controls():
     w = 1.0 / (p * (1.0 - p))
     tau = fit.tau[0]
     group = np.empty(d.n, dtype=np.int64)
-    for rows in fit.train_folds[0]:
+    for rows in fit.plans[0].eval_sets():
         labels, _ = _fold_groups(tau[rows], cfg.J)
         group[rows] = labels
     centered = d.t - p

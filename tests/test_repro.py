@@ -66,10 +66,9 @@ def test_identical_splits_zero_spread():
     y = rng.standard_normal(n)
     d = Dataset({"y": y, "x": np.zeros(n)}, Roles("y", ("x",)))
     one = generate_plan(n, M=1, K=2, seed=5)
-    rep = one.repetitions[0]
     from splitinfer.splits import SplitPlan
 
-    plan = SplitPlan(n=n, M=3, K=2, b=one.b, seed=5, repetitions=(rep, rep, rep))
+    plan = SplitPlan(n=n, M=3, K=2, b=one.b, seed=5, folds=np.repeat(one.folds, 3, axis=0))
     # identical models too (same training rows, deterministic learner)
     ev = cross_fit(plan, d, builtin("mean"), seed=0)
     mf = builtin_moment("mse")
@@ -86,7 +85,7 @@ def test_sigma_d_invariant_to_split_order():
     plan = ev.plan
     order = [2, 0, 3, 1]
     plan_p = SplitPlan(n=plan.n, M=plan.M, K=plan.K, b=plan.b, seed=plan.seed,
-                       repetitions=tuple(plan.repetitions[i] for i in order))
+                       folds=plan.folds[order])
     comps_p = sigma_D_hat(mf, cross_fit(plan_p, ev.d, builtin("mean")), est.theta_hat, tau=0.1)
     assert comps.sigma_hat_D2 == pytest.approx(comps_p.sigma_hat_D2, rel=1e-12)
 

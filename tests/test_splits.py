@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from splitinfer.errors import InvalidFoldCount, InvalidSubsampleSize
 from splitinfer.evaluation import cross_fit
 from splitinfer.learners import ConstantModel, Learner
 from splitinfer.rng import derived_seed, substream
-from splitinfer.splits import check_plan, generate_plan, row_dtype
+from splitinfer.splits import check_plan, generate_plan, label_dtype, row_dtype
 
 
 def test_equal_fold_sizes():
@@ -34,19 +36,35 @@ def test_sample_splitting_sizes():
         assert rep[0].size == 4
 
 
-@pytest.mark.parametrize("n, M, K, b", [(23, 3, 5, None), (40, 2, 1, 9), (7, 1, 3, None)])
+def reference_plan_rows(n, M, K, b, seed):
+    """Each repetition's evaluation sets as plans were once built from the
+    same int64 permutation: sorted ``np.array_split`` folds, or sorted
+    perm[:b] at K = 1."""
+    reps = []
+    for m in range(M):
+        perm = substream(seed, m).permutation(n)
+        reps.append([np.sort(s) for s in ([perm[:b]] if K == 1 else np.array_split(perm, K))])
+    return reps
+
+
+@pytest.mark.parametrize("n, M, K, b", [(23, 3, 5, None), (40, 2, 1, 9), (7, 1, 3, None),
+                                        (31, 2, 2, None), (30, 4, 3, None), (50, 3, 7, None),
+                                        (15, 2, 7, None)])
 def test_plan_rows_are_read_only_int32_with_the_int64_plan_json(n, M, K, b):
+    # the labels give the rows, the evaluation sets and the JSON of the
+    # sorted-row construction, also where K does not divide n
     plan = generate_plan(n, M, K, b, seed=4)
+    assert plan.folds.shape == (M, n) and plan.folds.dtype == np.uint8
     for rows in plan.eval_sets():
         assert rows.dtype == np.int32
         assert not rows.flags.writeable
-    # the same draw with the int64 permutation throughout: split, sort
-    want = []
-    for m in range(M):
-        perm = substream(4, m).permutation(n)
-        parts = [perm[:b]] if K == 1 else np.array_split(perm, K)
-        want.append([np.sort(s).tolist() for s in parts])
-    assert plan.to_jsonable()["repetitions"] == want
+    want = reference_plan_rows(n, M, K, b, seed=4)
+    for m, rep in enumerate(want):
+        for k, rows in enumerate(rep):
+            np.testing.assert_array_equal(plan.rows(m, k), rows)
+    for got, rows in zip(plan.eval_sets(), [r for rep in want for r in rep], strict=True):
+        np.testing.assert_array_equal(got, rows)
+    assert plan.to_jsonable()["repetitions"] == [[r.tolist() for r in rep] for rep in want]
 
 
 def test_row_dtype_widens_at_two_to_the_31_rows():
@@ -54,6 +72,34 @@ def test_row_dtype_widens_at_two_to_the_31_rows():
     assert row_dtype(2**31 - 1) is np.int32
     assert row_dtype(2**31) is np.int64
     assert row_dtype(2**40) is np.int64
+
+
+def test_label_dtype_holds_k_plus_one():
+    assert label_dtype(1) == np.uint8
+    assert label_dtype(254) == np.uint8
+    assert label_dtype(255) == np.uint16
+    assert label_dtype(70_000) == np.uint32
+    plan = generate_plan(520, M=2, K=255, seed=1)
+    assert plan.folds.dtype == np.uint16
+    assert generate_plan(520, M=2, K=254, seed=1).folds.dtype == np.uint8
+    np.testing.assert_array_equal(plan.rows(1, 254),
+                                  reference_plan_rows(520, 2, 255, None, 1)[1][254])
+
+
+def test_plan_holds_one_byte_per_repetition_and_row():
+    # the compare benchmark's plan shape. Bound fixed before the first run:
+    # what the plan keeps is its M n one-byte labels plus a small slack
+    generate_plan(10, M=1, K=2, seed=0)  # the first draw imports numpy.random
+    n, M = 20_000, 100
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        plan = generate_plan(n, M, 3, seed=0)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert plan.folds.nbytes == M * n
+    assert retained <= M * n + 64 * 1024, retained
 
 
 def test_partition_invariant():
