@@ -31,7 +31,7 @@ from .repro import (
     repro_measure,
     sigma_D_hat,
 )
-from .gates import CateLearner, GatesConfig, baselines, ensemble_predict, gates_estimate, het_test, run_gates
+from .gates import CateLearner, GatesConfig, baselines, het_test, repetition, run_gates
 from .sim import (
     CopulaDGP,
     ExperimentGrid,

@@ -394,7 +394,7 @@ def run_gates(config: dict) -> dict:
     # each repetition draws a K-fold plan and an L-fold calibration plan
     _resolved("/plan/K", check_plan, 1, cfg.K, n=d.n)
     _resolved("/gates/L", check_plan, 1, cfg.L, n=d.n)
-    result, het, _ = gates_mod.run_gates(
+    result, het = gates_mod.run_gates(
         cfg, d, seed=plan_cfg["seed"], run_het=gates_cfg.get("het_test", False),
         **_given(gates_cfg, "mc_draws"),
     )

@@ -8,6 +8,8 @@ per-training-fold quantiles of the combined prediction; and a single weighted
 regression on the whole sample (weights 1/(p(x)(1-p(x)))) estimates the group
 average treatment effects with heteroscedasticity-robust (HC0) standard
 errors. Estimates and standard errors are averaged over the M repetitions.
+:func:`run_gates` makes one pass over the repetitions, and a repetition's
+predictions die with its step.
 
 Every model here, the ensemble's and the baselines', is trained and predicts
 through :func:`evaluation.fit_split`, the step ``cross_fit`` maps over a
@@ -29,7 +31,7 @@ from .evaluation import fit_split
 from .inference import norm_cdf
 from .learners import Learner, Model
 from .rng import derived_seed
-from .splits import generate_plan
+from .splits import eval_rows, generate_plan, label_dtype
 
 RIDGE_FALLBACK = 1e-8
 
@@ -145,17 +147,6 @@ def _group_regression(controls, y, w, centered_t, labels, J: int):
 
 
 @dataclass
-class EnsembleFit:
-    """Per-repetition ingredients of the ensemble GATES pipeline."""
-
-    plans: list                # per m: its K-fold plan, M = 1
-    tau_by_alg: list           # per m: (n, A) out-of-fold predictions
-    betas: list                # per m: (L, A) calibration weights
-    tau: list                  # per m: (n,) combined predictions
-    ridge_fallback: bool
-
-
-@dataclass
 class GatesResult:
     gamma_hat: np.ndarray
     sigma_hat: np.ndarray
@@ -196,35 +187,43 @@ class HetTestResult:
         }
 
 
-def ensemble_predict(cfg: GatesConfig, d: Dataset, seed: int = 0) -> EnsembleFit:
-    """Out-of-fold ITE predictions per learner, calibrated into one per row."""
-    p, w, controls = _design(cfg, d)
+@dataclass
+class Repetition:
+    """Repetition m's ensemble: its K-fold labels (a row of a plan's
+    ``folds``), the (n, A) out-of-fold predictions of the A learners, the
+    (L, A) calibration weights, the combined prediction per row, and whether
+    a calibration fit fell back to ridge."""
+
+    folds: np.ndarray
+    tau_by_alg: np.ndarray
+    beta: np.ndarray
+    tau: np.ndarray
+    ridge_used: bool
+
+
+def repetition(cfg: GatesConfig, d: Dataset, seed: int, m: int, design=None) -> Repetition:
+    """Repetition m's out-of-fold ITE predictions per learner, calibrated into
+    one per row; ``design`` is ``_design(cfg, d)``, computed here when not
+    given."""
+    p, w, controls = _design(cfg, d) if design is None else design
     n_alg = len(cfg.learners)
+    plan = generate_plan(d.n, M=1, K=cfg.K, seed=derived_seed(seed, m, 0))
+    tau_mat = np.empty((d.n, n_alg))
+    for k, rows in enumerate(plan.eval_sets()):
+        for a, learner in enumerate(cfg.learners):
+            tau_mat[rows, a] = fit_split(learner, d, rows, derived_seed(seed, m, 1, k, a), m, k).eta
+
+    calib_plan = generate_plan(d.n, M=1, K=cfg.L, seed=derived_seed(seed, m, 2))
+    beta_mat = np.empty((cfg.L, n_alg))
+    tau_hat = np.empty(d.n)
     ridge_any = False
-
-    plans, tau_by_alg, betas_all, tau_all = [], [], [], []
-    for m in range(cfg.M):
-        plan = generate_plan(d.n, M=1, K=cfg.K, seed=derived_seed(seed, m, 0))
-        tau_mat = np.empty((d.n, n_alg))
-        for k, rows in enumerate(plan.eval_sets()):
-            for a, learner in enumerate(cfg.learners):
-                tau_mat[rows, a] = fit_split(learner, d, rows, derived_seed(seed, m, 1, k, a),
-                                             m, k).eta
-
-        calib_plan = generate_plan(d.n, M=1, K=cfg.L, seed=derived_seed(seed, m, 2))
-        beta_mat = np.empty((cfg.L, n_alg))
-        tau_hat = np.empty(d.n)
-        for ell, rows in enumerate(calib_plan.eval_sets()):
-            beta, _, _, ridge_used = _calibration_fit(controls, d, p, w, tau_mat,
-                                                      complement(rows, d.n))
-            ridge_any = ridge_any or ridge_used
-            beta_mat[ell] = beta[controls.shape[1]:]
-            tau_hat[rows] = tau_mat.take(rows, axis=0) @ beta_mat[ell]
-        plans.append(plan)
-        tau_by_alg.append(tau_mat)
-        betas_all.append(beta_mat)
-        tau_all.append(tau_hat)
-    return EnsembleFit(plans, tau_by_alg, betas_all, tau_all, ridge_fallback=ridge_any)
+    for ell, rows in enumerate(calib_plan.eval_sets()):
+        beta, _, _, ridge_used = _calibration_fit(controls, d, p, w, tau_mat,
+                                                  complement(rows, d.n))
+        ridge_any = ridge_any or ridge_used
+        beta_mat[ell] = beta[controls.shape[1]:]
+        tau_hat[rows] = tau_mat.take(rows, axis=0) @ beta_mat[ell]
+    return Repetition(plan.folds[0], tau_mat, beta_mat, tau_hat, ridge_any)
 
 
 def _fold_groups(tau: np.ndarray, J: int):
@@ -242,103 +241,97 @@ def _fold_groups(tau: np.ndarray, J: int):
     return labels, [float(tau[order[b - 1]]) for b in bounds[1:]]
 
 
-def gates_estimate(cfg: GatesConfig, d: Dataset, fit: EnsembleFit) -> GatesResult:
-    """Whole-sample weighted GATES regression per repetition, then average."""
-    p, w, controls = _design(cfg, d)
-    gammas = np.empty((cfg.M, cfg.J))
-    sigmas = np.empty((cfg.M, cfg.J))
-    deltas = np.empty(cfg.M)
-    delta_ses = np.empty(cfg.M)
-    records = []
-    flags = {}
-    if fit.ridge_fallback:
-        flags["collinear_calibration_ridge"] = True
-
-    for m in range(cfg.M):
-        tau = fit.tau[m]
-        group = np.empty(d.n, dtype=np.int64)
-        cutpoints = []
-        for rows in fit.plans[m].eval_sets():
-            if float(np.ptp(tau[rows])) < 1e-8:
-                warnings.warn(
-                    "near-flat predicted treatment effects within a fold; "
-                    "group quantiles are ill-defined",
-                    stacklevel=2,
-                )
-            labels, cuts = _fold_groups(tau[rows], cfg.J)
-            group[rows] = labels
-            cutpoints.append(cuts)
-        gam, cov_g, gap_var = _group_regression(controls, d.y, w, d.t - p, group, cfg.J)
-        gammas[m] = gam
-        sigmas[m] = np.sqrt(np.maximum(np.diag(cov_g), 0.0))
-        deltas[m] = gam[-1] - gam[0]
-        delta_ses[m] = float(np.sqrt(max(gap_var, 0.0)))
-        records.append(
-            {
-                "gamma": gam.tolist(),
-                "sigma": sigmas[m].tolist(),
-                "delta": float(deltas[m]),
-                "delta_se": float(delta_ses[m]),
-                "beta_weights": fit.betas[m].tolist(),
-                "cut_points": cutpoints,
-            }
-        )
-
-    delta_hat = float(deltas.mean())
-    delta_se = float(delta_ses.mean())
-    z = delta_hat / delta_se if delta_se > 0 else np.inf * np.sign(delta_hat or 1.0)
-    return GatesResult(
-        gamma_hat=gammas.mean(axis=0),
-        sigma_hat=sigmas.mean(axis=0),
-        delta_hat=delta_hat,
-        delta_se=delta_se,
-        p_one_sided=float(1.0 - norm_cdf(z)),
-        p_two_sided=float(2.0 * norm_cdf(-abs(z))),
-        per_repetition=records,
-        flags=flags,
-    )
-
-
-def het_test(cfg: GatesConfig, d: Dataset, fit: EnsembleFit,
-             mc_draws: int = 20_000, seed: int = 0) -> HetTestResult:
+def het_test(cfg: GatesConfig, folds: np.ndarray, split_sq: np.ndarray, msr_splits: np.ndarray,
+             base_sq: np.ndarray, mc_draws: int = 20_000, seed: int = 0) -> HetTestResult:
     """One-sided test comparing fold-level calibration fit against no-signal.
 
-    Each split's mean squared residual from the fold-level calibration
-    regression is compared with the controls-only baseline regression; a split
+    Each split's mean squared residual ``msr_splits`` from the fold-level
+    calibration regression is compared with that of the controls-only
+    baseline regression, whose squared residuals are ``base_sq``; a split
     beating the baseline by more than sampling noise indicates detectable
-    heterogeneity.
+    heterogeneity. ``folds`` holds the repetitions' (M, n) fold labels and
+    ``split_sq`` the splits' squared residuals, fold-major, as
+    ``compare.sigma_from_values`` reads them.
     """
-    p, w, controls = _design(cfg, d)
-
-    _, _, base_resid, _ = wls_fit(controls, d.y, w)
-    base_sq = base_resid**2
     msr_base = float(base_sq.mean())
-
-    split_sq = []
-    msr_splits = []
-    for m in range(cfg.M):
-        for rows in fit.plans[m].eval_sets():
-            _, _, resid, _ = _calibration_fit(controls, d, p, w, fit.tau_by_alg[m], rows)
-            sq = resid**2
-            split_sq.append(sq)
-            msr_splits.append(float(sq.mean()))
-
-    msr_splits = np.array(msr_splits)
-    if float(base_sq.var()) == 0.0:
-        raise ZeroDiagonal("outcome is deterministic given controls; MSR variance is zero")
-    folds = np.concatenate([plan.folds for plan in fit.plans])
-    sigma = sigma_from_values(folds, cfg.K, np.concatenate(split_sq), base_sq)
-    test = one_sided_test(msr_splits - msr_base, sigma, d.n, cfg.alpha, mc_draws, seed)
+    sigma = sigma_from_values(folds, cfg.K, split_sq, base_sq)
+    test = one_sided_test(msr_splits - msr_base, sigma, base_sq.size, cfg.alpha, mc_draws, seed)
     return HetTestResult(msr_splits=msr_splits, msr_baseline=msr_base, test=test)
 
 
 def run_gates(cfg: GatesConfig, d: Dataset, seed: int = 0, run_het: bool = False,
               mc_draws: int = 20_000):
-    """Convenience pipeline: ensemble predictions, GATES, optional het test."""
-    fit = ensemble_predict(cfg, d, seed)
-    result = gates_estimate(cfg, d, fit)
-    het = het_test(cfg, d, fit, mc_draws=mc_draws, seed=derived_seed(seed, 3)) if run_het else None
-    return result, het, fit
+    """GATES in one pass over the repetitions, and with ``run_het`` the het
+    test; returns (GatesResult, HetTestResult or None).
+
+    Repetition m's step fits its ensemble (:func:`repetition`), groups each
+    fold by the combined predictions, runs the GATES regression and, for the
+    het test, writes its fold labels and its K fold-level calibration
+    residual-square vectors into arrays preallocated for all M repetitions;
+    the step's own arrays die before the next repetition starts. The het
+    test's controls-only baseline is fitted, and its degeneracy checked,
+    before the first repetition, so a degenerate test runs no fit. Estimates
+    and standard errors are averaged over the repetitions.
+    """
+    design = _design(cfg, d)
+    p, w, controls = design
+    if run_het:
+        _, _, base_resid, _ = wls_fit(controls, d.y, w)
+        base_sq = base_resid**2
+        if float(base_sq.var()) == 0.0:
+            raise ZeroDiagonal("outcome is deterministic given controls; MSR variance is zero")
+        folds = np.empty((cfg.M, d.n), dtype=label_dtype(cfg.K))
+        split_sq = np.empty(cfg.M * d.n)
+
+    records, msr_splits, ridge_any, end = [], [], False, 0
+    for m in range(cfg.M):
+        rep = repetition(cfg, d, seed, m, design)
+        ridge_any = ridge_any or rep.ridge_used
+        group = np.empty(d.n, dtype=np.int64)
+        cutpoints = []
+        for k in range(cfg.K):
+            rows = eval_rows(rep.folds, k)
+            if float(np.ptp(rep.tau[rows])) < 1e-8:
+                warnings.warn("near-flat predicted treatment effects within a fold; "
+                              "group quantiles are ill-defined", stacklevel=2)
+            group[rows], cuts = _fold_groups(rep.tau[rows], cfg.J)
+            cutpoints.append(cuts)
+            if run_het:  # split (m, k)'s squared calibration residuals, fold-major
+                _, _, resid, _ = _calibration_fit(controls, d, p, w, rep.tau_by_alg, rows)
+                sq = split_sq[end:end + rows.size]
+                sq[...] = resid**2
+                msr_splits.append(float(sq.mean()))
+                end += rows.size
+        if run_het:
+            folds[m] = rep.folds
+        gam, cov_g, gap_var = _group_regression(controls, d.y, w, d.t - p, group, cfg.J)
+        records.append({
+            "gamma": gam.tolist(),
+            "sigma": np.sqrt(np.maximum(np.diag(cov_g), 0.0)).tolist(),
+            "delta": float(gam[-1] - gam[0]),
+            "delta_se": float(np.sqrt(max(gap_var, 0.0))),
+            "beta_weights": rep.beta.tolist(),
+            "cut_points": cutpoints,
+        })
+        del rep  # its (n, A) predictions die before the next repetition's fits
+
+    delta_hat = float(np.mean([r["delta"] for r in records]))
+    delta_se = float(np.mean([r["delta_se"] for r in records]))
+    z = delta_hat / delta_se if delta_se > 0 else np.inf * np.sign(delta_hat or 1.0)
+    result = GatesResult(
+        gamma_hat=np.array([r["gamma"] for r in records]).mean(axis=0),
+        sigma_hat=np.array([r["sigma"] for r in records]).mean(axis=0),
+        delta_hat=delta_hat,
+        delta_se=delta_se,
+        p_one_sided=float(1.0 - norm_cdf(z)),
+        p_two_sided=float(2.0 * norm_cdf(-abs(z))),
+        per_repetition=records,
+        flags={"collinear_calibration_ridge": True} if ridge_any else {},
+    )
+    if not run_het:
+        return result, None
+    return result, het_test(cfg, folds, split_sq, np.array(msr_splits), base_sq,
+                            mc_draws, derived_seed(seed, 3))
 
 
 # ---------------------------------------------------------------------------

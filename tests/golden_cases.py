@@ -143,6 +143,13 @@ def cases(workdir: Path) -> dict[str, tuple[str, dict, list[str]]]:
         "learners": ["ols", "ridge(1.0)"],
         "gates": {"J": 3, "L": 2, "het_test": True, "baselines": True, "mc_draws": 2000},
     }, [])
+    out["gates_ridge_controls"] = ("gates", {
+        "data": {"synthetic": {"kind": "hte", "n": 300, "seed": 4}},
+        "plan": {"M": 3, "K": 3, "seed": 5},
+        "learners": ["ols", "ols"],
+        "gates": {"J": 2, "L": 3, "controls": ["const", "x1"], "het_test": True,
+                  "baselines": False, "mc_draws": 2000},
+    }, [])
     out["repro_mse"] = ("repro", {
         "data": _data("base", workdir), "plan": _plan(3, 150),
         "learner": "ols", "moment": "mse",

@@ -663,7 +663,7 @@ def test_benchmark_and_golden_command_lines_parse(tmp_path, monkeypatch):
     argvs = [w.argv("config.json") for w in workloads.WORKLOADS.values()]
     argvs += [case_argv(command, "config.json", flags)
               for command, _, flags in golden_cases(tmp_path).values()]
-    assert len(argvs) == len(workloads.WORKLOADS) + 54
+    assert len(argvs) == len(workloads.WORKLOADS) + 55
     parser = make_parser()
     for argv in argvs:
         args = parser.parse_args(argv)

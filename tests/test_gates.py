@@ -1,10 +1,12 @@
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from splitinfer import gates
 from splitinfer.data import Dataset, Roles, complement
 from splitinfer.errors import EmptyGroup, LearnerFailure, ZeroDiagonal
 from splitinfer.gates import (
@@ -14,9 +16,7 @@ from splitinfer.gates import (
     _fold_groups,
     _group_regression,
     baselines,
-    ensemble_predict,
-    gates_estimate,
-    het_test,
+    repetition,
     run_gates,
     ttm_aggregate,
     wls_fit,
@@ -25,7 +25,7 @@ from splitinfer.inference import norm_cdf
 from splitinfer.learners import FixedFunctionModel, Learner, builtin
 from splitinfer.rng import derived_seed, substream
 from splitinfer.sim import linear_cate_sample
-from splitinfer.splits import generate_plan
+from splitinfer.splits import eval_rows, generate_plan
 
 
 def small_trial(n=300, seed=0, hte_coef=1.0, base_effect=1.0):
@@ -38,6 +38,15 @@ def config(n_learners=1, **kwargs):
     defaults = dict(M=3, K=2, L=2, J=3)
     defaults.update(kwargs)
     return GatesConfig(learners=learners, **defaults)
+
+
+def groups(rep, cfg):
+    """A repetition's group per row: J rank-balanced groups within each fold."""
+    group = np.empty(rep.tau.size, dtype=np.int64)
+    for k in range(cfg.K):
+        rows = eval_rows(rep.folds, k)
+        group[rows], _ = _fold_groups(rep.tau[rows], cfg.J)
+    return group
 
 
 def test_wls_equal_weights_matches_ols():
@@ -61,10 +70,8 @@ def test_row_propensity_and_covariate_controls_enter_the_gates_design():
     d = Dataset({"y": y, "x1": x1, "x2": x2, "t": t, "p": p},
                 Roles("y", ("x1", "x2"), treatment="t", propensity="p"))
     cfg = config(M=1, K=2, controls=("const", "propensity", "x2"))
-    result, _, fit = run_gates(cfg, d, seed=2)
-    group = np.empty(n, dtype=np.int64)
-    for rows in fit.plans[0].eval_sets():
-        group[rows], _ = _fold_groups(fit.tau[0][rows], cfg.J)
+    result, _ = run_gates(cfg, d, seed=2)
+    group = groups(repetition(cfg, d, 2, 0), cfg)
     design = np.column_stack([np.ones(n), p, x2,
                               (t - p)[:, None] * (group[:, None] == np.arange(cfg.J))])
     beta, *_ = wls_fit(design, y, 1.0 / (p * (1.0 - p)))
@@ -89,11 +96,11 @@ def test_fold_groups_too_small():
 def test_group_balance_invariant():
     d = small_trial(n=200, seed=3)
     cfg = config(M=2, K=3)
-    fit = ensemble_predict(cfg, d, seed=0)
     for m in range(cfg.M):
-        for rows in fit.plans[m].eval_sets():
-            labels, _ = _fold_groups(fit.tau[m][rows], cfg.J)
-            sizes = [np.sum(labels == j) for j in range(cfg.J)]
+        rep = repetition(cfg, d, 0, m)
+        group = groups(rep, cfg)
+        for k in range(cfg.K):
+            sizes = np.bincount(group[rep.folds == k], minlength=cfg.J)
             assert max(sizes) - min(sizes) <= 1
 
 
@@ -103,17 +110,16 @@ def test_calibration_weight_near_one_for_good_predictor():
     for seed in range(12):
         d = small_trial(n=500, seed=seed, hte_coef=1.5)
         cfg = config(M=2, K=2)
-        fit = ensemble_predict(cfg, d, seed=seed)
-        betas.extend(float(b) for bm in fit.betas for b in bm.ravel())
+        betas.extend(float(b) for m in range(cfg.M)
+                     for b in repetition(cfg, d, seed, m).beta.ravel())
     assert abs(np.mean(betas) - 1.0) < 0.1
 
 
 def test_duplicated_learner_triggers_ridge_flag():
     d = small_trial(n=200, seed=5)
     cfg = config(n_learners=3, M=1, K=2)  # first and third learner identical
-    fit = ensemble_predict(cfg, d, seed=1)
-    assert fit.ridge_fallback
-    result = gates_estimate(cfg, d, fit)
+    assert repetition(cfg, d, 1, 0).ridge_used
+    result, _ = run_gates(cfg, d, seed=1)
     assert result.flags.get("collinear_calibration_ridge")
 
 
@@ -122,7 +128,7 @@ def test_constant_effect_delta_near_zero():
     for seed in range(10):
         d = small_trial(n=400, seed=100 + seed, hte_coef=0.0, base_effect=1.0)
         cfg = config(M=2, K=2)
-        result, _, _ = run_gates(cfg, d, seed=seed)
+        result, _ = run_gates(cfg, d, seed=seed)
         deltas.append(result.delta_hat)
         assert abs(np.mean(result.gamma_hat) - 1.0) < 0.5
     assert abs(np.mean(deltas)) < 0.2
@@ -139,7 +145,7 @@ def test_two_group_cate_gap_detected():
     d = Dataset({"x1": x[:, 0], "x2": x[:, 1], "y": y, "t": t},
                 Roles("y", ("x1", "x2"), treatment="t", propensity=0.5))
     cfg = config(M=3, K=2)
-    result, _, _ = run_gates(cfg, d, seed=2)
+    result, _ = run_gates(cfg, d, seed=2)
     assert result.delta_hat == pytest.approx(2.0, abs=0.35)
     assert result.p_one_sided < 0.01
 
@@ -149,15 +155,10 @@ def test_gamma_equals_per_group_ratio_without_controls():
     d = small_trial(n=300, seed=11)
     learners = (CateLearner(builtin("ols")),)
     cfg = GatesConfig(learners=learners, M=1, K=2, L=2, J=3, controls=())
-    fit = ensemble_predict(cfg, d, seed=3)
-    result = gates_estimate(cfg, d, fit)
+    result, _ = run_gates(cfg, d, seed=3)
     p = d.propensity_values()
     w = 1.0 / (p * (1.0 - p))
-    tau = fit.tau[0]
-    group = np.empty(d.n, dtype=np.int64)
-    for rows in fit.plans[0].eval_sets():
-        labels, _ = _fold_groups(tau[rows], cfg.J)
-        group[rows] = labels
+    group = groups(repetition(cfg, d, 3, 0), cfg)
     centered = d.t - p
     for j in range(cfg.J):
         mask = group == j
@@ -171,8 +172,8 @@ def test_learner_relabeling_invariance():
     d = small_trial(n=250, seed=13)
     l1 = CateLearner(builtin("ols"), name="a")
     l2 = CateLearner(builtin("ridge(2.0)"), name="b")
-    res_ab, _, _ = run_gates(GatesConfig(learners=(l1, l2), M=2, K=2), d, seed=4)
-    res_ba, _, _ = run_gates(GatesConfig(learners=(l2, l1), M=2, K=2), d, seed=4)
+    res_ab, _ = run_gates(GatesConfig(learners=(l1, l2), M=2, K=2), d, seed=4)
+    res_ba, _ = run_gates(GatesConfig(learners=(l2, l1), M=2, K=2), d, seed=4)
     assert res_ab.delta_hat == pytest.approx(res_ba.delta_hat, rel=1e-9)
     assert res_ab.p_one_sided == pytest.approx(res_ba.p_one_sided, rel=1e-9)
 
@@ -199,21 +200,27 @@ def test_cate_learners_share_a_training_view_across_threads():
 def test_het_test_smoke_and_degenerate():
     d = small_trial(n=240, seed=17, hte_coef=1.5)
     cfg = config(M=2, K=2)
-    fit = ensemble_predict(cfg, d, seed=5)
-    het = het_test(cfg, d, fit, mc_draws=2000, seed=6)
+    _, het = run_gates(cfg, d, seed=5, run_het=True, mc_draws=2000)
     assert het.msr_baseline > 0
     assert het.msr_splits.shape == (cfg.M * cfg.K,)
 
-    # deterministic outcome: zero residual variance errors out
+    # deterministic outcome: zero residual variance errors out before any fit
     n = 100
     rng = substream(23)
     x = rng.standard_normal(n)
     t = (rng.random(n) < 0.5).astype(float)
     d_const = Dataset({"x1": x, "y": np.full(n, 3.0), "t": t},
                       Roles("y", ("x1",), treatment="t", propensity=0.5))
-    fit_c = ensemble_predict(config(M=1, K=2), d_const, seed=0)
+    calls = []
+
+    def counting_fit(d, seed):
+        calls.append(seed)
+        return CateLearner(builtin("ols")).train(d, seed)
+
+    cfg_const = GatesConfig(learners=(Learner("counting", counting_fit),), M=1, K=2)
     with pytest.raises(ZeroDiagonal):
-        het_test(config(M=1, K=2), d_const, fit_c, mc_draws=500, seed=0)
+        run_gates(cfg_const, d_const, seed=0, run_het=True, mc_draws=500)
+    assert calls == []
 
 
 def test_ttm_aggregation_examples():
@@ -236,11 +243,10 @@ def test_baselines_smoke():
 
 def test_flat_predictions_warn():
     d = small_trial(n=200, seed=29, hte_coef=0.0)
-    cfg = GatesConfig(learners=(CateLearner(builtin("mean")),), M=1, K=2, L=2, J=3)
-    fit = ensemble_predict(cfg, d, seed=8)
-    fit.tau[0] = np.zeros(d.n)  # force flat combined predictions
+    zero = Learner("zero", lambda d, seed: FixedFunctionModel(lambda x: np.zeros(len(x))))
+    cfg = GatesConfig(learners=(zero,), M=1, K=2, L=2, J=3)
     with pytest.warns(UserWarning):
-        gates_estimate(cfg, d, fit)
+        run_gates(cfg, d, seed=8)
 
 
 def seeded_shift(d, seed):
@@ -301,9 +307,8 @@ def retrained_baselines(cfg, d, seed):
 def test_gates_fits_equal_an_independent_retrain(base):
     d = small_trial(n=180, seed=31, hte_coef=1.5)
     cfg = GatesConfig(learners=(CateLearner(base), CateLearner(builtin("ols"))), M=3, K=3)
-    fit = ensemble_predict(cfg, d, seed=6)
-    for got, want in zip(fit.tau_by_alg, retrained_tau_by_alg(cfg, d, 6), strict=True):
-        assert np.array_equal(got, want)
+    for m, want in enumerate(retrained_tau_by_alg(cfg, d, 6)):
+        assert np.array_equal(repetition(cfg, d, 6, m).tau_by_alg, want)
     assert baselines(cfg, d, seed=8) == retrained_baselines(cfg, d, 8)
 
 
@@ -325,7 +330,7 @@ def failing_fit(n_fit, calls):
 # per repetition, 3 TTM models (seed path m, 1, k) and then 2 Seq models
 # (seed path m, 2, k for k = 1, 2).
 @pytest.mark.parametrize("run, n_fit, m, k, seed_path", [
-    (ensemble_predict, 5, 1, 1, (1, 1, 1, 0)),
+    (run_gates, 5, 1, 1, (1, 1, 1, 0)),
     (baselines, 7, 1, 1, (1, 1, 1)),
     (baselines, 10, 1, 2, (1, 2, 2)),
 ], ids=["ensemble", "ttm", "seq"])
@@ -355,7 +360,53 @@ def test_ensemble_holds_at_most_one_model_between_fits():
         return model
 
     cfg = GatesConfig(learners=(Learner("a", fit), Learner("b", fit)), M=2, K=3)
-    ensemble_predict(cfg, small_trial(n=150, seed=5), seed=0)
+    run_gates(cfg, small_trial(n=150, seed=5), seed=0)
     assert len(held_at_fit) == cfg.M * cfg.K * 2
     assert max(held_at_fit) <= 1
     assert len(alive) == 0
+
+
+def test_a_repetitions_predictions_die_before_the_next_repetition_fits(monkeypatch):
+    alive, alive_at_fit = [], []
+
+    def tracked(*args, **kwargs):
+        rep = repetition(*args, **kwargs)
+        alive.append(weakref.ref(rep.tau_by_alg))
+        return rep
+
+    cate = CateLearner(builtin("ols"))
+
+    def fit(d, seed):
+        alive_at_fit.append(sum(ref() is not None for ref in alive))
+        return cate.train(d, seed)
+
+    monkeypatch.setattr(gates, "repetition", tracked)
+    cfg = GatesConfig(learners=(Learner("a", fit), Learner("b", fit)), M=3, K=3)
+    run_gates(cfg, small_trial(n=150, seed=5), seed=0, run_het=True, mc_draws=500)
+    assert len(alive) == cfg.M
+    assert alive_at_fit == [0] * (cfg.M * cfg.K * 2)
+
+
+def test_the_het_test_holds_only_its_residuals_and_labels_at_sigma(monkeypatch):
+    # bound fixed before the first run: when Sigma starts, run_gates holds the
+    # M n squared residuals (8 bytes each), the (M, n) uint8 fold labels and
+    # at most 1 MiB besides, and no repetition's (n, A) predictions
+    class AtSigma(Exception):
+        pass
+
+    held = []
+
+    def at_sigma(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        raise AtSigma
+
+    monkeypatch.setattr(gates, "sigma_from_values", at_sigma)
+    d = small_trial(n=1000, seed=0)
+    cfg = config(n_learners=2, M=60, K=3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(AtSigma):
+            run_gates(cfg, d, seed=0, run_het=True, mc_draws=500)
+    finally:
+        tracemalloc.stop()
+    assert held[0] <= cfg.M * d.n * 9 + 2**20

@@ -5,7 +5,9 @@ golden remake.
 Scaling the outcome by 4, a power of two, scales every sum and product of
 outcomes exactly, so the relations below hold bit for bit: each learner's
 predictions scale by 4, the MSE and its standard error by 16, and a test
-statistic that divides by a standard error does not move.
+statistic that divides by a standard error does not move. GATES's
+estimates scale by 4 and its p-values do not move; its het test's
+statistic and critical value move in the last bits (see its test).
 """
 
 import numpy as np
@@ -14,10 +16,11 @@ import pytest
 from splitinfer.compare import compare_models, compare_two_learners
 from splitinfer.data import Dataset
 from splitinfer.evaluation import cross_fit
+from splitinfer.gates import CateLearner, GatesConfig, baselines, run_gates
 from splitinfer.inference import normal_ci
 from splitinfer.learners import builtin
 from splitinfer.moments import builtin_moment
-from splitinfer.sim import linear_cate_sample
+from splitinfer.sim import hte_sample, linear_cate_sample
 from splitinfer.splits import generate_plan
 from splitinfer.zestim import solve
 
@@ -82,3 +85,26 @@ def test_a_learner_compared_with_itself_gives_equal_directions(learner, plan):
                                builtin(learner), seed=7, mc_draws=500)
     np.testing.assert_array_equal(res.theta_a, res.theta_b)
     np.testing.assert_array_equal(res.delta_ab.deltas, res.delta_ba.deltas)
+
+
+def test_outcome_times_four_scales_gates_and_leaves_its_p_values_unchanged():
+    d = hte_sample(400, seed=3, mode="predictable")
+    cfg = GatesConfig(learners=tuple(CateLearner(builtin(name)) for name in ("ols", "ridge(1.0)")),
+                      M=5, K=3)
+    runs = []
+    for data in (d, scaled_outcome(d, 4.0)):
+        result, het = run_gates(cfg, data, seed=7, run_het=True, mc_draws=2_000)
+        runs.append((result, het, baselines(cfg, data, seed=9)))
+    (base, het, pvalues), (scaled, het_scaled, pvalues_scaled) = runs
+    assert scaled.delta_hat == 4.0 * base.delta_hat
+    assert scaled.delta_se == 4.0 * base.delta_se
+    assert (scaled.p_one_sided, scaled.p_two_sided) == (base.p_one_sided, base.p_two_sided)
+    assert pvalues_scaled == pvalues
+    # the het test is not bitwise: its statistic and critical value moved by
+    # 1.6e-14 and 1.2e-14 relative, and the split MSRs are not exactly x 16;
+    # the cause is not located (ROADMAP item 15)
+    np.testing.assert_allclose(het_scaled.msr_splits, 16.0 * het.msr_splits, rtol=1e-12, atol=0)
+    assert het_scaled.msr_baseline == pytest.approx(16.0 * het.msr_baseline, rel=1e-12, abs=0)
+    assert het_scaled.test.statistic == pytest.approx(het.test.statistic, rel=1e-12, abs=0)
+    assert het_scaled.test.critical_value == pytest.approx(het.test.critical_value, rel=1e-12,
+                                                           abs=0)
