@@ -32,11 +32,15 @@ are computed first and held once, in one fold-major array.
 Everything is computed from one ``Evaluations`` (see
 ``evaluation.cross_fit``), the out-of-fold predictions of every split, and
 for ``compare_models`` the baseline's predictions on all rows, each made once.
+Each loop over the splits iterates the ``Evaluations``, which yields one
+split's rows, outcome and predictions at a time; Sigma's average-moment path
+reads the dataset's outcome and ``Evaluations.codes`` at each chunk's rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -128,7 +132,6 @@ class ComparisonResult:
 
 def _influence_rows(mf, b: Block, theta, grad) -> np.ndarray:
     """Scalar influence contribution grad . (-J^{-1} psi_i) per row of a block."""
-    b = b.with_rows()
     if isinstance(mf, AverageMoment):
         return mf.f_eta(b.eta, b.y, b.g)
     jac = mf.jacobian_eta(theta, b.eta, b.y, b.g)
@@ -282,16 +285,16 @@ def _one_sided(mf: MomentFunction, ev: Evaluations, delta: DeltaVector, vals_ref
     if isinstance(mf, AverageMoment):
         # f acts row by row, so Sigma reads the blocks' own predictions and
         # evaluates f once per row chunk, over every split's rows in it
-        y_all, g_all = ev.blocks[0].y_all, ev.blocks[0].g_all
+        y, g = ev.d.y, ev.codes
 
         def f_rows(rows, eta):
-            return mf.f_eta(eta, y_all[rows], None if g_all is None else g_all[rows])
+            return mf.f_eta(eta, y[rows], None if g is None else g[rows])
 
         sigma = sigma_from_values(folds, K, ev.etas, vals_ref, f_rows)
     else:
         grad = h.gradient(delta.theta_b)
         vals, end = np.empty(ev.etas.size), 0
-        for b in ev.blocks:
+        for b in ev:
             theta = delta.per_split_thetas[(b.m, b.k)]
             vals[end:end + b.eta.size] = _influence_rows(mf, b, theta, grad)
             end += b.eta.size
@@ -376,12 +379,11 @@ def sigma_delta_hat(mf: MomentFunction, ev: Evaluations, theta_pooled, base_vals
     var_b = float(np.var(base_vals))
 
     cov_acc = 0.0
-    for b in ev.blocks:
-        b = b.with_rows()
+    for b in ev:
         a_s = _influence_rows(mf, b, theta_pooled, dv.grad)
         a_b = base_vals[b.rows]
         cov_acc += float(np.mean((a_s - a_s.mean()) * (a_b - a_b.mean())))
-    cov = cov_acc / len(ev.blocks)
+    cov = cov_acc / ev.plan.n_splits
 
     var_delta = dv.variance + var_b - 2.0 * cov
     clamped = var_delta < 0.0
@@ -445,8 +447,7 @@ def _pooled_row_values(mf, ev: Evaluations, theta_pooled, h, uncovered) -> np.nd
     grad = h.gradient(theta_pooled)
     acc = np.zeros(ev.plan.n)
     cnt = np.zeros(ev.plan.n)
-    for b in (*ev.blocks, *uncovered):
-        b = b.with_rows()
+    for b in chain(ev, uncovered):
         acc[b.rows] += _influence_rows(mf, b, theta_pooled, grad)
         cnt[b.rows] += 1.0
     return acc / cnt
@@ -462,8 +463,8 @@ def compare_two_learners(mf: MomentFunction, plan: SplitPlan, d: Dataset,
     codes = group_codes(d)
     evs, uncovered = [], []
 
-    def keep(model, b):  # the split model's block on the rows no split evaluates
-        uncovered[-1].append(Block.of(model, d, uncovered_rows, b.m, b.k, codes))
+    def keep(model, m, k):  # the split model's block on the rows no split evaluates
+        uncovered[-1].append(Block.of(model, d, uncovered_rows, m, k, codes))
 
     for i, learner in enumerate((learner_a, learner_b)):
         uncovered.append([])

@@ -3,8 +3,7 @@
 A :class:`Dataset` is a fixed collection of equal-length numeric columns with
 designated roles (outcome, optional treatment/group/propensity, covariates).
 Columns are stored column-major in double precision and frozen after
-construction, so a dataset can be shared freely across threads. Categorical
-data must be pre-encoded numerically by the caller.
+construction. Categorical data must be pre-encoded numerically by the caller.
 
 :func:`ingest_csv` parses each kept cell with ``float`` and collects each
 column in a typed ``array.array("d")``, 8 bytes per cell, not in a list of
@@ -17,9 +16,7 @@ validated once when it was built: any set of its rows is still finite, still
 has a binary treatment and propensities in (0, 1), so a view checks only its
 row set. A view gathers a column from the root on first read, with
 ``ndarray.take``, and keeps it read-only; a fit that reads ``x`` and ``y``
-gathers those and nothing else. Two threads reading a view's column for the
-first time may both gather it; they gather the same values, which is
-harmless.
+gathers those and nothing else.
 """
 
 from __future__ import annotations
@@ -87,9 +84,7 @@ class Dataset:
     once and freezes them. :meth:`subset` returns a row view of the root (a
     subset of a view composes the row indices) that re-runs none of those
     checks. A view gathers each column from the root on first read and caches
-    it read-only, and takes ``x`` from the root's ``x``. Two threads reading a
-    view's column for the first time may both gather it; they gather the same
-    values, so either copy serves.
+    it read-only, and takes ``x`` from the root's ``x``.
 
     Parameters
     ----------

@@ -7,14 +7,17 @@ rows, unless told otherwise) and predicts once on those rows; a training error
 leaves it as ``LearnerFailure``, naming the learner and the split (m, k). The
 model dies with the step; a ``visit`` may predict with it on other rows first.
 :func:`cross_fit` runs the step split after split over a plan, and GATES calls
-it split by split. The Z-solve, the CIs, the comparison test and the
+it split by split. ``cross_fit`` leaves an :class:`Evaluations`: the plan and
+one buffer of the predictions. Iterating it is the one pass over the splits;
+it yields each split's :class:`Block` (rows, predictions, outcome and group
+codes) and keeps none. The Z-solve, the CIs, the comparison test and the
 reproducibility margin read the predictions and never call ``predict``.
-:func:`pool` is the one loop over splits that evaluates a moment on them.
+:func:`pool` evaluates a moment on every block of one pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,114 +36,98 @@ def group_codes(d: Dataset) -> np.ndarray | None:
     return np.unique(d.g, return_inverse=True)[1]
 
 
-def _take(arr, rows):
-    return arr if rows is None or arr is None else arr.take(rows, axis=0)
-
-
 @dataclass(frozen=True, eq=False)
 class Block:
-    """One split's evaluation rows and its model's predictions there. Only
-    ``eta`` is held, not the model. The rows are ``index`` (None: all rows)
-    or, in a ``cross_fit`` block, the rows whose label in ``labels``, a view
-    of its repetition's row of the plan's fold labels, is ``k``; ``rows``
-    derives those on each access and the block never keeps them. ``y`` and
-    the group codes ``g`` are gathered from the whole-dataset arrays on
-    access (``g`` reads no rows without a group column). A pass that reads a
-    block's rows, y or g more than once takes ``with_rows()`` first, so it
-    derives them once."""
+    """One split's evaluation ``rows`` (None: all rows), its model's
+    predictions ``eta`` there, and the outcome ``y`` and group codes ``g``
+    (None without a group column) on those rows. Only the predictions are
+    held, not the model."""
 
     m: int
     k: int
-    index: np.ndarray | None
+    rows: np.ndarray | None
     eta: np.ndarray
-    y_all: np.ndarray = field(repr=False)
-    g_all: np.ndarray | None = field(repr=False)
-    labels: np.ndarray | None = field(default=None, repr=False)
+    y: np.ndarray
+    g: np.ndarray | None
 
     @classmethod
     def of(cls, model, d: Dataset, rows=None, m: int = -1, k: int = -1,
            codes=None) -> "Block":
-        """Predict once on ``rows`` (all rows when None)."""
+        """Predict once on ``rows`` (all rows when None); ``codes`` are
+        ``group_codes(d)``, computed here when not given."""
         if codes is None:
             codes = group_codes(d)
-        return cls(m, k, rows, model.predict(_take(d.x, rows)), d.y, codes)
-
-    @property
-    def rows(self) -> np.ndarray | None:
-        return self.index if self.labels is None else eval_rows(self.labels, self.k)
-
-    def with_rows(self) -> "Block":
-        """This block with its rows derived once and held, for one pass."""
-        if self.labels is None:
-            return self
-        return Block(self.m, self.k, self.rows, self.eta, self.y_all, self.g_all)
-
-    @property
-    def y(self) -> np.ndarray:
-        return _take(self.y_all, self.rows)
-
-    @property
-    def g(self) -> np.ndarray | None:
-        return None if self.g_all is None else _take(self.g_all, self.rows)
+        if rows is None:
+            return cls(m, k, None, model.predict(d.x), d.y, codes)
+        return cls(m, k, rows, model.predict(d.x.take(rows, axis=0)), d.y.take(rows),
+                   None if codes is None else codes.take(rows))
 
 
 @dataclass(frozen=True, eq=False)
 class Evaluations:
-    """The blocks of every split in plan order, (m, k) lexicographic, and
-    ``etas``, the one buffer that holds their predictions: each split's on
-    its rows in increasing order, one split after another (fold-major)."""
+    """The out-of-fold predictions of every split of ``plan`` in one buffer,
+    ``etas``: each split's on its rows in increasing order, split after split
+    in plan order, (m, k) lexicographic (fold-major). ``codes`` are
+    ``group_codes(d)``. No per-split object is held.
+
+    Iterating it yields each split's ``Block`` in plan order: its rows derived
+    from the plan's labels, its y and g gathered once, its eta a view of
+    ``etas``. Each pass iterates it again, so it holds one split at a time."""
 
     plan: SplitPlan
     d: Dataset
-    blocks: tuple[Block, ...]
     etas: np.ndarray
+    codes: np.ndarray | None
+
+    def __iter__(self):
+        y, g, end = self.d.y, self.codes, 0
+        for m, labels in enumerate(self.plan.folds):
+            for k in range(self.plan.K):
+                rows = eval_rows(labels, k)
+                eta = self.etas[end:end + rows.size]
+                end += rows.size
+                yield Block(m, k, rows, eta, y.take(rows), None if g is None else g.take(rows))
 
 
 def fit_split(learner: Learner, d: Dataset, rows: np.ndarray, seed: int, m: int, k: int,
-              train_rows=None, codes=None, visit=None) -> Block:
+              train_rows=None, visit=None) -> np.ndarray:
     """Split (m, k)'s step: train ``learner`` with ``seed`` on ``train_rows``
     (by default the complement of ``rows``, built for this split only),
-    predict once on ``rows`` and call ``visit(model, block)``, the last use
-    of the model; ``codes`` are ``group_codes(d)``, computed here when not
-    given. A training error is raised as ``LearnerFailure`` with the
-    learner's name and (m, k)."""
+    predict once on ``rows``, call ``visit(model, m, k)``, the last use of the
+    model, and return the predictions. A training error is raised as
+    ``LearnerFailure`` with the learner's name and (m, k)."""
     if train_rows is None:
         train_rows = complement(rows, d.n)
     try:
         model = learner.train(d.subset(train_rows), seed)
     except Exception as exc:  # noqa: BLE001
         raise LearnerFailure(learner.name, m, k, exc) from exc
-    block = Block.of(model, d, rows, m, k, codes)
+    eta = model.predict(d.x.take(rows, axis=0))
     if visit is not None:
-        visit(model, block)
-    return block
+        visit(model, m, k)
+    return eta
 
 
 def cross_fit(plan: SplitPlan, d: Dataset, learner: Learner, seed: int = 0,
               visit=None) -> Evaluations:
     """:func:`fit_split` with ``visit`` on each split (m, k) of ``plan``, one
     after another in plan order, seeded by derived_seed(seed, m, k). Each
-    split derives its rows from the plan's labels for its step; the block it
-    leaves holds the labels, not the rows.
+    split derives its rows from the plan's labels for its step only.
 
     Each split's predictions are copied into one float64 buffer for the whole
-    plan (its block holds a view), so none sits on the heap among later
-    splits' freed training temporaries, where the holes left depended on
-    earlier allocations and moved one commit's peak RSS by several MB.
+    plan, so none sits on the heap among later splits' freed training
+    temporaries, where the holes left depended on earlier allocations and
+    moved one commit's peak RSS by several MB.
     """
-    codes = group_codes(d)
     etas = np.empty(int(fold_sizes(plan.folds, plan.K).sum()))
-    blocks, end = [], 0
+    end = 0
     for m, labels in enumerate(plan.folds):
         for k in range(plan.K):
             rows = eval_rows(labels, k)
-            block = fit_split(learner, d, rows, derived_seed(seed, m, k), m, k, codes=codes,
-                              visit=visit)
-            eta = etas[end:end + rows.size]
-            eta[...] = block.eta
+            etas[end:end + rows.size] = fit_split(learner, d, rows, derived_seed(seed, m, k),
+                                                  m, k, visit=visit)
             end += rows.size
-            blocks.append(replace(block, index=None, eta=eta, labels=labels))
-    return Evaluations(plan, d, tuple(blocks), etas)
+    return Evaluations(plan, d, etas, group_codes(d))
 
 
 @dataclass(frozen=True)
@@ -159,14 +146,13 @@ class Pooled:
 def pool(mf, blocks, theta, psi: bool = True, meat: bool = False,
          jacobian: bool = False) -> Pooled:
     """Evaluate the moment ``mf`` at ``theta`` on every block, in one pass over
-    any iterable of blocks (which may make each block only when it is reached).
-    psi is evaluated only when ``psi`` or ``meat`` is asked for."""
+    ``blocks``, an ``Evaluations`` or any other iterable of blocks. psi is
+    evaluated only when ``psi`` or ``meat`` is asked for."""
     theta = np.asarray(theta, dtype=np.float64)
     with_psi = psi or meat
     split_psi, split_meat, jacs = [], [], []
     count = 0
     for b in blocks:
-        b = b.with_rows()
         count += 1
         if with_psi:
             values = mf.psi_eta(theta, b.eta, b.y, b.g)

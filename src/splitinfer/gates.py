@@ -211,7 +211,7 @@ def repetition(cfg: GatesConfig, d: Dataset, seed: int, m: int, design=None) -> 
     tau_mat = np.empty((d.n, n_alg))
     for k, rows in enumerate(plan.eval_sets()):
         for a, learner in enumerate(cfg.learners):
-            tau_mat[rows, a] = fit_split(learner, d, rows, derived_seed(seed, m, 1, k, a), m, k).eta
+            tau_mat[rows, a] = fit_split(learner, d, rows, derived_seed(seed, m, 1, k, a), m, k)
 
     calib_plan = generate_plan(d.n, M=1, K=cfg.L, seed=derived_seed(seed, m, 2))
     beta_mat = np.empty((cfg.L, n_alg))
@@ -354,7 +354,7 @@ def baselines(cfg: GatesConfig, d: Dataset, seed: int = 0) -> dict:
         """t-statistic of the top-minus-bottom gap within fold ``rows``, grouped
         by the predictions of the model trained with seed (seed, m, stream, k)
         on ``train_rows`` (default: the complement of ``rows``)."""
-        eta = fit_split(learner, d, rows, derived_seed(seed, m, stream, k), m, k, train_rows).eta
+        eta = fit_split(learner, d, rows, derived_seed(seed, m, stream, k), m, k, train_rows)
         labels, _ = _fold_groups(eta, cfg.J)
         gam, _, gap_var = _group_regression(controls.take(rows, axis=0), d.y[rows], w[rows],
                                             d.t[rows] - p[rows], labels, cfg.J)

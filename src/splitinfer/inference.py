@@ -148,7 +148,7 @@ def delta_variance(mf: MomentFunction, ev: Evaluations, theta,
     """Delta-method variance of h(theta_hat) for the pooled estimator at theta."""
     theta = np.asarray(theta, dtype=np.float64)
     plan = ev.plan
-    pooled = pool(mf, ev.blocks, theta, meat=True, jacobian=True)
+    pooled = pool(mf, ev, theta, meat=True, jacobian=True)
     vmk = variance_inflation(plan.M, plan.K, plan.b, plan.n)
     v = sandwich(pooled.jacobian, pooled.meat, vmk)
     grad = h.gradient(theta)

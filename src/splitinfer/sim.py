@@ -288,7 +288,7 @@ def linear_cate_sample(n: int, seed: int = 0, base_effect: float = 1.0,
 def estimand_oracle(mf: MomentFunction, fresh: Dataset):
     """theta_{eta-hat} approximated on a large fresh sample: ``(visit, theta)``.
 
-    ``visit(model, block)``, a ``cross_fit`` visit, predicts a split model on
+    ``visit(model, m, k)``, a ``cross_fit`` visit, predicts a split model on
     the fresh sample once, in its split step. ``theta()`` solves the variant-2
     aggregation of the estimator over the visited models, with the fresh
     sample standing in for every evaluation split (the population analog of
@@ -299,8 +299,8 @@ def estimand_oracle(mf: MomentFunction, fresh: Dataset):
     """
     codes, average, parts = group_codes(fresh), isinstance(mf, AverageMoment), []
 
-    def visit(model, block=None):
-        b = Block.of(model, fresh, codes=codes)
+    def visit(model, m, k):
+        b = Block.of(model, fresh, m=m, k=k, codes=codes)
         # psi = f - theta, so the mean psi at theta = 0 is the mean f
         parts.append(pool(mf, [b], np.zeros(1)).psi[0] if average else b)
 

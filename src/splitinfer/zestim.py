@@ -19,6 +19,7 @@ The solvers read the out-of-fold predictions in an ``Evaluations`` (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -99,7 +100,9 @@ def newton_solve(fun, jac, theta0, max_iter=80):
 
 
 def solve_blocks(mf: MomentFunction, group) -> tuple[np.ndarray, int, float]:
-    """Solve the averaged moment over one group of blocks (size >= 1).
+    """Solve the averaged moment over one group of blocks (size >= 1): an
+    ``Evaluations`` or a list, iterated again for each evaluation of the
+    moment.
 
     Returns (theta, iterations, residual_norm).
     """
@@ -110,7 +113,7 @@ def solve_blocks(mf: MomentFunction, group) -> tuple[np.ndarray, int, float]:
     if isinstance(mf, TercileFractions):
         theta = mf.solve_pooled([(b.eta, b.y) for b in group])
         return theta, 0, _residual(mf, group, theta)
-    b0 = group[0].with_rows()
+    b0 = next(iter(group))
     return newton_solve(lambda theta: pool(mf, group, theta).psi,
                         lambda theta: pool(mf, group, theta, psi=False, jacobian=True).jacobian,
                         mf.initial_guess_eta(b0.eta, b0.y, b0.g))
@@ -123,7 +126,7 @@ def _residual(mf, group, theta) -> float:
 def per_split_estimates(mf: MomentFunction, ev: Evaluations):
     """Variant-1 ingredients: one solved theta per (m, k)."""
     mf.validate(ev.d)
-    return {(b.m, b.k): solve_blocks(mf, [b.with_rows()])[0] for b in ev.blocks}
+    return {(b.m, b.k): solve_blocks(mf, [b])[0] for b in ev}
 
 
 def solve(variant: int, mf: MomentFunction, ev: Evaluations) -> ZEstimate:
@@ -133,16 +136,13 @@ def solve(variant: int, mf: MomentFunction, ev: Evaluations) -> ZEstimate:
     mf.validate(ev.d)
 
     if variant == 2:
-        theta_hat, iters, res = solve_blocks(mf, ev.blocks)
+        theta_hat, iters, res = solve_blocks(mf, ev)
         return ZEstimate(2, theta_hat, iterations=iters, residual_norm=res)
 
-    if variant == 1:
-        groups = {(b.m, b.k): [b] for b in ev.blocks}
-    else:
-        groups = {m: [b for b in ev.blocks if b.m == m] for m in range(ev.plan.M)}
-    # one group's rows at a time are derived once for all its passes
-    solved = {key: solve_blocks(mf, [b.with_rows() for b in group])
-              for key, group in groups.items()}
+    # a group is one split (variant 1) or one repetition's consecutive splits
+    # (variant 3), held for all its passes
+    by = (lambda b: (b.m, b.k)) if variant == 1 else (lambda b: b.m)
+    solved = {key: solve_blocks(mf, list(group)) for key, group in groupby(ev, by)}
     thetas = {key: theta for key, (theta, _, _) in solved.items()}
     theta_hat = np.mean(list(thetas.values()), axis=0)
     iters = max(it for _, it, _ in solved.values())

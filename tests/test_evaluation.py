@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from splitinfer import cli
+from splitinfer import compare as compare_mod
 from splitinfer.adaptive import AdaptiveConfig, adaptive_ci
 from splitinfer.data import Dataset, Roles
-from splitinfer.evaluation import cross_fit, group_codes, pool
-from splitinfer.inference import normal_ci
+from splitinfer.evaluation import Block, cross_fit, group_codes, pool
+from splitinfer.inference import named_reduction, normal_ci
 from splitinfer.learners import FixedFunctionModel, Learner, Model, builtin
 from splitinfer.moments import builtin_moment
 from splitinfer.repro import repro_measure, sigma_D_hat
 from splitinfer.rng import substream
-from splitinfer.sim import synthetic_base
+from splitinfer.sim import linear_cate_sample, synthetic_base
 from splitinfer.splits import generate_plan
 from splitinfer.zestim import solve
 from test_sim import oracle
@@ -110,18 +111,18 @@ def test_evaluate_blocks_follow_plan_order():
     models = [FixedFunctionModel(lambda z, c=m + k: z[:, 0] + c)
               for m in range(2) for k in range(2)]
     ev = cross_fit(plan, d, in_turn(models))
-    assert [(b.m, b.k) for b in ev.blocks] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for b, rows in zip(ev.blocks, plan.eval_sets()):
+    blocks = list(ev)
+    assert [(b.m, b.k) for b in blocks] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for b, rows in zip(blocks, plan.eval_sets(), strict=True):
         np.testing.assert_array_equal(b.rows, rows)
         np.testing.assert_array_equal(b.eta, d.x[rows, 0] + b.m + b.k)
         np.testing.assert_array_equal(b.y, d.y[rows])
         np.testing.assert_array_equal(b.g, (d.g[rows] == 5.0).astype(int))
         assert b.eta.base is ev.etas  # one buffer holds every prediction, fold-major
-        # a block keeps its repetition's labels, a view of the plan's, not its rows
-        assert b.index is None and np.shares_memory(b.labels, plan.folds)
     assert ev.etas.shape == (2 * 20,)
-    np.testing.assert_array_equal(ev.etas, np.concatenate([b.eta for b in ev.blocks]))
-    np.testing.assert_array_equal(group_codes(d), (d.g == 5.0).astype(int))
+    np.testing.assert_array_equal(ev.etas, np.concatenate([b.eta for b in blocks]))
+    np.testing.assert_array_equal(ev.codes, (d.g == 5.0).astype(int))
+    np.testing.assert_array_equal(group_codes(d), ev.codes)
 
 
 def test_a_pass_derives_each_blocks_rows_once(monkeypatch):
@@ -135,13 +136,13 @@ def test_a_pass_derives_each_blocks_rows_once(monkeypatch):
     real = evaluation.eval_rows
     monkeypatch.setattr(evaluation, "eval_rows",
                         lambda labels, k: derived.append(k) or real(labels, k))
-    pool(builtin_moment("linreg_on_eta"), ev.blocks, np.zeros(2), meat=True, jacobian=True)
-    assert len(derived) == len(ev.blocks)  # y and g twice each, rows once
+    # psi and the Jacobian read each block's y and g twice, its rows once
+    pool(builtin_moment("linreg_on_eta"), ev, np.zeros(2), meat=True, jacobian=True)
+    assert derived == [0, 1, 2] * 2
     no_group = cross_fit(generate_plan(30, M=2, K=3, seed=2), Dataset(
         {"y": d.y, "x": d.x[:, 0]}, Roles("y", ("x",))), builtin("ols"))
-    derived.clear()
-    assert all(b.g is None for b in no_group.blocks)
-    assert derived == []
+    assert no_group.codes is None
+    assert all(b.g is None for b in no_group)
 
 
 def test_pool_matches_per_split_model_forms():
@@ -154,7 +155,7 @@ def test_pool_matches_per_split_model_forms():
     mf = builtin_moment("linreg_on_eta")
     theta = np.array([0.1, 1.5])
     ev = cross_fit(plan, d, in_turn(models))
-    pooled = pool(mf, ev.blocks, theta, meat=True, jacobian=True)
+    pooled = pool(mf, ev, theta, meat=True, jacobian=True)
     etas = [(model.predict(d.x[rows]), d.y[rows])
             for model, rows in zip(models, plan.eval_sets(), strict=True)]
     psis = [mf.psi_eta(theta, eta, y) for eta, y in etas]
@@ -163,7 +164,7 @@ def test_pool_matches_per_split_model_forms():
     np.testing.assert_allclose(pooled.psi, np.mean([v.mean(axis=0) for v in psis], axis=0))
     np.testing.assert_allclose(pooled.meat, np.mean([v.T @ v / len(v) for v in psis], axis=0))
     np.testing.assert_allclose(pooled.jacobian, np.mean(jacs, axis=0))
-    jac_only = pool(mf, ev.blocks, theta, psi=False, jacobian=True)
+    jac_only = pool(mf, ev, theta, psi=False, jacobian=True)
     assert jac_only.psi is None and jac_only.split_psi is None and jac_only.meat is None
     np.testing.assert_array_equal(jac_only.jacobian, pooled.jacobian)
 
@@ -248,3 +249,38 @@ def test_no_split_model_outlives_cross_fit(traced_peak):
     assert all(ref() is None for ref in models)
     assert held <= 1_000_000
     assert peak <= n * M * 8 + 4 * 2**20
+
+
+def test_a_pass_holds_one_split_at_a_time(traced_peak):
+    """A pass iterates the ``Evaluations``, so it holds one split's rows, y
+    and moment values at a time, never every split's: at n = 20 000, M = 100,
+    K = 3 those take 24 MB (int32 rows and float64 y), and a pool pass or
+    ``sigma_delta_hat`` stays within 2 MiB above what the caller holds."""
+    n = 20_000
+    d = linear_cate_sample(n, seed=8)
+    mf, h = builtin_moment("linreg_on_eta"), named_reduction("coordinate:1", 2)
+    ev = cross_fit(generate_plan(n, M=100, K=3, seed=9), d, builtin("ols"), seed=1)
+    theta = solve(2, mf, ev).theta_hat
+    base = Block.of(builtin("ols").train(d), d)
+    base_vals = compare_mod._influence_rows(mf, base, theta, h.gradient(theta))
+    assert traced_peak(pool, mf, ev, theta, meat=True, jacobian=True) <= 2 * 2**20
+    assert traced_peak(compare_mod.sigma_delta_hat, mf, ev, theta, base_vals, h) <= 2 * 2**20
+
+
+def test_pooled_row_values_hold_one_split_at_a_time(traced_peak):
+    """At K = 1 the rows no split evaluates (about 120 here) take every
+    model's block on them, which the caller holds. The pass over the splits
+    and those blocks adds the two n-row accumulators (0.32 MB) and one
+    block's values; holding all 100 splits' rows and y at once would add
+    1.2 MB, above the 1 MiB bound."""
+    n, M = 20_000, 100
+    d = linear_cate_sample(n, seed=8)
+    mf, h = builtin_moment("linreg_on_eta"), named_reduction("coordinate:1", 2)
+    plan = generate_plan(n, M=M, K=1, b=1_000, seed=9)
+    uncovered_rows = np.flatnonzero((plan.folds == plan.K).all(axis=0))
+    assert uncovered_rows.size > 0
+    uncovered = []
+    ev = cross_fit(plan, d, builtin("ols"), seed=1, visit=lambda model, m, k: uncovered.append(
+        Block.of(model, d, uncovered_rows, m, k)))
+    theta = solve(2, mf, ev).theta_hat
+    assert traced_peak(compare_mod._pooled_row_values, mf, ev, theta, h, uncovered) <= 2**20

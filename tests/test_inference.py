@@ -34,7 +34,7 @@ def test_jacobian_average_type_is_minus_identity():
     d = Dataset({"y": np.arange(6.0), "x": np.zeros(6)}, Roles("y", ("x",)))
     plan = generate_plan(6, M=1, K=2, seed=0)
     ev = cross_fit(plan, d, fixed(ConstantModel(0.0)))
-    jac = pool(builtin_moment("mse"), ev.blocks, np.array([1.0]),
+    jac = pool(builtin_moment("mse"), ev, np.array([1.0]),
                psi=False, jacobian=True).jacobian
     np.testing.assert_allclose(jac, [[-1.0]])
 
@@ -45,7 +45,7 @@ def test_jacobian_linreg_is_minus_gram():
     d = Dataset({"y": np.zeros(4), "x": x}, Roles("y", ("x",)))
     plan = generate_plan(4, M=1, K=2, seed=1)
     ev = cross_fit(plan, d, fixed(FixedFunctionModel(lambda z: z[:, 0])))
-    jac = pool(builtin_moment("linreg_on_eta"), ev.blocks, np.zeros(2),
+    jac = pool(builtin_moment("linreg_on_eta"), ev, np.zeros(2),
                psi=False, jacobian=True).jacobian
     s1, s2 = plan.repetitions[0]
     gram = np.zeros((2, 2))
@@ -76,7 +76,7 @@ def test_degenerate_meat_flags_fast_convergence():
     plan = generate_plan(4, M=1, K=2, seed=0)
     ev = cross_fit(plan, d, fixed(ConstantModel(0.0)))
     mf = builtin_moment("covariance")
-    meat = pool(mf, ev.blocks, np.array([0.0]), meat=True).meat
+    meat = pool(mf, ev, np.array([0.0]), meat=True).meat
     np.testing.assert_allclose(meat, 0.0, atol=1e-30)
     est = ZEstimate(2, np.array([0.0]))
     with pytest.raises(ZeroVariance):

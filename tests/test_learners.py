@@ -32,14 +32,14 @@ def test_mean_learner_is_constant():
 def test_ols_exact_on_noiseless_line():
     d = linear_dataset(noiseless=True)
     plan = generate_plan(d.n, M=1, K=2, seed=4)
-    for b in cross_fit(plan, d, builtin("ols"), seed=0).blocks:
+    for b in cross_fit(plan, d, builtin("ols"), seed=0):
         np.testing.assert_allclose(b.eta, b.y, atol=1e-9)
 
 
 def test_cross_fit_uses_train_fold_mean():
     d = linear_dataset()
     plan = generate_plan(d.n, M=2, K=2, seed=1)
-    for b in cross_fit(plan, d, builtin("mean"), seed=0).blocks:
+    for b in cross_fit(plan, d, builtin("mean"), seed=0):
         expected = d.y[complement(b.rows, d.n)].mean()
         np.testing.assert_allclose(b.eta, np.full(b.rows.size, expected))
 

@@ -52,7 +52,7 @@ def test_d1_reduction_matches_direct_formula():
         # the mean learner predicts the training fold's mean outcome
         acc = [mf.psi_eta(theta, np.full(b.rows.size, d.y[complement(b.rows, d.n)].mean()),
                           d.y[b.rows]).mean()
-               for b in ev.blocks if b.m == m]
+               for b in ev if b.m == m]
         g.append(np.mean(acc))
     direct = np.mean(np.square(g)) / comps.sigma_hat_eta**2
     assert comps.v_hat_D2 == pytest.approx(direct, rel=1e-10)

@@ -161,8 +161,8 @@ def test_linear_cate_sample_roles():
 def oracle(mf, models, fresh):
     """``estimand_oracle`` on ``models``, each visited once in order."""
     visit, theta = estimand_oracle(mf, fresh)
-    for model in models:
-        visit(model)
+    for k, model in enumerate(models):
+        visit(model, 0, k)
     return theta()
 
 

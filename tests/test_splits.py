@@ -137,8 +137,8 @@ def test_cross_fit_trains_each_split_on_the_complement_of_its_eval_rows(K):
         return ConstantModel(0.0)
 
     ev = cross_fit(plan, d, Learner("record", record), seed=7)
-    assert len(fits) == len(ev.blocks) == 2 * K
-    for (train_rows, seed), b, rows in zip(fits, ev.blocks, plan.eval_sets(), strict=True):
+    assert len(fits) == 2 * K
+    for (train_rows, seed), b, rows in zip(fits, ev, plan.eval_sets(), strict=True):
         np.testing.assert_array_equal(b.rows, rows)
         np.testing.assert_array_equal(train_rows, np.setdiff1d(np.arange(n), rows))
         assert seed == derived_seed(7, b.m, b.k)
