@@ -10,15 +10,16 @@ variance-reduction tree, and a damped-Newton logistic regression.
 The k-NN predict is the one whose cost grows with both the evaluation and the
 training rows. It filters, then refines. One matrix product gives every
 (row, train) distance up to a rounding error it bounds; only the columns that
-bound cannot rule out get an exact distance, summed one feature at a time in
-the order numpy's pairwise ``add.reduce`` uses on a contiguous axis. So the
-neighbours and their mean are bitwise those of a stable sort of the summed
-(rows x train x p) cube, which is never held (see ``KnnModel``). Evaluation
-rows go in chunks sized so that each work buffer holds at most
-``_CHUNK_TERMS`` float64 values. The buffers are allocated once per predict
-and filled in place with ``out=``: a fresh array per feature and chunk, once
-it is larger than the allocator's mmap threshold, is returned to the
-operating system on free and faulted back in on the next allocation.
+bound cannot rule out get an exact distance, which numpy's own ``sum`` takes
+over the contiguous feature axis of the gathered differences, as it does in
+the (rows x train x p) cube. So the neighbours and their mean are bitwise
+those of a stable sort of the summed cube, which is never held (see
+``KnnModel``). Evaluation rows go in chunks, and a chunk's candidates in
+groups, sized so that each holds at most ``_CHUNK_TERMS`` float64 values.
+The filter's planes are allocated once per predict and filled in place with
+``out=``: a fresh plane per chunk, once it is larger than the allocator's
+mmap threshold, is returned to the operating system on free and faulted back
+in on the next allocation.
 """
 
 from __future__ import annotations
@@ -85,9 +86,9 @@ class KnnModel(Model):
     order, of the first k columns of a stable argsort of each row of
     ``((x[:, None, :] - train_x[None]) ** 2).sum(axis=2)``.
 
-    The training covariates are stored feature-major, as a (p, n_train)
-    array. ``predict`` never forms that (rows x n_train x p) cube. It filters,
-    then refines, over chunks of at most ``_CHUNK_TERMS // (2 * n_train)``
+    The training covariates are stored row-major, as an (n_train, p) array.
+    ``predict`` never forms that (rows x n_train x p) cube. It filters, then
+    refines, over chunks of at most ``_CHUNK_TERMS // (2 * n_train)``
     evaluation rows:
 
     1. Filter. Let x' and t' be the rows less c, the training mean, as
@@ -96,9 +97,11 @@ class KnnModel(Model):
        comparison within a row needs, in one reused plane. ``partition`` on
        a copy in a second plane finds each row's k-th smallest b, b_(k). A
        row's candidates are the columns with b <= b_(k) + 2E, in index order.
-    2. Refine. ``_refine`` computes the exact distances d of the candidates
-       only, with ``_sum_squares``, and averages the first k of a stable
-       argsort of them.
+    2. Refine. ``_refine`` gathers the candidates' training rows into one
+       C-contiguous (rows x width x p) array, subtracts the evaluation rows,
+       squares in place and takes ``sum(axis=2)``: the exact distances d of
+       the candidates only. It averages the first k of a stable argsort of
+       them.
 
     The bound E. Let u = 2^-53 and R = (|x'| + max_j |t'_j|)^2, which bounds
     the real distance and every partial sum behind b and d. Whatever order
@@ -120,7 +123,8 @@ class KnnModel(Model):
     each tie included, is a candidate. The candidates keep index order, so
     a stable argsort over them picks the columns that one over the whole row
     picks, in the same order; and their d are the cube's bit for bit, since
-    ``_sum_squares`` adds the same terms in numpy's order.
+    numpy's own reduction adds the same squares along the same contiguous
+    last axis, whatever order it takes inside.
 
     The overflow rule. Where R is not below 2^1000, or is not finite, a
     centring, norm or dot product may overflow, and inf - inf gives a NaN
@@ -130,13 +134,13 @@ class KnnModel(Model):
     """
 
     def __init__(self, train_x: np.ndarray, train_y: np.ndarray, k: int):
-        self.train_t = np.array(np.asarray(train_x, dtype=np.float64).T, order="C")
+        self.train_x = np.array(train_x, dtype=np.float64, order="C")
         self.train_y = train_y
         self.k = int(k)
 
     def predict(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        p, n_train = self.train_t.shape
+        n_train, p = self.train_x.shape
         if x.shape[1] != p:
             raise ValueError(f"kNN model has {p} covariates, got {x.shape[1]}")
         rows, k = x.shape[0], self.k
@@ -145,12 +149,11 @@ class KnnModel(Model):
         kept = np.empty((chunk, n_train), dtype=bool)
         x1 = np.ones((chunk, p + 1))
         t2 = np.empty((p + 1, n_train))
-        work = np.empty(max(_CHUNK_TERMS, _sum_squares_slots(p) * n_train))
         out = np.empty(rows)
         # overflow and NaN arise only in the rows the overflow rule widens
         with np.errstate(over="ignore", invalid="ignore"):
-            centre = self.train_t.mean(axis=1)
-            np.subtract(self.train_t, centre[:, None], out=t2[:p])
+            centre = self.train_x.mean(axis=0)
+            np.subtract(self.train_x.T, centre[:, None], out=t2[:p])
             np.einsum("fj,fj->j", t2[:p], t2[:p], out=t2[p])
             t2[:p] *= -2.0
             t_far = np.sqrt(t2[p].max())
@@ -169,36 +172,41 @@ class KnnModel(Model):
             wide = ~(reach < 2.0**1000)
             if wide.any():
                 kept[:m][wide] = True
-            out[r0:r0 + m] = self._refine(x[r0:r0 + m], kept[:m], work)
+            out[r0:r0 + m] = self._refine(x[r0:r0 + m], kept[:m])
         return out
 
-    def _refine(self, x, kept, work):
+    def _refine(self, x, kept):
         """Mean outcome of each row's k nearest among its candidate columns
         ``kept`` (rows x n_train, bool), by exact distance and then index.
 
         A row's candidates sit at the front of a (rows x width) index array,
         width the most candidates any of the rows has; the slots after them
         are padding, at distance inf. Rows go in groups sized so that the
-        ``_sum_squares`` planes and three index arrays hold at most
+        squared differences and three index arrays hold at most
         ``_CHUNK_TERMS`` values, however many columns tie.
         """
         rows, n_train = kept.shape
-        slots = _sum_squares_slots(x.shape[1])
+        p = x.shape[1]
         flat = np.flatnonzero(kept)  # row-major: each row's candidates in index order
         starts = np.searchsorted(flat, np.arange(rows + 1) * n_train)
         counts = np.diff(starts)
-        step = max(1, _CHUNK_TERMS // ((slots + 3) * int(counts.max())))
-        xt = x.T[:, :, None]  # xt[f, r] broadcasts against row r's candidates
+        step = max(1, _CHUNK_TERMS // ((p + 3) * int(counts.max())))
         out = np.empty(rows)
         for s0 in range(0, rows, step):
             s1 = min(rows, s0 + step)
             pad = np.arange(counts[s0:s1].max()) >= counts[s0:s1, None]
             cols = np.zeros(pad.shape, dtype=np.intp)
             cols[~pad] = flat[starts[s0]:starts[s1]] % n_train
-            buf = work[:slots * cols.size].reshape(slots, *cols.shape)
-            _sum_squares(xt[:, s0:s1], self.train_t, cols, buf)
-            buf[0][pad] = np.inf
-            order = np.argsort(buf[0], axis=1, kind="stable")[:, :self.k]
+            # t - x squares to the bits of x - t; the sum runs over the
+            # contiguous last axis, as the cube's does
+            width = cols.shape[1]
+            diff = self.train_x.take(cols, axis=0)
+            by_row = diff.reshape(len(cols), width * p)
+            np.subtract(by_row, np.tile(x[s0:s1], width), out=by_row)
+            np.multiply(diff, diff, out=diff)
+            dist = diff.sum(axis=2)
+            dist[pad] = np.inf
+            order = np.argsort(dist, axis=1, kind="stable")[:, :self.k]
             out[s0:s1] = self.train_y[np.take_along_axis(cols, order, axis=1)].mean(axis=1)
         return out
 
@@ -206,62 +214,11 @@ class KnnModel(Model):
 # A kNN predict's filter holds two (chunk x n_train) float64 planes, so a
 # chunk has at most _CHUNK_TERMS // (2 * n_train) evaluation rows, and the
 # chunk's candidates at most half as many indices. The refine takes the
-# chunk's rows in groups whose _sum_squares planes and three index arrays
-# hold at most _CHUNK_TERMS values, whatever the ties. So each budget is
-# 1 MiB, unless a single row needs more, whatever the fold size.
+# chunk's rows in groups whose squared differences, (p x width) a row, and
+# three index arrays hold at most _CHUNK_TERMS values, whatever the ties (the
+# tiled rows subtracted are as large as the differences while they live). So
+# each budget is 1 MiB, unless a single row needs more, whatever the fold size.
 _CHUNK_TERMS = 1 << 17
-
-
-def _sum_squares_slots(p: int) -> int:
-    """Planes ``_sum_squares`` needs for p features: the result and a term for
-    p < 8, eight partial sums and a term up to 128, and one more plane to hold
-    the first half at each split above 128."""
-    if p > 128:
-        half = p // 2 - (p // 2) % 8
-        return max(_sum_squares_slots(half), 1 + _sum_squares_slots(p - half))
-    return 2 if p < 8 else 9
-
-
-def _square_diff(a, t, cols, out):
-    """out = (a - t[cols]) ** 2, gathering t[cols] into out first."""
-    np.take(t, cols, out=out, mode="clip")
-    np.subtract(a, out, out=out)
-    return np.multiply(out, out, out=out)
-
-
-def _sum_squares(xt, tt, cols, buf):
-    """buf[0] = sum over f of (xt[f] - tt[f][cols]) ** 2; buf[1:] is scratch.
-
-    The terms are added in numpy's pairwise order for a contiguous reduction
-    axis: one after another for p < 8; for p <= 128, eight partial sums over
-    features j, j + 8, ..., combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    then the p % 8 leftover features in order; above 128, the same rule on
-    each side of p // 2 rounded down to a multiple of 8.
-    """
-    p = xt.shape[0]
-    if p > 128:
-        half = p // 2 - (p // 2) % 8
-        _sum_squares(xt[:half], tt[:half], cols, buf)
-        _sum_squares(xt[half:], tt[half:], cols, buf[1:])
-        np.add(buf[0], buf[1], out=buf[0])
-        return
-    if p < 8:
-        if p == 0:
-            buf[0].fill(0.0)
-        else:
-            _square_diff(xt[0], tt[0], cols, buf[0])
-        for f in range(1, p):
-            np.add(buf[0], _square_diff(xt[f], tt[f], cols, buf[1]), out=buf[0])
-        return
-    body = p - p % 8
-    for f in range(8):
-        _square_diff(xt[f], tt[f], cols, buf[f])
-    for f in range(8, body):
-        np.add(buf[f % 8], _square_diff(xt[f], tt[f], cols, buf[8]), out=buf[f % 8])
-    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-        np.add(buf[a], buf[b], out=buf[a])
-    for f in range(body, p):
-        np.add(buf[0], _square_diff(xt[f], tt[f], cols, buf[8]), out=buf[0])
 
 
 class TreeModel(Model):

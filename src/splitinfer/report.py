@@ -21,8 +21,9 @@ def sanitize(obj):
 def _sanitize(value, path, nulls):
     if isinstance(value, dict):
         return {k: _sanitize(v, f"{path}/{k}", nulls) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v, f"{path}/{i}", nulls) for i, v in enumerate(value)]
+    if isinstance(value, (list, tuple)):  # a plain int or finite float needs no path
+        return [v if type(v) is int or type(v) is float and math.isfinite(v)
+                else _sanitize(v, f"{path}/{i}", nulls) for i, v in enumerate(value)]
     if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
         return value
     if hasattr(value, "item"):  # numpy scalar

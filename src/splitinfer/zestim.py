@@ -126,6 +126,8 @@ def _residual(mf, group, theta) -> float:
 def per_split_estimates(mf: MomentFunction, ev: Evaluations):
     """Variant-1 ingredients: one solved theta per (m, k)."""
     mf.validate(ev.d)
+    if isinstance(mf, AverageMoment):  # theta_s is the split's mean f, as in solve_blocks
+        return {(b.m, b.k): pool(mf, [b], np.zeros(1)).split_psi[0] for b in ev}
     return {(b.m, b.k): solve_blocks(mf, [b])[0] for b in ev}
 
 

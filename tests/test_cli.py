@@ -906,6 +906,19 @@ def test_nan_and_inf_nulled_with_reasons():
     assert cleaned["a"] is None
     assert cleaned["b"][1] is None
     assert nulls == {"/a": "nan", "/b/1": "inf"}
+    # a long plain list, with non-finite and non-plain elements among its ints
+    ints = list(range(10_000))
+    ints[3], ints[5_000], ints[9_999] = float("nan"), float("-inf"), float("inf")
+    mixed = [True, None, "s", 2, 0.5, np.int64(7), np.float64("nan"), (1, float("inf"))]
+    nested = [[1, 2.5, float("nan")], [[float("-inf"), 3]], []]
+    cleaned, nulls = sanitize({"ints": ints, "mixed": mixed, "nested": nested})
+    assert cleaned["ints"] == [None if i in (3, 5_000, 9_999) else i for i in range(10_000)]
+    assert cleaned["mixed"] == [True, None, "s", 2, 0.5, 7, None, [1, None]]
+    assert [type(v) for v in cleaned["mixed"][:6]] == [bool, type(None), str, int, float, int]
+    assert cleaned["nested"] == [[1, 2.5, None], [[None, 3]], []]
+    assert nulls == {"/ints/3": "nan", "/ints/5000": "-inf", "/ints/9999": "inf",
+                     "/mixed/6": "nan", "/mixed/7/1": "inf",
+                     "/nested/0/2": "nan", "/nested/1/0/0": "-inf"}
 
 
 def test_write_report_atomic_and_newline(tmp_path):

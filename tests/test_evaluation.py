@@ -225,7 +225,7 @@ def test_no_split_model_outlives_cross_fit(traced_peak):
     n M predictions (0.32 MB here) and their blocks remain, and no model is
     reachable. The in-call bound adds 4 MiB to the predictions for one
     split's step: the kNN predict's 1 MiB budgets (two filter planes, the
-    refine's work buffer, its index arrays) and one model with its training
+    refine's squared differences and index arrays) and one model with its training
     view (about 0.2 MB)."""
     n, M, K = 2_000, 20, 3
     d = synthetic_base(n, 0)

@@ -91,12 +91,12 @@ def test_knn_chunked_distances_equal_the_cube_bitwise(monkeypatch, data, chunk_r
     seen = []
     refine = KnnModel._refine
 
-    def recording(self, x, kept, work):
+    def recording(self, x, kept):
         seen.append(kept.copy())
-        return refine(self, x, kept, work)
+        return refine(self, x, kept)
 
     monkeypatch.setattr(KnnModel, "_refine", recording)
-    for p in [*range(20), 130]:  # p = 0: every distance is 0
+    for p in [*range(20), 130, 257, 300]:  # p = 0: every distance is 0
         if data == "continuous":
             scale = rng.lognormal(size=p)
             train_x = rng.standard_normal((n_train, p)) * scale
@@ -131,19 +131,20 @@ def test_knn_predict_holds_no_rows_by_train_array():
     assert peak < 16 * 2**20
 
 
-def test_knn_predict_with_every_column_tied_stays_bounded(monkeypatch):
+@pytest.mark.parametrize("rows, p", [(20_000, 3), (2_000, 130)])
+def test_knn_predict_with_every_column_tied_stays_bounded(monkeypatch, rows, p):
     # 667 identical training rows: every column ties with the k-th, so every
     # column is a candidate and the refine works through all of them in groups
     rng = substream(24)
     train_y = rng.standard_normal(667)
-    model = KnnModel(np.tile(rng.standard_normal(3), (667, 1)), train_y, 10)
-    x = rng.standard_normal((20_000, 3))
+    model = KnnModel(np.tile(rng.standard_normal(p), (667, 1)), train_y, 10)
+    x = rng.standard_normal((rows, p))
     kept = []
     refine = KnnModel._refine
 
-    def counting(self, x, chunk_kept, work):
+    def counting(self, x, chunk_kept):
         kept.append(int(chunk_kept.sum()))
-        return refine(self, x, chunk_kept, work)
+        return refine(self, x, chunk_kept)
 
     monkeypatch.setattr(KnnModel, "_refine", counting)
     tracemalloc.start()
@@ -152,9 +153,9 @@ def test_knn_predict_with_every_column_tied_stays_bounded(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(kept) == 20_000 * 667
+    assert sum(kept) == rows * 667
     assert peak < 16 * 2**20
-    np.testing.assert_array_equal(pred, np.full(20_000, train_y[:10].mean()))
+    np.testing.assert_array_equal(pred, np.full(rows, train_y[:10].mean()))
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e8])
@@ -167,18 +168,21 @@ def test_knn_refine_computes_about_k_exact_distances_a_row(monkeypatch, offset):
     model = KnnModel(rng.standard_normal((666, 8)) + offset, rng.standard_normal(666), k)
     x = rng.standard_normal((334, 8)) + offset
     computed = []
-    sum_squares = learners._sum_squares
+    refine = KnnModel._refine
 
-    def counting(*args):
-        computed.append(args[-1][0].size)  # the result plane of the buffer
-        return sum_squares(*args)
+    def counting(self, x, kept):
+        # a refine group computes rows x its widest candidate count; the
+        # chunk's widest bounds every group's
+        computed.append(kept.shape[0] * int(kept.sum(axis=1).max()))
+        return refine(self, x, kept)
 
-    monkeypatch.setattr(learners, "_sum_squares", counting)
+    monkeypatch.setattr(KnnModel, "_refine", counting)
     model.predict(x)
     assert sum(computed) / len(x) <= k + 1
 
 
-KNN_FEATURES = [*range(15), *range(129, 137)]  # both sides of _sum_squares' split at 128
+# numpy's pairwise sum splits the feature axis above 128, and twice above 256
+KNN_FEATURES = [*range(15), *range(129, 137), 257, 300]
 
 
 def _knn_covariates(rng, kind, rows, p, base):

@@ -112,6 +112,29 @@ def test_per_split_estimates_constant():
         np.testing.assert_allclose(theta, [4.0])
 
 
+def test_per_split_estimates_evaluate_an_average_moment_once_a_split(monkeypatch):
+    # theta_s of psi = f - theta is the split's mean f; no residual is needed
+    rng = substream(11)
+    x = rng.standard_normal(30)
+    d = Dataset({"y": 2.0 * x + rng.standard_normal(30), "x": x}, Roles("y", ("x",)))
+    plan = generate_plan(30, M=4, K=3, seed=2)
+    ev = cross_fit(plan, d, IDENTITY)
+    mf = builtin_moment("mse")
+    expected = {(b.m, b.k): solve_blocks(mf, [b])[0] for b in ev}
+    psi_eta, calls = type(mf).psi_eta, []
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return psi_eta(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(mf), "psi_eta", counting)
+    per_split = per_split_estimates(mf, ev)
+    assert len(calls) == 12
+    assert list(per_split) == list(expected)
+    for key, theta in per_split.items():
+        np.testing.assert_array_equal(theta, expected[key])
+
+
 def test_per_split_linreg_noiseless():
     rng = substream(10)
     x = rng.standard_normal(30)
