@@ -417,7 +417,7 @@ def run_repro(config: dict) -> dict:
     ev = cross_fit(plan, d, learner, seed=derived_seed(plan_cfg["seed"], 1))
     est = solve(2, mf, ev)
     rep_cfg = config.get("repro", {})
-    comps = repro_mod.sigma_D_hat(mf, ev, est.theta_hat, h, **_given(rep_cfg, "tau"))
+    comps = repro_mod.sigma_D_hat(mf, ev, est, h, **_given(rep_cfg, "tau"))
     measure = repro_mod.repro_measure(comps, rep_cfg.get("beta", 0.2),
                                       **_given(rep_cfg, "test_type"))
     return {

@@ -52,7 +52,7 @@ from .learners import Model
 from .moments import AverageMoment, MomentFunction
 from .rng import derived_seed, substream
 from .splits import SplitPlan, fold_sizes
-from .zestim import per_split_estimates, solve, solve_blocks
+from .zestim import ZEstimate, per_split_estimates, solve, solve_blocks
 
 
 @dataclass
@@ -367,20 +367,22 @@ def comparison_ci(point: float, sigma_delta: float, n: int, rejected: bool,
     return ci_normal, ci_ext, ci_final
 
 
-def sigma_delta_hat(mf: MomentFunction, ev: Evaluations, theta_pooled, base_vals,
+def sigma_delta_hat(mf: MomentFunction, ev: Evaluations, estimate: ZEstimate, base_vals,
                     h: DeltaSpec = IDENTITY):
     """Standard error for the pooled gap: sigma_eta^2 + sigma_b^2 - 2 cov.
 
-    ``base_vals`` holds the baseline's influence values on all n rows.
+    sigma_eta^2 is read from the moment the variant-2 ``estimate`` pooled at
+    its theta_hat; the covariance with ``base_vals``, the baseline's
+    influence values on all n rows, takes one pass over the splits.
     Returns (sigma_delta, clamped_flag); a tiny negative variance from the
     covariance subtraction is clamped to zero and flagged.
     """
-    dv = delta_variance(mf, ev, theta_pooled, h)
+    dv = delta_variance(estimate, ev.plan, h)
     var_b = float(np.var(base_vals))
 
     cov_acc = 0.0
     for b in ev:
-        a_s = _influence_rows(mf, b, theta_pooled, dv.grad)
+        a_s = _influence_rows(mf, b, estimate.theta_hat, dv.grad)
         a_b = base_vals[b.rows]
         cov_acc += float(np.mean((a_s - a_s.mean()) * (a_b - a_b.mean())))
     cov = cov_acc / ev.plan.n_splits
@@ -406,7 +408,7 @@ def compare_models(mf: MomentFunction, ev: Evaluations, baseline: Model, h: Delt
 
     pooled = solve(2, mf, ev)
     point = float(h.h(pooled.theta_hat)) - delta.h_baseline
-    sd, clamped = sigma_delta_hat(mf, ev, pooled.theta_hat, base_vals, h)
+    sd, clamped = sigma_delta_hat(mf, ev, pooled, base_vals, h)
     ci_normal, ci_ext, ci_final = comparison_ci(point, sd, n, test.reject, alpha)
     flags = {}
     if clamped:

@@ -1,10 +1,11 @@
 """Normal-approximation inference for split-sample Z-estimates.
 
-``delta_variance`` is the one delta method of the package: it pools the psi
-"meat" and the plug-in Jacobian over the splits at the pooled (variant-2)
-estimate, applies the variance-inflation factor V_{M,K}, forms the sandwich
-V = V_{M,K} J^{-1} meat J^{-T} and reduces it to c^T V c for the gradient c of
-a scalar reduction h. ``normal_ci`` turns that into the CI
+``delta_variance`` is the one delta method of the package. It reads the psi
+"meat" and the plug-in Jacobian that ``zestim.solve`` pooled over the splits
+at theta_hat (``ZEstimate.pooled``), applies the variance-inflation factor
+V_{M,K}, forms the sandwich V = V_{M,K} J^{-1} meat J^{-T} and reduces it to
+c^T V c for the gradient c of a scalar reduction h; it makes no pass over the
+splits. ``normal_ci`` turns that into the CI
 h(theta) +/- z_{1-alpha/2} * sigma / sqrt(n); the model comparison and the
 reproducibility margin call it too. Every reduction a config can name is a
 linear contrast (a ``DeltaSpec``), so its gradient is a constant vector and
@@ -21,8 +22,9 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import SingularJacobian, ZeroVariance
-from .evaluation import Evaluations, Pooled, pool
+from .evaluation import Evaluations
 from .moments import MomentFunction
+from .splits import SplitPlan
 from .zestim import ZEstimate
 
 # the standard normal quantile and CDF (elementwise), from the standard library
@@ -133,31 +135,28 @@ class InferenceReport:
 
 @dataclass(frozen=True)
 class DeltaVariance:
-    """The pooled moment at theta (psi, meat, Jacobian and their per-split
-    arrays), V_{M,K}, the sandwich V, the gradient c of h and c^T V c."""
+    """V_{M,K}, the sandwich V, the gradient c of h and c^T V c."""
 
-    pooled: Pooled
     inflation: float
     sandwich: np.ndarray
     grad: np.ndarray
     variance: float
 
 
-def delta_variance(mf: MomentFunction, ev: Evaluations, theta,
+def delta_variance(estimate: ZEstimate, plan: SplitPlan,
                    h: DeltaSpec = IDENTITY) -> DeltaVariance:
-    """Delta-method variance of h(theta_hat) for the pooled estimator at theta."""
-    theta = np.asarray(theta, dtype=np.float64)
-    plan = ev.plan
-    pooled = pool(mf, ev, theta, meat=True, jacobian=True)
+    """Delta-method variance of h(theta_hat) from ``estimate.pooled`` on ``plan``."""
+    pooled = estimate.pooled
     vmk = variance_inflation(plan.M, plan.K, plan.b, plan.n)
     v = sandwich(pooled.jacobian, pooled.meat, vmk)
-    grad = h.gradient(theta)
-    return DeltaVariance(pooled, vmk, v, grad, float(grad @ v @ grad))
+    grad = h.gradient(estimate.theta_hat)
+    return DeltaVariance(vmk, v, grad, float(grad @ v @ grad))
 
 
 def normal_ci(mf: MomentFunction, ev: Evaluations, estimate: ZEstimate,
               h: DeltaSpec = IDENTITY, alpha: float = 0.05) -> InferenceReport:
-    """Sandwich-variance normal CI for h(theta_hat).
+    """Sandwich-variance normal CI for h(theta_hat) from ``estimate.pooled``;
+    ``mf`` and ``ev`` are the moment and evaluations ``estimate`` solved.
 
     Flags ``fast_convergence_risk`` when the meat is numerically degenerate,
     which is the signature of a fast-converging moment (hand the problem to
@@ -165,8 +164,8 @@ def normal_ci(mf: MomentFunction, ev: Evaluations, estimate: ZEstimate,
     """
     theta = estimate.theta_hat
     n = ev.plan.n
-    dv = delta_variance(mf, ev, theta, h)
-    meat = dv.pooled.meat
+    dv = delta_variance(estimate, ev.plan, h)
+    meat = estimate.pooled.meat
     flags = {}
     eigs = np.linalg.eigvalsh(meat)
     if eigs.min() <= 1e-12 * (1.0 + float(theta @ theta)):
@@ -180,7 +179,7 @@ def normal_ci(mf: MomentFunction, ev: Evaluations, estimate: ZEstimate,
     return InferenceReport(
         theta_hat=theta,
         h_hat=point,
-        jacobian=dv.pooled.jacobian,
+        jacobian=estimate.pooled.jacobian,
         meat=meat,
         sandwich_matrix=dv.sandwich,
         variance_inflation=dv.inflation,

@@ -24,7 +24,7 @@ from .learners import Learner
 from .moments import MomentFunction
 from .rng import derived_seed
 from .splits import generate_plan
-from .zestim import solve
+from .zestim import ZEstimate, solve
 
 
 @dataclass
@@ -84,17 +84,17 @@ class ReproMeasure:
         }
 
 
-def sigma_D_hat(mf: MomentFunction, ev: Evaluations, theta_hat,
+def sigma_D_hat(mf: MomentFunction, ev: Evaluations, estimate: ZEstimate,
                 h: DeltaSpec = IDENTITY, tau: float = 0.0) -> ReproComponents:
-    """All sigma_D components from one plan's variant-2 estimate.
+    """All sigma_D components from one plan's variant-2 estimate, read from
+    the moment ``estimate`` pooled at theta_hat over the splits of ``ev``.
 
     The zeta and rho terms carry the factor (h(theta) - tau), so the stack is
     specific to the hypothesis value tau being tested.
     """
-    theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    plan = ev.plan
-    dv = delta_variance(mf, ev, theta_hat, h)
-    pooled, vmk = dv.pooled, dv.inflation
+    theta_hat, pooled, plan = estimate.theta_hat, estimate.pooled, ev.plan
+    dv = delta_variance(estimate, plan, h)
+    vmk = dv.inflation
     psi_split = pooled.split_psi      # per-split moment at theta_hat
 
     # row vector grad . J^{-1}; delta_variance has checked that J is nonsingular

@@ -43,7 +43,7 @@ from . import compare as compare_mod
 from . import gates as gates_mod
 from .data import Dataset, Roles
 from .errors import NotPositiveDefinite
-from .evaluation import Block, cross_fit, group_codes, pool
+from .evaluation import Block, cross_fit, group_codes
 from .inference import normal_ci
 from .learners import builtin
 from .moments import AverageMoment, MomentFunction, builtin_moment
@@ -292,17 +292,16 @@ def estimand_oracle(mf: MomentFunction, fresh: Dataset):
     the fresh sample once, in its split step. ``theta()`` solves the variant-2
     aggregation of the estimator over the visited models, with the fresh
     sample standing in for every evaluation split (the population analog of
-    the moment). An average-type moment reduces each model's predictions to
-    their mean f at once, so one model's are held at a time; any other moment
-    keeps every model's block and solves them through ``zestim.solve_blocks``,
-    like the estimator itself.
+    the moment). Both go through ``zestim.solve_blocks``, like the estimator
+    itself: an average-type moment solves each model's block alone at once,
+    to its mean f, so one model's predictions are held at a time; any other
+    moment keeps every model's block and solves them together.
     """
     codes, average, parts = group_codes(fresh), isinstance(mf, AverageMoment), []
 
     def visit(model, m, k):
         b = Block.of(model, fresh, m=m, k=k, codes=codes)
-        # psi = f - theta, so the mean psi at theta = 0 is the mean f
-        parts.append(pool(mf, [b], np.zeros(1)).psi[0] if average else b)
+        parts.append(solve_blocks(mf, [b])[0] if average else b)
 
     def theta() -> np.ndarray:
         return np.array([np.mean(parts)]) if average else solve_blocks(mf, parts)[0]

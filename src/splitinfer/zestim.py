@@ -13,18 +13,20 @@ switching to another algorithm.
 
 The solvers read the out-of-fold predictions in an ``Evaluations`` (see
 ``evaluation.cross_fit``) and evaluate the moment in its array form through
-``evaluation.pool``; they never call ``predict``.
+``evaluation.pool``; they never call ``predict``. ``solve`` ends with the one
+pass that pools the moment at theta_hat (``ZEstimate.pooled``); the residual,
+the normal CI, sigma_delta and the reproducibility margin read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
 
 from .errors import NoConvergence, SingularJacobian
-from .evaluation import Evaluations, pool
+from .evaluation import Evaluations, Pooled, pool
 from .moments import AverageMoment, MomentFunction, TercileFractions
 
 DEFAULT_TOL = 1e-10
@@ -32,12 +34,16 @@ DEFAULT_TOL = 1e-10
 
 @dataclass
 class ZEstimate:
+    """One variant's theta_hat, and ``pooled``, psi, meat and Jacobian pooled
+    over every split at theta_hat, which the inference reads; not reported."""
+
     variant: int
     theta_hat: np.ndarray
     per_split_thetas: dict[tuple[int, int], np.ndarray] | None = None
     per_repetition_thetas: dict[int, np.ndarray] | None = None
     iterations: int = 0
     residual_norm: float = 0.0
+    pooled: Pooled | None = field(default=None, repr=False)
 
     def to_jsonable(self) -> dict:
         out = {
@@ -99,59 +105,52 @@ def newton_solve(fun, jac, theta0, max_iter=80):
     raise NoConvergence(f"residual {norm:.3e} after {max_iter} iterations")
 
 
-def solve_blocks(mf: MomentFunction, group) -> tuple[np.ndarray, int, float]:
+def solve_blocks(mf: MomentFunction, group) -> tuple[np.ndarray, int]:
     """Solve the averaged moment over one group of blocks (size >= 1): an
     ``Evaluations`` or a list, iterated again for each evaluation of the
-    moment.
+    moment. An average moment and the tercile system take one pass.
 
-    Returns (theta, iterations, residual_norm).
+    Returns (theta, iterations).
     """
     if isinstance(mf, AverageMoment):
         # psi = f - theta, so each block's mean psi at theta = 0 is its mean f
-        theta = pool(mf, group, np.zeros(1)).split_psi.mean(axis=0)
-        return theta, 0, _residual(mf, group, theta)
+        return pool(mf, group, np.zeros(1)).split_psi.mean(axis=0), 0
     if isinstance(mf, TercileFractions):
-        theta = mf.solve_pooled([(b.eta, b.y) for b in group])
-        return theta, 0, _residual(mf, group, theta)
+        return mf.solve_pooled([(b.eta, b.y) for b in group]), 0
     b0 = next(iter(group))
     return newton_solve(lambda theta: pool(mf, group, theta).psi,
                         lambda theta: pool(mf, group, theta, psi=False, jacobian=True).jacobian,
-                        mf.initial_guess_eta(b0.eta, b0.y, b0.g))
-
-
-def _residual(mf, group, theta) -> float:
-    return float(np.linalg.norm(pool(mf, group, theta).psi))
+                        mf.initial_guess_eta(b0.eta, b0.y, b0.g))[:2]
 
 
 def per_split_estimates(mf: MomentFunction, ev: Evaluations):
     """Variant-1 ingredients: one solved theta per (m, k)."""
     mf.validate(ev.d)
-    if isinstance(mf, AverageMoment):  # theta_s is the split's mean f, as in solve_blocks
-        return {(b.m, b.k): pool(mf, [b], np.zeros(1)).split_psi[0] for b in ev}
     return {(b.m, b.k): solve_blocks(mf, [b])[0] for b in ev}
 
 
 def solve(variant: int, mf: MomentFunction, ev: Evaluations) -> ZEstimate:
-    """Solve the split-sample Z-estimator for the requested variant."""
+    """Solve the split-sample Z-estimator for the requested variant, then pool
+    the moment at theta_hat over every split once (``ZEstimate.pooled``)."""
     if variant not in (1, 2, 3):
         raise ValueError(f"variant must be 1, 2 or 3, got {variant}")
     mf.validate(ev.d)
 
+    thetas, iters, residual = {}, 0, 0.0
     if variant == 2:
-        theta_hat, iters, res = solve_blocks(mf, ev)
-        return ZEstimate(2, theta_hat, iterations=iters, residual_norm=res)
-
-    # a group is one split (variant 1) or one repetition's consecutive splits
-    # (variant 3), held for all its passes
-    by = (lambda b: (b.m, b.k)) if variant == 1 else (lambda b: b.m)
-    solved = {key: solve_blocks(mf, list(group)) for key, group in groupby(ev, by)}
-    thetas = {key: theta for key, (theta, _, _) in solved.items()}
-    theta_hat = np.mean(list(thetas.values()), axis=0)
-    iters = max(it for _, it, _ in solved.values())
-    worst = max(res for _, _, res in solved.values())
-    if variant == 1:
-        return ZEstimate(1, theta_hat, per_split_thetas=thetas,
-                         iterations=iters, residual_norm=worst)
-    return ZEstimate(3, theta_hat, per_repetition_thetas=thetas,
-                     iterations=iters, residual_norm=worst)
-
+        theta_hat, iters = solve_blocks(mf, ev)
+    else:
+        # a group is one split (variant 1) or one repetition's consecutive
+        # splits (variant 3), held for all its passes and its residual's
+        by = (lambda b: (b.m, b.k)) if variant == 1 else (lambda b: b.m)
+        for key, group in groupby(ev, by):
+            group = list(group)
+            thetas[key], it = solve_blocks(mf, group)
+            iters = max(iters, it)
+            residual = max(residual, float(np.linalg.norm(pool(mf, group, thetas[key]).psi)))
+        theta_hat = np.mean(list(thetas.values()), axis=0)
+    pooled = pool(mf, ev, theta_hat, meat=True, jacobian=True)
+    if variant == 2:  # the pooled moment's residual, else the largest group's
+        residual = float(np.linalg.norm(pooled.psi))
+    return ZEstimate(variant, theta_hat, thetas if variant == 1 else None,
+                     thetas if variant == 3 else None, iters, residual, pooled)

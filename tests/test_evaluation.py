@@ -145,6 +145,33 @@ def test_a_pass_derives_each_blocks_rows_once(monkeypatch):
     assert all(b.g is None for b in no_group)
 
 
+def test_passes_over_the_splits_per_statistic(monkeypatch):
+    """A pass over the splits derives each split's rows once. For an average
+    moment ``solve(2)`` takes two passes, theta and the moment pooled at
+    theta_hat, which ``normal_ci`` and ``sigma_D_hat`` read without a pass of
+    their own; ``compare_models`` adds the per-split estimates and the
+    covariance loop of ``sigma_delta_hat``."""
+    from splitinfer import evaluation
+
+    d = linear_cate_sample(120, seed=3)
+    mf = builtin_moment("mse")
+    ev = cross_fit(generate_plan(120, M=4, K=3, seed=1), d, builtin("ols"))
+    derived = []
+    real = evaluation.eval_rows
+    monkeypatch.setattr(evaluation, "eval_rows",
+                        lambda labels, k: derived.append(k) or real(labels, k))
+
+    def passes(fn, *args, **kwargs):
+        derived.clear()
+        fn(*args, **kwargs)
+        return len(derived) / ev.plan.n_splits
+
+    assert passes(lambda: normal_ci(mf, ev, solve(2, mf, ev))) == 2
+    assert passes(lambda: sigma_D_hat(mf, ev, solve(2, mf, ev))) == 2
+    assert passes(compare_mod.compare_models, mf, ev, builtin("mean").train(d),
+                  mc_draws=1_000) == 4
+
+
 def test_pool_matches_per_split_model_forms():
     rng = substream(4)
     x = rng.standard_normal(30)
@@ -180,7 +207,7 @@ def test_library_reports_are_plain_json():
     reports = [solve(variant, mf, ev) for variant in (1, 2, 3)]
     reports.append(normal_ci(mf, ev, reports[1]))
     reports.append(adaptive_ci(mf, ev, reports[1], reports[3], AdaptiveConfig(grid_points=51)))
-    comps = sigma_D_hat(mf, ev, reports[1].theta_hat)
+    comps = sigma_D_hat(mf, ev, reports[1])
     reports += [comps, repro_measure(comps, 0.2)]
     for report in reports:
         payload = report.to_jsonable()
@@ -254,17 +281,20 @@ def test_no_split_model_outlives_cross_fit(traced_peak):
 def test_a_pass_holds_one_split_at_a_time(traced_peak):
     """A pass iterates the ``Evaluations``, so it holds one split's rows, y
     and moment values at a time, never every split's: at n = 20 000, M = 100,
-    K = 3 those take 24 MB (int32 rows and float64 y), and a pool pass or
+    K = 3 those take 24 MB (int32 rows and float64 y), and a pool pass,
+    ``solve`` (its Newton passes and the closing pool at theta_hat) or
     ``sigma_delta_hat`` stays within 2 MiB above what the caller holds."""
     n = 20_000
     d = linear_cate_sample(n, seed=8)
     mf, h = builtin_moment("linreg_on_eta"), named_reduction("coordinate:1", 2)
     ev = cross_fit(generate_plan(n, M=100, K=3, seed=9), d, builtin("ols"), seed=1)
-    theta = solve(2, mf, ev).theta_hat
+    est = solve(2, mf, ev)
+    theta = est.theta_hat
     base = Block.of(builtin("ols").train(d), d)
     base_vals = compare_mod._influence_rows(mf, base, theta, h.gradient(theta))
     assert traced_peak(pool, mf, ev, theta, meat=True, jacobian=True) <= 2 * 2**20
-    assert traced_peak(compare_mod.sigma_delta_hat, mf, ev, theta, base_vals, h) <= 2 * 2**20
+    assert traced_peak(solve, 2, mf, ev) <= 2 * 2**20
+    assert traced_peak(compare_mod.sigma_delta_hat, mf, ev, est, base_vals, h) <= 2 * 2**20
 
 
 def test_pooled_row_values_hold_one_split_at_a_time(traced_peak):

@@ -16,7 +16,7 @@ from splitinfer.learners import ConstantModel, FixedFunctionModel, builtin
 from splitinfer.moments import builtin_moment
 from splitinfer.rng import substream
 from splitinfer.splits import generate_plan
-from splitinfer.zestim import ZEstimate, solve
+from splitinfer.zestim import solve
 from test_evaluation import fixed
 
 
@@ -78,7 +78,8 @@ def test_degenerate_meat_flags_fast_convergence():
     mf = builtin_moment("covariance")
     meat = pool(mf, ev, np.array([0.0]), meat=True).meat
     np.testing.assert_allclose(meat, 0.0, atol=1e-30)
-    est = ZEstimate(2, np.array([0.0]))
+    est = solve(2, mf, ev)
+    np.testing.assert_array_equal(est.theta_hat, [0.0])
     with pytest.raises(ZeroVariance):
         normal_ci(mf, ev, est)
 

@@ -9,6 +9,9 @@ by 16, the tercile group means and thresholds by 4, and a test statistic
 that divides by a standard error does not move. GATES's
 estimates scale by 4 and its p-values do not move; its het test's
 statistic and critical value move in the last bits (see its test).
+Scaling the covariates by 4 leaves the neighbours of kNN and the splits of a
+tree where they were. Flipping a treatment assigned with probability 1/2
+negates every predicted effect, so GATES's groups come in reverse order.
 """
 
 import numpy as np
@@ -21,7 +24,7 @@ from splitinfer.gates import CateLearner, GatesConfig, baselines, run_gates
 from splitinfer.inference import named_reduction, normal_ci
 from splitinfer.learners import builtin
 from splitinfer.moments import builtin_moment
-from splitinfer.sim import hte_sample, linear_cate_sample
+from splitinfer.sim import hte_sample, linear_cate_sample, synthetic_base
 from splitinfer.splits import generate_plan
 from splitinfer.zestim import solve
 
@@ -30,10 +33,15 @@ LEARNERS = ["ols", "ridge(1.0)", "knn(5)", "tree(3)"]
 PLANS = {"K3": dict(M=10, K=3), "K1": dict(M=10, K=1, b=N // 2)}
 
 
-def scaled_outcome(d: Dataset, factor: float) -> Dataset:
+def with_columns(d: Dataset, change, names) -> Dataset:
+    """``d`` with ``change`` applied to each column in ``names``."""
     columns = {name: d.column(name) for name in d.column_names}
-    columns[d.roles.outcome] = factor * columns[d.roles.outcome]
+    columns.update({name: change(columns[name]) for name in names})
     return Dataset(columns, d.roles)
+
+
+def scaled_outcome(d: Dataset, factor: float) -> Dataset:
+    return with_columns(d, lambda v: factor * v, [d.roles.outcome])
 
 
 def both_scales():
@@ -148,3 +156,34 @@ def test_outcome_times_four_scales_gates_and_leaves_its_p_values_unchanged():
     assert het_scaled.test.statistic == pytest.approx(het.test.statistic, rel=1e-12, abs=0)
     assert het_scaled.test.critical_value == pytest.approx(het.test.critical_value, rel=1e-12,
                                                            abs=0)
+
+
+@pytest.mark.parametrize("learner", ["knn(10)", "knn(1)", "tree(3)"])
+def test_covariates_times_four_leave_knn_and_tree_predictions_unchanged(learner):
+    """Every squared distance scales by 16 and every split point by 4, exactly,
+    so each neighbour set, tie order and tree split stays; synthetic_base's
+    discrete columns put ties in both. ols (2.9e-15 relative here) and ridge
+    (its penalty does not scale, 1.1e-2) move and are left out."""
+    d = synthetic_base(N, 0)
+    plan = generate_plan(N, seed=4, **PLANS["K3"])
+    etas = [cross_fit(plan, data, builtin(learner), seed=5).etas
+            for data in (d, with_columns(d, lambda v: 4.0 * v, d.roles.covariates))]
+    np.testing.assert_array_equal(etas[1], etas[0])
+
+
+def test_flipping_a_fair_treatment_reverses_and_negates_gamma_and_keeps_delta():
+    """At propensity 1/2, t -> 1 - t negates t - p and swaps the T-learner's
+    arms, so every predicted effect is negated exactly and the groups come in
+    reverse order: gamma_hat reverses and negates, and delta = gamma_J -
+    gamma_1 keeps its value (it is not negated) and its SE. Not bitwise: the
+    regressions take their columns in the other order, so delta_hat and
+    gamma_hat moved by 1.1e-15 relative and three of the five repetitions'
+    SEs in their last bits."""
+    d = hte_sample(400, seed=3, mode="predictable")
+    cfg = GatesConfig(learners=tuple(CateLearner(builtin(name)) for name in ("ols", "ridge(1.0)")),
+                      M=5, K=3)
+    base, _ = run_gates(cfg, d, seed=7)
+    flipped, _ = run_gates(cfg, with_columns(d, lambda t: 1.0 - t, [d.roles.treatment]), seed=7)
+    np.testing.assert_allclose(flipped.gamma_hat, -base.gamma_hat[::-1], rtol=1e-12, atol=0)
+    assert flipped.delta_hat == pytest.approx(base.delta_hat, rel=1e-12, abs=0)
+    assert flipped.delta_se == pytest.approx(base.delta_se, rel=1e-12, abs=0)

@@ -30,12 +30,12 @@ def fitted(n=120, M=4, K=3, seed=0, learner="mean"):
 
 def components_at(tau, **kwargs):
     mf, ev, est = fitted(**kwargs)
-    return sigma_D_hat(mf, ev, est.theta_hat, tau=tau), est
+    return sigma_D_hat(mf, ev, est, tau=tau), est
 
 
 def test_tau_at_estimate_kills_zeta_and_rho():
     mf, ev, est = fitted()
-    comps = sigma_D_hat(mf, ev, est.theta_hat, tau=float(est.theta_hat[0]))
+    comps = sigma_D_hat(mf, ev, est, tau=float(est.theta_hat[0]))
     assert comps.zeta_hat_D2 == pytest.approx(0.0, abs=1e-25)
     assert comps.rho_hat == pytest.approx(0.0, abs=1e-25)
     assert comps.sigma_hat_D2 == pytest.approx(2.0 * comps.v_hat_D2, rel=1e-12)
@@ -45,7 +45,7 @@ def test_d1_reduction_matches_direct_formula():
     # d = 1, psi = f - theta: v2 = sigma^-2 * mean over repetitions of
     # (per-repetition pooled moment)^2
     mf, ev, est = fitted(M=5)
-    comps = sigma_D_hat(mf, ev, est.theta_hat, tau=0.0)
+    comps = sigma_D_hat(mf, ev, est, tau=0.0)
     theta, d = est.theta_hat, ev.d
     g = []
     for m in range(ev.plan.M):
@@ -72,13 +72,13 @@ def test_identical_splits_zero_spread():
     # identical models too (same training rows, deterministic learner)
     ev = cross_fit(plan, d, builtin("mean"), seed=0)
     mf = builtin_moment("mse")
-    comps = sigma_D_hat(mf, ev, solve(2, mf, ev).theta_hat, tau=0.0)
+    comps = sigma_D_hat(mf, ev, solve(2, mf, ev), tau=0.0)
     assert comps.v_hat_D2 == pytest.approx(0.0, abs=1e-20)
 
 
 def test_sigma_d_invariant_to_split_order():
     mf, ev, est = fitted(M=4, seed=3)
-    comps = sigma_D_hat(mf, ev, est.theta_hat, tau=0.1)
+    comps = sigma_D_hat(mf, ev, est, tau=0.1)
     # permute repetitions; the mean learner refits the same models on them
     from splitinfer.splits import SplitPlan
 
@@ -86,7 +86,9 @@ def test_sigma_d_invariant_to_split_order():
     order = [2, 0, 3, 1]
     plan_p = SplitPlan(n=plan.n, M=plan.M, K=plan.K, b=plan.b, seed=plan.seed,
                        folds=plan.folds[order])
-    comps_p = sigma_D_hat(mf, cross_fit(plan_p, ev.d, builtin("mean")), est.theta_hat, tau=0.1)
+    # solved on the permuted plan, whose theta_hat may differ in its last bits
+    ev_p = cross_fit(plan_p, ev.d, builtin("mean"))
+    comps_p = sigma_D_hat(mf, ev_p, solve(2, mf, ev_p), tau=0.1)
     assert comps.sigma_hat_D2 == pytest.approx(comps_p.sigma_hat_D2, rel=1e-12)
 
 
