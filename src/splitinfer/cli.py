@@ -37,6 +37,16 @@ Data come from a CSV (``data.path``) or from a synthetic generator
 "linear_cate", "gauss_linear", "copula" or "hte", with the options of its
 kind, plus ``n`` and ``seed``; default: 400 rows of "base" with seed 0), not
 from both.
+
+Starting the CLI loads the modules of the estimate, compare and gates runs,
+and numpy with them, but not ``sim`` or ``repro``. ``sim`` loads when a run
+needs a generator: a config without ``data.path``, or ``simulate``; ``repro``
+loads in ``run_repro``. ``compare``, ``gates`` and ``adaptive`` still load at
+the start, although only some runs call them: the benchmark's tracer wraps
+functions by name in the modules already loaded when it installs, and these
+three hold functions it wraps. ``sim`` and ``repro`` hold none, and a module
+imported after the tracer installs binds the wrapped functions, since the
+tracer rebinds each one in the module that defines it.
 """
 
 from __future__ import annotations
@@ -51,8 +61,6 @@ from importlib import resources
 from . import adaptive as adaptive_mod
 from . import compare as compare_mod
 from . import gates as gates_mod
-from . import repro as repro_mod
-from . import sim
 from .data import Roles, ingest_csv
 from .errors import ConfigInvalid, SplitInferError, ZeroVariance
 from .evaluation import cross_fit
@@ -250,7 +258,11 @@ def _resolve_names(config: dict) -> None:
     data_cfg = config.get("data") or {}
     if "path" in data_cfg and "synthetic" in data_cfg:
         raise ConfigInvalid("/data", "data.path and data.synthetic are two sources; give one")
-    _resolved("/data/synthetic", sim.dgp_sampler, _synthetic(data_cfg)[0], "base")
+    if "path" in data_cfg and sim_cfg is None:
+        return  # a CSV run draws no data, so it does not load the generators
+    from . import sim
+    if "path" not in data_cfg:
+        _resolved("/data/synthetic", sim.dgp_sampler, _synthetic(data_cfg)[0], "base")
     if sim_cfg is not None:
         for i, method in enumerate(sim_cfg["methods"]):
             if method not in sim.METHOD_RUNNERS:
@@ -306,6 +318,7 @@ def build_dataset(config: dict):
                               **_given(data_cfg, "missing_policy", "missing_values"))
         except OSError as exc:
             raise ConfigInvalid("/data/path", f"cannot read the CSV: {exc}") from None
+    from . import sim
     spec, n, seed = _synthetic(data_cfg)
     return sim.dgp_sampler(spec, "base")(n, seed)
 
@@ -328,7 +341,7 @@ def run_estimate(config: dict) -> dict:
     est_cfg = config.get("estimate", {})
     normal = None
     try:
-        normal = normal_ci(mf, ev, est, h, config["alpha"])
+        normal = normal_ci(ev, est, h, config["alpha"])
         results["inference"] = normal.to_jsonable()
     except ZeroVariance:
         # the adaptive CI is built for a zero variance; without it, fail
@@ -416,8 +429,9 @@ def run_repro(config: dict) -> dict:
     learner = builtin(config["learner"])
     ev = cross_fit(plan, d, learner, seed=derived_seed(plan_cfg["seed"], 1))
     est = solve(2, mf, ev)
+    from . import repro as repro_mod
     rep_cfg = config.get("repro", {})
-    comps = repro_mod.sigma_D_hat(mf, ev, est, h, **_given(rep_cfg, "tau"))
+    comps = repro_mod.sigma_D_hat(ev, est, h, **_given(rep_cfg, "tau"))
     measure = repro_mod.repro_measure(comps, rep_cfg.get("beta", 0.2),
                                       **_given(rep_cfg, "test_type"))
     return {
@@ -427,6 +441,7 @@ def run_repro(config: dict) -> dict:
 
 
 def run_simulate(config: dict) -> dict:
+    from . import sim
     sim_cfg = config["simulate"]
     csv_path = sim_cfg.get("csv_path") or (config.get("output", {}).get("path", "grid") + ".csv")
     grid = sim.ExperimentGrid(

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import SingularJacobian, ZeroVariance
 from .evaluation import Evaluations
-from .moments import MomentFunction
 from .splits import SplitPlan
 from .zestim import ZEstimate
 
@@ -153,10 +152,10 @@ def delta_variance(estimate: ZEstimate, plan: SplitPlan,
     return DeltaVariance(vmk, v, grad, float(grad @ v @ grad))
 
 
-def normal_ci(mf: MomentFunction, ev: Evaluations, estimate: ZEstimate,
-              h: DeltaSpec = IDENTITY, alpha: float = 0.05) -> InferenceReport:
+def normal_ci(ev: Evaluations, estimate: ZEstimate, h: DeltaSpec = IDENTITY,
+              alpha: float = 0.05) -> InferenceReport:
     """Sandwich-variance normal CI for h(theta_hat) from ``estimate.pooled``;
-    ``mf`` and ``ev`` are the moment and evaluations ``estimate`` solved.
+    ``ev`` holds the evaluations ``estimate`` solved.
 
     Flags ``fast_convergence_risk`` when the meat is numerically degenerate,
     which is the signature of a fast-converging moment (hand the problem to

@@ -237,21 +237,27 @@ class TercileFractions(MomentFunction):
         type-1 (left-inverse) quantiles of the weighted predictions, the
         smallest prediction whose cumulative weight reaches 1/3 and 2/3; the
         group coordinates are the weighted group means of y.
+
+        It holds four arrays of one float64 or index per pooled row while it
+        finds the thresholds (predictions, weights, sort order and the
+        cumulative weights, summed in place), and frees the last two before it
+        pools the outcomes for the group means.
         """
-        n_splits = len(split_items)
+        sizes = np.array([e.shape[0] for e, _ in split_items])
+        w = np.repeat(1.0 / (len(split_items) * sizes), sizes)
         eta = np.concatenate([e for e, _ in split_items])
-        y = np.concatenate([v for _, v in split_items])
-        w = np.concatenate([np.full(e.shape[0], 1.0 / (n_splits * e.shape[0]))
-                            for e, _ in split_items])
         order = np.argsort(eta, kind="stable")
-        cum = np.cumsum(w[order])
+        cum = w[order]
+        np.cumsum(cum, out=cum)
         total = cum[-1]
         thresholds = []
         for j in (1, 2):
             target = j * total / 3.0
             pos = int(np.searchsorted(cum, target - 1e-12, side="left"))
             thresholds.append(float(eta[order[min(pos, eta.size - 1)]]))
+        del order, cum
         t1, t2 = thresholds
+        y = np.concatenate([v for _, v in split_items])
         means = [float((w[g] * y[g]).sum() / w[g].sum()) if g.any() else 0.0
                  for g in self.group_masks(eta, t1, t2)]
         return np.array([*means, t1, t2])

@@ -84,8 +84,8 @@ class ReproMeasure:
         }
 
 
-def sigma_D_hat(mf: MomentFunction, ev: Evaluations, estimate: ZEstimate,
-                h: DeltaSpec = IDENTITY, tau: float = 0.0) -> ReproComponents:
+def sigma_D_hat(ev: Evaluations, estimate: ZEstimate, h: DeltaSpec = IDENTITY,
+                tau: float = 0.0) -> ReproComponents:
     """All sigma_D components from one plan's variant-2 estimate, read from
     the moment ``estimate`` pooled at theta_hat over the splits of ``ev``.
 
@@ -106,7 +106,7 @@ def sigma_D_hat(mf: MomentFunction, ev: Evaluations, estimate: ZEstimate,
 
     # V_G: spread of per-repetition pooled moments (they average to ~0 at the
     # variant-2 solution, so the uncentered outer product is the variance)
-    g_reps = psi_split.reshape(plan.M, plan.K, mf.dim).mean(axis=1)
+    g_reps = psi_split.reshape(plan.M, plan.K, -1).mean(axis=1)
     v_g = g_reps.T @ g_reps / plan.M
     v_hat_D2 = float(a_hat @ v_g @ a_hat) / sigma2_eta
 

@@ -371,7 +371,7 @@ def _grid_fit(grid, n, K, cell_index, iteration, oracle=False):
 def _grid_estimate(grid, n, K, cell_index, iteration):
     _, oracle_theta, _, mf, ev = _grid_fit(grid, n, K, cell_index, iteration, oracle=True)
     est = solve(2, mf, ev)
-    report = normal_ci(mf, ev, est, alpha=grid.alpha)
+    report = normal_ci(ev, est, alpha=grid.alpha)
     oracle = float(oracle_theta()[0])
     lo, hi = report.ci
     return {

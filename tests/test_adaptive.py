@@ -29,7 +29,7 @@ def adaptive(mf, ev, est, cfg=None):
     """The adaptive CI given the normal CI at its alpha, or None where the
     normal CI's variance is zero, as the CLI runs it."""
     try:
-        normal = normal_ci(mf, ev, est, alpha=(cfg or AdaptiveConfig()).alpha)
+        normal = normal_ci(ev, est, alpha=(cfg or AdaptiveConfig()).alpha)
     except ZeroVariance:
         normal = None
     return adaptive_ci(mf, ev, est, normal, cfg)

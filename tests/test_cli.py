@@ -651,6 +651,95 @@ def test_cli_import_leaves_scipy_optimize_and_stats_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+# the package's submodules loaded after each step, as JSON on the last line
+IMPORT_STEPS = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("splitinfer."))
+import splitinfer
+seen = {"import splitinfer": loaded()}
+from splitinfer import cli
+seen["import splitinfer.cli"] = loaded()
+for step, command, config in json.loads(sys.argv[1]):
+    assert cli.run([command, "--config", config]) == 0, step
+    seen[step] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_cli_loads_sim_and_repro_only_for_the_runs_that_call_them(tmp_path):
+    """``import splitinfer`` loads no submodule. Starting the CLI and running
+    estimate, compare and gates on a CSV leave the generators (``sim``) and
+    the reproducibility margin (``repro``) unloaded; a repro run loads
+    ``repro``, and a run on ``data.synthetic`` loads ``sim``."""
+    rng = substream(13)
+    x, t = rng.standard_normal(60), (rng.random(60) < 0.5) * 1.0
+    data = tmp_path / "d.csv"
+    data.write_text("y,x1,t\n" + "".join(f"{a + b * a!r},{a!r},{b!r}\n"
+                                         for a, b in zip(x.tolist(), t.tolist())),
+                    encoding="utf-8")
+    roles = {"outcome": "y", "covariates": ["x1"], "treatment": "t", "propensity": 0.5}
+    on_csv = {"data": {"path": str(data), "schema": roles}, "plan": {"M": 2, "K": 2, "seed": 0}}
+    steps = []
+    for step, command, overrides in [("estimate", "estimate", on_csv),
+                                     ("compare", "compare", on_csv),
+                                     ("gates", "gates", on_csv),
+                                     ("repro", "repro", on_csv),
+                                     ("synthetic", "estimate", {})]:
+        payload = estimate_payload(tmp_path / f"{step}.json", method=command, **overrides)
+        if command == "gates":
+            del payload["moment"], payload["variant"]
+        steps.append((step, command, str(write_config(tmp_path, payload, f"{step}_cfg.json"))))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_STEPS, json.dumps(steps)],
+                          capture_output=True, text=True, env=python_env())
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen["import splitinfer"] == []
+    for step in ("import splitinfer.cli", "estimate", "compare", "gates"):
+        assert {"splitinfer.sim", "splitinfer.repro"}.isdisjoint(seen[step]), step
+    assert "splitinfer.repro" in seen["repro"] and "splitinfer.sim" not in seen["repro"]
+    assert "splitinfer.sim" in seen["synthetic"]
+
+
+# the public names of the package, by the module that holds each, and its submodules
+PACKAGE_NAMES = {
+    "data": ("Dataset", "Roles", "as_row_index_set", "complement", "ingest_csv"),
+    "splits": ("SplitPlan", "generate_plan"),
+    "learners": ("Learner", "Model", "builtin"),
+    "evaluation": ("Block", "Evaluations", "cross_fit", "pool"),
+    "moments": ("MomentFunction", "builtin_moment"),
+    "zestim": ("ZEstimate", "per_split_estimates", "solve"),
+    "inference": ("DeltaSpec", "InferenceReport", "named_reduction", "normal_ci", "sandwich",
+                  "variance_inflation"),
+    "compare": ("ComparisonResult", "compare_models", "compare_two_learners", "comparison_ci",
+                "delta_vector", "one_sided_test"),
+    "adaptive": ("AdaptiveCI", "AdaptiveConfig", "adaptive_ci"),
+    "repro": ("ReproComponents", "ReproMeasure", "conditional_variance_curve", "repro_measure",
+              "sigma_D_hat"),
+    "gates": ("CateLearner", "GatesConfig", "baselines", "het_test", "repetition", "run_gates"),
+    "sim": ("CopulaDGP", "ExperimentGrid", "copula_sample", "estimand_oracle", "hte_sample",
+            "linear_cate_sample", "run_grid", "synthetic_base"),
+    "errors": (),
+    "rng": (),
+}
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE_NAMES))
+def test_package_names_resolve_to_their_modules_objects(module):
+    mod = importlib.import_module(f"splitinfer.{module}")
+    assert getattr(splitinfer, module) is mod
+    for name in (module, *PACKAGE_NAMES[module]):
+        assert name in splitinfer.__all__ and name in dir(splitinfer), name
+    for name in PACKAGE_NAMES[module]:
+        assert getattr(splitinfer, name) is getattr(mod, name), name
+
+
+def test_an_unknown_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'solver'"):
+        splitinfer.solver
+    assert not hasattr(splitinfer, "sigma_from_values")
+
+
 def test_benchmark_and_golden_command_lines_parse(tmp_path, monkeypatch):
     """Every benchmark workload's command line and every golden case's (both
     pass ``--threads 1``) parse, so a flag change that breaks them fails here.

@@ -166,8 +166,8 @@ def test_passes_over_the_splits_per_statistic(monkeypatch):
         fn(*args, **kwargs)
         return len(derived) / ev.plan.n_splits
 
-    assert passes(lambda: normal_ci(mf, ev, solve(2, mf, ev))) == 2
-    assert passes(lambda: sigma_D_hat(mf, ev, solve(2, mf, ev))) == 2
+    assert passes(lambda: normal_ci(ev, solve(2, mf, ev))) == 2
+    assert passes(lambda: sigma_D_hat(ev, solve(2, mf, ev))) == 2
     assert passes(compare_mod.compare_models, mf, ev, builtin("mean").train(d),
                   mc_draws=1_000) == 4
 
@@ -205,9 +205,9 @@ def test_library_reports_are_plain_json():
     ev = cross_fit(plan, d, builtin("ols"), seed=0)
     mf = builtin_moment("mse")
     reports = [solve(variant, mf, ev) for variant in (1, 2, 3)]
-    reports.append(normal_ci(mf, ev, reports[1]))
+    reports.append(normal_ci(ev, reports[1]))
     reports.append(adaptive_ci(mf, ev, reports[1], reports[3], AdaptiveConfig(grid_points=51)))
-    comps = sigma_D_hat(mf, ev, reports[1])
+    comps = sigma_D_hat(ev, reports[1])
     reports += [comps, repro_measure(comps, 0.2)]
     for report in reports:
         payload = report.to_jsonable()

@@ -81,7 +81,7 @@ def test_degenerate_meat_flags_fast_convergence():
     est = solve(2, mf, ev)
     np.testing.assert_array_equal(est.theta_hat, [0.0])
     with pytest.raises(ZeroVariance):
-        normal_ci(mf, ev, est)
+        normal_ci(ev, est)
 
 
 def test_normal_ci_frozen_interval():
@@ -140,7 +140,7 @@ def test_full_report_fields_and_ci_contains_estimate():
     plan = generate_plan(90, M=3, K=3, seed=5)
     ev = cross_fit(plan, d, builtin("ols"), seed=0)
     mf = builtin_moment("mse")
-    report = normal_ci(mf, ev, solve(2, mf, ev), alpha=0.1)
+    report = normal_ci(ev, solve(2, mf, ev), alpha=0.1)
     assert report.ci[0] < report.h_hat < report.ci[1]
     assert report.se > 0
     assert report.variance_inflation == 1.0
@@ -164,7 +164,7 @@ def test_ci_halfwidth_scales_root_n():
             d = Dataset({"y": x + rng.standard_normal(n), "x": x}, Roles("y", ("x",)))
             plan = generate_plan(n, M=2, K=3, seed=r)
             ev = cross_fit(plan, d, builtin("ols"), seed=r)
-            report = normal_ci(mf, ev, solve(2, mf, ev))
+            report = normal_ci(ev, solve(2, mf, ev))
             acc += report.ci[1] - report.ci[0]
         widths.append(acc / reps)
     slope = np.polyfit(np.log(sizes), np.log(widths), 1)[0]

@@ -12,7 +12,12 @@ statistic and critical value move in the last bits (see its test).
 Scaling the covariates by 4 leaves the neighbours of kNN and the splits of a
 tree where they were. Flipping a treatment assigned with probability 1/2
 negates every predicted effect, so GATES's groups come in reverse order.
+Permuting the rows together with the plan's fold labels gives every split
+the same observations in another order, so each number moves only by the
+round-off of summing in that order.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from splitinfer.gates import CateLearner, GatesConfig, baselines, run_gates
 from splitinfer.inference import named_reduction, normal_ci
 from splitinfer.learners import builtin
 from splitinfer.moments import builtin_moment
+from splitinfer.rng import substream
 from splitinfer.sim import hte_sample, linear_cate_sample, synthetic_base
 from splitinfer.splits import generate_plan
 from splitinfer.zestim import solve
@@ -57,7 +63,7 @@ def test_outcome_times_four_scales_the_mse_estimate_by_sixteen(learner, plan_kin
     reports = []
     for d in both_scales():
         ev = cross_fit(plan, d, builtin(learner), seed=5)
-        reports.append(normal_ci(mf, ev, solve(2, mf, ev)))
+        reports.append(normal_ci(ev, solve(2, mf, ev)))
     base, scaled = reports
     np.testing.assert_array_equal(scaled.theta_hat, 16.0 * base.theta_hat)
     assert scaled.se == 16.0 * base.se
@@ -72,7 +78,7 @@ def both_normal_cis(moment, reduction, learner, plan_kind, variant):
     reports = []
     for d in both_scales():
         ev = cross_fit(plan, d, builtin(learner), seed=5)
-        reports.append(normal_ci(mf, ev, solve(variant, mf, ev), h))
+        reports.append(normal_ci(ev, solve(variant, mf, ev), h))
     return reports
 
 
@@ -187,3 +193,54 @@ def test_flipping_a_fair_treatment_reverses_and_negates_gamma_and_keeps_delta():
     np.testing.assert_allclose(flipped.gamma_hat, -base.gamma_hat[::-1], rtol=1e-12, atol=0)
     assert flipped.delta_hat == pytest.approx(base.delta_hat, rel=1e-12, abs=0)
     assert flipped.delta_se == pytest.approx(base.delta_se, rel=1e-12, abs=0)
+
+
+def leaves(report, path=""):
+    """(path, value) for each scalar of a JSON-like report, in order."""
+    if isinstance(report, dict):
+        for key, value in report.items():
+            yield from leaves(value, f"{path}/{key}")
+    elif isinstance(report, (list, tuple)):
+        for i, value in enumerate(report):
+            yield from leaves(value, f"{path}/{i}")
+    else:
+        yield path, report
+
+
+@pytest.mark.parametrize("plan_kind", sorted(PLANS))
+@pytest.mark.parametrize("learner", ["ols", "knn(10)"])
+def test_permuting_rows_with_the_plans_labels_moves_no_number_beyond_round_off(learner,
+                                                                                plan_kind):
+    """Each estimate leaf of the three variants and the normal CI, and the
+    comparison's point, T and CIs, stay within 1e-12 relative; the covariates
+    are continuous, so no kNN distance ties. The residual norm is the solve's
+    own round-off (about 1e-16 on either side) and has no relative relation:
+    it stays below 1e-12. The Monte-Carlo critical value is left out: the
+    Cholesky factor amplifies the round-off, and at K = 3 with ols it moved by
+    3.7e-12 relative (ROADMAP item 3)."""
+    d = linear_cate_sample(N, seed=21)
+    plan = generate_plan(N, seed=4, **PLANS[plan_kind])
+    perm = substream(8).permutation(N)
+    permuted = (with_columns(d, lambda v: v[perm], d.column_names),
+                dataclasses.replace(plan, folds=plan.folds[:, perm]))
+    mf = builtin_moment("mse")
+    reports, comparisons = [], []
+    for data, split_plan in ((d, plan), permuted):
+        ev = cross_fit(split_plan, data, builtin(learner), seed=5)
+        ests = [solve(variant, mf, ev) for variant in (1, 2, 3)]
+        reports.append([*(est.to_jsonable() for est in ests), normal_ci(ev, ests[1]).to_jsonable()])
+        comparisons.append(compare_models(mf, ev, builtin("mean").train(data), mc_draws=2_000,
+                                          seed=6))
+    for (path, base), (permuted_path, value) in zip(*map(leaves, reports), strict=True):
+        assert path == permuted_path
+        if path.endswith("residual_norm"):
+            assert max(base, value) < 1e-12, path
+        elif isinstance(base, float):
+            assert value == pytest.approx(base, rel=1e-12, abs=0), path
+        else:
+            assert value == base, path
+    base, permuted_cmp = comparisons
+    for field in ("point", "ci_normal", "ci_final"):
+        assert getattr(permuted_cmp, field) == pytest.approx(getattr(base, field), rel=1e-12,
+                                                             abs=0), field
+    assert permuted_cmp.test.statistic == pytest.approx(base.test.statistic, rel=1e-12, abs=0)

@@ -133,3 +133,13 @@ def test_tercile_constant_outcome():
     mf = builtin_moment("tercile_fractions")
     theta = mf.solve_pooled([(FixedFunctionModel(lambda z: z[:, 0]).predict(d.x), d.y)])
     np.testing.assert_allclose(theta[:3], 1.0)
+
+
+def test_tercile_solve_holds_at_most_40_bytes_per_pooled_row(traced_peak):
+    # 60 splits x 5 000 rows, the shape of a tercile cell's oracle: the pooled
+    # predictions, outcomes and weights are 24 bytes a row, and the sort order
+    # and the cumulative weights may add 16 more while the thresholds are found
+    rng = substream(11)
+    items = [(rng.standard_normal(5000), rng.standard_normal(5000)) for _ in range(60)]
+    peak = traced_peak(builtin_moment("tercile_fractions").solve_pooled, items)
+    assert peak <= 40 * 60 * 5000

@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 
@@ -25,7 +24,6 @@ from splitinfer.sim import (
     synthetic_base,
 )
 from splitinfer.splits import generate_plan
-from splitinfer.zestim import solve
 from test_cli import python_env
 
 
