@@ -63,7 +63,7 @@ from . import compare as compare_mod
 from . import gates as gates_mod
 from .data import Roles, ingest_csv
 from .errors import ConfigInvalid, SplitInferError, ZeroVariance
-from .evaluation import cross_fit
+from .evaluation import cross_fit, learner_seed
 from .inference import named_reduction, normal_ci
 from .learners import builtin
 from .moments import AverageMoment, builtin_moment
@@ -386,7 +386,7 @@ def run_compare(config: dict) -> dict:
     ev = cross_fit(plan, d, learner, seed=derived_seed(plan_cfg["seed"], 1))
     baseline_learner = builtin(cmp_cfg.get("baseline", "mean"))
     try:
-        baseline = baseline_learner.train(d, derived_seed(plan_cfg["seed"], 3))
+        baseline = baseline_learner.train(d, learner_seed(baseline_learner, plan_cfg["seed"], 3))
     except Exception as exc:  # noqa: BLE001
         raise SplitInferError(f"baseline learner {baseline_learner.name!r} failed on the "
                               f"whole sample: {exc}") from exc

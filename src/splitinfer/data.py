@@ -16,7 +16,8 @@ validated once when it was built: any set of its rows is still finite, still
 has a binary treatment and propensities in (0, 1), so a view checks only its
 row set. A view gathers a column from the root on first read, with
 ``ndarray.take``, and keeps it read-only; a fit that reads ``x`` and ``y``
-gathers those and nothing else.
+gathers those and nothing else. A linear fit reads ``design``, [1, x], which
+a view gathers in one take of the root's, built once.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ class Dataset:
     once and freezes them. :meth:`subset` returns a row view of the root (a
     subset of a view composes the row indices) that re-runs none of those
     checks. A view gathers each column from the root on first read and caches
-    it read-only, and takes ``x`` from the root's ``x``.
+    it read-only, takes ``x`` from the root's ``x`` and ``design`` from the
+    root's ``design``.
 
     Parameters
     ----------
@@ -131,6 +133,7 @@ class Dataset:
         self.n = n
         self.n_dropped = int(n_dropped)
         self._x: np.ndarray | None = None
+        self._design: np.ndarray | None = None
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -164,6 +167,20 @@ class Dataset:
             x.flags.writeable = False
             self._x = x
         return self._x
+
+    @property
+    def design(self) -> np.ndarray:
+        """The (n, p + 1) C-ordered matrix [1, x] of a linear fit. The root
+        builds and keeps its own, n (p + 1) doubles, on first read; a view
+        gathers its rows of the root's in one take."""
+        if self._design is None:
+            if self._root is not None:
+                z = self._root.design.take(self._rows, axis=0)
+            else:
+                z = np.column_stack([np.ones(self.n), self.x])
+            z.flags.writeable = False
+            self._design = z
+        return self._design
 
     @property
     def t(self) -> np.ndarray:
@@ -204,6 +221,7 @@ class Dataset:
         view.n = rows.size
         view.n_dropped = 0
         view._x = None
+        view._design = None
         return view
 
 

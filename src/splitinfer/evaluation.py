@@ -4,8 +4,11 @@ Every estimator in this package is a function of the same out-of-fold
 predictions eta = model_(m,k)(x[eval rows of (m, k)]). :func:`fit_split` is
 the one step that trains a split's model (on the complement of its evaluation
 rows, unless told otherwise) and predicts once on those rows; a training error
-leaves it as ``LearnerFailure``, naming the learner and the split (m, k). The
-model dies with the step; a ``visit`` may predict with it on other rows first.
+leaves it as ``LearnerFailure``, naming the learner and the split (m, k). Its
+seed comes from :func:`learner_seed`: derived from the run's seed and the
+split's path for a seeded learner, 0 for one that reads none (every
+built-in). The model dies with the step; a ``visit`` may predict with it on
+other rows first.
 :func:`cross_fit` runs the step split after split over a plan, and GATES calls
 it split by split. ``cross_fit`` leaves an :class:`Evaluations`: the plan and
 one buffer of the predictions. Iterating it is the one pass over the splits;
@@ -34,6 +37,13 @@ def group_codes(d: Dataset) -> np.ndarray | None:
     if d.roles.group is None:
         return None
     return np.unique(d.g, return_inverse=True)[1]
+
+
+def learner_seed(learner, seed: int, *path: int) -> int:
+    """The seed a split step passes ``learner``: ``derived_seed(seed, *path)``
+    for a seeded learner, and 0, with no derivation, for one whose ``seeded``
+    is False. A learner without the attribute counts as seeded."""
+    return derived_seed(seed, *path) if getattr(learner, "seeded", True) else 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +101,9 @@ class Evaluations:
 
 def fit_split(learner: Learner, d: Dataset, rows: np.ndarray, seed: int, m: int, k: int,
               train_rows=None, visit=None) -> np.ndarray:
-    """Split (m, k)'s step: train ``learner`` with ``seed`` on ``train_rows``
-    (by default the complement of ``rows``, built for this split only),
+    """Split (m, k)'s step: train ``learner`` with ``seed``, which every caller
+    takes from :func:`learner_seed`, on ``train_rows`` (by default the
+    complement of ``rows``, built for this split only),
     predict once on ``rows``, call ``visit(model, m, k)``, the last use of the
     model, and return the predictions. A training error is raised as
     ``LearnerFailure`` with the learner's name and (m, k)."""
@@ -111,8 +122,9 @@ def fit_split(learner: Learner, d: Dataset, rows: np.ndarray, seed: int, m: int,
 def cross_fit(plan: SplitPlan, d: Dataset, learner: Learner, seed: int = 0,
               visit=None) -> Evaluations:
     """:func:`fit_split` with ``visit`` on each split (m, k) of ``plan``, one
-    after another in plan order, seeded by derived_seed(seed, m, k). Each
-    split derives its rows from the plan's labels for its step only.
+    after another in plan order, seeded by ``learner_seed(learner, seed, m,
+    k)``: derived_seed(seed, m, k) for a seeded learner, 0 for a built-in.
+    Each split derives its rows from the plan's labels for its step only.
 
     Each split's predictions are copied into one float64 buffer for the whole
     plan, so none sits on the heap among later splits' freed training
@@ -124,7 +136,8 @@ def cross_fit(plan: SplitPlan, d: Dataset, learner: Learner, seed: int = 0,
     for m, labels in enumerate(plan.folds):
         for k in range(plan.K):
             rows = eval_rows(labels, k)
-            etas[end:end + rows.size] = fit_split(learner, d, rows, derived_seed(seed, m, k),
+            etas[end:end + rows.size] = fit_split(learner, d, rows,
+                                                  learner_seed(learner, seed, m, k),
                                                   m, k, visit=visit)
             end += rows.size
     return Evaluations(plan, d, etas, group_codes(d))

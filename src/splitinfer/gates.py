@@ -14,7 +14,9 @@ predictions die with its step.
 Every model here, the ensemble's and the baselines', is trained and predicts
 through :func:`evaluation.fit_split`, the step ``cross_fit`` maps over a
 plan, so a training error ends in ``LearnerFailure`` naming the learner and
-its (m, k).
+its (m, k). Its seed comes from :func:`evaluation.learner_seed`: a seeded
+learner gets one derived from the run's seed and the fit's path, a built-in
+gets 0, and so does a T-learner over one.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .compare import OneSidedTest, one_sided_test, sigma_from_values
 from .data import Dataset, complement
 from .errors import EmptyGroup, IncompatibleRoles, ZeroDiagonal
-from .evaluation import fit_split
+from .evaluation import fit_split, learner_seed
 from .inference import norm_cdf
 from .learners import Learner, Model
 from .rng import derived_seed
@@ -54,11 +56,17 @@ class GatesConfig:
 
 
 class CateLearner:
-    """T-learner: fit a base learner separately on treated and control rows."""
+    """T-learner: fit a base learner separately on treated and control rows.
+
+    It is seeded exactly when its base is. A seeded base trains its treated
+    arm with derived_seed(seed, 1) and its control arm with
+    derived_seed(seed, 0); a base that reads no seed, as every built-in, gets
+    0 for both, and the T-learner itself gets 0 from the split steps."""
 
     def __init__(self, base: Learner, name: str | None = None):
         self.base = base
         self.name = name or f"tlearner[{base.name}]"
+        self.seeded = getattr(base, "seeded", True)
 
     def train(self, d: Dataset, seed: int = 0) -> Model:
         t = d.t
@@ -66,8 +74,8 @@ class CateLearner:
         control = np.flatnonzero(t == 0.0)
         if treated.size < 2 or control.size < 2:
             raise IncompatibleRoles("both treatment arms need at least 2 rows")
-        m1 = self.base.train(d.subset(treated), derived_seed(seed, 1))
-        m0 = self.base.train(d.subset(control), derived_seed(seed, 0))
+        m1 = self.base.train(d.subset(treated), learner_seed(self.base, seed, 1))
+        m0 = self.base.train(d.subset(control), learner_seed(self.base, seed, 0))
         return _DifferenceModel(m1, m0)
 
 
@@ -204,14 +212,19 @@ class Repetition:
 def repetition(cfg: GatesConfig, d: Dataset, seed: int, m: int, design=None) -> Repetition:
     """Repetition m's out-of-fold ITE predictions per learner, calibrated into
     one per row; ``design`` is ``_design(cfg, d)``, computed here when not
-    given."""
+    given. Learner a's model of fold k is seeded with
+    ``learner_seed(learner, seed, m, 1, k, a)``; the fold's training rows are
+    computed once and shared by its A fits."""
     p, w, controls = _design(cfg, d) if design is None else design
     n_alg = len(cfg.learners)
     plan = generate_plan(d.n, M=1, K=cfg.K, seed=derived_seed(seed, m, 0))
     tau_mat = np.empty((d.n, n_alg))
     for k, rows in enumerate(plan.eval_sets()):
+        train_rows = complement(rows, d.n)
         for a, learner in enumerate(cfg.learners):
-            tau_mat[rows, a] = fit_split(learner, d, rows, derived_seed(seed, m, 1, k, a), m, k)
+            tau_mat[rows, a] = fit_split(learner, d, rows,
+                                         learner_seed(learner, seed, m, 1, k, a), m, k,
+                                         train_rows)
 
     calib_plan = generate_plan(d.n, M=1, K=cfg.L, seed=derived_seed(seed, m, 2))
     beta_mat = np.empty((cfg.L, n_alg))
@@ -352,9 +365,11 @@ def baselines(cfg: GatesConfig, d: Dataset, seed: int = 0) -> dict:
 
     def t_stat(m, k, rows, stream, train_rows=None):
         """t-statistic of the top-minus-bottom gap within fold ``rows``, grouped
-        by the predictions of the model trained with seed (seed, m, stream, k)
-        on ``train_rows`` (default: the complement of ``rows``)."""
-        eta = fit_split(learner, d, rows, derived_seed(seed, m, stream, k), m, k, train_rows)
+        by the predictions of the model trained with seed
+        ``learner_seed(learner, seed, m, stream, k)`` on ``train_rows``
+        (default: the complement of ``rows``)."""
+        eta = fit_split(learner, d, rows, learner_seed(learner, seed, m, stream, k), m, k,
+                        train_rows)
         labels, _ = _fold_groups(eta, cfg.J)
         gam, _, gap_var = _group_regression(controls.take(rows, axis=0), d.y[rows], w[rows],
                                             d.t[rows] - p[rows], labels, cfg.J)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from statistics import NormalDist
 
 import numpy as np
 
@@ -26,9 +25,25 @@ from .evaluation import Evaluations
 from .splits import SplitPlan
 from .zestim import ZEstimate
 
-# the standard normal quantile and CDF (elementwise), from the standard library
-# so that importing the CLI does not load scipy
-norm_ppf = NormalDist().inv_cdf
+try:  # the C routine statistics.NormalDist.inv_cdf calls, without statistics,
+    # which loads fractions and decimal
+    from _statistics import _normal_dist_inv_cdf
+except ImportError:  # an interpreter built without the C module
+    def _normal_dist_inv_cdf(p, mu, sigma):
+        from statistics import NormalDist
+        return NormalDist(mu, sigma).inv_cdf(p)
+
+
+def norm_ppf(p: float) -> float:
+    """The standard normal quantile, bitwise ``statistics.NormalDist().inv_cdf``;
+    a p outside (0, 1) raises ValueError."""
+    if p <= 0.0 or p >= 1.0:
+        raise ValueError("p must be in the range 0.0 < p < 1.0")
+    return _normal_dist_inv_cdf(p, 0.0, 1.0)
+
+
+# the standard normal CDF (elementwise), like the quantile from the standard
+# library so that importing the CLI does not load scipy
 norm_cdf = np.vectorize(lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)), otypes=[np.float64])
 
 

@@ -5,7 +5,12 @@ predictions. Learners never mutate the dataset and are deterministic given
 (data, seed), so the same split always yields bitwise-identical predictions.
 The built-ins are desk-scale stand-ins for the heavy ML algorithms the
 framework is agnostic to: constant mean, OLS, ridge, k-NN, a greedy
-variance-reduction tree, and a damped-Newton logistic regression.
+variance-reduction tree, and a damped-Newton logistic regression. None of
+them reads its seed, so each is built with ``seeded=False``, and the split
+steps pass it 0 instead of deriving a seed (``evaluation.learner_seed``); a
+``Learner(name, fit)`` from outside is seeded, and gets the seed derived from
+the run's seed and its split's path. The linear ones read their [1, x] design
+from the dataset (``Dataset.design``), gathered from the root's in one take.
 
 The k-NN predict is the one whose cost grows with both the evaluation and the
 training rows. It filters, then refines. One matrix product gives every
@@ -253,11 +258,15 @@ class Learner:
     """Named training algorithm: ``train(dataset, seed) -> Model``.
 
     ``fit`` is any Python callable, so this is also how an outside model is
-    attached; a ``fit`` that needs its own process can start one.
+    attached; a ``fit`` that needs its own process can start one. ``seeded``
+    says whether ``fit`` reads its seed: a seeded learner gets a seed derived
+    from the run's seed and its split's path, any other gets 0. An outside
+    learner is seeded unless built with ``seeded=False``; no built-in is.
     """
 
     name: str
     fit: "callable" = field(repr=False)
+    seeded: bool = True
 
     def train(self, d: Dataset, seed: int = 0) -> Model:
         return self.fit(d, seed)
@@ -267,18 +276,14 @@ def _fit_mean(d: Dataset, seed) -> Model:
     return ConstantModel(float(np.mean(d.y)))
 
 
-def _design(x: np.ndarray) -> np.ndarray:
-    return np.column_stack([np.ones(x.shape[0]), x])
-
-
 def _fit_ols(d: Dataset, seed) -> Model:
-    beta, *_ = np.linalg.lstsq(_design(d.x), d.y, rcond=None)
+    beta, *_ = np.linalg.lstsq(d.design, d.y, rcond=None)
     return LinearModel(beta)
 
 
 def _make_fit_ridge(lam: float):
     def fit(d: Dataset, seed) -> Model:
-        z = _design(d.x)
+        z = d.design
         pen = lam * np.eye(z.shape[1])
         pen[0, 0] = 0.0  # intercept unpenalized
         beta = np.linalg.solve(z.T @ z + pen, z.T @ d.y)
@@ -361,7 +366,7 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, max_depth: int) -> TreeModel:
 
 def _fit_logistic(d: Dataset, seed) -> Model:
     # damped Newton on ridge-penalized log-likelihood; penalty keeps separation finite
-    z = _design(d.x)
+    z = d.design
     y = d.y
     lam = 1e-8
     beta = np.zeros(z.shape[1])
@@ -400,7 +405,7 @@ def builtin(name: str) -> Learner:
         "logistic": _fit_logistic,
     }
     if name in plain:
-        return Learner(name, plain[name])
+        return Learner(name, plain[name], seeded=False)
     match = _PARAM_RE.match(name.strip())
     if match and match.group(1) in ("ridge", "knn", "tree"):
         kind, raw = match.groups()
@@ -410,15 +415,15 @@ def builtin(name: str) -> Learner:
         if kind == "ridge":
             if value < 0:
                 raise UnknownLearner(f"ridge penalty must be >= 0, got {value}")
-            return Learner(name, _make_fit_ridge(value))
+            return Learner(name, _make_fit_ridge(value), seeded=False)
         if value != int(value):
             raise UnknownLearner(f"{kind} needs an integer parameter, got {raw}")
         if kind == "knn":
             if value < 1:
                 raise UnknownLearner(f"knn needs k >= 1, got {raw}")
-            return Learner(name, _make_fit_knn(int(value)))
+            return Learner(name, _make_fit_knn(int(value)), seeded=False)
         if value < 1:  # kind == "tree"
             raise UnknownLearner(f"tree needs depth >= 1, got {raw}")
-        return Learner(name, _make_fit_tree(int(value)))
+        return Learner(name, _make_fit_tree(int(value)), seeded=False)
     raise UnknownLearner(f"no built-in learner named {name!r}")
 

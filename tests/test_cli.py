@@ -640,11 +640,13 @@ def test_estimate_runs_on_gauss_linear_data(tmp_path):
 
 def test_cli_import_leaves_scipy_optimize_and_stats_unloaded():
     """Starting the CLI loads none of the modules that only some runs, or only
-    the tests, need: the CLI checks configs without jsonschema, and no run
-    starts a thread pool."""
+    the tests, need: the CLI checks configs without jsonschema, no run
+    starts a thread pool, and the normal quantile is taken without
+    ``statistics`` and the ``fractions`` and ``decimal`` it loads."""
     code = ("import sys, splitinfer.cli; "
             "print(sorted(m for m in ('scipy.optimize', 'scipy.stats', 'scipy.special', "
-            "'subprocess', 'jsonschema', 'concurrent.futures') if m in sys.modules))")
+            "'subprocess', 'jsonschema', 'concurrent.futures', 'statistics', 'fractions', "
+            "'decimal') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=python_env())
     assert proc.returncode == 0, proc.stderr

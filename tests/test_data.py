@@ -198,7 +198,7 @@ def trial_table(n, seed):
     return cols, Roles("y", ("a", "b"), treatment="t", group="grp", propensity="ps")
 
 
-READS = ("y", "x", "t", "g", "propensity_values", "column", "column_names", "n",
+READS = ("y", "x", "design", "t", "g", "propensity_values", "column", "column_names", "n",
          "n_dropped")
 
 
@@ -241,6 +241,7 @@ def test_views_match_an_eager_gather(n, seed, steps, order):
             else:
                 assert got == want
         assert view.y is view.y and view.x is view.x and view.t is view.t
+        assert view.design is view.design and view.design.flags.c_contiguous
 
 
 def test_subset_error_types():

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from splitinfer import gates
+from splitinfer import evaluation, gates
 from splitinfer.data import Dataset, Roles, complement
 from splitinfer.errors import EmptyGroup, LearnerFailure, ZeroDiagonal
 from splitinfer.gates import (
@@ -344,6 +344,28 @@ def test_learner_failure_names_its_split(run, n_fit, m, k, seed_path):
     assert str(info.value).startswith(f"learner 'flaky' failed on split (m={m}, k={k}): ")
     assert isinstance(info.value.cause, ValueError)
     assert calls[-1] == derived_seed(4, *seed_path)
+
+
+def test_builtin_learners_derive_only_plan_and_het_test_seeds(monkeypatch):
+    # every built-in reads no seed, so none is derived for its fits: run_gates
+    # derives each repetition's two plan seeds and the het test's, baselines
+    # each repetition's plan seed
+    paths = []
+
+    def counting(seed, *path):
+        paths.append(path)
+        return derived_seed(seed, *path)
+
+    monkeypatch.setattr(gates, "derived_seed", counting)
+    monkeypatch.setattr(evaluation, "derived_seed", counting)
+    cfg, d, M = config(n_learners=2, M=3, K=3), small_trial(n=150, seed=3), 3
+    run_gates(cfg, d, seed=4, run_het=True, mc_draws=500)
+    assert len(paths) == 2 * M + 1
+    assert sorted(paths) == sorted([(m, 0) for m in range(M)] + [(m, 2) for m in range(M)]
+                                   + [(3,)])
+    paths.clear()
+    baselines(cfg, d, seed=4)
+    assert paths == [(m, 0) for m in range(M)]
 
 
 def test_ensemble_holds_at_most_one_model_between_fits():

@@ -169,3 +169,15 @@ def test_ci_halfwidth_scales_root_n():
         widths.append(acc / reps)
     slope = np.polyfit(np.log(sizes), np.log(widths), 1)[0]
     assert abs(slope + 0.5) < 0.05
+
+
+def test_norm_ppf_is_the_standard_librarys_quantile_bitwise():
+    from statistics import NormalDist
+
+    q = np.concatenate([substream(4).random(2000), np.logspace(-300, -1, 50),
+                        1.0 - np.logspace(-16, -1, 50)])
+    reference = NormalDist().inv_cdf
+    assert all(norm_ppf(float(v)) == reference(float(v)) for v in q)
+    for bad in (0.0, 1.0, -0.5, 1.5, np.inf):
+        with pytest.raises(ValueError, match="0.0 < p < 1.0"):
+            norm_ppf(bad)

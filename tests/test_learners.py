@@ -9,9 +9,10 @@ from splitinfer import learners
 from splitinfer.data import Dataset, Roles, complement
 from splitinfer.errors import UnknownLearner
 from splitinfer.evaluation import cross_fit
-from splitinfer.learners import KnnModel, builtin
+from splitinfer.gates import CateLearner
+from splitinfer.learners import ConstantModel, KnnModel, Learner, builtin
 from splitinfer.splits import generate_plan
-from splitinfer.rng import substream
+from splitinfer.rng import derived_seed, substream
 
 
 def linear_dataset(n=20, noiseless=True, seed=0):
@@ -305,3 +306,63 @@ def test_model_purity_bitwise():
     second = model.predict(d.x)
     assert np.array_equal(first, second)
 
+
+# ---------------------------------------------------------------------------
+# the seed contract: a built-in reads no seed, so the split steps derive none
+
+
+BUILTIN_NAMES = ["mean", "ols", "logistic", "ridge(0.5)", "knn(3)", "tree(2)"]
+
+
+def binary_dataset(n=40, seed=5):
+    rng = substream(seed)
+    x = rng.standard_normal((n, 3))
+    y = (x @ np.array([0.8, -1.0, 0.3]) + rng.standard_normal(n) > 0.0).astype(np.float64)
+    return Dataset({"y": y, **{f"x{i}": x[:, i] for i in range(3)}},
+                   Roles("y", ("x0", "x1", "x2")))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_a_builtin_learner_is_unseeded_and_ignores_its_seed(name):
+    learner = builtin(name)
+    assert learner.seeded is False
+    assert CateLearner(learner).seeded is False
+    d = binary_dataset()
+    train = d.subset(np.arange(0, d.n, 3).tolist() + [d.n - 1])
+    first = learner.train(train, 0).predict(d.x)
+    second = learner.train(train, derived_seed(3, 1, 2)).predict(d.x)
+    assert first.tobytes() == second.tobytes()
+
+
+def recording(calls, seeded=True):
+    """A learner that records each seed it is trained with."""
+
+    def fit(d, seed):
+        calls.append(seed)
+        return ConstantModel(float(np.mean(d.y)))
+
+    return Learner("recording", fit, seeded=seeded)
+
+
+def test_cross_fit_derives_a_seeded_learners_seeds_and_passes_zero_otherwise():
+    d = binary_dataset()
+    plan = generate_plan(d.n, M=2, K=3, seed=1)
+    splits = [(m, k) for m in range(2) for k in range(3)]
+    seeded, unseeded = [], []
+    assert Learner("outside", lambda d, seed: None).seeded is True
+    cross_fit(plan, d, recording(seeded), seed=11)
+    cross_fit(plan, d, recording(unseeded, seeded=False), seed=11)
+    assert seeded == [derived_seed(11, m, k) for m, k in splits]
+    assert unseeded == [0] * len(splits)
+
+
+@pytest.mark.parametrize("seeded", [True, False])
+def test_a_t_learner_seeds_its_arms_exactly_when_its_base_is_seeded(seeded):
+    calls = []
+    cate = CateLearner(recording(calls, seeded))
+    assert cate.seeded is seeded
+    d = binary_dataset()
+    t = (np.arange(d.n) % 2).astype(np.float64)
+    trial = Dataset({"y": d.y, "t": t, "x0": d.x[:, 0]}, Roles("y", ("x0",), treatment="t"))
+    cate.train(trial, 9)
+    assert calls == ([derived_seed(9, 1), derived_seed(9, 0)] if seeded else [0, 0])
