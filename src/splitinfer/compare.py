@@ -308,7 +308,9 @@ def _one_sided(mf: MomentFunction, ev: Evaluations, delta: DeltaVector, vals_ref
 
 def mc_critical_value(sigma: SigmaHat, alpha: float, mc_draws: int, seed: int,
                       sigmas: np.ndarray) -> float:
-    """(1-alpha) quantile of T(Z) over Z ~ N(0, Sigma), seeded."""
+    """(1-alpha) quantile of T(Z) over Z ~ N(0, Sigma), seeded. Each chunk of
+    draws is studentized, clipped at 0 and squared in place in its own
+    buffer, bitwise ``(np.minimum(z / sigmas, 0.0) ** 2).sum(axis=1)``."""
     s = sigma.matrix.shape[0]
     jitter = 1e-12 * (np.trace(sigma.matrix) / s if s else 1.0)
     chol = np.linalg.cholesky(sigma.matrix + max(jitter, 1e-300) * np.eye(s))
@@ -319,7 +321,10 @@ def mc_critical_value(sigma: SigmaHat, alpha: float, mc_draws: int, seed: int,
     while done < mc_draws:
         take = min(chunk, mc_draws - done)
         z = rng.standard_normal((take, s)) @ chol.T
-        stats[done:done + take] = (np.minimum(z / sigmas, 0.0) ** 2).sum(axis=1)
+        np.divide(z, sigmas, out=z)
+        np.minimum(z, 0.0, out=z)
+        np.square(z, out=z)
+        stats[done:done + take] = z.sum(axis=1)
         done += take
     stats.sort()
     idx = int(np.ceil((1.0 - alpha) * mc_draws)) - 1

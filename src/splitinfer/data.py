@@ -17,7 +17,10 @@ has a binary treatment and propensities in (0, 1), so a view checks only its
 row set. A view gathers a column from the root on first read, with
 ``ndarray.take``, and keeps it read-only; a fit that reads ``x`` and ``y``
 gathers those and nothing else. A linear fit reads ``design``, [1, x], which
-a view gathers in one take of the root's, built once.
+a view gathers in one take of the root's, built once. A T-learner reads
+``Dataset.arms``, the treated and control views, which a dataset splits
+once and keeps, so every learner trained on it shares them and their
+gathered columns.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ class Dataset:
     subset of a view composes the row indices) that re-runs none of those
     checks. A view gathers each column from the root on first read and caches
     it read-only, takes ``x`` from the root's ``x`` and ``design`` from the
-    root's ``design``.
+    root's ``design``, and keeps its treatment arms' views (``arms``).
 
     Parameters
     ----------
@@ -134,6 +137,7 @@ class Dataset:
         self.n_dropped = int(n_dropped)
         self._x: np.ndarray | None = None
         self._design: np.ndarray | None = None
+        self._arms: tuple | None = None
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -183,6 +187,21 @@ class Dataset:
         return self._design
 
     @property
+    def arms(self) -> tuple["Dataset", "Dataset"]:
+        """The (treated, control) row views, rows with t == 1 and t == 0.
+        Computed on first read and kept: both views are built before the pair
+        is stored, so threads sharing this dataset read a whole pair, and the
+        learners trained on it share the views' gathered columns. Raises
+        IncompatibleRoles when an arm has fewer than 2 rows."""
+        if self._arms is None:
+            t = self.t
+            treated, control = np.flatnonzero(t == 1.0), np.flatnonzero(t == 0.0)
+            if treated.size < 2 or control.size < 2:
+                raise IncompatibleRoles("both treatment arms need at least 2 rows")
+            self._arms = (self.subset(treated), self.subset(control))
+        return self._arms
+
+    @property
     def t(self) -> np.ndarray:
         if self.roles.treatment is None:
             raise IncompatibleRoles("dataset has no treatment column")
@@ -222,6 +241,7 @@ class Dataset:
         view.n_dropped = 0
         view._x = None
         view._design = None
+        view._arms = None
         return view
 
 

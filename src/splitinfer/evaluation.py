@@ -2,13 +2,13 @@
 
 Every estimator in this package is a function of the same out-of-fold
 predictions eta = model_(m,k)(x[eval rows of (m, k)]). :func:`fit_split` is
-the one step that trains a split's model (on the complement of its evaluation
-rows, unless told otherwise) and predicts once on those rows; a training error
-leaves it as ``LearnerFailure``, naming the learner and the split (m, k). Its
-seed comes from :func:`learner_seed`: derived from the run's seed and the
-split's path for a seeded learner, 0 for one that reads none (every
-built-in). The model dies with the step; a ``visit`` may predict with it on
-other rows first.
+the one step that trains a split's model (on the view of the complement of
+its evaluation rows, unless given another training view) and predicts once
+on those rows; a training error leaves it as ``LearnerFailure``, naming the
+learner and the split (m, k). Its seed comes from :func:`learner_seed`:
+derived from the run's seed and the split's path for a seeded learner, 0 for
+one that reads none (every built-in). The model dies with the step; a
+``visit`` may predict with it on other rows first.
 :func:`cross_fit` runs the step split after split over a plan, and GATES calls
 it split by split. ``cross_fit`` leaves an :class:`Evaluations`: the plan and
 one buffer of the predictions. Iterating it is the one pass over the splits;
@@ -100,17 +100,18 @@ class Evaluations:
 
 
 def fit_split(learner: Learner, d: Dataset, rows: np.ndarray, seed: int, m: int, k: int,
-              train_rows=None, visit=None) -> np.ndarray:
+              train: Dataset | None = None, visit=None) -> np.ndarray:
     """Split (m, k)'s step: train ``learner`` with ``seed``, which every caller
-    takes from :func:`learner_seed`, on ``train_rows`` (by default the
-    complement of ``rows``, built for this split only),
-    predict once on ``rows``, call ``visit(model, m, k)``, the last use of the
-    model, and return the predictions. A training error is raised as
+    takes from :func:`learner_seed`, on the view ``train`` (by default ``d``'s
+    view on the complement of ``rows``, built for this split only; a caller
+    fitting several learners on one fold builds it once and passes it to
+    each), predict once on ``rows``, call ``visit(model, m, k)``, the last use
+    of the model, and return the predictions. A training error is raised as
     ``LearnerFailure`` with the learner's name and (m, k)."""
-    if train_rows is None:
-        train_rows = complement(rows, d.n)
+    if train is None:
+        train = d.subset(complement(rows, d.n))
     try:
-        model = learner.train(d.subset(train_rows), seed)
+        model = learner.train(train, seed)
     except Exception as exc:  # noqa: BLE001
         raise LearnerFailure(learner.name, m, k, exc) from exc
     eta = model.predict(d.x.take(rows, axis=0))

@@ -17,12 +17,22 @@ plan, so a training error ends in ``LearnerFailure`` naming the learner and
 its (m, k). Its seed comes from :func:`evaluation.learner_seed`: a seeded
 learner gets one derived from the run's seed and the fit's path, a built-in
 gets 0, and so does a T-learner over one.
+
+Each fold's work is done once. A repetition builds a fold's training view
+once and trains all A learners on it, and a T-learner reads that view's
+treatment arms from ``Dataset.arms``, split once and shared. Seq's last step
+trains on TTM's training set, so for a learner that reads no seed it takes
+TTM's t-statistic instead of refitting (:func:`baselines`). The calibration
+fits and the het test's baseline fit read only the coefficients or the
+residuals, so they ask :func:`wls_fit` for no covariance, and a fold's group
+bounds are computed once per (fold size, J).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,7 +71,8 @@ class CateLearner:
     It is seeded exactly when its base is. A seeded base trains its treated
     arm with derived_seed(seed, 1) and its control arm with
     derived_seed(seed, 0); a base that reads no seed, as every built-in, gets
-    0 for both, and the T-learner itself gets 0 from the split steps."""
+    0 for both, and the T-learner itself gets 0 from the split steps. The
+    arms are ``d.arms``, so T-learners trained on one view share its split."""
 
     def __init__(self, base: Learner, name: str | None = None):
         self.base = base
@@ -69,13 +80,9 @@ class CateLearner:
         self.seeded = getattr(base, "seeded", True)
 
     def train(self, d: Dataset, seed: int = 0) -> Model:
-        t = d.t
-        treated = np.flatnonzero(t == 1.0)
-        control = np.flatnonzero(t == 0.0)
-        if treated.size < 2 or control.size < 2:
-            raise IncompatibleRoles("both treatment arms need at least 2 rows")
-        m1 = self.base.train(d.subset(treated), learner_seed(self.base, seed, 1))
-        m0 = self.base.train(d.subset(control), learner_seed(self.base, seed, 0))
+        treated, control = d.arms
+        m1 = self.base.train(treated, learner_seed(self.base, seed, 1))
+        m0 = self.base.train(control, learner_seed(self.base, seed, 0))
         return _DifferenceModel(m1, m0)
 
 
@@ -88,22 +95,27 @@ class _DifferenceModel(Model):
         return self.m1.predict(x) - self.m0.predict(x)
 
 
-def wls_fit(design: np.ndarray, y: np.ndarray, w: np.ndarray):
+def wls_fit(design: np.ndarray, y: np.ndarray, w: np.ndarray, hc0: bool = True):
     """Weighted least squares via QR on the sqrt(w)-scaled design, HC0 cov.
 
     Returns (beta, cov_hc0, residuals, ridge_used). A rank-deficient design
-    falls back to a small ridge and flags it.
+    falls back to a small ridge and flags it. With ``hc0`` False, cov_hc0 is
+    None and neither the Gram inverse nor the score products are formed; the
+    rest is bitwise that of the full call.
     """
     sw = np.sqrt(w)
     xs = design * sw[:, None]
     ys = y * sw
     beta, _, rank, _ = np.linalg.lstsq(xs, ys, rcond=None)
-    gram = xs.T @ xs
     ridge_used = rank < design.shape[1]
+    if ridge_used or hc0:
+        gram = xs.T @ xs
     if ridge_used:
         gram = gram + RIDGE_FALLBACK * np.eye(design.shape[1])
         beta = np.linalg.solve(gram, xs.T @ ys)
     resid = y - design @ beta
+    if not hc0:
+        return beta, None, resid, ridge_used
     bread = np.linalg.inv(gram)
     score = design * (w * resid)[:, None]
     cov = bread @ (score.T @ score) @ bread
@@ -131,10 +143,12 @@ def _design(cfg: GatesConfig, d: Dataset):
 
 def _calibration_fit(controls, d: Dataset, p, w, tau_mat: np.ndarray, rows: np.ndarray):
     """WLS of y on the controls plus the centred predictions x (t - p), on
-    ``rows``; returns what :func:`wls_fit` returns."""
+    ``rows``; returns what :func:`wls_fit` returns without the covariance,
+    which no caller reads."""
     tau = tau_mat.take(rows, axis=0)
     inter = (tau - tau.mean(axis=0)) * (d.t[rows] - p[rows])[:, None]
-    return wls_fit(np.column_stack([controls.take(rows, axis=0), inter]), d.y[rows], w[rows])
+    return wls_fit(np.column_stack([controls.take(rows, axis=0), inter]), d.y[rows], w[rows],
+                   hc0=False)
 
 
 def _group_regression(controls, y, w, centered_t, labels, J: int):
@@ -213,18 +227,17 @@ def repetition(cfg: GatesConfig, d: Dataset, seed: int, m: int, design=None) -> 
     """Repetition m's out-of-fold ITE predictions per learner, calibrated into
     one per row; ``design`` is ``_design(cfg, d)``, computed here when not
     given. Learner a's model of fold k is seeded with
-    ``learner_seed(learner, seed, m, 1, k, a)``; the fold's training rows are
-    computed once and shared by its A fits."""
+    ``learner_seed(learner, seed, m, 1, k, a)``; the fold's training view is
+    built once and shared by its A fits, with its treatment arms."""
     p, w, controls = _design(cfg, d) if design is None else design
     n_alg = len(cfg.learners)
     plan = generate_plan(d.n, M=1, K=cfg.K, seed=derived_seed(seed, m, 0))
     tau_mat = np.empty((d.n, n_alg))
     for k, rows in enumerate(plan.eval_sets()):
-        train_rows = complement(rows, d.n)
+        train = d.subset(complement(rows, d.n))
         for a, learner in enumerate(cfg.learners):
             tau_mat[rows, a] = fit_split(learner, d, rows,
-                                         learner_seed(learner, seed, m, 1, k, a), m, k,
-                                         train_rows)
+                                         learner_seed(learner, seed, m, 1, k, a), m, k, train)
 
     calib_plan = generate_plan(d.n, M=1, K=cfg.L, seed=derived_seed(seed, m, 2))
     beta_mat = np.empty((cfg.L, n_alg))
@@ -239,6 +252,14 @@ def repetition(cfg: GatesConfig, d: Dataset, seed: int, m: int, design=None) -> 
     return Repetition(plan.folds[0], tau_mat, beta_mat, tau_hat, ridge_any)
 
 
+@lru_cache(maxsize=64)
+def _group_bounds(size: int, J: int) -> tuple:
+    """Group j of a fold of ``size`` ranked predictions holds ranks
+    bounds[j]:bounds[j + 1]; computed once per (size, J), and a plan's folds
+    have at most two sizes."""
+    return tuple(int(b) for b in np.linspace(0, size, J + 1).round().astype(int))
+
+
 def _fold_groups(tau: np.ndarray, J: int):
     """Rank-balanced J groups of one fold's predictions; ties go to the lower group.
 
@@ -248,7 +269,7 @@ def _fold_groups(tau: np.ndarray, J: int):
         raise EmptyGroup(f"fold of size {tau.size} cannot hold {J} groups")
     order = np.argsort(tau, kind="stable")
     labels = np.empty(tau.size, dtype=np.int64)
-    bounds = np.linspace(0, tau.size, J + 1).round().astype(int)
+    bounds = _group_bounds(tau.size, J)
     for j in range(J):
         labels[order[bounds[j]:bounds[j + 1]]] = j
     return labels, [float(tau[order[b - 1]]) for b in bounds[1:]]
@@ -289,7 +310,7 @@ def run_gates(cfg: GatesConfig, d: Dataset, seed: int = 0, run_het: bool = False
     design = _design(cfg, d)
     p, w, controls = design
     if run_het:
-        _, _, base_resid, _ = wls_fit(controls, d.y, w)
+        _, _, base_resid, _ = wls_fit(controls, d.y, w, hc0=False)
         base_sq = base_resid**2
         if float(base_sq.var()) == 0.0:
             raise ZeroDiagonal("outcome is deterministic given controls; MSR variance is zero")
@@ -356,20 +377,26 @@ def baselines(cfg: GatesConfig, d: Dataset, seed: int = 0) -> dict:
 
     Both use the first configured learner only (they predate ensembling):
     TTM computes a fold-level p-value for every (m, k) split and reports twice
-    the median; Seq trains on folds 1..k-1, evaluates the t-statistic on fold
-    k, scales the average t by sqrt(K-1), and aggregates the per-repetition
-    p-values by twice the median.
+    the median; Seq trains on folds 0..k-1, evaluates the t-statistic on fold
+    k, scales the average t over k = 1..K-1 by sqrt(K-1), and aggregates the
+    per-repetition p-values by twice the median.
+
+    Seq's last step, k = K-1, trains on the complement of fold K-1, TTM's
+    training set for that fold. A learner that reads no seed gets seed 0 in
+    both, so the model, the groups and the t-statistic are TTM's, and Seq
+    takes TTM's value without a fit. A seeded learner fits its own model with
+    its seed path (m, 2, k), which differs from TTM's (m, 1, k).
     """
     p, w, controls = _design(cfg, d)
     learner = cfg.learners[0]
+    seq_reuses_ttm = not getattr(learner, "seeded", True)
 
-    def t_stat(m, k, rows, stream, train_rows=None):
+    def t_stat(m, k, rows, stream, train=None):
         """t-statistic of the top-minus-bottom gap within fold ``rows``, grouped
         by the predictions of the model trained with seed
-        ``learner_seed(learner, seed, m, stream, k)`` on ``train_rows``
+        ``learner_seed(learner, seed, m, stream, k)`` on the view ``train``
         (default: the complement of ``rows``)."""
-        eta = fit_split(learner, d, rows, learner_seed(learner, seed, m, stream, k), m, k,
-                        train_rows)
+        eta = fit_split(learner, d, rows, learner_seed(learner, seed, m, stream, k), m, k, train)
         labels, _ = _fold_groups(eta, cfg.J)
         gam, _, gap_var = _group_regression(controls.take(rows, axis=0), d.y[rows], w[rows],
                                             d.t[rows] - p[rows], labels, cfg.J)
@@ -382,12 +409,15 @@ def baselines(cfg: GatesConfig, d: Dataset, seed: int = 0) -> dict:
         folds = plan.eval_sets()
 
         # TTM: model trained on the complement, evaluated within the fold
-        for k, rows in enumerate(folds):
-            ttm_pvalues.append(float(1.0 - norm_cdf(t_stat(m, k, rows, 1))))
+        ttm_t = [t_stat(m, k, rows, 1) for k, rows in enumerate(folds)]
+        ttm_pvalues.extend(float(1.0 - norm_cdf(t)) for t in ttm_t)
 
-        # Seq: ordered training on folds 1..k-1, evaluation on fold k
-        t_stats = [t_stat(m, k, folds[k], 2, np.sort(np.concatenate(folds[:k])))
-                   for k in range(1, cfg.K)]
+        # Seq: ordered training on folds 0..k-1, evaluation on fold k; the
+        # last step's training set is the complement of fold K-1
+        t_stats = [t_stat(m, k, folds[k], 2, d.subset(np.sort(np.concatenate(folds[:k]))))
+                   for k in range(1, cfg.K - 1)]
+        last = cfg.K - 1
+        t_stats.append(ttm_t[last] if seq_reuses_ttm else t_stat(m, last, folds[last], 2))
         t_final = float(np.sqrt(cfg.K - 1) * np.mean(t_stats))
         seq_pvalues.append(float(1.0 - norm_cdf(t_final)))
 

@@ -315,6 +315,34 @@ def test_critical_value_monotone_in_alpha():
     assert all(a >= b for a, b in zip(crits, crits[1:]))
 
 
+def one_line_critical_value(sigma, alpha, mc_draws, seed, sigmas):
+    """mc_critical_value with each chunk's statistics in one expression of
+    fresh temporaries: the reference for the in-place loop."""
+    s = sigma.matrix.shape[0]
+    jitter = 1e-12 * (np.trace(sigma.matrix) / s)
+    chol = np.linalg.cholesky(sigma.matrix + max(jitter, 1e-300) * np.eye(s))
+    rng = substream(seed, 0)
+    stats = np.empty(mc_draws)
+    chunk = max(1, min(mc_draws, 200_000 // s))
+    for done in range(0, mc_draws, chunk):
+        take = min(chunk, mc_draws - done)
+        z = rng.standard_normal((take, s)) @ chol.T
+        stats[done:done + take] = (np.minimum(z / sigmas, 0.0) ** 2).sum(axis=1)
+    stats.sort()
+    return float(stats[int(np.ceil((1.0 - alpha) * mc_draws)) - 1])
+
+
+@pytest.mark.parametrize("s", [1, 12, 300])
+@pytest.mark.parametrize("seed", [0, 9])
+def test_critical_value_in_place_loop_equals_the_one_line_expression(s, seed):
+    base = substream(40 + s).standard_normal((s, s))
+    sigma = SigmaHat(base @ base.T / s + np.eye(s), False, 0)
+    sigmas = np.sqrt(sigma.diagonal)
+    mc_draws = 2 * (200_000 // s) + 7  # two full chunks and a short one
+    want = one_line_critical_value(sigma, 0.05, mc_draws, seed, sigmas)
+    assert mc_critical_value(sigma, 0.05, mc_draws, seed, sigmas) == want
+
+
 def test_statistic_scale_invariance():
     rng = substream(15)
     base = rng.standard_normal((4, 4))

@@ -8,12 +8,13 @@ import pytest
 
 from splitinfer import evaluation, gates
 from splitinfer.data import Dataset, Roles, complement
-from splitinfer.errors import EmptyGroup, LearnerFailure, ZeroDiagonal
+from splitinfer.errors import EmptyGroup, IncompatibleRoles, LearnerFailure, ZeroDiagonal
 from splitinfer.gates import (
     CateLearner,
     GatesConfig,
     _design,
     _fold_groups,
+    _group_bounds,
     _group_regression,
     baselines,
     repetition,
@@ -58,6 +59,21 @@ def test_wls_equal_weights_matches_ols():
     np.testing.assert_allclose(beta_w, beta_o, atol=1e-10)
 
 
+@pytest.mark.parametrize("collinear", [False, True], ids=["full_rank", "ridge"])
+def test_wls_without_the_covariance_keeps_beta_residuals_and_ridge_flag(collinear):
+    rng = substream(2)
+    x = np.column_stack([np.ones(60), rng.standard_normal((60, 2))])
+    if collinear:
+        x = np.column_stack([x, 2.0 * x[:, 1]])
+    y = x[:, 1] + rng.standard_normal(60)
+    w = 1.0 / rng.uniform(0.1, 0.25, 60)
+    beta, cov, resid, ridge = wls_fit(x, y, w)
+    beta_b, cov_b, resid_b, ridge_b = wls_fit(x, y, w, hc0=False)
+    assert ridge == ridge_b == collinear
+    assert cov.shape == (x.shape[1],) * 2 and cov_b is None
+    assert np.array_equal(beta_b, beta) and np.array_equal(resid_b, resid)
+
+
 def test_row_propensity_and_covariate_controls_enter_the_gates_design():
     # propensity varying by row is a control column of its own, and so is a
     # named covariate: gamma-hat is the WLS of y on [1, p, x2, (t - p) 1{group j}]
@@ -86,6 +102,13 @@ def test_fold_groups_balance_and_ties():
     assert set(np.flatnonzero(labels == 0)) == {1, 2}
     assert set(np.flatnonzero(labels == 2)) == {3, 5}
     assert cuts == [2.0, 4.0, 6.0]
+
+
+def test_cached_group_bounds_equal_linspace():
+    for size in range(2, 2001):
+        for J in range(2, min(10, size) + 1):
+            want = np.linspace(0, size, J + 1).round().astype(int)
+            assert np.array_equal(_group_bounds(size, J), want), (size, J)
 
 
 def test_fold_groups_too_small():
@@ -195,6 +218,54 @@ def test_cate_learners_share_a_training_view_across_threads():
         sys.setswitchinterval(interval)
     for want, model in zip(seq, models):
         assert np.array_equal(model.predict(x_eval), want)
+
+
+def test_arms_are_split_once_and_shared():
+    d = small_trial(n=200, seed=21).subset(np.arange(0, 200, 2))
+    treated, control = d.arms
+    assert d.arms[0] is treated and d.arms[1] is control
+    assert np.array_equal(treated.y, d.y[d.t == 1.0])
+    assert np.array_equal(control.design, d.design[d.t == 0.0])
+    lone = Dataset({"x1": np.arange(6.0), "y": np.arange(6.0), "t": np.eye(6)[0]},
+                   Roles("y", ("x1",), treatment="t", propensity=0.5))
+    with pytest.raises(IncompatibleRoles):
+        CateLearner(builtin("ols")).train(lone)
+
+
+@pytest.mark.parametrize("n_learners", [1, 2, 3])
+def test_repetition_builds_three_views_per_fold_whatever_the_learners(monkeypatch,
+                                                                      n_learners):
+    # one training view per fold, and its two arms, shared by the A T-learners
+    calls = []
+    subset = Dataset.subset
+
+    def counting(self, rows):
+        calls.append(rows)
+        return subset(self, rows)
+
+    monkeypatch.setattr(Dataset, "subset", counting)
+    cfg = config(n_learners=n_learners, K=3)
+    repetition(cfg, small_trial(n=150, seed=5), 0, 0)
+    assert len(calls) == 3 * cfg.K
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+@pytest.mark.parametrize("seeded", [False, True])
+def test_seq_takes_ttms_last_t_statistic_for_a_learner_that_reads_no_seed(K, seeded):
+    # Seq's step K-1 trains on the complement of fold K-1, as TTM does there:
+    # an unseeded learner is not refitted for it, a seeded one is
+    calls = []
+    cate = CateLearner(builtin("ols"))
+
+    def fit(d, seed):
+        calls.append(seed)
+        return cate.train(d, seed)
+
+    cfg = GatesConfig(learners=(Learner("counting", fit, seeded=seeded),), M=2, K=K)
+    d = small_trial(n=240, seed=19)
+    got = baselines(cfg, d, seed=7)
+    assert len(calls) == cfg.M * (K + K - (1 if seeded else 2))
+    assert got == retrained_baselines(cfg, d, 7)
 
 
 def test_het_test_smoke_and_degenerate():
